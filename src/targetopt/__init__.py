@@ -12,8 +12,6 @@ from .losses import (
     MulticlassKLLoss,
     SquaredLoss,
     kl_to_expert,
-    loss_curv_coord,
-    loss_grad_coord,
     loss_value,
     make_loss,
 )
@@ -21,7 +19,6 @@ from .models import (
     LinearModel,
     MLPModel,
     SoftmaxLinearModel,
-    grad_surrogate_params,
     lipschitz_estimate,
     make_model,
     spectral_norm,
@@ -41,12 +38,6 @@ from .optimizers import (
     RunConfig,
     RunTrace,
     run,
-    run_adagrad,
-    run_adam,
-    run_parametric_sgd,
-    run_parametric_sls,
-    run_sso,
-    run_svrg,
     theoretical_parametric_step,
 )
 

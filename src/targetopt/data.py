@@ -37,14 +37,15 @@ class ParseError(ValueError):
 class Dataset:
     """Sparse-row dataset with labels.
 
-    `X` is an n-by-d CSR matrix. `y` holds floats for regression, values in
-    {-1, +1} for binary classification, and contiguous class ids 0..K-1 for
-    multiclass (with `label_map` recording the original label of each id in
-    first-appearance order). Instances are treated as immutable once built
+    `X` is an n-by-d CSR matrix (optimizers also accept a dense ndarray).
+    `y` holds floats for regression, values in {-1, +1} for binary
+    classification, and contiguous class ids 0..K-1 for multiclass (with
+    `label_map` recording the original label of each id in first-appearance
+    order). Instances are treated as immutable once built
     and are safe to share across concurrent runs.
     """
 
-    X: sp.csr_matrix
+    X: sp.csr_matrix | np.ndarray
     y: np.ndarray
     task: str
     n_classes: int = 0

@@ -9,10 +9,11 @@ with them. They require a linear model.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
-from .models import lipschitz_estimate
+from .models import lipschitz_estimate, row_norms2
 from .surrogates import build_analysis_q, build_deterministic, build_stochastic
 
 
@@ -31,7 +32,7 @@ def _require_linear(model):
 
 def least_squares_optimum(dataset):
     """(theta*, z*) of the averaged squared loss by direct solve."""
-    X = dataset.X.toarray()
+    X = dataset.X.toarray() if sp.issparse(dataset.X) else np.asarray(dataset.X)
     theta_star, *_ = np.linalg.lstsq(X, dataset.y, rcond=None)
     return theta_star, X @ theta_star
 
@@ -98,9 +99,8 @@ def sigma2_z(dataset, loss) -> float:
         best_avg = losses_mod.loss_value(loss, z_hat, dataset.y)
     else:
         best_avg = _convex_min_value(dataset, loss)
-    row_norms2 = np.asarray(dataset.X.multiply(dataset.X).sum(axis=1)).ravel()
     per_example = np.zeros(n)
-    zero_rows = row_norms2 == 0
+    zero_rows = row_norms2(dataset.X) == 0
     if np.any(zero_rows):
         z0 = np.zeros(int(zero_rows.sum()))
         per_example[zero_rows] = np.asarray(loss.values(z0, dataset.y[zero_rows]))

@@ -37,6 +37,24 @@ CSV_COLUMNS = [
     "grad_norm",
 ]
 OPTIONAL_COLUMNS = ["eps", "zeta2"]
+# Keys of a run's nested "schedule" and "inner" groups ("inner" keys map
+# to their RunConfig fields).
+SCHEDULE_KEYS = ("kind", "eta0", "beta")
+INNER_KEYS = {
+    "solver": "inner_solver",
+    "m": "m",
+    "alpha": "inner_alpha",
+    "alpha0": "inner_alpha0",
+    "shrink": "inner_shrink",
+    "c": "inner_c",
+    "growth": "inner_growth",
+    "warm_start": "warm_start",
+    "m_rule": "m_rule",
+}
+
+
+def run_id_of(run_spec: dict) -> str:
+    return run_spec.get("id", run_spec.get("optimizer", "run"))
 
 
 def derive_seed(global_seed: int, run_id: str, seed_index: int) -> int:
@@ -83,34 +101,34 @@ def build_model(spec, dataset) -> object:
     )
 
 
+def check_run_spec(run_spec: dict) -> None:
+    """Reject unknown keys inside a run's "schedule" and "inner" groups."""
+    for group, keys in (("schedule", SCHEDULE_KEYS), ("inner", INNER_KEYS)):
+        unknown = sorted(set(run_spec.get(group) or ()) - set(keys))
+        if unknown:
+            raise ValueError(f"run {run_id_of(run_spec)!r}: unknown {group} key(s) {unknown}")
+
+
 def make_run_config(run_spec: dict, n: int, seed: int) -> RunConfig:
     """Translate a JSON run entry into a RunConfig.
 
     Nested "schedule" / "inner" groups are accepted alongside flat keys;
     an "epochs" key resolves to T = epochs * ceil(n / batch)."""
+    check_run_spec(run_spec)
     spec = copy.deepcopy(run_spec)
-    flat: dict = {}
-    flat["run_id"] = spec.pop("id", spec.get("optimizer", "run"))
+    flat: dict = {"run_id": run_id_of(spec)}
+    spec.pop("id", None)
     sched = spec.pop("schedule", None)
+    inner = spec.pop("inner", None)
     if sched:
         flat["schedule_kind"] = sched.get("kind", "constant")
         if sched.get("eta0") is not None:
             flat["eta0"] = sched["eta0"]
         if sched.get("beta") is not None:
             flat["schedule_beta"] = sched["beta"]
-    inner = spec.pop("inner", None)
     if inner:
         flat["inner_solver"] = inner.get("solver", "gd")
-        for src, dst in [
-            ("m", "m"),
-            ("alpha", "inner_alpha"),
-            ("alpha0", "inner_alpha0"),
-            ("shrink", "inner_shrink"),
-            ("c", "inner_c"),
-            ("growth", "inner_growth"),
-            ("warm_start", "warm_start"),
-            ("m_rule", "m_rule"),
-        ]:
+        for src, dst in INNER_KEYS.items():
             if inner.get(src) is not None:
                 flat[dst] = inner[src]
     epochs = spec.pop("epochs", None)
@@ -164,7 +182,7 @@ def read_csv(path) -> list[dict]:
 def execute_single(exp: dict, run_spec: dict, seed_index: int, out_dir: str) -> dict:
     """Run one (run, seed) pair end to end and write its files."""
     global_seed = exp.get("global_seed", 0)
-    run_id = run_spec.get("id", run_spec.get("optimizer", "run"))
+    run_id = run_id_of(run_spec)
     seed = derive_seed(global_seed, run_id, seed_index)
     dataset = load_dataset(exp["dataset"])
     loss = build_loss(exp["loss"])
@@ -187,9 +205,15 @@ def execute_single(exp: dict, run_spec: dict, seed_index: int, out_dir: str) -> 
         "derived_seed": seed,
         "experiment": exp,
         "resolved_run": trace.config,
+        "inner_stalls": trace.inner_stalls,
     }
     (out / f"{stem}.json").write_text(json.dumps(sidecar, indent=2, default=str))
-    return {"run_id": run_id, "seed": seed_index, "csv": str(out / f"{stem}.csv")}
+    return {
+        "run_id": run_id,
+        "seed": seed_index,
+        "csv": str(out / f"{stem}.csv"),
+        "inner_stalls": trace.inner_stalls,
+    }
 
 
 def _pool_entry(payload):
@@ -233,26 +257,33 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
     out_dir = os.environ.get("TARGETOPT_OUT", out_dir or config.get("out_dir", "runs"))
     seeds = config.get("seeds", [0])
 
+    for run_spec in config["runs"]:
+        check_run_spec(run_spec)
+    ids = [run_id_of(run_spec) for run_spec in config["runs"]]
+    duplicates = sorted({i for i in ids if ids.count(i) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
+
     payloads = [
         (config, run_spec, seed_index, out_dir)
         for run_spec in config["runs"]
         for seed_index in seeds
     ]
-    failures = []
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result, err in pool.map(_pool_entry, payloads):
-                if err:
-                    failures.append((result, err))
+            outcomes = list(pool.map(_pool_entry, payloads))
     else:
-        for payload in payloads:
-            result, err = _pool_entry(payload)
-            if err:
-                failures.append((result, err))
+        outcomes = [_pool_entry(payload) for payload in payloads]
     write_summary(out_dir)
-    for result, err in failures:
-        print(f"FAILED {result['run_id']} seed {result['seed']}: {err}")
-    return 1 if failures else 0
+    for result, err in outcomes:
+        if err:
+            print(f"FAILED {result['run_id']} seed {result['seed']}: {err}")
+        elif result["inner_stalls"]:
+            print(
+                f"STALLED {result['run_id']} seed {result['seed']}: "
+                f"{result['inner_stalls']} inner solves hit the backtrack floor"
+            )
+    return 1 if any(err for _, err in outcomes) else 0
 
 
 def cost_report(csv_paths, tau: float, thresholds) -> list[dict]:
@@ -389,7 +420,7 @@ def presets() -> dict:
 def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Quick property checks over the library; returns (name, ok, detail)."""
     from . import diagnostics as diag
-    from .optimizers import run_parametric_sgd, run_sso, theoretical_parametric_step
+    from .optimizers import theoretical_parametric_step
     from .surrogates import build_deterministic
 
     results = []
@@ -413,7 +444,7 @@ def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     # One exact full-batch solve at eta=1 lands on the least-squares fit.
     cfg = RunConfig(optimizer="sso", T=1, batch_size=None, eta0=1.0, inner_solver="exact", seed=seed)
-    tr = run_sso(cfg, ds, model, loss)
+    tr = run_optimizer(cfg, ds, model, loss)
     theta_star, z_star = diag.least_squares_optimum(ds)
     gap = tr.final_loss() - losses_mod.loss_value(loss, z_star, ds.y)
     results.append(("one-step-exact-solve", gap <= 1e-10, f"loss gap {gap:.2e}"))
@@ -421,8 +452,8 @@ def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     # m=1 surrogate descent equals a parametric SGD step.
     common = dict(T=50, batch_size=4, seed=seed, eval_every=50)
     step = theoretical_parametric_step(ds, loss, 4)
-    a = run_sso(RunConfig(optimizer="sso", inner_solver="gd", m=1, inner_alpha=step, eta0=0.5, **common), ds, model, loss)
-    b = run_parametric_sgd(RunConfig(optimizer="sgd", step_size=step, **common), ds, model, loss)
+    a = run_optimizer(RunConfig(optimizer="sso", inner_solver="gd", m=1, inner_alpha=step, eta0=0.5, **common), ds, model, loss)
+    b = run_optimizer(RunConfig(optimizer="sgd", step_size=step, **common), ds, model, loss)
     dev = abs(a.final_loss() - b.final_loss())
     results.append(("m1-equals-sgd", dev <= 1e-10, f"loss dev {dev:.2e}"))
 

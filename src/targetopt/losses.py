@@ -113,16 +113,6 @@ def loss_value(loss, z, y) -> float:
     return float(np.mean(loss.values(z, y)))
 
 
-def loss_grad_coord(loss, z_i: float, y_i) -> float:
-    """Derivative of l_i at a single coordinate."""
-    return float(np.asarray(loss.grads(np.array([z_i]), np.array([y_i])))[0])
-
-
-def loss_curv_coord(loss, z_i: float, y_i) -> float:
-    """Second derivative of l_i at a single coordinate."""
-    return float(np.asarray(loss.curvs(np.array([z_i]), np.array([y_i])))[0])
-
-
 def kl_to_expert(policy, expert) -> float:
     """KL(policy || expert) for two probability rows.
 

@@ -48,6 +48,14 @@ def spectral_norm(X, tol: float = 1e-6, max_iter: int = 100000) -> float:
     return float(sigma)
 
 
+def row_norms2(X) -> np.ndarray:
+    """Squared Euclidean norm of each row of a CSR or dense X."""
+    if sp.issparse(X):
+        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    X = np.asarray(X)
+    return (X * X).sum(axis=1)
+
+
 def _rows(X, idx):
     return X[idx] if idx is not None else X
 
@@ -210,18 +218,6 @@ def make_model(kind: str, hidden: int = 16, n_classes: int = 0, seed: int = 0):
     if kind == "mlp":
         return MLPModel(hidden=hidden, seed=seed)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def grad_surrogate_params(model, theta, X, idx, lin_coeffs, quad_weights, anchors):
-    """Gradient of mean_i [c_i f_i + (w_i/2)(f_i - z_i)^2] over `idx`.
-
-    For linear models this is mean_i [c_i + w_i (X_i theta - z_i)] X_i; for
-    other models the same chain rule runs through `param_grad`.
-    """
-    idx = np.asarray(idx)
-    f = model.forward(theta, X, idx)
-    coeffs = (np.asarray(lin_coeffs) + np.asarray(quad_weights) * (f - anchors)) / len(idx)
-    return model.param_grad(theta, X, idx, coeffs)
 
 
 def lipschitz_estimate(model, X, theta=None) -> float:

@@ -1,16 +1,18 @@
-"""Outer optimization loops with uniform tracing and oracle accounting.
+"""One outer optimization loop with uniform tracing and oracle accounting.
 
-`run_sso` builds one surrogate per outer iteration (consuming exactly
-batch-size oracle calls) and minimizes it with a configured inner solver.
-Parametric baselines (SGD, SGD + line search, Adam, AdaGrad, SVRG) share
-the sampling, tracing, and accounting machinery so traces are directly
-comparable. Simulated cost is oracle_calls * tau + inner_steps, where an
-inner step is one surrogate-gradient evaluation (a closed-form solve
-counts as d of them) and parametric updates count zero.
+`run` drives every optimizer through the same loop: sample a batch, pay
+its oracle calls, update. SSO builds one surrogate per outer iteration
+(consuming exactly batch-size oracle calls) and minimizes it with a
+configured inner solver; the parametric baselines (SGD, SGD + line
+search, Adam, AdaGrad, SVRG) differ only in their update, so traces are
+directly comparable. Simulated cost is oracle_calls * tau + inner_steps,
+where an inner step is one surrogate-gradient evaluation (a closed-form
+solve counts as d of them) and parametric updates count zero.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -18,11 +20,9 @@ import numpy as np
 
 from . import losses as losses_mod
 from .inner_solvers import armijo_backtracking, exact_linear_solve, gd_fixed
-from .models import spectral_norm
+from .models import row_norms2, spectral_norm
 from .schedules import Schedule, eta as schedule_eta, target_line_search, theoretical_eta0
 from .surrogates import OracleCounter, build_stochastic
-
-OPTIMIZERS = ("sso", "sgd", "sls", "adam", "adagrad", "svrg")
 
 
 @dataclass
@@ -105,6 +105,7 @@ class RunTrace:
     config: dict
     rows: list = field(default_factory=list)
     thetas: list = field(default_factory=list)  # populated when record_theta
+    inner_stalls: int = 0  # inner solves that hit the backtrack floor
 
     def final_loss(self) -> float:
         return self.rows[-1].loss
@@ -169,8 +170,7 @@ def parametric_smoothness(dataset, loss, batch_size: int | None = None) -> float
     n = dataset.n
     if batch_size is None or batch_size == n:
         return loss.L * spectral_norm(X) ** 2 / n
-    row_norms2 = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    return loss.L * float(row_norms2.max())
+    return loss.L * float(row_norms2(X).max())
 
 
 def theoretical_parametric_step(dataset, loss, batch_size=None) -> float:
@@ -185,6 +185,7 @@ class _Recorder:
         self.loss, self.model, self.dataset = loss, model, dataset
         self.counter = OracleCounter()
         self.inner_steps = 0
+        self.inner_stalls = 0
         self.t0 = time.perf_counter()
         self.rows: list[TraceRow] = []
         self.thetas: list[np.ndarray] = []
@@ -216,264 +217,228 @@ class _Recorder:
         return t % self.cfg.eval_every == 0 or t == self.cfg.T
 
 
-def _init_theta(model, dataset, rng):
-    theta = model.init_params(dataset.d, rng)
-    return np.asarray(theta, dtype=np.float64)
+def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
+    """The outer loop shared by every optimizer.
 
+    `make_step(cfg, dataset, model, loss, rec)` sets up one optimizer and
+    returns its update `step(t, theta, draw) -> (theta, eta, row_fields)`.
+    The update draws its own batch (SVRG takes its snapshot first), pays
+    its oracle calls on `rec.counter` and keeps any state between calls.
+    """
+    cfg.validate(dataset.n)
+    rng = np.random.default_rng(cfg.seed)
+    theta = np.asarray(model.init_params(dataset.d, rng), dtype=np.float64)
+    sampler = _Sampler(dataset.n, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
+    rec = _Recorder(cfg, loss, model, dataset)
+    step = make_step(cfg, dataset, model, loss, rec)
 
-def _make_trace(cfg: RunConfig, rec: _Recorder) -> RunTrace:
+    rec.record(0, theta, 0.0)
+    rec.snap(theta)
+    for t in range(1, cfg.T + 1):
+        theta, eta_t, row_fields = step(t, theta, sampler.draw)
+        rec.snap(theta)
+        if rec.due(t):
+            rec.record(t, theta, eta_t, **row_fields)
     return RunTrace(
         run_id=cfg.run_id or cfg.optimizer,
         seed=cfg.seed,
         config=asdict(cfg),
         rows=rec.rows,
         thetas=rec.thetas,
+        inner_stalls=rec.inner_stalls,
     )
 
 
-def run_sso(cfg: RunConfig, dataset, model, loss) -> RunTrace:
+def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Surrogate optimization (any variant / schedule / inner solver)."""
-    cfg.validate(dataset.n)
-    n = dataset.n
-    b = cfg.resolved_batch(n)
-    rng = np.random.default_rng(cfg.seed)
-    theta = _init_theta(model, dataset, rng)
-    sampler = _Sampler(n, b, rng, cfg.sampling)
-    rec = _Recorder(cfg, loss, model, dataset)
     y = losses_mod.effective_labels(dataset)
-
     if cfg.eta0 is not None:
         eta0 = cfg.eta0
     elif cfg.schedule_kind == "adagrad-norm":
         eta0 = 1e-2  # no theoretical constant for the adaptive rule
     else:
-        eta0 = theoretical_eta0(loss.L, n)
+        eta0 = theoretical_eta0(loss.L, dataset.n)
     sched = None
-    if cfg.schedule_kind not in ("target-line-search",):
+    if cfg.schedule_kind != "target-line-search":
         sched = Schedule(cfg.schedule_kind, eta0, T=cfg.T, beta=cfg.schedule_beta)
     warm_alpha = None
 
-    rec.record(0, theta, 0.0)
-    rec.snap(theta)
-    for t in range(1, cfg.T + 1):
-        idx = sampler.draw()
-        # Step size for this iteration.
-        if cfg.schedule_kind == "target-line-search":
-            z_b = model.forward(theta, dataset.X, idx)
-            g_b = np.asarray(loss.grads(z_b, y[idx]))
-            eta_t, _ = target_line_search(
-                loss, z_b, y[idx], g_b, cfg.ls_alpha0, cfg.ls_shrink, cfg.ls_c
-            )
-        elif cfg.schedule_kind == "adagrad-norm":
-            z_b = model.forward(theta, dataset.X, idx)
-            g_b = np.asarray(loss.grads(z_b, y[idx]))
-            eta_t = schedule_eta(sched, t, grad=g_b)
-        else:
+    def step(t, theta, draw):
+        nonlocal warm_alpha
+        idx = draw()
+        if sched is not None and sched.kind != "adagrad-norm":
             eta_t = schedule_eta(sched, t)
+        else:  # the step size depends on the batch's target gradient
+            z_b = model.forward(theta, dataset.X, idx)
+            g_b = np.asarray(loss.grads(z_b, y[idx]))
+            if sched is None:
+                eta_t, _ = target_line_search(
+                    loss, z_b, y[idx], g_b, cfg.ls_alpha0, cfg.ls_shrink, cfg.ls_c
+                )
+            else:
+                eta_t = schedule_eta(sched, t, grad=g_b)
 
-        theta_prev = theta
         surr = build_stochastic(
             loss, model, dataset, theta, idx, eta_t, cfg.variant, counter=rec.counter
         )
         m_t = cfg.m if cfg.m_rule == "constant" else int(np.ceil(cfg.m * np.log(t + 2)))
-
-        if cfg.inner_solver == "gd":
-            res = gd_fixed(surr, theta, m_t, alpha=cfg.inner_alpha)
-            theta = res.theta
-            rec.inner_steps += res.inner_steps
-        elif cfg.inner_solver == "armijo":
-            alpha0 = cfg.inner_alpha0 * cfg.inner_growth
-            if cfg.warm_start and warm_alpha is not None:
-                alpha0 = warm_alpha * cfg.inner_growth
-            res = armijo_backtracking(
-                surr, theta, m_t, alpha0=alpha0, shrink=cfg.inner_shrink, c=cfg.inner_c
-            )
-            theta = res.theta
-            warm_alpha = res.last_alpha
-            rec.inner_steps += res.inner_steps
-        elif cfg.inner_solver == "exact":
-            theta = exact_linear_solve(surr, origin=theta)
+        if cfg.inner_solver == "exact":
+            theta_next = exact_linear_solve(surr, origin=theta)
             rec.inner_steps += dataset.d
         else:
-            raise ValueError(f"unknown inner solver {cfg.inner_solver!r}")
+            if cfg.inner_solver == "gd":
+                res = gd_fixed(surr, theta, m_t, alpha=cfg.inner_alpha)
+            elif cfg.inner_solver == "armijo":
+                alpha0 = cfg.inner_alpha0 * cfg.inner_growth
+                if cfg.warm_start and warm_alpha is not None:
+                    alpha0 = warm_alpha * cfg.inner_growth
+                res = armijo_backtracking(
+                    surr, theta, m_t, alpha0=alpha0, shrink=cfg.inner_shrink, c=cfg.inner_c
+                )
+                warm_alpha = res.last_alpha
+            else:
+                raise ValueError(f"unknown inner solver {cfg.inner_solver!r}")
+            theta_next = res.theta
+            rec.inner_steps += res.inner_steps
+            rec.inner_stalls += res.stalled
 
-        rec.snap(theta)
-        if rec.due(t):
-            eps = zeta2_val = None
-            if cfg.diagnostics:
-                from . import diagnostics as diag
+        row_fields = {}
+        if cfg.diagnostics and rec.due(t):
+            from . import diagnostics as diag
 
-                if "eps" in cfg.diagnostics:
-                    eps = diag.projection_error(
-                        loss, model, dataset, theta_prev, idx, eta_t, theta
-                    )
-                if "zeta2" in cfg.diagnostics:
-                    zeta2_val = diag.zeta2(dataset, loss, model, theta_prev, eta_t)
-            rec.record(t, theta, eta_t, eps=eps, zeta2=zeta2_val)
+            if "eps" in cfg.diagnostics:
+                row_fields["eps"] = diag.projection_error(
+                    loss, model, dataset, theta, idx, eta_t, theta_next
+                )
+            if "zeta2" in cfg.diagnostics:
+                row_fields["zeta2"] = diag.zeta2(dataset, loss, model, theta, eta_t)
+        return theta_next, eta_t, row_fields
 
-    return _make_trace(cfg, rec)
+    return step
 
 
-def run_parametric_sgd(cfg: RunConfig, dataset, model, loss) -> RunTrace:
+def _parametric_step0(cfg: RunConfig, dataset, loss) -> float:
+    if cfg.step_size is not None:
+        return cfg.step_size
+    return theoretical_parametric_step(dataset, loss, cfg.batch_size)
+
+
+def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Plain stochastic gradient descent in parameter space."""
-    cfg.validate(dataset.n)
-    n = dataset.n
-    b = cfg.resolved_batch(n)
-    rng = np.random.default_rng(cfg.seed)
-    theta = _init_theta(model, dataset, rng)
-    sampler = _Sampler(n, b, rng, cfg.sampling)
-    rec = _Recorder(cfg, loss, model, dataset)
-
-    step0 = (
-        cfg.step_size
-        if cfg.step_size is not None
-        else theoretical_parametric_step(dataset, loss, cfg.batch_size)
+    sched = Schedule(
+        cfg.schedule_kind, _parametric_step0(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule_beta
     )
-    sched = Schedule(cfg.schedule_kind, step0, T=cfg.T, beta=cfg.schedule_beta)
 
-    rec.record(0, theta, 0.0)
-    rec.snap(theta)
-    for t in range(1, cfg.T + 1):
-        idx = sampler.draw()
+    def step(t, theta, draw):
+        idx = draw()
         g = batch_param_grad(loss, model, dataset, theta, idx)
         rec.counter.add(len(idx))
-        step = schedule_eta(sched, t, grad=g)
-        theta = theta - step * g
-        rec.snap(theta)
-        if rec.due(t):
-            rec.record(t, theta, step)
-    return _make_trace(cfg, rec)
+        eta_t = schedule_eta(sched, t, grad=g)
+        return theta - eta_t * g, eta_t, {}
+
+    return step
 
 
-def run_parametric_sls(cfg: RunConfig, dataset, model, loss) -> RunTrace:
+def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """SGD with Armijo backtracking on the sampled mini-batch loss."""
-    cfg.validate(dataset.n)
-    n = dataset.n
-    b = cfg.resolved_batch(n)
-    rng = np.random.default_rng(cfg.seed)
-    theta = _init_theta(model, dataset, rng)
-    sampler = _Sampler(n, b, rng, cfg.sampling)
-    rec = _Recorder(cfg, loss, model, dataset)
     y = losses_mod.effective_labels(dataset)
 
-    rec.record(0, theta, 0.0)
-    for t in range(1, cfg.T + 1):
-        idx = sampler.draw()
+    def step(t, theta, draw):
+        idx = draw()
         z = model.forward(theta, dataset.X, idx)
         base = float(np.mean(loss.values(z, y[idx])))
         g = batch_param_grad(loss, model, dataset, theta, idx)
         rec.counter.add(len(idx))
         gnorm2 = float(g @ g)
-        step = cfg.ls_alpha0
+        eta_t = cfg.ls_alpha0
         if gnorm2 > 0:
-            while step >= 1e-12:
-                z_try = model.forward(theta - step * g, dataset.X, idx)
-                if float(np.mean(loss.values(z_try, y[idx]))) <= base - cfg.ls_c * step * gnorm2:
+            while eta_t >= 1e-12:
+                z_try = model.forward(theta - eta_t * g, dataset.X, idx)
+                if float(np.mean(loss.values(z_try, y[idx]))) <= base - cfg.ls_c * eta_t * gnorm2:
                     break
-                step *= cfg.ls_shrink
-            theta = theta - step * g
-        if rec.due(t):
-            rec.record(t, theta, step)
-    return _make_trace(cfg, rec)
+                eta_t *= cfg.ls_shrink
+            theta = theta - eta_t * g
+        return theta, eta_t, {}
+
+    return step
 
 
-def run_adam(cfg: RunConfig, dataset, model, loss) -> RunTrace:
+def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Adam baseline with the usual default constants."""
-    cfg.validate(dataset.n)
-    rng = np.random.default_rng(cfg.seed)
-    theta = _init_theta(model, dataset, rng)
-    sampler = _Sampler(dataset.n, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
-    rec = _Recorder(cfg, loss, model, dataset)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m = v = 0.0  # moment estimates; a scalar zero acts as the zero vector
 
-    rec.record(0, theta, 0.0)
-    for t in range(1, cfg.T + 1):
-        idx = sampler.draw()
+    def step(t, theta, draw):
+        nonlocal m, v
+        idx = draw()
         g = batch_param_grad(loss, model, dataset, theta, idx)
         rec.counter.add(len(idx))
         m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
         v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
         mhat = m / (1 - cfg.adam_beta1**t)
         vhat = v / (1 - cfg.adam_beta2**t)
-        theta = theta - cfg.adam_lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
-        if rec.due(t):
-            rec.record(t, theta, cfg.adam_lr)
-    return _make_trace(cfg, rec)
+        return theta - cfg.adam_lr * mhat / (np.sqrt(vhat) + cfg.adam_eps), cfg.adam_lr, {}
+
+    return step
 
 
-def run_adagrad(cfg: RunConfig, dataset, model, loss) -> RunTrace:
+def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Diagonal AdaGrad baseline."""
-    cfg.validate(dataset.n)
-    rng = np.random.default_rng(cfg.seed)
-    theta = _init_theta(model, dataset, rng)
-    sampler = _Sampler(dataset.n, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
-    rec = _Recorder(cfg, loss, model, dataset)
-    acc = np.zeros_like(theta)
+    acc = 0.0  # running sum of squared gradients
 
-    rec.record(0, theta, 0.0)
-    for t in range(1, cfg.T + 1):
-        idx = sampler.draw()
+    def step(t, theta, draw):
+        nonlocal acc
+        idx = draw()
         g = batch_param_grad(loss, model, dataset, theta, idx)
         rec.counter.add(len(idx))
-        acc += g * g
-        theta = theta - cfg.adagrad_lr * g / (np.sqrt(acc) + cfg.adagrad_eps)
-        if rec.due(t):
-            rec.record(t, theta, cfg.adagrad_lr)
-    return _make_trace(cfg, rec)
+        acc = acc + g * g
+        return theta - cfg.adagrad_lr * g / (np.sqrt(acc) + cfg.adagrad_eps), cfg.adagrad_lr, {}
+
+    return step
 
 
-def run_svrg(cfg: RunConfig, dataset, model, loss) -> RunTrace:
+def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """SVRG: periodic full-gradient snapshots + control-variate steps.
 
     Each snapshot costs n oracle calls; each update step costs 2b (batch
     gradients at the current point and at the snapshot).
     """
-    cfg.validate(dataset.n)
     n = dataset.n
-    b = cfg.resolved_batch(n)
-    freq = cfg.svrg_snapshot_freq or max(1, int(np.ceil(n / b)))
-    rng = np.random.default_rng(cfg.seed)
-    theta = _init_theta(model, dataset, rng)
-    sampler = _Sampler(n, b, rng, cfg.sampling)
-    rec = _Recorder(cfg, loss, model, dataset)
+    freq = cfg.svrg_snapshot_freq or max(1, int(np.ceil(n / cfg.resolved_batch(n))))
+    eta = _parametric_step0(cfg, dataset, loss)
+    snapshot = mu = None
 
-    step = (
-        cfg.step_size
-        if cfg.step_size is not None
-        else theoretical_parametric_step(dataset, loss, cfg.batch_size)
-    )
-    snapshot = theta.copy()
-    mu = np.zeros_like(theta)
-
-    rec.record(0, theta, 0.0)
-    for t in range(1, cfg.T + 1):
+    def step(t, theta, draw):
+        nonlocal snapshot, mu
         if (t - 1) % freq == 0:
             snapshot = theta.copy()
             mu = batch_param_grad(loss, model, dataset, snapshot, np.arange(n))
             rec.counter.add(n)
-        idx = sampler.draw()
+        idx = draw()
         g = (
             batch_param_grad(loss, model, dataset, theta, idx)
             - batch_param_grad(loss, model, dataset, snapshot, idx)
             + mu
         )
         rec.counter.add(2 * len(idx))
-        theta = theta - step * g
-        if rec.due(t):
-            rec.record(t, theta, step)
-    return _make_trace(cfg, rec)
+        return theta - eta * g, eta, {}
+
+    return step
 
 
 RUNNERS = {
-    "sso": run_sso,
-    "sgd": run_parametric_sgd,
-    "sls": run_parametric_sls,
-    "adam": run_adam,
-    "adagrad": run_adagrad,
-    "svrg": run_svrg,
+    name: functools.partial(_drive, make_step=make_step)
+    for name, make_step in [
+        ("sso", _sso_step),
+        ("sgd", _sgd_step),
+        ("sls", _sls_step),
+        ("adam", _adam_step),
+        ("adagrad", _adagrad_step),
+        ("svrg", _svrg_step),
+    ]
 }
+OPTIMIZERS = tuple(RUNNERS)
 
 
 def run(cfg: RunConfig, dataset, model, loss) -> RunTrace:
+    """Run `cfg.optimizer` on the dataset and return its trace."""
     return RUNNERS[cfg.optimizer](cfg, dataset, model, loss)

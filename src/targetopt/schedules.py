@@ -28,10 +28,6 @@ class Schedule:
     eta0: float
     T: int | None = None
     beta: float = 1.0
-    # Line-search knobs (target-line-search only).
-    alpha0: float = 10.0
-    shrink: float = 0.5
-    c: float = 0.5
     G: float = field(default=0.0, repr=False)
 
     def __post_init__(self):

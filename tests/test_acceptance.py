@@ -36,8 +36,7 @@ from targetopt.losses import (
 from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
 from targetopt.optimizers import (
     RunConfig,
-    run_parametric_sgd,
-    run_sso,
+    run,
     theoretical_parametric_step,
 )
 from targetopt.surrogates import (
@@ -66,12 +65,12 @@ def test_01_m1_equivalence():
         alpha = theoretical_parametric_step(ds, loss, 10)
         common = dict(T=200, batch_size=10, seed=7, eval_every=200, record_theta=True)
         start = time.perf_counter()
-        sso = run_sso(
+        sso = run(
             RunConfig(optimizer="sso", variant="smoothness", inner_solver="gd",
                       m=1, inner_alpha=alpha, eta0=0.5, **common),
             ds, model, loss,
         )
-        sgd = run_parametric_sgd(
+        sgd = run(
             RunConfig(optimizer="sgd", step_size=alpha, **common), ds, model, loss
         )
         elapsed = time.perf_counter() - start
@@ -114,7 +113,7 @@ def test_03_newton_recovery():
         model, loss = LinearModel(), SquaredLoss()
         cfg = RunConfig(optimizer="sso", T=1, batch_size=None, eta0=1.0,
                         inner_solver="exact", seed=0)
-        trace = run_sso(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         _, z_star = least_squares_optimum(ds)
         gap = trace.final_loss() - loss_value(loss, z_star, ds.y)
         assert gap <= 1e-10, f"loss gap {gap}"
@@ -140,7 +139,7 @@ def test_04_majorization_and_descent():
         # Monotone full-batch descent with the default 1/beta inner step.
         cfg = RunConfig(optimizer="sso", T=100, batch_size=None, eta0=1.0 / loss.L,
                         inner_solver="gd", m=5, seed=0, eval_every=1)
-        trace = run_sso(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         diffs = np.diff(trace.losses())
         assert np.all(diffs <= 1e-12), f"max increase {diffs.max()}"
 
@@ -180,7 +179,7 @@ def test_06_interpolation_regime():
         cfg = RunConfig(optimizer="sso", T=500, batch_size=None, eta0=eta,
                         inner_solver="gd", m=20, inner_alpha=alpha, seed=0,
                         eval_every=500, record_theta=True)
-        trace = run_sso(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         assert trace.final_loss() <= 1e-6, f"final loss {trace.final_loss()}"
 
         _, z_star = least_squares_optimum(ds)
@@ -201,7 +200,7 @@ def test_07_projection_error_bound():
         cfg = RunConfig(optimizer="sso", T=27, batch_size=1, eta0=eta,
                         inner_solver="gd", m=5, seed=1, eval_every=27,
                         record_theta=True)
-        trace = run_sso(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         checkpoints = trace.thetas[::3][:10]
         assert len(checkpoints) == 10
         for m in (1, 5, 20):
@@ -225,13 +224,13 @@ def test_08_oracle_efficiency():
         start = time.perf_counter()
         sso_cfg = RunConfig(optimizer="sso", T=50, batch_size=None, eta0=0.5,
                             inner_solver="exact", tau=tau, seed=2, eval_every=1)
-        sso = run_sso(sso_cfg, ds, model, loss)
+        sso = run(sso_cfg, ds, model, loss)
         sso_time = time.perf_counter() - start
 
         start = time.perf_counter()
         sgd_cfg = RunConfig(optimizer="sgd", T=60000, batch_size=1, tau=tau,
                             seed=2, eval_every=500)
-        sgd = run_parametric_sgd(sgd_cfg, ds, model, loss)
+        sgd = run(sgd_cfg, ds, model, loss)
         sgd_time = time.perf_counter() - start
 
         def cost_to_reach(trace):
@@ -283,14 +282,14 @@ def test_09_desk_scale_parity():
         eta = 1.0 / (2.0 * loss.L)  # constant target step 1/(2L) for logistic
         finals: dict = {"sgd": [], "sso-5": [], "sso-20": []}
         for seed in (0, 1, 2):
-            sgd = run_parametric_sgd(
+            sgd = run(
                 RunConfig(optimizer="sgd", T=T, batch_size=batch, seed=seed,
                           eval_every=T),
                 ds, model, loss,
             )
             finals["sgd"].append(sgd.final_loss())
             for m in (5, 20):
-                sso = run_sso(
+                sso = run(
                     RunConfig(optimizer="sso", T=T, batch_size=batch, eta0=eta,
                               inner_solver="armijo", m=m, seed=seed, eval_every=T),
                     ds, model, loss,

@@ -110,6 +110,12 @@ class TestSigmaZ:
         # loss attains 0, so sigma_z^2 = 5/16.
         assert sigma2_z(counterexample(), SquaredLoss()) == pytest.approx(5 / 16, abs=1e-12)
 
+    def test_dense_X_matches_csr(self):
+        ds = generate_synthetic(SyntheticSpec("least-squares", n=12, d=3, noise=0.5, seed=8))
+        ds.X[0] = 0.0  # a zero row takes the per-example branch
+        dense = Dataset(X=ds.X.toarray(), y=ds.y, task=ds.task)
+        assert sigma2_z(dense, SquaredLoss()) == pytest.approx(sigma2_z(ds, SquaredLoss()), abs=1e-12)
+
 
 class TestZeta2:
     def test_full_information_zero(self):

@@ -110,6 +110,27 @@ class TestRunExperiment:
             b = strip_wall((tmp_path / "par" / name).read_text())
             assert a == b
 
+    def test_duplicate_run_id_rejected_before_any_file(self, tmp_path):
+        cfg = small_config(tmp_path / "out")
+        cfg["runs"].append({"id": "sgd", "optimizer": "adam", "T": 6})
+        with pytest.raises(ValueError, match="'sgd'"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_stalled_inner_solves_are_reported(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = small_config(out)
+        cfg["seeds"] = [0]
+        cfg["runs"] = [
+            {"id": "stall", "optimizer": "sso", "T": 6, "batch_size": 4,
+             "schedule": {"kind": "constant", "eta0": 0.5},
+             "inner": {"solver": "armijo", "m": 3, "alpha0": 1e-14}},
+        ]
+        assert run_experiment(cfg) == 0
+        assert "STALLED stall seed 0: 6 inner solves hit the backtrack floor" in capsys.readouterr().out
+        assert json.loads((out / "stall_s0.json").read_text())["inner_stalls"] == 6
+        assert read_csv(out / "stall_s0.csv")[-1]["inner_steps"] == "0"
+
     def test_seed_derivation_distinct(self):
         seeds = {derive_seed(0, rid, s) for rid in ("a", "b") for s in range(3)}
         assert len(seeds) == 6
@@ -179,6 +200,21 @@ class TestConfigParsing:
         assert cfg.schedule_kind == "exponential" and cfg.eta0 == 0.2
         assert cfg.inner_solver == "armijo" and cfg.m == 7 and cfg.inner_alpha0 == 2.0
         assert cfg.seed == 3
+
+    @pytest.mark.parametrize("group,entry", [("inner", {"solver": "gd", "mm": 5}),
+                                             ("schedule", {"kind": "constant", "bogus": 1})])
+    def test_unknown_nested_key_rejected(self, group, entry):
+        spec = {"id": "x", "optimizer": "sso", "T": 5, group: entry}
+        bad = "mm" if group == "inner" else "bogus"
+        with pytest.raises(ValueError, match=f"'x': unknown {group} key.*{bad}"):
+            make_run_config(spec, n=10, seed=0)
+
+    def test_unknown_nested_key_rejected_before_any_file(self, tmp_path):
+        cfg = small_config(tmp_path / "out")
+        cfg["runs"][1]["inner"]["mm"] = 5
+        with pytest.raises(ValueError, match="mm"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_epochs_resolution(self):
         cfg = make_run_config(

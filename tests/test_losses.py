@@ -7,8 +7,6 @@ from targetopt.losses import (
     SquaredLoss,
     check_simplex_rows,
     kl_to_expert,
-    loss_curv_coord,
-    loss_grad_coord,
     loss_value,
     make_loss,
     smoothed_expert_rows,
@@ -40,23 +38,23 @@ class TestValues:
 
 class TestDerivatives:
     def test_logistic_grad_at_zero(self):
-        assert loss_grad_coord(LogisticLoss(), 0.0, 1.0) == pytest.approx(-0.5)
+        assert LogisticLoss().grads(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(-0.5)
 
     def test_squared_grad_at_minimum(self):
-        assert loss_grad_coord(SquaredLoss(), 2.0, 2.0) == 0.0
+        assert SquaredLoss().grads(np.array([2.0]), np.array([2.0]))[0] == 0.0
 
     def test_squared_grad_hand_value(self):
-        assert loss_grad_coord(SquaredLoss(), 0.0, 2.0) == pytest.approx(-2.0)
+        assert SquaredLoss().grads(np.array([0.0]), np.array([2.0]))[0] == pytest.approx(-2.0)
 
     def test_logistic_curv_at_zero(self):
-        assert loss_curv_coord(LogisticLoss(), 0.0, 1.0) == pytest.approx(0.25)
+        assert LogisticLoss().curvs(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(0.25)
 
     def test_squared_curv_constant(self):
         for z in (-3.0, 0.0, 7.5):
-            assert loss_curv_coord(SquaredLoss(), z, 2.0) == 1.0
+            assert SquaredLoss().curvs(np.array([z]), np.array([2.0]))[0] == 1.0
 
     def test_logistic_curv_saturates(self):
-        assert loss_curv_coord(LogisticLoss(), 1e3, 1.0) == pytest.approx(0.0, abs=1e-300)
+        assert LogisticLoss().curvs(np.array([1e3]), np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-300)
 
 
 class TestKL:

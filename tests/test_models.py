@@ -3,11 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from targetopt.data import SyntheticSpec, generate_synthetic
+from targetopt.surrogates import Surrogate
 from targetopt.models import (
     LinearModel,
     MLPModel,
     SoftmaxLinearModel,
-    grad_surrogate_params,
     lipschitz_estimate,
     spectral_norm,
 )
@@ -15,6 +15,18 @@ from targetopt.models import (
 
 def dense(X):
     return sp.csr_matrix(np.asarray(X, dtype=np.float64))
+
+
+def surrogate_grad(model, theta, X, idx, lin_coeffs, quad_weights, anchors):
+    """Gradient of mean_i [c_i f_i + (w_i/2)(f_i - z_i)^2] over `idx`."""
+    idx = np.asarray(idx)
+    surr = Surrogate(
+        variant="smoothness", model=model, X=X, eta=1.0, theta_anchor=theta,
+        batch_idx=idx, anchor_targets=anchors, consts=np.zeros(len(idx)),
+        lin_coeffs=np.asarray(lin_coeffs), reg_idx=idx, reg_weights=np.asarray(quad_weights),
+        reg_anchors=anchors, reg_scale=1.0 / len(idx),
+    )
+    return surr.grad(theta)
 
 
 class TestLinearForward:
@@ -45,7 +57,7 @@ class TestSurrogateGrad:
         X = dense([[1.0, -2.0], [0.5, 3.0]])
         theta = np.array([0.7, -0.3])
         anchors = model.forward(theta, X, [0, 1])
-        g = grad_surrogate_params(
+        g = surrogate_grad(
             model, theta, X, [0, 1], np.zeros(2), np.full(2, 2.0), anchors
         )
         np.testing.assert_array_equal(g, 0.0)
@@ -54,7 +66,7 @@ class TestSurrogateGrad:
         # c=-2, w=2, theta = anchor = 0 on X=[1]: gradient is c * x = -2.
         model = LinearModel()
         X = dense([[1.0]])
-        g = grad_surrogate_params(
+        g = surrogate_grad(
             model, np.zeros(1), X, [0], np.array([-2.0]), np.array([2.0]), np.zeros(1)
         )
         assert g[0] == pytest.approx(-2.0)
@@ -73,7 +85,7 @@ class TestSurrogateGrad:
             f = model.forward(t, X, idx)
             return np.mean(c * f + 0.5 * w * (f - z) ** 2)
 
-        g = grad_surrogate_params(model, theta, X, idx, c, w, z)
+        g = surrogate_grad(model, theta, X, idx, c, w, z)
         h = 1e-6 * (1 + np.linalg.norm(theta))
         for j in range(4):
             e = np.zeros(4)
@@ -103,7 +115,7 @@ class TestMLP:
             f = model.forward(t, X, idx)
             return np.mean(c * f + 0.5 * w * (f - z) ** 2)
 
-        g = grad_surrogate_params(model, theta, X, idx, c, w, z)
+        g = surrogate_grad(model, theta, X, idx, c, w, z)
         h = 1e-6 * (1 + np.linalg.norm(theta))
         fd = np.empty_like(g)
         for j in range(theta.size):

@@ -7,16 +7,12 @@ from targetopt.diagnostics import least_squares_optimum
 from targetopt.losses import SquaredLoss, LogisticLoss, loss_value
 from targetopt.models import LinearModel
 from targetopt.optimizers import (
+    OPTIMIZERS,
     RunConfig,
     _Sampler,
     batch_param_grad,
     full_loss,
-    run_adagrad,
-    run_adam,
-    run_parametric_sgd,
-    run_parametric_sls,
-    run_sso,
-    run_svrg,
+    run,
     theoretical_parametric_step,
 )
 
@@ -33,12 +29,12 @@ class TestSSO:
         model, loss = LinearModel(), SquaredLoss()
         alpha = theoretical_parametric_step(ds, loss, 5)
         common = dict(T=60, batch_size=5, seed=42, eval_every=1)
-        sso = run_sso(
+        sso = run(
             RunConfig(optimizer="sso", inner_solver="gd", m=1, inner_alpha=alpha,
                       eta0=0.5, **common),
             ds, model, loss,
         )
-        sgd = run_parametric_sgd(
+        sgd = run(
             RunConfig(optimizer="sgd", step_size=alpha, **common), ds, model, loss
         )
         np.testing.assert_array_equal(sso.losses(), sgd.losses())
@@ -48,7 +44,7 @@ class TestSSO:
         model, loss = LinearModel(), SquaredLoss()
         cfg = RunConfig(optimizer="sso", T=1, batch_size=None, eta0=1.0,
                         inner_solver="exact", seed=0)
-        trace = run_sso(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         _, z_star = least_squares_optimum(ds)
         assert trace.final_loss() - loss_value(loss, z_star, ds.y) <= 1e-10
 
@@ -57,7 +53,7 @@ class TestSSO:
         model, loss = LinearModel(), SquaredLoss()
         cfg = RunConfig(optimizer="sso", T=50, batch_size=None, eta0=1.0 / loss.L,
                         inner_solver="gd", m=3, seed=0, eval_every=1)
-        trace = run_sso(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         losses = trace.losses()
         assert np.all(np.diff(losses) <= 1e-12)
 
@@ -65,7 +61,7 @@ class TestSSO:
         ds = ls_dataset(seed=4)
         cfg = RunConfig(optimizer="sso", T=10, batch_size=3, eta0=0.5,
                         inner_solver="gd", m=7, seed=0, eval_every=1)
-        trace = run_sso(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         calls = [r.oracle_calls for r in trace.rows]
         assert calls == [3 * t for t in range(11)]
         # Inner iterations never touch the oracle, whatever m is.
@@ -75,8 +71,8 @@ class TestSSO:
         ds = ls_dataset(seed=5)
         cfg = lambda: RunConfig(optimizer="sso", T=20, batch_size=4, eta0=0.4,
                                 inner_solver="armijo", m=5, seed=9, eval_every=1)
-        a = run_sso(cfg(), ds, LinearModel(), SquaredLoss())
-        b = run_sso(cfg(), ds, LinearModel(), SquaredLoss())
+        a = run(cfg(), ds, LinearModel(), SquaredLoss())
+        b = run(cfg(), ds, LinearModel(), SquaredLoss())
         np.testing.assert_array_equal(a.losses(), b.losses())
         assert [r.oracle_calls for r in a.rows] == [r.oracle_calls for r in b.rows]
 
@@ -91,7 +87,7 @@ class TestSSO:
         ds = ls_dataset(seed=7)
         cfg = RunConfig(optimizer="sso", T=5, batch_size=2, eta0=0.5,
                         inner_solver="gd", m=2, m_rule="log", seed=0, eval_every=1)
-        trace = run_sso(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         per_step = np.diff([r.inner_steps for r in trace.rows])
         expected = [int(np.ceil(2 * np.log(t + 2))) for t in range(1, 6)]
         assert per_step.tolist() == expected
@@ -101,7 +97,7 @@ class TestSSO:
         cfg = RunConfig(optimizer="sso", T=30, batch_size=2,
                         schedule_kind="target-line-search",
                         inner_solver="armijo", m=5, seed=1, eval_every=30)
-        trace = run_sso(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.final_loss() < trace.rows[0].loss
         # The line search reuses the frozen batch values: still b calls/step.
         assert trace.rows[-1].oracle_calls == 2 * 30
@@ -111,7 +107,7 @@ class TestSSO:
         loss = LogisticLoss()
         cfg = RunConfig(optimizer="sso", T=40, batch_size=None, variant="newton",
                         eta0=0.5, inner_solver="armijo", m=10, seed=0, eval_every=40)
-        trace = run_sso(cfg, ds, LinearModel(), loss)
+        trace = run(cfg, ds, LinearModel(), loss)
         assert trace.final_loss() < trace.rows[0].loss
 
     def test_mlp_deterministic_descent(self):
@@ -123,7 +119,7 @@ class TestSSO:
         model = MLPModel(hidden=6, seed=30)
         cfg = RunConfig(optimizer="sso", T=25, batch_size=None, eta0=1.0,
                         inner_solver="armijo", m=5, seed=0, eval_every=1)
-        trace = run_sso(cfg, ds, model, SquaredLoss())
+        trace = run(cfg, ds, model, SquaredLoss())
         losses = trace.losses()
         assert np.all(np.diff(losses) <= 1e-12)
         assert losses[-1] < losses[0]
@@ -140,14 +136,14 @@ class TestSSO:
         model = SoftmaxLinearModel(K)
         loss = MulticlassKLLoss()
         # Full batch: multiplicative updates + KL projection decrease the loss.
-        full = run_sso(
+        full = run(
             RunConfig(optimizer="sso", T=60, batch_size=None, variant="entropy-mirror",
                       eta0=0.3, inner_solver="armijo", m=8, seed=0, eval_every=60),
             ds, model, loss,
         )
         assert full.final_loss() < full.rows[0].loss - 0.05
         # Stochastic batches converge with a proportionate step.
-        stoch = run_sso(
+        stoch = run(
             RunConfig(optimizer="sso", T=300, batch_size=15, variant="entropy-mirror",
                       eta0=0.1, inner_solver="armijo", m=8, seed=0, eval_every=300),
             ds, model, loss,
@@ -161,8 +157,8 @@ class TestSSO:
         warm = RunConfig(optimizer="sso", T=40, batch_size=4, eta0=0.5,
                          inner_solver="armijo", m=5, warm_start=True,
                          inner_growth=1.25, seed=0, eval_every=40)
-        a = run_sso(cold, ds, LinearModel(), SquaredLoss())
-        b = run_sso(warm, ds, LinearModel(), SquaredLoss())
+        a = run(cold, ds, LinearModel(), SquaredLoss())
+        b = run(warm, ds, LinearModel(), SquaredLoss())
         assert a.final_loss() < 0.1 * a.rows[0].loss
         assert b.final_loss() <= a.final_loss()
 
@@ -172,7 +168,7 @@ class TestSSO:
             cfg = RunConfig(optimizer="sso", T=20, batch_size=2, eta0=0.5,
                             schedule_kind=kind, inner_solver="gd", m=3,
                             seed=0, eval_every=20)
-            trace = run_sso(cfg, ds, LinearModel(), SquaredLoss())
+            trace = run(cfg, ds, LinearModel(), SquaredLoss())
             assert np.isfinite(trace.final_loss())
 
     def test_adagrad_norm_schedule_etas_non_increasing(self):
@@ -180,7 +176,7 @@ class TestSSO:
         cfg = RunConfig(optimizer="sso", T=25, batch_size=4,
                         schedule_kind="adagrad-norm", inner_solver="gd", m=2,
                         seed=0, eval_every=1)
-        trace = run_sso(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         etas = [r.eta for r in trace.rows[1:]]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
@@ -219,13 +215,13 @@ class TestParametricBaselines:
         X = sp.csr_matrix(np.eye(3))
         ds = Dataset(X=X, y=np.zeros(3), task="regression")
         cfg = RunConfig(optimizer="sgd", T=10, batch_size=None, seed=0, eval_every=1)
-        trace = run_parametric_sgd(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert np.all(trace.losses() == 0.0)
 
     def test_sgd_oracle_calls(self):
         ds = ls_dataset(seed=12)
         cfg = RunConfig(optimizer="sgd", T=25, batch_size=4, seed=0, eval_every=25)
-        trace = run_parametric_sgd(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.rows[-1].oracle_calls == 4 * 25
 
     def test_full_batch_gd_matches_scalar_recursion(self):
@@ -240,7 +236,7 @@ class TestParametricBaselines:
         T = 12
         cfg = RunConfig(optimizer="sgd", T=T, batch_size=None, step_size=step,
                         seed=0, eval_every=1)
-        trace = run_parametric_sgd(cfg, ds, LinearModel(), loss)
+        trace = run(cfg, ds, LinearModel(), loss)
         # Closed form: theta1_t = (1 - mu/L_theta)^t-scaled approach to 1.
         Ltheta = 2.0 / 2  # lambda_max(X^T X)/n = 4/2 ... per-coordinate 2^2/2
         h1_curv = 1.0 / 2  # coordinate 1 curvature of averaged loss
@@ -259,14 +255,14 @@ class TestParametricBaselines:
         X = sp.csr_matrix(np.eye(2))
         ds = Dataset(X=X, y=np.zeros(2), task="regression")
         cfg = RunConfig(optimizer="adam", T=15, batch_size=None, seed=0, eval_every=1)
-        trace = run_adam(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert np.all(trace.losses() == 0.0)
 
     def test_adam_reaches_optimum(self):
         ds = ls_dataset(n=40, d=5, seed=13)
         cfg = RunConfig(optimizer="adam", T=300, batch_size=None, adam_lr=0.05,
                         seed=0, eval_every=300)
-        trace = run_adam(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         _, z_star = least_squares_optimum(ds)
         assert trace.final_loss() <= loss_value(SquaredLoss(), z_star, ds.y) + 1e-6
 
@@ -275,7 +271,7 @@ class TestParametricBaselines:
         model, loss = LinearModel(), SquaredLoss()
         cfg = RunConfig(optimizer="adagrad", T=6, batch_size=None, seed=0,
                         adagrad_lr=0.3, eval_every=1)
-        trace = run_adagrad(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         theta = np.zeros(3)
         acc = np.zeros(3)
         idx = np.arange(10)
@@ -293,7 +289,7 @@ class TestParametricBaselines:
         ds = ls_dataset(n=20, d=4, cond=10, seed=15)
         model, loss = LinearModel(), SquaredLoss()
         cfg = RunConfig(optimizer="sls", T=25, batch_size=5, seed=3, eval_every=1)
-        trace = run_parametric_sls(cfg, ds, model, loss)
+        trace = run(cfg, ds, model, loss)
         # Replay the run: same derived sampling stream, recorded step sizes.
         rng = np.random.default_rng(3)
         theta = model.init_params(ds.d, rng)
@@ -330,7 +326,7 @@ class TestSVRG:
     def test_interpolating_linear_convergence(self):
         ds = ls_dataset(n=40, d=6, cond=4, seed=18, kind="interpolating", noise=0.0)
         cfg = RunConfig(optimizer="svrg", T=4000, batch_size=1, seed=0, eval_every=4000)
-        trace = run_svrg(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.final_loss() <= 1e-10
 
     def test_epoch_oracle_accounting(self):
@@ -338,7 +334,7 @@ class TestSVRG:
         b, freq = 4, 5
         cfg = RunConfig(optimizer="svrg", T=freq, batch_size=b,
                         svrg_snapshot_freq=freq, seed=0, eval_every=1)
-        trace = run_svrg(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         # One snapshot (n calls) plus 2b per update step.
         assert trace.rows[-1].oracle_calls == ds.n + 2 * b * freq
 
@@ -348,7 +344,7 @@ class TestTraceContents:
         ds = ls_dataset(seed=20)
         cfg = RunConfig(optimizer="sso", T=8, batch_size=2, eta0=0.5, tau=100.0,
                         inner_solver="gd", m=3, seed=0, eval_every=2)
-        trace = run_sso(cfg, ds, LinearModel(), SquaredLoss())
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
         for row in trace.rows:
             assert row.sim_cost == row.oracle_calls * 100.0 + row.inner_steps
         assert [r.outer_t for r in trace.rows] == [0, 2, 4, 6, 8]
@@ -361,3 +357,34 @@ class TestTraceContents:
             RunConfig(optimizer="sso", batch_size=100).validate(ds.n)
         with pytest.raises(ValueError):
             RunConfig(optimizer="nope").validate(ds.n)
+
+
+class TestEveryOptimizer:
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_record_theta(self, optimizer):
+        ds = ls_dataset(n=20, d=4, seed=22)
+        model, loss = LinearModel(), SquaredLoss()
+        cfg = RunConfig(optimizer=optimizer, T=7, batch_size=5, eta0=0.5, seed=0,
+                        eval_every=3, record_theta=True)
+        trace = run(cfg, ds, model, loss)
+        assert len(trace.thetas) == cfg.T + 1
+        assert full_loss(loss, model, ds, trace.thetas[-1]) == trace.final_loss()
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_dense_X_matches_csr(self, optimizer):
+        ds = ls_dataset(n=20, d=4, seed=23, kind="logistic", noise=0.1)
+        dense = Dataset(X=ds.X.toarray(), y=ds.y, task=ds.task)
+        loss = LogisticLoss()
+        cfg = lambda: RunConfig(optimizer=optimizer, T=15, batch_size=5, eta0=0.5,
+                                inner_solver="armijo", m=3, seed=1, eval_every=1)
+        a = run(cfg(), ds, LinearModel(), loss)
+        b = run(cfg(), dense, LinearModel(), loss)
+        np.testing.assert_allclose(b.losses(), a.losses(), rtol=0, atol=1e-12)
+
+    def test_stalled_inner_solves_are_counted(self):
+        ds = ls_dataset(seed=24)
+        cfg = RunConfig(optimizer="sso", T=5, batch_size=4, eta0=0.5, inner_solver="armijo",
+                        m=3, inner_alpha0=1e-14, seed=0)
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
+        assert trace.inner_stalls == 5
+        assert trace.rows[-1].inner_steps == 0
