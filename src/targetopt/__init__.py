@@ -29,8 +29,6 @@ from .surrogates import (
     build_analysis_q,
     build_deterministic,
     build_stochastic,
-    mirror_projection_objective,
-    mirror_step,
 )
 from .inner_solvers import armijo_backtracking, exact_linear_solve, gd_fixed
 from .schedules import Schedule, eta, target_line_search, theoretical_eta0

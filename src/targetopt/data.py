@@ -37,7 +37,7 @@ class ParseError(ValueError):
 class Dataset:
     """Sparse-row dataset with labels.
 
-    `X` is an n-by-d CSR matrix (optimizers also accept a dense ndarray).
+    `X` is an n-by-d CSR matrix or a dense ndarray.
     `y` holds floats for regression, values in {-1, +1} for binary
     classification, and contiguous class ids 0..K-1 for multiclass (with
     `label_map` recording the original label of each id in first-appearance
@@ -80,7 +80,7 @@ class Dataset:
             and self.n_classes == other.n_classes
             and self.label_map == other.label_map
             and np.array_equal(self.y, other.y)
-            and (self.X != other.X).nnz == 0
+            and (sp.csr_matrix(self.X) != sp.csr_matrix(other.X)).nnz == 0
         )
 
 
@@ -230,7 +230,7 @@ def _fmt(x: float) -> str:
 def to_libsvm(ds: Dataset) -> str:
     """Serialize a Dataset back to LibSVM text (round-trips via parse)."""
     out = []
-    X = ds.X
+    X = sp.csr_matrix(ds.X)
     for i in range(ds.n):
         if ds.task == "multiclass":
             label = _fmt(ds.label_map[int(ds.y[i])])
@@ -247,8 +247,9 @@ def to_libsvm(ds: Dataset) -> str:
 
 
 def max_abs_scale(ds: Dataset) -> Dataset:
-    """Column-wise max-abs scaling (opt-in; changes smoothness constants)."""
-    X = ds.X.tocsc(copy=True)
+    """Column-wise max-abs scaling (opt-in; changes smoothness constants).
+    Dense X stays dense."""
+    X = sp.csc_matrix(ds.X, copy=True)
     for j in range(ds.d):
         lo, hi = X.indptr[j], X.indptr[j + 1]
         if hi > lo:
@@ -256,7 +257,7 @@ def max_abs_scale(ds: Dataset) -> Dataset:
             if m > 0:
                 X.data[lo:hi] /= m
     return Dataset(
-        X=X.tocsr(),
+        X=X.tocsr() if sp.issparse(ds.X) else X.toarray(),
         y=ds.y.copy(),
         task=ds.task,
         n_classes=ds.n_classes,

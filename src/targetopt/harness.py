@@ -274,7 +274,10 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
             outcomes = list(pool.map(_pool_entry, payloads))
     else:
         outcomes = [_pool_entry(payload) for payload in payloads]
-    write_summary(out_dir)
+    # When every pair failed there is nothing to summarize and no
+    # directory is made for it; the FAILED lines below say why.
+    if any(err is None for _, err in outcomes):
+        write_summary(out_dir)
     for result, err in outcomes:
         if err:
             print(f"FAILED {result['run_id']} seed {result['seed']}: {err}")

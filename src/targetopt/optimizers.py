@@ -22,7 +22,9 @@ from . import losses as losses_mod
 from .inner_solvers import armijo_backtracking, exact_linear_solve, gd_fixed
 from .models import row_norms2, spectral_norm
 from .schedules import Schedule, eta as schedule_eta, target_line_search, theoretical_eta0
-from .surrogates import OracleCounter, build_stochastic
+from .surrogates import VARIANTS, OracleCounter, build_stochastic
+
+INNER_SOLVERS = ("gd", "armijo", "exact")
 
 
 @dataclass
@@ -70,6 +72,10 @@ class RunConfig:
     def validate(self, n: int) -> None:
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown surrogate variant {self.variant!r}")
+        if self.inner_solver not in INNER_SOLVERS:
+            raise ValueError(f"unknown inner solver {self.inner_solver!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         b = self.resolved_batch(n)
@@ -225,7 +231,6 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
     The update draws its own batch (SVRG takes its snapshot first), pays
     its oracle calls on `rec.counter` and keeps any state between calls.
     """
-    cfg.validate(dataset.n)
     rng = np.random.default_rng(cfg.seed)
     theta = np.asarray(model.init_params(dataset.d, rng), dtype=np.float64)
     sampler = _Sampler(dataset.n, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
@@ -288,7 +293,7 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         else:
             if cfg.inner_solver == "gd":
                 res = gd_fixed(surr, theta, m_t, alpha=cfg.inner_alpha)
-            elif cfg.inner_solver == "armijo":
+            else:
                 alpha0 = cfg.inner_alpha0 * cfg.inner_growth
                 if cfg.warm_start and warm_alpha is not None:
                     alpha0 = warm_alpha * cfg.inner_growth
@@ -296,8 +301,6 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
                     surr, theta, m_t, alpha0=alpha0, shrink=cfg.inner_shrink, c=cfg.inner_c
                 )
                 warm_alpha = res.last_alpha
-            else:
-                raise ValueError(f"unknown inner solver {cfg.inner_solver!r}")
             theta_next = res.theta
             rec.inner_steps += res.inner_steps
             rec.inner_stalls += res.stalled
@@ -440,5 +443,6 @@ OPTIMIZERS = tuple(RUNNERS)
 
 
 def run(cfg: RunConfig, dataset, model, loss) -> RunTrace:
-    """Run `cfg.optimizer` on the dataset and return its trace."""
+    """Validate `cfg` and run its optimizer on the dataset."""
+    cfg.validate(dataset.n)
     return RUNNERS[cfg.optimizer](cfg, dataset, model, loss)

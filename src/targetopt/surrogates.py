@@ -1,17 +1,22 @@
 """Surrogate construction in the target space.
 
-A surrogate freezes the loss gradient at the current targets and adds a
-proximity term, yielding a deterministic function of the parameters that
-can be minimized without further loss-oracle access. Variants:
+Every surrogate has one shape, a separable term over its own rows. At
+the anchor theta_t it slices its rows out of X once, takes their targets
+z_i = f_i(theta_t), freezes each row's loss value c_i and target
+gradient g_i there, and adds a per-row Bregman proximity D_i:
 
-- "smoothness": frozen gradient + (1/2 eta) squared deviation per sampled
-  example (the stochastic workhorse),
-- "newton": deviation reweighted by the frozen per-coordinate curvature,
-- "entropy-mirror": multiplicative update + KL projection objective for
-  row-stochastic targets,
-- "deterministic-full": full-batch version of "smoothness",
-- "analysis-q": sampled linear term but full-vector regularization with
-  step eta * n (used only by diagnostics).
+    value(theta) = mean_i [ c_i + <g_i, f_i(theta) - z_i> + D_i(f_i(theta), z_i) ]
+
+so SSO is projected (mirror) SGD in target space. D is either a weighted
+half squared distance w_i/2 ||f_i - z_i||^2 (w = 1/eta for "smoothness",
+the floored curvature over eta for "newton") or KL(f_i || z_i)/eta for
+"entropy-mirror" on row-stochastic targets. The value is exactly the
+frozen batch loss at the anchor.
+
+`build_stochastic` builds it on a sampled batch, `build_deterministic`
+on all rows, and `build_analysis_q` on all rows with the batch's frozen
+terms scattered at weight n/|B| and weights 1/eta (its expectation over
+singleton batches is the full-batch surrogate; diagnostics use it).
 
 Building a surrogate consumes one oracle call per sampled example;
 evaluating or minimizing it consumes none.
@@ -19,7 +24,7 @@ evaluating or minimizing it consumes none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +34,7 @@ from .losses import effective_labels
 from .models import spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
+VARIANTS = ("smoothness", "newton", "entropy-mirror")
 
 
 class OracleCounter:
@@ -41,157 +47,118 @@ class OracleCounter:
         self.calls += int(k)
 
 
-def mirror_step(z_row, grad_row, eta: float, mirror_map: str = "euclidean"):
-    """One mirror-descent half-step on a target row.
+@dataclass(frozen=True)
+class SquaredProximity:
+    """sum_i w_i/2 ||f_i - z_i||^2, the Euclidean proximity."""
 
-    Euclidean: z - eta * grad. Negative entropy: componentwise
-    z_k * exp(-eta * grad_k), not renormalized (the projection objective
-    handles feasibility). Entropy requires strictly positive z.
-    """
-    z = np.asarray(z_row, dtype=np.float64)
-    g = np.asarray(grad_row, dtype=np.float64)
-    if mirror_map == "euclidean":
-        return z - eta * g
-    if mirror_map == "negative-entropy":
-        if np.any(z <= 0):
-            raise ValueError("negative-entropy map requires strictly positive targets")
-        return z * np.exp(-eta * g)
-    raise ValueError(f"unknown mirror map {mirror_map!r}")
+    weights: np.ndarray
+
+    def __call__(self, f, z) -> float:
+        return float(np.sum(0.5 * self.weights * (f - z) ** 2))
+
+    def grad(self, f, z) -> np.ndarray:
+        return self.weights * (f - z)
 
 
-def mirror_projection_objective(candidate, z_half, mirror_map: str = "negative-entropy"):
-    """Projection objective the inner solver minimizes for a mirror step.
+@dataclass(frozen=True)
+class KLProximity:
+    """sum_i KL(f_i || z_i) / eta for row-stochastic targets (negative
+    entropy): its minimizer against a linear term is the normalized
+    multiplicative step z * exp(-eta g) / Z."""
 
-    Negative entropy: sum_k candidate_k log(candidate_k / z_half_k), the
-    generalized-KL projection onto the feasible targets. Euclidean: half
-    squared distance.
-    """
-    c = np.asarray(candidate, dtype=np.float64)
-    m = np.asarray(z_half, dtype=np.float64)
-    if mirror_map == "euclidean":
-        return float(0.5 * np.sum((c - m) ** 2))
-    if mirror_map == "negative-entropy":
-        if np.any((m <= 0) & (c > 0)):
-            raise ValueError("infinite objective: zero reference mass where candidate > 0")
-        return float(np.sum(xlogy(c, c) - xlogy(c, m)))
-    raise ValueError(f"unknown mirror map {mirror_map!r}")
+    eta: float
+
+    def __call__(self, f, z) -> float:
+        return float(np.sum(xlogy(f, f / z))) / self.eta
+
+    def grad(self, f, z) -> np.ndarray:
+        return (np.log(f / z) + 1.0) / self.eta
 
 
-@dataclass
+@dataclass(frozen=True)
 class Surrogate:
     """A built surrogate; immutable and oracle-free once constructed.
 
-    The linear part lives on `batch_idx` (mean-normalized); the quadratic
-    part lives on `reg_idx` with per-example weights `reg_weights` and a
-    global `reg_scale`. For the entropy-mirror variant the quadratic part
-    is replaced by KL projection terms against `mirror_targets`.
+    `rows` are the surrogate's rows of X, `z` their anchor targets,
+    `consts` and `coeffs` the frozen loss values and target gradients,
+    and `prox` the per-row proximity D.
     """
 
-    variant: str
     model: object
-    X: object
-    eta: float
     theta_anchor: np.ndarray
-    batch_idx: np.ndarray
-    anchor_targets: np.ndarray
+    rows: object
+    z: np.ndarray
     consts: np.ndarray
-    lin_coeffs: np.ndarray
-    reg_idx: np.ndarray | None = None
-    reg_weights: np.ndarray | None = None
-    reg_anchors: np.ndarray | None = None
-    reg_scale: float = 1.0
-    mirror_targets: np.ndarray | None = None
-    _anchor_offset: float = field(default=0.0, repr=False)
+    coeffs: np.ndarray
+    prox: SquaredProximity | KLProximity
 
     @property
-    def batch_size(self) -> int:
-        return len(self.batch_idx)
-
-    def anchor_value(self) -> float:
-        """Value at the anchor: the batch-mean loss when it was built."""
-        return float(np.mean(self.consts))
-
-    # -- evaluation ----------------------------------------------------
+    def scale(self) -> float:
+        return 1.0 / len(self.consts)
 
     def value(self, theta) -> float:
-        f = self.model.forward(theta, self.X, self.batch_idx)
-        if self.variant == "entropy-mirror":
-            proj = np.array(
-                [
-                    mirror_projection_objective(f[i], self.mirror_targets[i])
-                    for i in range(self.batch_size)
-                ]
-            )
-            return float(
-                np.mean(self.consts + proj / self.eta) - self._anchor_offset
-            )
-        prod = (f - self.anchor_targets) * self.lin_coeffs
+        f = self.model.forward(theta, self.rows)
+        prod = (f - self.z) * self.coeffs
         lin = prod if prod.ndim == 1 else prod.sum(axis=1)
-        val = float(np.mean(self.consts + lin))
-        f_reg = (
-            f
-            if self.reg_idx is self.batch_idx
-            else self.model.forward(theta, self.X, self.reg_idx)
-        )
-        dev = f_reg - self.reg_anchors
-        val += self.reg_scale * float(np.sum(0.5 * self.reg_weights * dev**2))
-        return val
+        return float(np.mean(self.consts + lin)) + self.scale * self.prox(f, self.z)
 
     def grad(self, theta) -> np.ndarray:
-        if self.variant == "entropy-mirror":
-            f = self.model.forward(theta, self.X, self.batch_idx)
-            rows = (np.log(f / self.mirror_targets) + 1.0) / (
-                self.eta * self.batch_size
-            )
-            return self.model.param_grad(theta, self.X, self.batch_idx, rows)
-        g = self.model.param_grad(theta, self.X, self.batch_idx, self.lin_coeffs) / (
-            self.batch_size
+        # Two param_grad calls, not one on the summed coefficients: fusing
+        # them moves the last bits of every SSO trace.
+        f = self.model.forward(theta, self.rows)
+        g = self.model.param_grad(theta, self.rows, None, self.coeffs) / len(self.consts)
+        return g + self.scale * self.model.param_grad(
+            theta, self.rows, None, self.prox.grad(f, self.z)
         )
-        f_reg = self.model.forward(theta, self.X, self.reg_idx)
-        coeffs = self.reg_weights * (f_reg - self.reg_anchors)
-        g = g + self.reg_scale * self.model.param_grad(
-            theta, self.X, self.reg_idx, coeffs
-        )
-        return g
 
-    # -- structure for solvers -----------------------------------------
+    # -- structure for solvers (linear model, Euclidean proximity) ------
+
+    def _quadratic_weights(self, what: str) -> np.ndarray:
+        if self.model.kind != "linear":
+            raise ValueError(f"{what} requires a linear model")
+        if not isinstance(self.prox, SquaredProximity):
+            raise ValueError(f"{what} requires a Euclidean (not entropy-mirror) surrogate")
+        return self.prox.weights
 
     def smoothness_bound(self) -> float:
-        """Upper bound on the surrogate's curvature (linear models)."""
-        if self.model.kind != "linear":
-            raise ValueError("smoothness bound is only available for linear models")
-        X_reg = self.X[self.reg_idx]
-        return float(
-            spectral_norm(X_reg) ** 2 * np.max(self.reg_weights) * self.reg_scale
-        )
+        """Upper bound on the surrogate's curvature."""
+        w = self._quadratic_weights("smoothness bound")
+        return float(spectral_norm(self.rows) ** 2 * np.max(w) * self.scale)
 
     def quadratic_parts(self):
         """(H, b) with gradient(theta) = H theta - b, for exact solves."""
-        if self.model.kind != "linear":
-            raise ValueError("closed-form structure requires a linear model")
-        if self.variant == "entropy-mirror":
-            raise ValueError("entropy-mirror surrogates are not quadratic")
-        X_reg = self.X[self.reg_idx]
-        if sp.issparse(X_reg):
-            Xw = X_reg.multiply(self.reg_weights[:, None]).tocsr()
-            H = self.reg_scale * (X_reg.T @ Xw).toarray()
+        w = self._quadratic_weights("closed-form structure")
+        R, s = self.rows, self.scale
+        if sp.issparse(R):
+            H = s * (R.T @ R.multiply(w[:, None]).tocsr()).toarray()
         else:
-            H = self.reg_scale * (X_reg.T @ (self.reg_weights[:, None] * X_reg))
-        X_batch = self.X[self.batch_idx]
-        b = self.reg_scale * np.asarray(
-            X_reg.T @ (self.reg_weights * self.reg_anchors)
-        ).ravel() - np.asarray(X_batch.T @ self.lin_coeffs).ravel() / self.batch_size
+            H = s * (R.T @ (w[:, None] * R))
+        b = s * np.asarray(R.T @ (w * self.z)).ravel() - np.asarray(
+            R.T @ self.coeffs
+        ).ravel() / len(self.consts)
         return np.asarray(H), b
 
 
-def _freeze(loss, model, X, y, theta_t, batch_idx, counter):
-    z = model.forward(theta_t, X, batch_idx)
-    y_b = y[batch_idx]
-    consts = np.asarray(loss.values(z, y_b), dtype=np.float64)
-    coeffs = np.asarray(loss.grads(z, y_b), dtype=np.float64)
+def _freeze(loss, model, dataset, theta_t, idx, counter):
+    """(rows, labels, z, consts, coeffs) of the rows `idx` at theta_t:
+    one oracle call per row."""
+    rows = dataset.X[idx]
+    y = effective_labels(dataset)[idx]
+    z = model.forward(theta_t, rows)
+    consts = np.asarray(loss.values(z, y), dtype=np.float64)
+    coeffs = np.asarray(loss.grads(z, y), dtype=np.float64)
     if counter is not None:
-        counter.add(len(batch_idx))
-    return z, y_b, consts, coeffs
+        counter.add(len(idx))
+    return rows, y, z, consts, coeffs
+
+
+def _validated(theta_t, batch_idx, eta):
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    batch_idx = np.asarray(batch_idx, dtype=int)
+    if batch_idx.size == 0:
+        raise ValueError("batch must be nonempty")
+    return np.asarray(theta_t, dtype=np.float64), batch_idx
 
 
 def build_stochastic(
@@ -206,65 +173,25 @@ def build_stochastic(
 ) -> Surrogate:
     """Stochastic surrogate on a sampled batch (one oracle call of size b).
 
-    The surrogate is the batch-mean of per-example terms; the quadratic
-    regularization covers exactly the sampled batch.
+    The surrogate is the batch mean of per-example terms, and a repeated
+    index counts once per draw.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    batch_idx = np.asarray(batch_idx, dtype=int)
-    if batch_idx.size == 0:
-        raise ValueError("batch must be nonempty")
-    theta_t = np.asarray(theta_t, dtype=np.float64)
-    X, y = dataset.X, effective_labels(dataset)
-
-    z, y_b, consts, coeffs = _freeze(loss, model, X, y, theta_t, batch_idx, counter)
-
-    if variant == "entropy-mirror":
-        mirrored = np.vstack(
-            [
-                mirror_step(z[i], coeffs[i], eta, "negative-entropy")
-                for i in range(len(batch_idx))
-            ]
-        )
-        surr = Surrogate(
-            variant=variant,
-            model=model,
-            X=X,
-            eta=eta,
-            theta_anchor=theta_t,
-            batch_idx=batch_idx,
-            anchor_targets=z,
-            consts=consts,
-            lin_coeffs=coeffs,
-            mirror_targets=mirrored,
-        )
-        # Shift so the anchor evaluates exactly to the frozen batch loss.
-        surr._anchor_offset = surr.value(theta_t) - surr.anchor_value()
-        return surr
-
-    if variant == "smoothness":
-        weights = np.full(len(batch_idx), 1.0 / eta)
-    elif variant == "newton":
-        curv = np.asarray(loss.curvs(z, y_b), dtype=np.float64)
-        weights = np.maximum(curv, NEWTON_CURVATURE_FLOOR) / eta
-    else:
+    theta_t, batch_idx = _validated(theta_t, batch_idx, eta)
+    if variant not in VARIANTS:
         raise ValueError(f"unknown surrogate variant {variant!r}")
-
-    return Surrogate(
-        variant=variant,
-        model=model,
-        X=X,
-        eta=eta,
-        theta_anchor=theta_t,
-        batch_idx=batch_idx,
-        anchor_targets=z,
-        consts=consts,
-        lin_coeffs=coeffs,
-        reg_idx=batch_idx,
-        reg_weights=weights,
-        reg_anchors=z,
-        reg_scale=1.0 / len(batch_idx),
-    )
+    rows, y_b, z, consts, coeffs = _freeze(loss, model, dataset, theta_t, batch_idx, counter)
+    if variant == "entropy-mirror":
+        if np.any(z <= 0):
+            raise ValueError("entropy-mirror surrogate requires strictly positive targets")
+        prox = KLProximity(eta)
+    else:
+        if variant == "smoothness":
+            weights = np.full(len(batch_idx), 1.0 / eta)
+        else:
+            curv = np.asarray(loss.curvs(z, y_b), dtype=np.float64)
+            weights = np.maximum(curv, NEWTON_CURVATURE_FLOOR) / eta
+        prox = SquaredProximity(weights if z.ndim == 1 else weights[:, None])
+    return Surrogate(model, theta_t, rows, z, consts, coeffs, prox)
 
 
 def build_deterministic(
@@ -272,18 +199,9 @@ def build_deterministic(
 ) -> Surrogate:
     """Full-batch surrogate (one full oracle call). Upper-bounds the loss
     for eta <= 1/L, L the per-coordinate smoothness constant."""
-    surr = build_stochastic(
-        loss,
-        model,
-        dataset,
-        theta_t,
-        np.arange(dataset.n),
-        eta,
-        variant="smoothness",
-        counter=counter,
+    return build_stochastic(
+        loss, model, dataset, theta_t, np.arange(dataset.n), eta, counter=counter
     )
-    surr.variant = "deterministic-full"
-    return surr
 
 
 def build_analysis_q(
@@ -295,33 +213,20 @@ def build_analysis_q(
     eta: float,
     counter: OracleCounter | None = None,
 ) -> Surrogate:
-    """Analysis surrogate: sampled linear term, deterministic full-vector
+    """Analysis surrogate: the batch's linear term, the full-vector
     regularizer with step eta * n. Its expectation over singleton batches
     equals the full-batch surrogate."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    batch_idx = np.asarray(batch_idx, dtype=int)
-    theta_t = np.asarray(theta_t, dtype=np.float64)
-    X, y = dataset.X, effective_labels(dataset)
+    theta_t, batch_idx = _validated(theta_t, batch_idx, eta)
     n = dataset.n
-
-    z, _, consts, coeffs = _freeze(loss, model, X, y, theta_t, batch_idx, counter)
-    all_idx = np.arange(n)
-    z_full = model.forward(theta_t, X, all_idx)
-    eta_prime = eta * n
-
+    _, _, _, consts_b, coeffs_b = _freeze(loss, model, dataset, theta_t, batch_idx, counter)
+    rows = dataset.X
+    z = model.forward(theta_t, rows)
+    weight = n / len(batch_idx)
+    consts = np.zeros(n)
+    coeffs = np.zeros((n,) + coeffs_b.shape[1:])
+    # A batch drawn with replacement can repeat an index.
+    np.add.at(consts, batch_idx, weight * consts_b)
+    np.add.at(coeffs, batch_idx, weight * coeffs_b)
     return Surrogate(
-        variant="analysis-q",
-        model=model,
-        X=X,
-        eta=eta,
-        theta_anchor=theta_t,
-        batch_idx=batch_idx,
-        anchor_targets=z,
-        consts=consts,
-        lin_coeffs=coeffs,
-        reg_idx=all_idx,
-        reg_weights=np.full(n, 1.0 / eta_prime),
-        reg_anchors=z_full,
-        reg_scale=1.0,
+        model, theta_t, rows, z, consts, coeffs, SquaredProximity(np.full(n, 1.0 / eta))
     )

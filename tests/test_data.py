@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from targetopt.data import (
+    Dataset,
     ParseError,
     SyntheticSpec,
     generate_synthetic,
@@ -151,3 +153,39 @@ def test_max_abs_scale_bounds_columns():
     scaled = max_abs_scale(ds)
     assert np.max(np.abs(scaled.X.toarray())) <= 1.0 + 1e-15
     assert np.max(np.abs(ds.X.toarray())) == 8.0  # original untouched
+
+
+def _dense_copy(ds):
+    return Dataset(X=ds.X.toarray(), y=ds.y.copy(), task=ds.task, n_classes=ds.n_classes,
+                   label_map=ds.label_map)
+
+
+@pytest.fixture(params=["csr", "dense"])
+def storage(request):
+    """Turns a CSR dataset into the parametrized storage."""
+    return (lambda ds: ds) if request.param == "csr" else _dense_copy
+
+
+TEXT = "1.5 1:4 3:-8\n-2 2:0.25\n0.5\n3 1:2 2:1 3:1\n"
+
+
+def test_equal_to_accepts_dense(storage):
+    ds = parse_libsvm(TEXT)
+    same, other = storage(parse_libsvm(TEXT)), storage(parse_libsvm(TEXT.replace("4", "5")))
+    assert storage(ds).equal_to(same) and same.equal_to(ds)
+    assert not storage(ds).equal_to(other) and not other.equal_to(ds)
+
+
+def test_max_abs_scale_accepts_dense(storage):
+    ds = parse_libsvm(TEXT)
+    got, want = max_abs_scale(storage(ds)), max_abs_scale(ds)
+    assert sp.issparse(got.X) == sp.issparse(storage(ds).X)
+    np.testing.assert_array_equal(sp.csr_matrix(got.X).toarray(), want.X.toarray())
+    assert got.meta["scaled"]
+
+
+def test_to_libsvm_accepts_dense(storage):
+    ds = parse_libsvm(TEXT)
+    text = to_libsvm(storage(ds))
+    assert text == to_libsvm(ds)
+    assert parse_libsvm(text, d=ds.d).equal_to(ds)

@@ -102,6 +102,15 @@ class TestRunExperiment:
         assert status == 1
         assert "FAILED bad" in capsys.readouterr().out
 
+    def test_all_pairs_failed_reports_without_summary(self, tmp_path, capsys):
+        cfg = small_config(tmp_path / "out")
+        cfg["dataset"] = {"path": str(tmp_path / "missing.libsvm"), "task": "binary"}
+        status = run_experiment(cfg)
+        assert status == 1
+        out = capsys.readouterr().out
+        assert out.count("FAILED") == len(cfg["runs"]) * len(cfg["seeds"])
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         run_experiment(small_config(tmp_path / "serial"), jobs=1)
         run_experiment(small_config(tmp_path / "par"), jobs=2)

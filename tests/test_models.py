@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from targetopt.data import SyntheticSpec, generate_synthetic
-from targetopt.surrogates import Surrogate
+from targetopt.surrogates import SquaredProximity, Surrogate
 from targetopt.models import (
     LinearModel,
     MLPModel,
@@ -21,10 +21,9 @@ def surrogate_grad(model, theta, X, idx, lin_coeffs, quad_weights, anchors):
     """Gradient of mean_i [c_i f_i + (w_i/2)(f_i - z_i)^2] over `idx`."""
     idx = np.asarray(idx)
     surr = Surrogate(
-        variant="smoothness", model=model, X=X, eta=1.0, theta_anchor=theta,
-        batch_idx=idx, anchor_targets=anchors, consts=np.zeros(len(idx)),
-        lin_coeffs=np.asarray(lin_coeffs), reg_idx=idx, reg_weights=np.asarray(quad_weights),
-        reg_anchors=anchors, reg_scale=1.0 / len(idx),
+        model=model, theta_anchor=theta, rows=X[idx], z=anchors,
+        consts=np.zeros(len(idx)), coeffs=np.asarray(lin_coeffs),
+        prox=SquaredProximity(np.asarray(quad_weights)),
     )
     return surr.grad(theta)
 

@@ -358,6 +358,21 @@ class TestTraceContents:
         with pytest.raises(ValueError):
             RunConfig(optimizer="nope").validate(ds.n)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("optimizer", "unknown optimizer"), ("variant", "unknown surrogate variant"),
+         ("inner_solver", "unknown inner solver")],
+    )
+    def test_run_rejects_unknown_name_before_any_step(self, field, message):
+        class Unevaluated(SquaredLoss):
+            def values(self, z, y):
+                raise AssertionError("the loss was evaluated before validation")
+
+        ds = ls_dataset(seed=22)
+        cfg = RunConfig(**{"optimizer": "sso", "T": 3, "batch_size": 2, field: "nope"})
+        with pytest.raises(ValueError, match=message):
+            run(cfg, ds, LinearModel(), Unevaluated())
+
 
 class TestEveryOptimizer:
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)

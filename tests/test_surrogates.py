@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from targetopt.data import SyntheticSpec, generate_synthetic
+from targetopt.data import Dataset, SyntheticSpec, generate_synthetic
 from targetopt.losses import (
     LogisticLoss,
     MulticlassKLLoss,
@@ -10,14 +11,13 @@ from targetopt.losses import (
     loss_value,
     smoothed_expert_rows,
 )
-from targetopt.models import LinearModel, SoftmaxLinearModel
+from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
 from targetopt.surrogates import (
+    KLProximity,
     OracleCounter,
     build_analysis_q,
     build_deterministic,
     build_stochastic,
-    mirror_projection_objective,
-    mirror_step,
 )
 
 
@@ -116,7 +116,7 @@ class TestStochastic:
         surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant="newton")
         z = model.forward(theta_t, ds.X, idx)
         curv = loss.curvs(z, ds.y[idx])
-        np.testing.assert_allclose(surr.reg_weights, curv / eta)
+        np.testing.assert_allclose(surr.prox.weights, curv / eta)
 
     def test_newton_zero_curvature_floored(self):
         X = sp.csr_matrix(np.array([[1.0]]))
@@ -126,7 +126,7 @@ class TestStochastic:
         surr = build_stochastic(
             LogisticLoss(), LinearModel(), ds, np.array([1e3]), [0], 0.5, "newton"
         )
-        assert surr.reg_weights[0] == pytest.approx(1e-8 / 0.5)
+        assert surr.prox.weights[0] == pytest.approx(1e-8 / 0.5)
 
     def test_oracle_isolation(self):
         ds = make_ls()
@@ -210,6 +210,20 @@ class TestAnalysisQ:
             )
             assert mean_q == pytest.approx(full.value(theta), abs=1e-10)
 
+    def test_batch_is_the_mean_of_its_singletons(self):
+        # A batch drawn with replacement repeats index 3; each draw counts.
+        ds = make_ls(n=6, d=3, seed=23)
+        model, loss = LinearModel(), SquaredLoss()
+        rng = np.random.default_rng(24)
+        theta_t = rng.normal(size=3)
+        idx = [3, 1, 3]
+        q = build_analysis_q(loss, model, ds, theta_t, idx, 0.4)
+        singles = [build_analysis_q(loss, model, ds, theta_t, [i], 0.4) for i in idx]
+        for _ in range(5):
+            theta = rng.normal(size=3)
+            mean_q = np.mean([s.value(theta) for s in singles])
+            assert q.value(theta) == pytest.approx(mean_q, abs=1e-12)
+
     def test_anchor_value(self):
         ds = make_ls(seed=18)
         model = LinearModel()
@@ -233,24 +247,21 @@ class TestAnalysisQ:
 
 
 class TestMirror:
-    def test_euclidean_step(self):
-        assert mirror_step(np.array([1.0]), np.array([2.0]), 0.25, "euclidean")[0] == 0.5
-
-    def test_entropy_zero_gradient_identity(self):
-        row = np.array([0.25, 0.75])
-        np.testing.assert_array_equal(mirror_step(row, np.zeros(2), 1.0, "negative-entropy"), row)
-
-    def test_entropy_hand_value(self):
-        out = mirror_step(np.array([0.5, 0.5]), np.array([np.log(2), 0.0]), 1.0, "negative-entropy")
-        np.testing.assert_allclose(out, [0.25, 0.5], rtol=1e-14)
-
     def test_entropy_requires_positive(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            mirror_step(np.array([0.0, 1.0]), np.zeros(2), 1.0, "negative-entropy")
+        class ZeroTarget(SoftmaxLinearModel):
+            def forward(self, theta, X, idx=None):
+                return np.array([[0.0, 1.0]])
+
+        ds = type("D", (), {})()
+        ds.X, ds.y, ds.n, ds.d = sp.csr_matrix(np.ones((1, 1))), np.array([[0.5, 0.5]]), 1, 1
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="strictly positive"):
+            build_stochastic(
+                MulticlassKLLoss(), ZeroTarget(2), ds, np.zeros(2), [0], 1.0, "entropy-mirror"
+            )
 
     def test_projection_objective_zero_when_equal_normalized(self):
         row = np.array([0.3, 0.7])
-        assert mirror_projection_objective(row, row) == pytest.approx(0.0, abs=1e-15)
+        assert KLProximity(1.0)(row, row) == pytest.approx(0.0, abs=1e-15)
 
     def test_projection_objective_nonnegative_when_normalized(self):
         rng = np.random.default_rng(20)
@@ -258,7 +269,7 @@ class TestMirror:
             a = rng.dirichlet(np.ones(3))
             b = rng.dirichlet(np.ones(3)) + 1e-9
             b /= b.sum()
-            assert mirror_projection_objective(a, b) >= -1e-12
+            assert KLProximity(1.0)(a, b) >= -1e-12
 
     def test_mirror_surrogate_grad_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -295,3 +306,158 @@ class TestMirror:
         z = model.forward(theta_t, ds.X, idx)
         batch_loss = float(np.mean(loss.values(z, ds.y[idx])))
         assert surr.value(theta_t) == pytest.approx(batch_loss, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Properties of the one representation, over map x model x loss x batch
+# ----------------------------------------------------------------------
+
+# (variant, model, loss) triples the builders accept: the entropy map
+# needs row-stochastic targets, and the KL loss has no curvature.
+CASES = [
+    ("smoothness", "linear", "squared"),
+    ("smoothness", "linear", "logistic"),
+    ("smoothness", "mlp", "squared"),
+    ("smoothness", "mlp", "logistic"),
+    ("smoothness", "softmax", "kl"),
+    ("newton", "linear", "squared"),
+    ("newton", "linear", "logistic"),
+    ("newton", "mlp", "logistic"),
+    ("entropy-mirror", "softmax", "kl"),
+]
+K = 3
+
+
+class CountingLoss:
+    """Wraps a loss and counts every call to its oracle methods."""
+
+    def __init__(self, loss):
+        self.loss, self.calls = loss, 0
+
+    def values(self, z, y):
+        self.calls += 1
+        return self.loss.values(z, y)
+
+    def grads(self, z, y):
+        self.calls += 1
+        return self.loss.grads(z, y)
+
+    def curvs(self, z, y):
+        self.calls += 1
+        return self.loss.curvs(z, y)
+
+
+def make_problem(case, n, d, seed, dense, eye=False):
+    variant, model_kind, loss_kind = case
+    rng = np.random.default_rng(seed)
+    X = np.eye(n) if eye else rng.normal(size=(n, d))
+    meta = {}
+    if loss_kind == "squared":
+        y, task, loss = rng.normal(size=n), "regression", SquaredLoss()
+    elif loss_kind == "logistic":
+        y, task, loss = rng.choice([-1.0, 1.0], size=n), "binary", LogisticLoss()
+    else:
+        y, task, loss = rng.integers(0, K, n).astype(float), "multiclass", MulticlassKLLoss()
+        meta["expert_rows"] = smoothed_expert_rows(y.astype(int), K, eps=0.1)
+    ds = Dataset(X=X if dense else sp.csr_matrix(X), y=y, task=task, n_classes=K, meta=meta)
+    model = {
+        "linear": LinearModel(),
+        "mlp": MLPModel(hidden=3, seed=seed % 7),
+        "softmax": SoftmaxLinearModel(K),
+    }[model_kind]
+    theta_t = 0.5 * rng.normal(size=model.dim(d))
+    return variant, ds, model, loss, theta_t, rng
+
+
+@st.composite
+def problems(draw, cases=CASES, eye=False):
+    """(problem, batch, eta); `eye` makes X the n x n identity."""
+    n = draw(st.integers(2, 6))
+    return (
+        make_problem(
+            draw(st.sampled_from(cases)),
+            n,
+            n if eye else draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.booleans()),
+            eye,
+        ),
+        np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))),
+        draw(st.floats(0.05, 2.0)),
+    )
+
+
+def batch_loss(loss, model, ds, theta, idx):
+    y = ds.meta.get("expert_rows", ds.y)
+    return float(np.mean(loss.values(model.forward(theta, ds.X, idx), y[idx])))
+
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+class TestRepresentationProperties:
+    @PROPERTY
+    @given(problems())
+    def test_anchor_value_is_the_batch_loss(self, problem):
+        (variant, ds, model, loss, theta_t, _), idx, eta = problem
+        surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant)
+        assert surr.value(theta_t) == batch_loss(loss, model, ds, theta_t, idx)
+
+    @PROPERTY
+    @given(problems())
+    def test_value_and_grad_make_no_oracle_calls(self, problem):
+        (variant, ds, model, loss, theta_t, rng), idx, eta = problem
+        counting, counter = CountingLoss(loss), OracleCounter()
+        surr = build_stochastic(counting, model, ds, theta_t, idx, eta, variant, counter)
+        assert counter.calls == len(idx)
+        built = counting.calls
+        for _ in range(3):
+            theta = theta_t + 0.3 * rng.normal(size=theta_t.size)
+            surr.value(theta)
+            surr.grad(theta)
+        assert counting.calls == built and counter.calls == len(idx)
+
+    @PROPERTY
+    @given(problems())
+    def test_grad_matches_central_differences(self, problem):
+        (variant, ds, model, loss, theta_t, rng), idx, eta = problem
+        surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant)
+        theta = theta_t + 0.3 * rng.normal(size=theta_t.size)
+        g = surr.grad(theta)
+        h = 1e-6
+        for _ in range(2):
+            u = rng.normal(size=theta.size)
+            u /= np.linalg.norm(u)
+            fd = (surr.value(theta + h * u) - surr.value(theta - h * u)) / (2 * h)
+            assert g @ u == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+    @PROPERTY
+    @given(problems(cases=[c for c in CASES if c[0] == "smoothness" and c[2] != "kl"]),
+           st.floats(0.05, 1.0))
+    def test_deterministic_euclidean_majorizes_for_eta_below_inverse_L(self, problem, u):
+        (_, ds, model, loss, theta_t, rng), _, _ = problem
+        surr = build_deterministic(loss, model, ds, theta_t, u / loss.L)
+        for _ in range(5):
+            theta = theta_t + rng.normal(scale=2.0, size=theta_t.size)
+            h = batch_loss(loss, model, ds, theta, np.arange(ds.n))
+            assert surr.value(theta) >= h - 1e-12 * max(1.0, abs(h))
+
+    @PROPERTY
+    @given(problems(cases=[("entropy-mirror", "softmax", "kl")], eye=True))
+    def test_entropy_minimizer_is_the_normalized_mirror_step(self, problem):
+        # With X = I every row has its own free logits, so the surrogate's
+        # minimizer over the parameters is its minimizer over the targets.
+        (variant, ds, model, loss, theta_t, rng), idx, eta = problem
+        surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant)
+        z = model.forward(theta_t, ds.X)
+        g = loss.grads(z, ds.meta["expert_rows"])
+        step = z * np.exp(-eta * g)
+        step /= step.sum(axis=1, keepdims=True)
+        theta_star = np.log(step).ravel()
+        assert np.linalg.norm(surr.grad(theta_star)) <= 1e-9 * (
+            1.0 + np.linalg.norm(surr.grad(theta_t))
+        )
+        best = surr.value(theta_star)
+        for _ in range(5):
+            other = theta_star + 0.1 * rng.normal(size=theta_star.size)
+            assert surr.value(other) >= best - 1e-12
