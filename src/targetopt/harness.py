@@ -15,6 +15,7 @@ import copy
 import hashlib
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from . import losses as losses_mod
 from . import models as models_mod
-from .optimizers import RunConfig, RunTrace, run as run_optimizer
+from .optimizers import InnerOptions, RunConfig, RunTrace, ScheduleOptions, run as run_optimizer
 
 CSV_COLUMNS = [
     "run_id",
@@ -37,20 +38,6 @@ CSV_COLUMNS = [
     "grad_norm",
 ]
 OPTIONAL_COLUMNS = ["eps", "zeta2"]
-# Keys of a run's nested "schedule" and "inner" groups ("inner" keys map
-# to their RunConfig fields).
-SCHEDULE_KEYS = ("kind", "eta0", "beta")
-INNER_KEYS = {
-    "solver": "inner_solver",
-    "m": "m",
-    "alpha": "inner_alpha",
-    "alpha0": "inner_alpha0",
-    "shrink": "inner_shrink",
-    "c": "inner_c",
-    "growth": "inner_growth",
-    "warm_start": "warm_start",
-    "m_rule": "m_rule",
-}
 
 
 def run_id_of(run_spec: dict) -> str:
@@ -101,41 +88,41 @@ def build_model(spec, dataset) -> object:
     )
 
 
+def _keys(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
 def check_run_spec(run_spec: dict) -> None:
-    """Reject unknown keys inside a run's "schedule" and "inner" groups."""
-    for group, keys in (("schedule", SCHEDULE_KEYS), ("inner", INNER_KEYS)):
-        unknown = sorted(set(run_spec.get(group) or ()) - set(keys))
+    """Reject unknown keys (RunConfig's fields, "id" and "epochs" are
+    known; in "schedule" / "inner", their option classes' fields) and
+    "T" given together with "epochs"."""
+    run_id = run_id_of(run_spec)
+    for group, entry, keys in (
+        ("run", run_spec, _keys(RunConfig) - {"run_id", "seed"} | {"id", "epochs"}),
+        ("schedule", run_spec.get("schedule") or {}, _keys(ScheduleOptions)),
+        ("inner", run_spec.get("inner") or {}, _keys(InnerOptions)),
+    ):
+        unknown = sorted(set(entry) - keys)
         if unknown:
-            raise ValueError(f"run {run_id_of(run_spec)!r}: unknown {group} key(s) {unknown}")
+            raise ValueError(f"run {run_id!r}: unknown {group} key(s) {unknown}")
+    if "T" in run_spec and "epochs" in run_spec:
+        raise ValueError(f"run {run_id!r}: give 'T' or 'epochs', not both")
 
 
 def make_run_config(run_spec: dict, n: int, seed: int) -> RunConfig:
-    """Translate a JSON run entry into a RunConfig.
+    """Translate a JSON run entry into a RunConfig of the same shape.
 
-    Nested "schedule" / "inner" groups are accepted alongside flat keys;
-    an "epochs" key resolves to T = epochs * ceil(n / batch)."""
+    "id" becomes `run_id`; an "epochs" key resolves to
+    T = epochs * ceil(n / batch)."""
     check_run_spec(run_spec)
-    spec = copy.deepcopy(run_spec)
-    flat: dict = {"run_id": run_id_of(spec)}
+    spec = dict(run_spec, run_id=run_id_of(run_spec))
     spec.pop("id", None)
-    sched = spec.pop("schedule", None)
-    inner = spec.pop("inner", None)
-    if sched:
-        flat["schedule_kind"] = sched.get("kind", "constant")
-        if sched.get("eta0") is not None:
-            flat["eta0"] = sched["eta0"]
-        if sched.get("beta") is not None:
-            flat["schedule_beta"] = sched["beta"]
-    if inner:
-        flat["inner_solver"] = inner.get("solver", "gd")
-        for src, dst in INNER_KEYS.items():
-            if inner.get(src) is not None:
-                flat[dst] = inner[src]
     epochs = spec.pop("epochs", None)
-    flat.update(spec)
-    if "diagnostics" in flat:
-        flat["diagnostics"] = tuple(flat["diagnostics"])
-    cfg = RunConfig(**flat, seed=seed)
+    spec["schedule"] = ScheduleOptions(**(spec.get("schedule") or {}))
+    spec["inner"] = InnerOptions(**(spec.get("inner") or {}))
+    if "diagnostics" in spec:
+        spec["diagnostics"] = tuple(spec["diagnostics"])
+    cfg = RunConfig(**spec, seed=seed)
     if epochs is not None:
         b = cfg.resolved_batch(n)
         cfg.T = int(epochs) * max(1, int(np.ceil(n / b)))
@@ -221,7 +208,7 @@ def _pool_entry(payload):
     try:
         return execute_single(exp, run_spec, seed_index, out_dir), None
     except Exception as e:  # noqa: BLE001 - per-run failures are reported
-        return {"run_id": run_spec.get("id", "?"), "seed": seed_index}, repr(e)
+        return {"run_id": run_id_of(run_spec), "seed": seed_index}, repr(e)
 
 
 def write_summary(out_dir) -> str:
@@ -446,7 +433,8 @@ def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     results.append(("surrogate-upper-bound", worst >= -1e-10, f"min slack {worst:.2e}"))
 
     # One exact full-batch solve at eta=1 lands on the least-squares fit.
-    cfg = RunConfig(optimizer="sso", T=1, batch_size=None, eta0=1.0, inner_solver="exact", seed=seed)
+    cfg = RunConfig(optimizer="sso", T=1, batch_size=None, schedule=ScheduleOptions(eta0=1.0),
+                    inner=InnerOptions(solver="exact"), seed=seed)
     tr = run_optimizer(cfg, ds, model, loss)
     theta_star, z_star = diag.least_squares_optimum(ds)
     gap = tr.final_loss() - losses_mod.loss_value(loss, z_star, ds.y)
@@ -455,7 +443,9 @@ def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     # m=1 surrogate descent equals a parametric SGD step.
     common = dict(T=50, batch_size=4, seed=seed, eval_every=50)
     step = theoretical_parametric_step(ds, loss, 4)
-    a = run_optimizer(RunConfig(optimizer="sso", inner_solver="gd", m=1, inner_alpha=step, eta0=0.5, **common), ds, model, loss)
+    sso = RunConfig(optimizer="sso", schedule=ScheduleOptions(eta0=0.5),
+                    inner=InnerOptions(solver="gd", m=1, alpha=step), **common)
+    a = run_optimizer(sso, ds, model, loss)
     b = run_optimizer(RunConfig(optimizer="sgd", step_size=step, **common), ds, model, loss)
     dev = abs(a.final_loss() - b.final_loss())
     results.append(("m1-equals-sgd", dev <= 1e-10, f"loss dev {dev:.2e}"))

@@ -60,14 +60,13 @@ def armijo_backtracking(
     alpha0: float = 1.0,
     shrink: float = 0.8,
     c: float = 0.5,
-    reset: bool = True,
 ) -> InnerResult:
     """Up to m Armijo gradient steps on the surrogate.
 
-    Each accepted step satisfies value(w - a g) <= value(w) - c a ||g||^2.
-    With `reset` (the default) every step restarts the search at alpha0;
-    otherwise it warm-starts from the previously accepted step. Hitting
-    the backtrack floor returns the current point with `stalled` set.
+    Each accepted step satisfies value(w - a g) <= value(w) - c a ||g||^2;
+    every step starts its search at alpha0, and the accepted trial's
+    value is the next step's base value. Hitting the backtrack floor
+    returns the current point with `stalled` set.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -75,6 +74,7 @@ def armijo_backtracking(
         raise ValueError("need alpha0 > 0, shrink and c in (0, 1)")
     omega = np.asarray(omega0, dtype=np.float64).copy()
     alpha = alpha0
+    val = surrogate.value(omega)
     steps = 0
     for k in range(m):
         g = surrogate.grad(omega)
@@ -83,17 +83,16 @@ def armijo_backtracking(
         gnorm2 = float(g @ g.ravel()) if g.ndim == 1 else float(np.sum(g * g))
         if gnorm2 == 0.0:
             break
-        val = surrogate.value(omega)
-        if reset:
-            alpha = alpha0
+        alpha = alpha0
         while alpha >= BACKTRACK_FLOOR:
             trial = omega - alpha * g
-            if surrogate.value(trial) <= val - c * alpha * gnorm2:
+            trial_val = surrogate.value(trial)
+            if trial_val <= val - c * alpha * gnorm2:
                 break
             alpha *= shrink
         else:
             return InnerResult(omega, steps, stalled=True, last_alpha=alpha)
-        omega = omega - alpha * g
+        omega, val = trial, trial_val
         steps += 1
     return InnerResult(omega, steps, last_alpha=alpha)
 

@@ -21,15 +21,38 @@ import numpy as np
 from . import losses as losses_mod
 from .inner_solvers import armijo_backtracking, exact_linear_solve, gd_fixed
 from .models import row_norms2, spectral_norm
-from .schedules import Schedule, eta as schedule_eta, target_line_search, theoretical_eta0
+from .schedules import LINE_SEARCH_FLOOR, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
+from .schedules import eta as schedule_eta, target_line_search
 from .surrogates import VARIANTS, OracleCounter, build_stochastic
 
 INNER_SOLVERS = ("gd", "armijo", "exact")
 
 
 @dataclass
+class ScheduleOptions:
+    """A run's "schedule" group: the target step size and its schedule."""
+
+    kind: str = "constant"
+    eta0: float | None = None  # None = 1/(2 L n)
+    beta: float = 1.0
+
+
+@dataclass
+class InnerOptions:
+    """A run's "inner" group: the inner solver and its step budget."""
+
+    solver: str = "gd"  # gd | armijo | exact
+    m: int = 1
+    m_rule: str = "constant"  # constant | log
+    alpha: float | None = None  # None = 1/beta for gd
+    alpha0: float = 1.0
+    growth: float = 1.0
+    warm_start: bool = False
+
+
+@dataclass
 class RunConfig:
-    """One run of one optimizer on one dataset."""
+    """One run of one optimizer on one dataset; shaped like a JSON run entry."""
 
     optimizer: str = "sso"
     run_id: str = ""
@@ -40,31 +63,13 @@ class RunConfig:
     eval_every: int = 1
     # Surrogate-based runs.
     variant: str = "smoothness"
-    schedule_kind: str = "constant"
-    eta0: float | None = None  # None = 1/(2 L n)
-    schedule_beta: float = 1.0
-    inner_solver: str = "gd"  # gd | armijo | exact
-    m: int = 1
-    m_rule: str = "constant"  # constant | log
-    inner_alpha: float | None = None  # None = 1/beta for gd
-    inner_alpha0: float = 1.0
-    inner_shrink: float = 0.8
-    inner_c: float = 0.5
-    inner_growth: float = 1.0
-    warm_start: bool = False
+    schedule: ScheduleOptions = field(default_factory=ScheduleOptions)
+    inner: InnerOptions = field(default_factory=InnerOptions)
     sampling: str = "replacement"  # replacement | shuffle
-    # Target line search (SSO-SLS) knobs.
-    ls_alpha0: float = 10.0
-    ls_shrink: float = 0.5
-    ls_c: float = 0.5
     # Parametric runs.
     step_size: float | None = None  # None = theoretical 1/(2 L_theta)
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     adam_lr: float = 1e-3
     adagrad_lr: float = 1e-2
-    adagrad_eps: float = 1e-10
     svrg_snapshot_freq: int | None = None  # None = ceil(n / b)
     diagnostics: tuple = ()
     record_theta: bool = False
@@ -74,8 +79,8 @@ class RunConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown surrogate variant {self.variant!r}")
-        if self.inner_solver not in INNER_SOLVERS:
-            raise ValueError(f"unknown inner solver {self.inner_solver!r}")
+        if self.inner.solver not in INNER_SOLVERS:
+            raise ValueError(f"unknown inner solver {self.inner.solver!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         b = self.resolved_batch(n)
@@ -257,15 +262,16 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
 def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Surrogate optimization (any variant / schedule / inner solver)."""
     y = losses_mod.effective_labels(dataset)
-    if cfg.eta0 is not None:
-        eta0 = cfg.eta0
-    elif cfg.schedule_kind == "adagrad-norm":
+    opts, inner = cfg.schedule, cfg.inner
+    if opts.eta0 is not None:
+        eta0 = opts.eta0
+    elif opts.kind == "adagrad-norm":
         eta0 = 1e-2  # no theoretical constant for the adaptive rule
     else:
         eta0 = theoretical_eta0(loss.L, dataset.n)
     sched = None
-    if cfg.schedule_kind != "target-line-search":
-        sched = Schedule(cfg.schedule_kind, eta0, T=cfg.T, beta=cfg.schedule_beta)
+    if opts.kind != "target-line-search":
+        sched = Schedule(opts.kind, eta0, T=cfg.T, beta=opts.beta)
     warm_alpha = None
 
     def step(t, theta, draw):
@@ -277,29 +283,25 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
             z_b = model.forward(theta, dataset.X, idx)
             g_b = np.asarray(loss.grads(z_b, y[idx]))
             if sched is None:
-                eta_t, _ = target_line_search(
-                    loss, z_b, y[idx], g_b, cfg.ls_alpha0, cfg.ls_shrink, cfg.ls_c
-                )
+                eta_t, _ = target_line_search(loss, z_b, y[idx], g_b)
             else:
                 eta_t = schedule_eta(sched, t, grad=g_b)
 
         surr = build_stochastic(
             loss, model, dataset, theta, idx, eta_t, cfg.variant, counter=rec.counter
         )
-        m_t = cfg.m if cfg.m_rule == "constant" else int(np.ceil(cfg.m * np.log(t + 2)))
-        if cfg.inner_solver == "exact":
+        m_t = inner.m if inner.m_rule == "constant" else int(np.ceil(inner.m * np.log(t + 2)))
+        if inner.solver == "exact":
             theta_next = exact_linear_solve(surr, origin=theta)
             rec.inner_steps += dataset.d
         else:
-            if cfg.inner_solver == "gd":
-                res = gd_fixed(surr, theta, m_t, alpha=cfg.inner_alpha)
+            if inner.solver == "gd":
+                res = gd_fixed(surr, theta, m_t, alpha=inner.alpha)
             else:
-                alpha0 = cfg.inner_alpha0 * cfg.inner_growth
-                if cfg.warm_start and warm_alpha is not None:
-                    alpha0 = warm_alpha * cfg.inner_growth
-                res = armijo_backtracking(
-                    surr, theta, m_t, alpha0=alpha0, shrink=cfg.inner_shrink, c=cfg.inner_c
-                )
+                alpha0 = inner.alpha0 * inner.growth
+                if inner.warm_start and warm_alpha is not None:
+                    alpha0 = warm_alpha * inner.growth
+                res = armijo_backtracking(surr, theta, m_t, alpha0=alpha0)
                 warm_alpha = res.last_alpha
             theta_next = res.theta
             rec.inner_steps += res.inner_steps
@@ -329,7 +331,7 @@ def _parametric_step0(cfg: RunConfig, dataset, loss) -> float:
 def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Plain stochastic gradient descent in parameter space."""
     sched = Schedule(
-        cfg.schedule_kind, _parametric_step0(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule_beta
+        cfg.schedule.kind, _parametric_step0(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule.beta
     )
 
     def step(t, theta, draw):
@@ -353,13 +355,13 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         g = batch_param_grad(loss, model, dataset, theta, idx)
         rec.counter.add(len(idx))
         gnorm2 = float(g @ g)
-        eta_t = cfg.ls_alpha0
+        eta_t = LS_ALPHA0
         if gnorm2 > 0:
-            while eta_t >= 1e-12:
+            while eta_t >= LINE_SEARCH_FLOOR:
                 z_try = model.forward(theta - eta_t * g, dataset.X, idx)
-                if float(np.mean(loss.values(z_try, y[idx]))) <= base - cfg.ls_c * eta_t * gnorm2:
+                if float(np.mean(loss.values(z_try, y[idx]))) <= base - LS_C * eta_t * gnorm2:
                     break
-                eta_t *= cfg.ls_shrink
+                eta_t *= LS_SHRINK
             theta = theta - eta_t * g
         return theta, eta_t, {}
 
@@ -375,11 +377,11 @@ def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         idx = draw()
         g = batch_param_grad(loss, model, dataset, theta, idx)
         rec.counter.add(len(idx))
-        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-        mhat = m / (1 - cfg.adam_beta1**t)
-        vhat = v / (1 - cfg.adam_beta2**t)
-        return theta - cfg.adam_lr * mhat / (np.sqrt(vhat) + cfg.adam_eps), cfg.adam_lr, {}
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        mhat = m / (1 - 0.9**t)
+        vhat = v / (1 - 0.999**t)
+        return theta - cfg.adam_lr * mhat / (np.sqrt(vhat) + 1e-8), cfg.adam_lr, {}
 
     return step
 
@@ -394,7 +396,7 @@ def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         g = batch_param_grad(loss, model, dataset, theta, idx)
         rec.counter.add(len(idx))
         acc = acc + g * g
-        return theta - cfg.adagrad_lr * g / (np.sqrt(acc) + cfg.adagrad_eps), cfg.adagrad_lr, {}
+        return theta - cfg.adagrad_lr * g / (np.sqrt(acc) + 1e-10), cfg.adagrad_lr, {}
 
     return step
 

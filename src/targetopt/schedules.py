@@ -15,6 +15,11 @@ import numpy as np
 
 KINDS = ("constant", "sqrt-decay", "exponential", "target-line-search", "adagrad-norm")
 LINE_SEARCH_FLOOR = 1e-12
+# Armijo constants of the target line search and of parametric SLS: the
+# first trial step, its shrink factor and the sufficient-decrease factor.
+LS_ALPHA0 = 10.0
+LS_SHRINK = 0.5
+LS_C = 0.5
 
 
 def theoretical_eta0(L: float, n: int) -> float:
@@ -73,9 +78,9 @@ def target_line_search(
     z_batch,
     y_batch,
     grad_batch,
-    alpha0: float = 10.0,
-    shrink: float = 0.5,
-    c: float = 0.5,
+    alpha0: float = LS_ALPHA0,
+    shrink: float = LS_SHRINK,
+    c: float = LS_C,
 ):
     """Backtracking Armijo search directly in the target space.
 

@@ -35,7 +35,9 @@ from targetopt.losses import (
 )
 from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
 from targetopt.optimizers import (
+    InnerOptions,
     RunConfig,
+    ScheduleOptions,
     run,
     theoretical_parametric_step,
 )
@@ -66,8 +68,9 @@ def test_01_m1_equivalence():
         common = dict(T=200, batch_size=10, seed=7, eval_every=200, record_theta=True)
         start = time.perf_counter()
         sso = run(
-            RunConfig(optimizer="sso", variant="smoothness", inner_solver="gd",
-                      m=1, inner_alpha=alpha, eta0=0.5, **common),
+            RunConfig(optimizer="sso", variant="smoothness",
+                      schedule=ScheduleOptions(eta0=0.5),
+                      inner=InnerOptions(solver="gd", m=1, alpha=alpha), **common),
             ds, model, loss,
         )
         sgd = run(
@@ -111,8 +114,9 @@ def test_03_newton_recovery():
             SyntheticSpec("least-squares", n=60, d=12, cond=100.0, noise=0.7, seed=3)
         )
         model, loss = LinearModel(), SquaredLoss()
-        cfg = RunConfig(optimizer="sso", T=1, batch_size=None, eta0=1.0,
-                        inner_solver="exact", seed=0)
+        cfg = RunConfig(optimizer="sso", T=1, batch_size=None,
+                        schedule=ScheduleOptions(eta0=1.0), inner=InnerOptions(solver="exact"),
+                        seed=0)
         trace = run(cfg, ds, model, loss)
         _, z_star = least_squares_optimum(ds)
         gap = trace.final_loss() - loss_value(loss, z_star, ds.y)
@@ -137,8 +141,9 @@ def test_04_majorization_and_descent():
         assert worst >= -1e-10, f"worst slack {worst}"
 
         # Monotone full-batch descent with the default 1/beta inner step.
-        cfg = RunConfig(optimizer="sso", T=100, batch_size=None, eta0=1.0 / loss.L,
-                        inner_solver="gd", m=5, seed=0, eval_every=1)
+        cfg = RunConfig(optimizer="sso", T=100, batch_size=None,
+                        schedule=ScheduleOptions(eta0=1.0 / loss.L),
+                        inner=InnerOptions(solver="gd", m=5), seed=0, eval_every=1)
         trace = run(cfg, ds, model, loss)
         diffs = np.diff(trace.losses())
         assert np.all(diffs <= 1e-12), f"max increase {diffs.max()}"
@@ -176,8 +181,9 @@ def test_06_interpolation_regime():
         eta = 1.0 / (2.0 * (loss.L / ds.n) * ds.n)
         first = build_deterministic(loss, model, ds, np.zeros(ds.d), eta)
         alpha = 1.0 / first.smoothness_bound()
-        cfg = RunConfig(optimizer="sso", T=500, batch_size=None, eta0=eta,
-                        inner_solver="gd", m=20, inner_alpha=alpha, seed=0,
+        cfg = RunConfig(optimizer="sso", T=500, batch_size=None,
+                        schedule=ScheduleOptions(eta0=eta),
+                        inner=InnerOptions(solver="gd", m=20, alpha=alpha), seed=0,
                         eval_every=500, record_theta=True)
         trace = run(cfg, ds, model, loss)
         assert trace.final_loss() <= 1e-6, f"final loss {trace.final_loss()}"
@@ -197,8 +203,9 @@ def test_07_projection_error_bound():
         model, loss = LinearModel(), SquaredLoss()
         _, z_star = least_squares_optimum(ds)
         eta = 0.5
-        cfg = RunConfig(optimizer="sso", T=27, batch_size=1, eta0=eta,
-                        inner_solver="gd", m=5, seed=1, eval_every=27,
+        cfg = RunConfig(optimizer="sso", T=27, batch_size=1,
+                        schedule=ScheduleOptions(eta0=eta),
+                        inner=InnerOptions(solver="gd", m=5), seed=1, eval_every=27,
                         record_theta=True)
         trace = run(cfg, ds, model, loss)
         checkpoints = trace.thetas[::3][:10]
@@ -222,8 +229,9 @@ def test_08_oracle_efficiency():
         # Amortized regime: one full oracle call per outer step, surrogate
         # solved to completion before the next call.
         start = time.perf_counter()
-        sso_cfg = RunConfig(optimizer="sso", T=50, batch_size=None, eta0=0.5,
-                            inner_solver="exact", tau=tau, seed=2, eval_every=1)
+        sso_cfg = RunConfig(optimizer="sso", T=50, batch_size=None,
+                            schedule=ScheduleOptions(eta0=0.5),
+                            inner=InnerOptions(solver="exact"), tau=tau, seed=2, eval_every=1)
         sso = run(sso_cfg, ds, model, loss)
         sso_time = time.perf_counter() - start
 
@@ -290,8 +298,10 @@ def test_09_desk_scale_parity():
             finals["sgd"].append(sgd.final_loss())
             for m in (5, 20):
                 sso = run(
-                    RunConfig(optimizer="sso", T=T, batch_size=batch, eta0=eta,
-                              inner_solver="armijo", m=m, seed=seed, eval_every=T),
+                    RunConfig(optimizer="sso", T=T, batch_size=batch,
+                              schedule=ScheduleOptions(eta0=eta),
+                              inner=InnerOptions(solver="armijo", m=m), seed=seed,
+                              eval_every=T),
                     ds, model, loss,
                 )
                 finals[f"sso-{m}"].append(sso.final_loss())

@@ -98,9 +98,12 @@ class TestRunExperiment:
     def test_failed_run_reports_nonzero(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "out")
         cfg["runs"].append({"id": "bad", "optimizer": "sso", "T": 0})
+        cfg["runs"].append({"optimizer": "adam", "T": 0})  # named after its optimizer
         status = run_experiment(cfg)
         assert status == 1
-        assert "FAILED bad" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAILED bad" in out
+        assert "FAILED adam seed 0" in out
 
     def test_all_pairs_failed_reports_without_summary(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "out")
@@ -206,8 +209,8 @@ class TestConfigParsing:
             "inner": {"solver": "armijo", "m": 7, "alpha0": 2.0},
         }
         cfg = make_run_config(spec, n=10, seed=3)
-        assert cfg.schedule_kind == "exponential" and cfg.eta0 == 0.2
-        assert cfg.inner_solver == "armijo" and cfg.m == 7 and cfg.inner_alpha0 == 2.0
+        assert cfg.schedule.kind == "exponential" and cfg.schedule.eta0 == 0.2
+        assert cfg.inner.solver == "armijo" and cfg.inner.m == 7 and cfg.inner.alpha0 == 2.0
         assert cfg.seed == 3
 
     @pytest.mark.parametrize("group,entry", [("inner", {"solver": "gd", "mm": 5}),
@@ -222,6 +225,17 @@ class TestConfigParsing:
         cfg = small_config(tmp_path / "out")
         cfg["runs"][1]["inner"]["mm"] = 5
         with pytest.raises(ValueError, match="mm"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"T": 6, "batchsize": 4}, "'b': unknown run key.*batchsize"),
+        ({"T": 3, "epochs": 2}, "'b':.*'T'.*'epochs'"),
+    ], ids=["unknown-key", "T-with-epochs"])
+    def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
+        cfg = small_config(tmp_path / "out")
+        cfg["runs"].insert(1, {"id": "b", "optimizer": "sgd", **entry})
+        with pytest.raises(ValueError, match=message):
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
 

@@ -8,7 +8,9 @@ from targetopt.losses import SquaredLoss, LogisticLoss, loss_value
 from targetopt.models import LinearModel
 from targetopt.optimizers import (
     OPTIMIZERS,
+    InnerOptions,
     RunConfig,
+    ScheduleOptions,
     _Sampler,
     batch_param_grad,
     full_loss,
@@ -30,8 +32,8 @@ class TestSSO:
         alpha = theoretical_parametric_step(ds, loss, 5)
         common = dict(T=60, batch_size=5, seed=42, eval_every=1)
         sso = run(
-            RunConfig(optimizer="sso", inner_solver="gd", m=1, inner_alpha=alpha,
-                      eta0=0.5, **common),
+            RunConfig(optimizer="sso", schedule=ScheduleOptions(eta0=0.5),
+                      inner=InnerOptions(solver="gd", m=1, alpha=alpha), **common),
             ds, model, loss,
         )
         sgd = run(
@@ -42,8 +44,9 @@ class TestSSO:
     def test_full_batch_exact_solve_one_step(self):
         ds = ls_dataset(n=40, d=8, cond=50, seed=2)
         model, loss = LinearModel(), SquaredLoss()
-        cfg = RunConfig(optimizer="sso", T=1, batch_size=None, eta0=1.0,
-                        inner_solver="exact", seed=0)
+        cfg = RunConfig(optimizer="sso", T=1, batch_size=None,
+                        schedule=ScheduleOptions(eta0=1.0), inner=InnerOptions(solver="exact"),
+                        seed=0)
         trace = run(cfg, ds, model, loss)
         _, z_star = least_squares_optimum(ds)
         assert trace.final_loss() - loss_value(loss, z_star, ds.y) <= 1e-10
@@ -51,16 +54,18 @@ class TestSSO:
     def test_deterministic_descent(self):
         ds = ls_dataset(n=25, d=6, cond=100, noise=0.6, seed=3)
         model, loss = LinearModel(), SquaredLoss()
-        cfg = RunConfig(optimizer="sso", T=50, batch_size=None, eta0=1.0 / loss.L,
-                        inner_solver="gd", m=3, seed=0, eval_every=1)
+        cfg = RunConfig(optimizer="sso", T=50, batch_size=None,
+                        schedule=ScheduleOptions(eta0=1.0 / loss.L),
+                        inner=InnerOptions(solver="gd", m=3), seed=0, eval_every=1)
         trace = run(cfg, ds, model, loss)
         losses = trace.losses()
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_oracle_accounting_b_per_step(self):
         ds = ls_dataset(seed=4)
-        cfg = RunConfig(optimizer="sso", T=10, batch_size=3, eta0=0.5,
-                        inner_solver="gd", m=7, seed=0, eval_every=1)
+        cfg = RunConfig(optimizer="sso", T=10, batch_size=3,
+                        schedule=ScheduleOptions(eta0=0.5),
+                        inner=InnerOptions(solver="gd", m=7), seed=0, eval_every=1)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         calls = [r.oracle_calls for r in trace.rows]
         assert calls == [3 * t for t in range(11)]
@@ -69,8 +74,9 @@ class TestSSO:
 
     def test_seed_determinism(self):
         ds = ls_dataset(seed=5)
-        cfg = lambda: RunConfig(optimizer="sso", T=20, batch_size=4, eta0=0.4,
-                                inner_solver="armijo", m=5, seed=9, eval_every=1)
+        cfg = lambda: RunConfig(optimizer="sso", T=20, batch_size=4,
+                                schedule=ScheduleOptions(eta0=0.4),
+                                inner=InnerOptions(solver="armijo", m=5), seed=9, eval_every=1)
         a = run(cfg(), ds, LinearModel(), SquaredLoss())
         b = run(cfg(), ds, LinearModel(), SquaredLoss())
         np.testing.assert_array_equal(a.losses(), b.losses())
@@ -85,8 +91,9 @@ class TestSSO:
 
     def test_log_growth_inner_rule(self):
         ds = ls_dataset(seed=7)
-        cfg = RunConfig(optimizer="sso", T=5, batch_size=2, eta0=0.5,
-                        inner_solver="gd", m=2, m_rule="log", seed=0, eval_every=1)
+        cfg = RunConfig(optimizer="sso", T=5, batch_size=2, schedule=ScheduleOptions(eta0=0.5),
+                        inner=InnerOptions(solver="gd", m=2, m_rule="log"), seed=0,
+                        eval_every=1)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         per_step = np.diff([r.inner_steps for r in trace.rows])
         expected = [int(np.ceil(2 * np.log(t + 2))) for t in range(1, 6)]
@@ -95,8 +102,8 @@ class TestSSO:
     def test_sls_schedule_runs(self):
         ds = ls_dataset(n=20, d=4, seed=8)
         cfg = RunConfig(optimizer="sso", T=30, batch_size=2,
-                        schedule_kind="target-line-search",
-                        inner_solver="armijo", m=5, seed=1, eval_every=30)
+                        schedule=ScheduleOptions(kind="target-line-search"),
+                        inner=InnerOptions(solver="armijo", m=5), seed=1, eval_every=30)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.final_loss() < trace.rows[0].loss
         # The line search reuses the frozen batch values: still b calls/step.
@@ -106,7 +113,8 @@ class TestSSO:
         ds = ls_dataset(n=30, d=4, seed=9, kind="logistic", noise=0.1)
         loss = LogisticLoss()
         cfg = RunConfig(optimizer="sso", T=40, batch_size=None, variant="newton",
-                        eta0=0.5, inner_solver="armijo", m=10, seed=0, eval_every=40)
+                        schedule=ScheduleOptions(eta0=0.5),
+                        inner=InnerOptions(solver="armijo", m=10), seed=0, eval_every=40)
         trace = run(cfg, ds, LinearModel(), loss)
         assert trace.final_loss() < trace.rows[0].loss
 
@@ -117,8 +125,9 @@ class TestSSO:
 
         ds = ls_dataset(n=25, d=4, cond=3, noise=0.3, seed=30)
         model = MLPModel(hidden=6, seed=30)
-        cfg = RunConfig(optimizer="sso", T=25, batch_size=None, eta0=1.0,
-                        inner_solver="armijo", m=5, seed=0, eval_every=1)
+        cfg = RunConfig(optimizer="sso", T=25, batch_size=None,
+                        schedule=ScheduleOptions(eta0=1.0),
+                        inner=InnerOptions(solver="armijo", m=5), seed=0, eval_every=1)
         trace = run(cfg, ds, model, SquaredLoss())
         losses = trace.losses()
         assert np.all(np.diff(losses) <= 1e-12)
@@ -138,25 +147,29 @@ class TestSSO:
         # Full batch: multiplicative updates + KL projection decrease the loss.
         full = run(
             RunConfig(optimizer="sso", T=60, batch_size=None, variant="entropy-mirror",
-                      eta0=0.3, inner_solver="armijo", m=8, seed=0, eval_every=60),
+                      schedule=ScheduleOptions(eta0=0.3),
+                      inner=InnerOptions(solver="armijo", m=8), seed=0, eval_every=60),
             ds, model, loss,
         )
         assert full.final_loss() < full.rows[0].loss - 0.05
         # Stochastic batches converge with a proportionate step.
         stoch = run(
             RunConfig(optimizer="sso", T=300, batch_size=15, variant="entropy-mirror",
-                      eta0=0.1, inner_solver="armijo", m=8, seed=0, eval_every=300),
+                      schedule=ScheduleOptions(eta0=0.1),
+                      inner=InnerOptions(solver="armijo", m=8), seed=0, eval_every=300),
             ds, model, loss,
         )
         assert stoch.final_loss() < stoch.rows[0].loss - 0.05
 
     def test_warm_start_line_search(self):
         ds = ls_dataset(n=20, d=4, seed=32, kind="interpolating", noise=0.0)
-        cold = RunConfig(optimizer="sso", T=40, batch_size=4, eta0=0.5,
-                         inner_solver="armijo", m=5, seed=0, eval_every=40)
-        warm = RunConfig(optimizer="sso", T=40, batch_size=4, eta0=0.5,
-                         inner_solver="armijo", m=5, warm_start=True,
-                         inner_growth=1.25, seed=0, eval_every=40)
+        cold = RunConfig(optimizer="sso", T=40, batch_size=4,
+                         schedule=ScheduleOptions(eta0=0.5),
+                         inner=InnerOptions(solver="armijo", m=5), seed=0, eval_every=40)
+        warm = RunConfig(optimizer="sso", T=40, batch_size=4,
+                         schedule=ScheduleOptions(eta0=0.5),
+                         inner=InnerOptions(solver="armijo", m=5, warm_start=True, growth=1.25),
+                         seed=0, eval_every=40)
         a = run(cold, ds, LinearModel(), SquaredLoss())
         b = run(warm, ds, LinearModel(), SquaredLoss())
         assert a.final_loss() < 0.1 * a.rows[0].loss
@@ -165,17 +178,17 @@ class TestSSO:
     def test_sqrt_decay_and_exponential_schedules_run(self):
         ds = ls_dataset(n=20, d=4, seed=33)
         for kind in ("sqrt-decay", "exponential"):
-            cfg = RunConfig(optimizer="sso", T=20, batch_size=2, eta0=0.5,
-                            schedule_kind=kind, inner_solver="gd", m=3,
-                            seed=0, eval_every=20)
+            cfg = RunConfig(optimizer="sso", T=20, batch_size=2,
+                            schedule=ScheduleOptions(kind=kind, eta0=0.5),
+                            inner=InnerOptions(solver="gd", m=3), seed=0, eval_every=20)
             trace = run(cfg, ds, LinearModel(), SquaredLoss())
             assert np.isfinite(trace.final_loss())
 
     def test_adagrad_norm_schedule_etas_non_increasing(self):
         ds = ls_dataset(n=20, d=4, seed=34)
         cfg = RunConfig(optimizer="sso", T=25, batch_size=4,
-                        schedule_kind="adagrad-norm", inner_solver="gd", m=2,
-                        seed=0, eval_every=1)
+                        schedule=ScheduleOptions(kind="adagrad-norm"),
+                        inner=InnerOptions(solver="gd", m=2), seed=0, eval_every=1)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         etas = [r.eta for r in trace.rows[1:]]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
@@ -342,8 +355,8 @@ class TestSVRG:
 class TestTraceContents:
     def test_rows_record_costs(self):
         ds = ls_dataset(seed=20)
-        cfg = RunConfig(optimizer="sso", T=8, batch_size=2, eta0=0.5, tau=100.0,
-                        inner_solver="gd", m=3, seed=0, eval_every=2)
+        cfg = RunConfig(optimizer="sso", T=8, batch_size=2, schedule=ScheduleOptions(eta0=0.5),
+                        inner=InnerOptions(solver="gd", m=3), tau=100.0, seed=0, eval_every=2)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         for row in trace.rows:
             assert row.sim_cost == row.oracle_calls * 100.0 + row.inner_steps
@@ -369,7 +382,11 @@ class TestTraceContents:
                 raise AssertionError("the loss was evaluated before validation")
 
         ds = ls_dataset(seed=22)
-        cfg = RunConfig(**{"optimizer": "sso", "T": 3, "batch_size": 2, field: "nope"})
+        cfg = RunConfig(optimizer="sso", T=3, batch_size=2)
+        if field == "inner_solver":
+            cfg.inner.solver = "nope"
+        else:
+            setattr(cfg, field, "nope")
         with pytest.raises(ValueError, match=message):
             run(cfg, ds, LinearModel(), Unevaluated())
 
@@ -379,8 +396,9 @@ class TestEveryOptimizer:
     def test_record_theta(self, optimizer):
         ds = ls_dataset(n=20, d=4, seed=22)
         model, loss = LinearModel(), SquaredLoss()
-        cfg = RunConfig(optimizer=optimizer, T=7, batch_size=5, eta0=0.5, seed=0,
-                        eval_every=3, record_theta=True)
+        cfg = RunConfig(optimizer=optimizer, T=7, batch_size=5,
+                        schedule=ScheduleOptions(eta0=0.5), seed=0, eval_every=3,
+                        record_theta=True)
         trace = run(cfg, ds, model, loss)
         assert len(trace.thetas) == cfg.T + 1
         assert full_loss(loss, model, ds, trace.thetas[-1]) == trace.final_loss()
@@ -390,16 +408,17 @@ class TestEveryOptimizer:
         ds = ls_dataset(n=20, d=4, seed=23, kind="logistic", noise=0.1)
         dense = Dataset(X=ds.X.toarray(), y=ds.y, task=ds.task)
         loss = LogisticLoss()
-        cfg = lambda: RunConfig(optimizer=optimizer, T=15, batch_size=5, eta0=0.5,
-                                inner_solver="armijo", m=3, seed=1, eval_every=1)
+        cfg = lambda: RunConfig(optimizer=optimizer, T=15, batch_size=5,
+                                schedule=ScheduleOptions(eta0=0.5),
+                                inner=InnerOptions(solver="armijo", m=3), seed=1, eval_every=1)
         a = run(cfg(), ds, LinearModel(), loss)
         b = run(cfg(), dense, LinearModel(), loss)
         np.testing.assert_allclose(b.losses(), a.losses(), rtol=0, atol=1e-12)
 
     def test_stalled_inner_solves_are_counted(self):
         ds = ls_dataset(seed=24)
-        cfg = RunConfig(optimizer="sso", T=5, batch_size=4, eta0=0.5, inner_solver="armijo",
-                        m=3, inner_alpha0=1e-14, seed=0)
+        cfg = RunConfig(optimizer="sso", T=5, batch_size=4, schedule=ScheduleOptions(eta0=0.5),
+                        inner=InnerOptions(solver="armijo", m=3, alpha0=1e-14), seed=0)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.inner_stalls == 5
         assert trace.rows[-1].inner_steps == 0
