@@ -67,9 +67,8 @@ def projection_error(loss, model, dataset, theta_t, batch_idx, eta_t, theta_next
     _require_linear(model)
     q = build_analysis_q(loss, model, dataset, theta_t, batch_idx, eta_t, counter=None)
     theta_bar = exact_linear_solve(q, origin=theta_t)
-    all_idx = np.arange(dataset.n)
-    z_next = model.forward(theta_next, dataset.X, all_idx)
-    z_bar = model.forward(theta_bar, dataset.X, all_idx)
+    z_next = model.forward(theta_next, dataset.X)
+    z_bar = model.forward(theta_bar, dataset.X)
     return float(np.linalg.norm(z_next - z_bar))
 
 
@@ -117,9 +116,9 @@ def _convex_min_value(dataset, loss, iters: int = 5000) -> float:
     model = LinearModel()
     theta = np.zeros(dataset.d)
     step = theoretical_parametric_step(dataset, loss)
-    idx = np.arange(dataset.n)
+    y = losses_mod.effective_labels(dataset)
     for _ in range(iters):
-        theta = theta - step * batch_param_grad(loss, model, dataset, theta, idx)
+        theta = theta - step * batch_param_grad(loss, model, theta, dataset.X, y)
     return full_loss(loss, model, dataset, theta)
 
 
@@ -177,15 +176,14 @@ def expected_projection_error_sq(
     _require_linear(model)
     _, L_g, _, _ = surrogate_curvatures(dataset, loss, model, theta_t, eta_t)
     alpha = 1.0 / L_g
-    all_idx = np.arange(dataset.n)
     errs = np.empty(dataset.n)
     for i in range(dataset.n):
         g_i = build_stochastic(loss, model, dataset, theta_t, [i], eta_t)
         res = gd_fixed(g_i, theta_t, m, alpha=alpha)
         q_i = build_analysis_q(loss, model, dataset, theta_t, [i], eta_t)
         theta_bar = exact_linear_solve(q_i, origin=theta_t)
-        z_next = model.forward(res.theta, dataset.X, all_idx)
-        z_bar = model.forward(theta_bar, dataset.X, all_idx)
+        z_next = model.forward(res.theta, dataset.X)
+        z_bar = model.forward(theta_bar, dataset.X)
         errs[i] = np.sum((z_next - z_bar) ** 2)
     return float(np.mean(errs))
 
@@ -199,7 +197,7 @@ def projection_error_bound(dataset, loss, model, theta_t, eta_t, m: int, z_star)
     L_f = lipschitz_estimate(model, dataset.X)
     mu_g, L_g, _, _ = surrogate_curvatures(dataset, loss, model, theta_t, eta_t)
     kappa_g = L_g / mu_g
-    z_t = model.forward(theta_t, dataset.X, np.arange(dataset.n))
+    z_t = model.forward(theta_t, dataset.X)
     gap = losses_mod.loss_value(loss, z_t, dataset.y) - losses_mod.loss_value(
         loss, np.asarray(z_star), dataset.y
     )

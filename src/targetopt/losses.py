@@ -93,7 +93,7 @@ def make_loss(kind: str, smoothness: float | None = None):
         loss = SquaredLoss()
     elif kind == "logistic":
         loss = LogisticLoss()
-    elif kind in ("multiclass-kl", "multiclass-ce"):
+    elif kind == "multiclass-kl":
         loss = MulticlassKLLoss()
     else:
         raise ValueError(f"unknown loss kind {kind!r}")

@@ -1,8 +1,10 @@
 """Parameterizations mapping parameters to per-example targets.
 
-Each model exposes `forward` (targets on an index set), `param_grad`
-(gradient of a coefficient-weighted sum of targets, the only primitive
-surrogate minimization needs), and a Lipschitz-constant estimate. MLP
+A model maps the rows it is given: `forward(theta, rows)` returns one
+target per row, `param_grad(theta, rows, coeffs)` the gradient of a
+coefficient-weighted sum of them (the only primitive surrogate
+minimization needs), and `lipschitz` an estimate of the map's constant.
+Callers slice a batch `X[idx]` once, or pass X itself for all rows. MLP
 gradients are hand-written reverse accumulation so they can be checked
 against finite differences without an autodiff dependency.
 """
@@ -56,10 +58,6 @@ def row_norms2(X) -> np.ndarray:
     return (X * X).sum(axis=1)
 
 
-def _rows(X, idx):
-    return X[idx] if idx is not None else X
-
-
 class LinearModel:
     """f_i(theta) = <X_i, theta>; scalar target per example."""
 
@@ -72,12 +70,12 @@ class LinearModel:
     def dim(self, d: int) -> int:
         return d
 
-    def forward(self, theta, X, idx=None) -> np.ndarray:
-        return np.asarray(_rows(X, idx) @ theta).ravel()
+    def forward(self, theta, rows) -> np.ndarray:
+        return np.asarray(rows @ theta).ravel()
 
-    def param_grad(self, theta, X, idx, coeffs) -> np.ndarray:
+    def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         """Gradient of sum_i coeffs_i * f_i(theta)."""
-        return np.asarray(_rows(X, idx).T @ coeffs).ravel()
+        return np.asarray(rows.T @ coeffs).ravel()
 
     def lipschitz(self, X) -> float:
         return spectral_norm(X)
@@ -102,17 +100,15 @@ class SoftmaxLinearModel:
     def _weights(self, theta, d):
         return np.asarray(theta).reshape(d, self.arity)
 
-    def forward(self, theta, X, idx=None) -> np.ndarray:
-        rows = _rows(X, idx)
-        logits = np.asarray(rows @ self._weights(theta, X.shape[1]))
+    def forward(self, theta, rows) -> np.ndarray:
+        logits = np.asarray(rows @ self._weights(theta, rows.shape[1]))
         logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         return e / e.sum(axis=1, keepdims=True)
 
-    def param_grad(self, theta, X, idx, coeffs) -> np.ndarray:
+    def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         """Gradient of sum_i <coeffs_i, f_i(theta)> with (m, K) coeffs."""
-        rows = _rows(X, idx)
-        s = self.forward(theta, X, idx)
+        s = self.forward(theta, rows)
         coeffs = np.atleast_2d(coeffs)
         # Softmax Jacobian applied to each coefficient row.
         g_logits = s * (coeffs - (s * coeffs).sum(axis=1, keepdims=True))
@@ -165,15 +161,13 @@ class MLPModel:
         b2 = theta[-1]
         return W1, b1, w2, b2
 
-    def forward(self, theta, X, idx=None) -> np.ndarray:
-        rows = _rows(X, idx)
-        W1, b1, w2, b2 = self._unpack(theta, X.shape[1])
+    def forward(self, theta, rows) -> np.ndarray:
+        W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
         a = np.maximum(np.asarray(rows @ W1) + b1, 0.0)
         return a @ w2 + b2
 
-    def param_grad(self, theta, X, idx, coeffs) -> np.ndarray:
-        rows = _rows(X, idx)
-        W1, b1, w2, b2 = self._unpack(theta, X.shape[1])
+    def param_grad(self, theta, rows, coeffs) -> np.ndarray:
+        W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
         pre = np.asarray(rows @ W1) + b1
         a = np.maximum(pre, 0.0)
         mask = (pre > 0).astype(np.float64)
@@ -186,11 +180,10 @@ class MLPModel:
         g_b1 = back.sum(axis=0)
         return np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
 
-    def param_jacobian(self, theta, X, idx=None) -> np.ndarray:
+    def param_jacobian(self, theta, rows) -> np.ndarray:
         """Dense Jacobian of the targets with respect to the parameters."""
-        rows = _rows(X, idx)
         rows = rows.toarray() if sp.issparse(rows) else np.asarray(rows)
-        W1, b1, w2, b2 = self._unpack(theta, X.shape[1])
+        W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
         pre = rows @ W1 + b1
         a = np.maximum(pre, 0.0)
         mask = (pre > 0).astype(np.float64)

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import losses as losses_mod
-from .inner_solvers import armijo_backtracking, exact_linear_solve, gd_fixed
+from .inner_solvers import BACKTRACK_FLOOR, armijo_backtracking, exact_linear_solve, gd_fixed
 from .models import row_norms2, spectral_norm
-from .schedules import LINE_SEARCH_FLOOR, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
+from .schedules import LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
 from .schedules import eta as schedule_eta, target_line_search
 from .surrogates import VARIANTS, OracleCounter, build_stochastic
 
 INNER_SOLVERS = ("gd", "armijo", "exact")
+M_RULES = ("constant", "log")
 
 
 @dataclass
@@ -81,6 +82,8 @@ class RunConfig:
             raise ValueError(f"unknown surrogate variant {self.variant!r}")
         if self.inner.solver not in INNER_SOLVERS:
             raise ValueError(f"unknown inner solver {self.inner.solver!r}")
+        if self.inner.m_rule not in M_RULES:
+            raise ValueError(f"unknown inner m_rule {self.inner.m_rule!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         b = self.resolved_batch(n)
@@ -152,22 +155,20 @@ class _Sampler:
 
 
 def full_loss(loss, model, dataset, theta) -> float:
-    z = model.forward(theta, dataset.X, np.arange(dataset.n))
+    z = model.forward(theta, dataset.X)
     return losses_mod.loss_value(loss, z, losses_mod.effective_labels(dataset))
 
 
-def batch_param_grad(loss, model, dataset, theta, idx) -> np.ndarray:
-    """Mean parametric gradient of the sampled losses."""
-    y = losses_mod.effective_labels(dataset)
-    z = model.forward(theta, dataset.X, idx)
-    coeffs = np.asarray(loss.grads(z, y[idx]))
-    return model.param_grad(theta, dataset.X, idx, coeffs) / len(idx)
+def batch_param_grad(loss, model, theta, rows, y) -> np.ndarray:
+    """Mean parametric gradient of the losses on `rows` with labels `y`."""
+    z = model.forward(theta, rows)
+    coeffs = np.asarray(loss.grads(z, y))
+    return model.param_grad(theta, rows, coeffs) / rows.shape[0]
 
 
 def full_grad_norm(loss, model, dataset, theta) -> float:
-    return float(
-        np.linalg.norm(batch_param_grad(loss, model, dataset, theta, np.arange(dataset.n)))
-    )
+    y = losses_mod.effective_labels(dataset)
+    return float(np.linalg.norm(batch_param_grad(loss, model, theta, dataset.X, y)))
 
 
 def parametric_smoothness(dataset, loss, batch_size: int | None = None) -> float:
@@ -280,10 +281,11 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         if sched is not None and sched.kind != "adagrad-norm":
             eta_t = schedule_eta(sched, t)
         else:  # the step size depends on the batch's target gradient
-            z_b = model.forward(theta, dataset.X, idx)
-            g_b = np.asarray(loss.grads(z_b, y[idx]))
+            y_b = y[idx]
+            z_b = model.forward(theta, dataset.X[idx])
+            g_b = np.asarray(loss.grads(z_b, y_b))
             if sched is None:
-                eta_t, _ = target_line_search(loss, z_b, y[idx], g_b)
+                eta_t, _ = target_line_search(loss, z_b, y_b, g_b)
             else:
                 eta_t = schedule_eta(sched, t, grad=g_b)
 
@@ -330,13 +332,14 @@ def _parametric_step0(cfg: RunConfig, dataset, loss) -> float:
 
 def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Plain stochastic gradient descent in parameter space."""
+    X, y = dataset.X, losses_mod.effective_labels(dataset)
     sched = Schedule(
         cfg.schedule.kind, _parametric_step0(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule.beta
     )
 
     def step(t, theta, draw):
         idx = draw()
-        g = batch_param_grad(loss, model, dataset, theta, idx)
+        g = batch_param_grad(loss, model, theta, X[idx], y[idx])
         rec.counter.add(len(idx))
         eta_t = schedule_eta(sched, t, grad=g)
         return theta - eta_t * g, eta_t, {}
@@ -346,20 +349,21 @@ def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """SGD with Armijo backtracking on the sampled mini-batch loss."""
-    y = losses_mod.effective_labels(dataset)
+    X, y = dataset.X, losses_mod.effective_labels(dataset)
 
     def step(t, theta, draw):
         idx = draw()
-        z = model.forward(theta, dataset.X, idx)
-        base = float(np.mean(loss.values(z, y[idx])))
-        g = batch_param_grad(loss, model, dataset, theta, idx)
+        rows, y_b = X[idx], y[idx]
+        z = model.forward(theta, rows)
+        base = float(np.mean(loss.values(z, y_b)))
+        g = batch_param_grad(loss, model, theta, rows, y_b)
         rec.counter.add(len(idx))
         gnorm2 = float(g @ g)
         eta_t = LS_ALPHA0
         if gnorm2 > 0:
-            while eta_t >= LINE_SEARCH_FLOOR:
-                z_try = model.forward(theta - eta_t * g, dataset.X, idx)
-                if float(np.mean(loss.values(z_try, y[idx]))) <= base - LS_C * eta_t * gnorm2:
+            while eta_t >= BACKTRACK_FLOOR:
+                z_try = model.forward(theta - eta_t * g, rows)
+                if float(np.mean(loss.values(z_try, y_b))) <= base - LS_C * eta_t * gnorm2:
                     break
                 eta_t *= LS_SHRINK
             theta = theta - eta_t * g
@@ -370,12 +374,13 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Adam baseline with the usual default constants."""
+    X, y = dataset.X, losses_mod.effective_labels(dataset)
     m = v = 0.0  # moment estimates; a scalar zero acts as the zero vector
 
     def step(t, theta, draw):
         nonlocal m, v
         idx = draw()
-        g = batch_param_grad(loss, model, dataset, theta, idx)
+        g = batch_param_grad(loss, model, theta, X[idx], y[idx])
         rec.counter.add(len(idx))
         m = 0.9 * m + (1 - 0.9) * g
         v = 0.999 * v + (1 - 0.999) * g * g
@@ -388,12 +393,13 @@ def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Diagonal AdaGrad baseline."""
+    X, y = dataset.X, losses_mod.effective_labels(dataset)
     acc = 0.0  # running sum of squared gradients
 
     def step(t, theta, draw):
         nonlocal acc
         idx = draw()
-        g = batch_param_grad(loss, model, dataset, theta, idx)
+        g = batch_param_grad(loss, model, theta, X[idx], y[idx])
         rec.counter.add(len(idx))
         acc = acc + g * g
         return theta - cfg.adagrad_lr * g / (np.sqrt(acc) + 1e-10), cfg.adagrad_lr, {}
@@ -408,6 +414,7 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     gradients at the current point and at the snapshot).
     """
     n = dataset.n
+    X, y = dataset.X, losses_mod.effective_labels(dataset)
     freq = cfg.svrg_snapshot_freq or max(1, int(np.ceil(n / cfg.resolved_batch(n))))
     eta = _parametric_step0(cfg, dataset, loss)
     snapshot = mu = None
@@ -416,12 +423,13 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         nonlocal snapshot, mu
         if (t - 1) % freq == 0:
             snapshot = theta.copy()
-            mu = batch_param_grad(loss, model, dataset, snapshot, np.arange(n))
+            mu = batch_param_grad(loss, model, snapshot, X, y)
             rec.counter.add(n)
         idx = draw()
+        rows, y_b = X[idx], y[idx]
         g = (
-            batch_param_grad(loss, model, dataset, theta, idx)
-            - batch_param_grad(loss, model, dataset, snapshot, idx)
+            batch_param_grad(loss, model, theta, rows, y_b)
+            - batch_param_grad(loss, model, snapshot, rows, y_b)
             + mu
         )
         rec.counter.add(2 * len(idx))

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .inner_solvers import BACKTRACK_FLOOR
+
 KINDS = ("constant", "sqrt-decay", "exponential", "target-line-search", "adagrad-norm")
-LINE_SEARCH_FLOOR = 1e-12
 # Armijo constants of the target line search and of parametric SLS: the
 # first trial step, its shrink factor and the sufficient-decrease factor.
 LS_ALPHA0 = 10.0
@@ -96,7 +97,7 @@ def target_line_search(
         return alpha0, False
     base = float(np.mean(loss.values(z, y_batch)))
     step = alpha0
-    while step >= LINE_SEARCH_FLOOR:
+    while step >= BACKTRACK_FLOOR:
         trial = float(np.mean(loss.values(z - step * g, y_batch)))
         if trial <= base - c * step * gnorm2:
             return step, False

@@ -106,10 +106,8 @@ class Surrogate:
         # Two param_grad calls, not one on the summed coefficients: fusing
         # them moves the last bits of every SSO trace.
         f = self.model.forward(theta, self.rows)
-        g = self.model.param_grad(theta, self.rows, None, self.coeffs) / len(self.consts)
-        return g + self.scale * self.model.param_grad(
-            theta, self.rows, None, self.prox.grad(f, self.z)
-        )
+        g = self.model.param_grad(theta, self.rows, self.coeffs) / len(self.consts)
+        return g + self.scale * self.model.param_grad(theta, self.rows, self.prox.grad(f, self.z))
 
     # -- structure for solvers (linear model, Euclidean proximity) ------
 

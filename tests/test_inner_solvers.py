@@ -37,7 +37,7 @@ class TestGDFixed:
         surr = build_stochastic(loss, model, ds, theta_t, idx, 0.5)
         alpha = 0.05
         res = gd_fixed(surr, theta_t, 1, alpha=alpha)
-        sgd_step = theta_t - alpha * batch_param_grad(loss, model, ds, theta_t, idx)
+        sgd_step = theta_t - alpha * batch_param_grad(loss, model, theta_t, ds.X[idx], ds.y[idx])
         np.testing.assert_array_equal(res.theta, sgd_step)
 
     def test_stationary_point_unmoved(self):

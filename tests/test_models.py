@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from targetopt.data import SyntheticSpec, generate_synthetic
 from targetopt.surrogates import SquaredProximity, Surrogate
@@ -32,12 +33,12 @@ class TestLinearForward:
     def test_dot_product(self):
         model = LinearModel()
         X = dense([[1.0, 2.0]])
-        assert model.forward(np.array([3.0, 4.0]), X, [0])[0] == 11.0
+        assert model.forward(np.array([3.0, 4.0]), X[[0]])[0] == 11.0
 
     def test_zero_params(self):
         model = LinearModel()
         X = dense(np.random.default_rng(0).normal(size=(5, 3)))
-        np.testing.assert_array_equal(model.forward(np.zeros(3), X, np.arange(5)), 0.0)
+        np.testing.assert_array_equal(model.forward(np.zeros(3), X), 0.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -55,7 +56,7 @@ class TestSurrogateGrad:
         model = LinearModel()
         X = dense([[1.0, -2.0], [0.5, 3.0]])
         theta = np.array([0.7, -0.3])
-        anchors = model.forward(theta, X, [0, 1])
+        anchors = model.forward(theta, X[[0, 1]])
         g = surrogate_grad(
             model, theta, X, [0, 1], np.zeros(2), np.full(2, 2.0), anchors
         )
@@ -81,7 +82,7 @@ class TestSurrogateGrad:
         idx = np.arange(6)
 
         def val(t):
-            f = model.forward(t, X, idx)
+            f = model.forward(t, X[idx])
             return np.mean(c * f + 0.5 * w * (f - z) ** 2)
 
         g = surrogate_grad(model, theta, X, idx, c, w, z)
@@ -98,7 +99,7 @@ class TestMLP:
         model = MLPModel(hidden=4)
         X = dense(np.random.default_rng(3).normal(size=(5, 3)))
         theta = np.zeros(model.dim(3))
-        np.testing.assert_array_equal(model.forward(theta, X, np.arange(5)), 0.0)
+        np.testing.assert_array_equal(model.forward(theta, X), 0.0)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -111,7 +112,7 @@ class TestMLP:
         z = rng.normal(size=7)
 
         def val(t):
-            f = model.forward(t, X, idx)
+            f = model.forward(t, X[idx])
             return np.mean(c * f + 0.5 * w * (f - z) ** 2)
 
         g = surrogate_grad(model, theta, X, idx, c, w, z)
@@ -135,7 +136,7 @@ class TestSoftmaxLinear:
         rng = np.random.default_rng(5)
         model = SoftmaxLinearModel(3)
         X = dense(rng.normal(size=(6, 4)))
-        p = model.forward(rng.normal(size=model.dim(4)), X, np.arange(6))
+        p = model.forward(rng.normal(size=model.dim(4)), X)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p > 0)
 
@@ -148,15 +149,43 @@ class TestSoftmaxLinear:
         coeffs = rng.normal(size=(4, 3))
 
         def val(t):
-            return float(np.sum(model.forward(t, X, idx) * coeffs))
+            return float(np.sum(model.forward(t, X[idx]) * coeffs))
 
-        g = model.param_grad(theta, X, idx, coeffs)
+        g = model.param_grad(theta, X[idx], coeffs)
         h = 1e-6
         for j in range(theta.size):
             e = np.zeros_like(theta)
             e[j] = h
             fd = (val(theta + e) - val(theta - e)) / (2 * h)
             assert g[j] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+class TestRowContract:
+    """A model maps the rows it is given, so slicing commutes with it."""
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    @pytest.mark.parametrize("kind", ["linear", "softmax", "mlp"])
+    @settings(max_examples=20, deadline=None)
+    @given(idx=st.lists(st.integers(0, 7), min_size=1, max_size=10), seed=st.integers(0, 2**16))
+    def test_sliced_rows_match_all_rows(self, kind, storage, idx, seed):
+        rng = np.random.default_rng(seed)
+        model = {"linear": LinearModel(), "softmax": SoftmaxLinearModel(3),
+                 "mlp": MLPModel(hidden=4, seed=seed)}[kind]
+        X = rng.normal(size=(8, 3))
+        X = dense(X) if storage == "csr" else X
+        idx = np.array(idx + idx[:1])  # at least one repeated index
+        theta = rng.normal(size=model.dim(3))
+        np.testing.assert_allclose(
+            model.forward(theta, X[idx]), model.forward(theta, X)[idx], rtol=1e-12
+        )
+        c = rng.normal(size=(len(idx), 3) if kind == "softmax" else len(idx))
+        scattered = np.zeros((8,) + c.shape[1:])
+        np.add.at(scattered, idx, c)
+        full = model.param_grad(theta, X, scattered)
+        np.testing.assert_allclose(
+            model.param_grad(theta, X[idx], c), full, rtol=1e-12,
+            atol=1e-12 * np.abs(full).max(),
+        )
 
 
 class TestLipschitz:
@@ -189,8 +218,8 @@ class TestLipschitz:
             e = np.zeros_like(theta)
             e[j] = h
             fd[:, j] = (
-                model.forward(theta + e, X, np.arange(8))
-                - model.forward(theta - e, X, np.arange(8))
+                model.forward(theta + e, X)
+                - model.forward(theta - e, X)
             ) / (2 * h)
         np.testing.assert_allclose(jac, fd, atol=1e-6)
 
@@ -208,10 +237,10 @@ class TestLipschitz:
         X = dense(rng.normal(size=(10, 4)))
         theta = model.init_params(4)
         bound = lipschitz_estimate(model, X, theta)
-        f0 = model.forward(theta, X, np.arange(10))
+        f0 = model.forward(theta, X)
         for _ in range(25):
             delta = rng.normal(size=theta.size)
             delta *= 1e-5 / np.linalg.norm(delta)
-            f1 = model.forward(theta + delta, X, np.arange(10))
+            f1 = model.forward(theta + delta, X)
             slope = np.linalg.norm(f1 - f0) / np.linalg.norm(delta)
             assert slope <= bound * (1 + 1e-6)

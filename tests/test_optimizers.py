@@ -287,10 +287,9 @@ class TestParametricBaselines:
         trace = run(cfg, ds, model, loss)
         theta = np.zeros(3)
         acc = np.zeros(3)
-        idx = np.arange(10)
         coord_steps = []
         for _ in range(6):
-            g = batch_param_grad(loss, model, ds, theta, idx)
+            g = batch_param_grad(loss, model, theta, ds.X, ds.y)
             acc += g * g
             coord_steps.append(0.3 / (np.sqrt(acc) + 1e-10))
             theta = theta - coord_steps[-1] * g
@@ -309,11 +308,11 @@ class TestParametricBaselines:
         sampler = _Sampler(ds.n, 5, rng, "replacement")
         for row in trace.rows[1:]:
             idx = sampler.draw()
-            z = model.forward(theta, ds.X, idx)
+            z = model.forward(theta, ds.X[idx])
             base = float(np.mean(loss.values(z, ds.y[idx])))
-            g = batch_param_grad(loss, model, ds, theta, idx)
+            g = batch_param_grad(loss, model, theta, ds.X[idx], ds.y[idx])
             step = row.eta
-            z_new = model.forward(theta - step * g, ds.X, idx)
+            z_new = model.forward(theta - step * g, ds.X[idx])
             trial = float(np.mean(loss.values(z_new, ds.y[idx])))
             assert trial <= base - 0.5 * step * float(g @ g) + 1e-12
             theta = theta - step * g
@@ -325,11 +324,11 @@ class TestSVRG:
         ds = ls_dataset(n=12, d=3, seed=16)
         model, loss = LinearModel(), SquaredLoss()
         theta = np.random.default_rng(17).normal(size=3)
-        mu = batch_param_grad(loss, model, ds, theta, np.arange(ds.n))
+        mu = batch_param_grad(loss, model, theta, ds.X, ds.y)
         estimates = np.array(
             [
-                batch_param_grad(loss, model, ds, theta, [i])
-                - batch_param_grad(loss, model, ds, theta, [i])
+                batch_param_grad(loss, model, theta, ds.X[[i]], ds.y[[i]])
+                - batch_param_grad(loss, model, theta, ds.X[[i]], ds.y[[i]])
                 + mu
                 for i in range(ds.n)
             ]
@@ -374,7 +373,7 @@ class TestTraceContents:
     @pytest.mark.parametrize(
         "field, message",
         [("optimizer", "unknown optimizer"), ("variant", "unknown surrogate variant"),
-         ("inner_solver", "unknown inner solver")],
+         ("inner_solver", "unknown inner solver"), ("inner_m_rule", "unknown inner m_rule")],
     )
     def test_run_rejects_unknown_name_before_any_step(self, field, message):
         class Unevaluated(SquaredLoss):
@@ -385,6 +384,8 @@ class TestTraceContents:
         cfg = RunConfig(optimizer="sso", T=3, batch_size=2)
         if field == "inner_solver":
             cfg.inner.solver = "nope"
+        elif field == "inner_m_rule":
+            cfg.inner.m_rule = "constnat"
         else:
             setattr(cfg, field, "nope")
         with pytest.raises(ValueError, match=message):

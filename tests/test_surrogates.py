@@ -59,7 +59,7 @@ class TestStochastic:
         theta_t = np.random.default_rng(3).normal(size=ds.d)
         idx = [0, 3, 7]
         surr = build_stochastic(loss, model, ds, theta_t, idx, 0.5)
-        z = model.forward(theta_t, ds.X, idx)
+        z = model.forward(theta_t, ds.X[idx])
         batch_loss = float(np.mean(loss.values(z, ds.y[idx])))
         assert surr.value(theta_t) == pytest.approx(batch_loss, abs=1e-15)
 
@@ -115,7 +115,7 @@ class TestStochastic:
         eta = 0.5
         idx = [0, 2, 5]
         surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant="newton")
-        z = model.forward(theta_t, ds.X, idx)
+        z = model.forward(theta_t, ds.X[idx])
         curv = loss.curvs(z, ds.y[idx])
         np.testing.assert_allclose(surr.prox.weights, curv / eta)
 
@@ -231,7 +231,7 @@ class TestAnalysisQ:
         loss = SquaredLoss()
         theta_t = np.random.default_rng(19).normal(size=ds.d)
         q = build_analysis_q(loss, model, ds, theta_t, [2], 0.4)
-        z2 = model.forward(theta_t, ds.X, [2])
+        z2 = model.forward(theta_t, ds.X[[2]])
         assert q.value(theta_t) == pytest.approx(
             float(loss.values(z2, ds.y[[2]])[0]), abs=1e-14
         )
@@ -250,7 +250,7 @@ class TestAnalysisQ:
 class TestMirror:
     def test_entropy_requires_positive(self):
         class ZeroTarget(SoftmaxLinearModel):
-            def forward(self, theta, X, idx=None):
+            def forward(self, theta, rows):
                 return np.array([[0.0, 1.0]])
 
         ds = type("D", (), {})()
@@ -304,7 +304,7 @@ class TestMirror:
         theta_t = rng.normal(size=model.dim(d)) * 0.2
         idx = [1, 3]
         surr = build_stochastic(loss, model, ds, theta_t, idx, 0.5, "entropy-mirror")
-        z = model.forward(theta_t, ds.X, idx)
+        z = model.forward(theta_t, ds.X[idx])
         batch_loss = float(np.mean(loss.values(z, ds.y[idx])))
         assert surr.value(theta_t) == pytest.approx(batch_loss, abs=1e-12)
 
@@ -390,7 +390,7 @@ def problems(draw, cases=CASES, eye=False):
 
 def batch_loss(loss, model, ds, theta, idx):
     y = ds.meta.get("expert_rows", ds.y)
-    return float(np.mean(loss.values(model.forward(theta, ds.X, idx), y[idx])))
+    return float(np.mean(loss.values(model.forward(theta, ds.X[idx]), y[idx])))
 
 
 PROPERTY = settings(max_examples=40, deadline=None)
