@@ -24,11 +24,13 @@ from .models import (
     spectral_norm,
 )
 from .surrogates import (
+    Batch,
     OracleCounter,
     Surrogate,
     build_analysis_q,
     build_deterministic,
     build_stochastic,
+    freeze,
 )
 from .inner_solvers import armijo_backtracking, exact_linear_solve, gd_fixed
 from .schedules import Schedule, eta, target_line_search, theoretical_eta0

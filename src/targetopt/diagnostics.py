@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
 from .models import lipschitz_estimate, row_norms2
-from .surrogates import build_analysis_q, build_deterministic, build_stochastic
+from .surrogates import build_analysis_q, build_deterministic, build_stochastic, freeze
 
 
 class UnsupportedDiagnostic(ValueError):
@@ -54,8 +54,14 @@ def _eig_range(H, rel_tol: float = 1e-12):
 
 
 def _min_value(surrogate) -> float:
-    theta_hat = exact_linear_solve(surrogate, origin=surrogate.theta_anchor)
+    theta_hat = exact_linear_solve(surrogate, origin=surrogate.batch.theta)
     return surrogate.value(theta_hat)
+
+
+def _singleton(loss, model, dataset, theta_t, i, eta_t):
+    """The stochastic surrogate of example i alone at theta_t."""
+    y = losses_mod.effective_labels(dataset)
+    return build_stochastic(loss, freeze(loss, model, theta_t, dataset.X[[i]], y[[i]]), eta_t)
 
 
 def projection_error(loss, model, dataset, theta_t, batch_idx, eta_t, theta_next) -> float:
@@ -130,7 +136,7 @@ def surrogate_curvatures(dataset, loss, model, theta_t, eta_t):
     mu_q = np.inf
     L_q = 0.0
     for i in range(dataset.n):
-        g_i = build_stochastic(loss, model, dataset, theta_t, [i], eta_t)
+        g_i = _singleton(loss, model, dataset, theta_t, i, eta_t)
         q_i = build_analysis_q(loss, model, dataset, theta_t, [i], eta_t)
         lo, hi = _eig_range(g_i.quadratic_parts()[0])
         mu_g, L_g = min(mu_g, lo), max(L_g, hi)
@@ -154,7 +160,7 @@ def zeta2(dataset, loss, model, theta_t, eta_t) -> float:
     min_g = np.empty(n)
     min_q = np.empty(n)
     for i in range(dataset.n):
-        g_i = build_stochastic(loss, model, dataset, theta_t, [i], eta_t)
+        g_i = _singleton(loss, model, dataset, theta_t, i, eta_t)
         q_i = build_analysis_q(loss, model, dataset, theta_t, [i], eta_t)
         min_g[i] = _min_value(g_i)
         min_q[i] = _min_value(q_i)
@@ -178,7 +184,7 @@ def expected_projection_error_sq(
     alpha = 1.0 / L_g
     errs = np.empty(dataset.n)
     for i in range(dataset.n):
-        g_i = build_stochastic(loss, model, dataset, theta_t, [i], eta_t)
+        g_i = _singleton(loss, model, dataset, theta_t, i, eta_t)
         res = gd_fixed(g_i, theta_t, m, alpha=alpha)
         q_i = build_analysis_q(loss, model, dataset, theta_t, [i], eta_t)
         theta_bar = exact_linear_solve(q_i, origin=theta_t)

@@ -50,11 +50,19 @@ def derive_seed(global_seed: int, run_id: str, seed_index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def dataset_path(spec: dict) -> Path | None:
+    """The file a dataset spec names, environment variables expanded."""
+    if "path" not in spec:
+        return None
+    path = Path(os.path.expandvars(spec["path"]))
+    if "$" in str(path):
+        raise ValueError(f"unresolved environment variable in path {path}")
+    return path
+
+
 def load_dataset(spec: dict) -> data_mod.Dataset:
-    if "path" in spec:
-        path = Path(os.path.expandvars(spec["path"]))
-        if "$" in str(path):
-            raise ValueError(f"unresolved environment variable in path {path}")
+    path = dataset_path(spec)
+    if path is not None:
         with open(path, "rb") as fh:
             ds = data_mod.parse_libsvm(
                 fh,
@@ -92,10 +100,11 @@ def _keys(cls) -> set:
     return {f.name for f in fields(cls)}
 
 
-def check_run_spec(run_spec: dict) -> None:
+def check_run_spec(run_spec: dict, seed: int = 0) -> RunConfig:
     """Reject unknown keys (RunConfig's fields, "id" and "epochs" are
-    known; in "schedule" / "inner", their option classes' fields) and
-    "T" given together with "epochs"."""
+    known; in "schedule" / "inner", their option classes' fields), "T"
+    given together with "epochs", and unknown names. Returns the entry's
+    RunConfig with "epochs" not yet resolved."""
     run_id = run_id_of(run_spec)
     for group, entry, keys in (
         ("run", run_spec, _keys(RunConfig) - {"run_id", "seed"} | {"id", "epochs"}),
@@ -107,6 +116,19 @@ def check_run_spec(run_spec: dict) -> None:
             raise ValueError(f"run {run_id!r}: unknown {group} key(s) {unknown}")
     if "T" in run_spec and "epochs" in run_spec:
         raise ValueError(f"run {run_id!r}: give 'T' or 'epochs', not both")
+    spec = dict(run_spec, run_id=run_id)
+    spec.pop("id", None)
+    spec.pop("epochs", None)
+    spec["schedule"] = ScheduleOptions(**(spec.get("schedule") or {}))
+    spec["inner"] = InnerOptions(**(spec.get("inner") or {}))
+    if "diagnostics" in spec:
+        spec["diagnostics"] = tuple(spec["diagnostics"])
+    cfg = RunConfig(**spec, seed=seed)
+    try:
+        cfg.check_names()
+    except ValueError as e:
+        raise ValueError(f"run {run_id!r}: {e}") from None
+    return cfg
 
 
 def make_run_config(run_spec: dict, n: int, seed: int) -> RunConfig:
@@ -114,18 +136,10 @@ def make_run_config(run_spec: dict, n: int, seed: int) -> RunConfig:
 
     "id" becomes `run_id`; an "epochs" key resolves to
     T = epochs * ceil(n / batch)."""
-    check_run_spec(run_spec)
-    spec = dict(run_spec, run_id=run_id_of(run_spec))
-    spec.pop("id", None)
-    epochs = spec.pop("epochs", None)
-    spec["schedule"] = ScheduleOptions(**(spec.get("schedule") or {}))
-    spec["inner"] = InnerOptions(**(spec.get("inner") or {}))
-    if "diagnostics" in spec:
-        spec["diagnostics"] = tuple(spec["diagnostics"])
-    cfg = RunConfig(**spec, seed=seed)
-    if epochs is not None:
+    cfg = check_run_spec(run_spec, seed)
+    if "epochs" in run_spec:
         b = cfg.resolved_batch(n)
-        cfg.T = int(epochs) * max(1, int(np.ceil(n / b)))
+        cfg.T = int(run_spec["epochs"]) * max(1, int(np.ceil(n / b)))
     return cfg
 
 
@@ -250,6 +264,9 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
     duplicates = sorted({i for i in ids if ids.count(i) > 1})
     if duplicates:
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
+    path = dataset_path(config["dataset"])
+    if path is not None and not path.is_file():
+        raise FileNotFoundError(f"dataset file {path.resolve()} does not exist")
 
     payloads = [
         (config, run_spec, seed_index, out_dir)

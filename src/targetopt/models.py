@@ -4,9 +4,9 @@ A model maps the rows it is given: `forward(theta, rows)` returns one
 target per row, `param_grad(theta, rows, coeffs)` the gradient of a
 coefficient-weighted sum of them (the only primitive surrogate
 minimization needs), and `lipschitz` an estimate of the map's constant.
-Callers slice a batch `X[idx]` once, or pass X itself for all rows. MLP
-gradients are hand-written reverse accumulation so they can be checked
-against finite differences without an autodiff dependency.
+The optimizers' sampler hands out a batch's rows, X itself for a full
+batch. MLP gradients are hand-written reverse accumulation so they can
+be checked against finite differences without an autodiff dependency.
 """
 
 from __future__ import annotations

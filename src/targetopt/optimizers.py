@@ -21,12 +21,13 @@ import numpy as np
 from . import losses as losses_mod
 from .inner_solvers import BACKTRACK_FLOOR, armijo_backtracking, exact_linear_solve, gd_fixed
 from .models import row_norms2, spectral_norm
-from .schedules import LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
+from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
 from .schedules import eta as schedule_eta, target_line_search
-from .surrogates import VARIANTS, OracleCounter, build_stochastic
+from .surrogates import VARIANTS, OracleCounter, build_stochastic, freeze
 
 INNER_SOLVERS = ("gd", "armijo", "exact")
 M_RULES = ("constant", "log")
+SAMPLING_MODES = ("replacement", "shuffle")
 
 
 @dataclass
@@ -75,15 +76,21 @@ class RunConfig:
     diagnostics: tuple = ()
     record_theta: bool = False
 
+    def check_names(self) -> None:
+        """Reject a name that is not one of the known choices."""
+        for what, name, known in (
+            ("optimizer", self.optimizer, OPTIMIZERS),
+            ("surrogate variant", self.variant, VARIANTS),
+            ("inner solver", self.inner.solver, INNER_SOLVERS),
+            ("inner m_rule", self.inner.m_rule, M_RULES),
+            ("schedule kind", self.schedule.kind, KINDS),
+            ("sampling mode", self.sampling, SAMPLING_MODES),
+        ):
+            if name not in known:
+                raise ValueError(f"unknown {what} {name!r}")
+
     def validate(self, n: int) -> None:
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown surrogate variant {self.variant!r}")
-        if self.inner.solver not in INNER_SOLVERS:
-            raise ValueError(f"unknown inner solver {self.inner.solver!r}")
-        if self.inner.m_rule not in M_RULES:
-            raise ValueError(f"unknown inner m_rule {self.inner.m_rule!r}")
+        self.check_names()
         if self.T < 1:
             raise ValueError("T must be >= 1")
         b = self.resolved_batch(n)
@@ -129,18 +136,23 @@ class RunTrace:
 
 
 class _Sampler:
-    """Batch index source: uniform with replacement, or epoch shuffling."""
+    """Batch source: `draw()` returns (idx, rows, labels) of a batch drawn
+    uniformly with replacement or by epoch shuffling. A full batch is the
+    dataset's own X and labels, not a copy."""
 
-    def __init__(self, n: int, batch: int, rng, mode: str):
-        if mode not in ("replacement", "shuffle"):
-            raise ValueError(f"unknown sampling mode {mode!r}")
-        self.n, self.batch, self.rng, self.mode = n, batch, rng, mode
+    def __init__(self, dataset, batch: int, rng, mode: str):
+        self.X, self.y = dataset.X, losses_mod.effective_labels(dataset)
+        self.n, self.batch, self.rng, self.mode = dataset.n, batch, rng, mode
         self._order = np.empty(0, dtype=int)
         self._pos = 0
 
-    def draw(self) -> np.ndarray:
+    def draw(self):
         if self.batch == self.n:
-            return np.arange(self.n)
+            return np.arange(self.n), self.X, self.y
+        idx = self._indices()
+        return idx, self.X[idx], self.y[idx]
+
+    def _indices(self) -> np.ndarray:
         if self.mode == "replacement":
             return self.rng.integers(0, self.n, size=self.batch)
         out = []
@@ -159,10 +171,13 @@ def full_loss(loss, model, dataset, theta) -> float:
     return losses_mod.loss_value(loss, z, losses_mod.effective_labels(dataset))
 
 
-def batch_param_grad(loss, model, theta, rows, y) -> np.ndarray:
-    """Mean parametric gradient of the losses on `rows` with labels `y`."""
+def batch_param_grad(loss, model, theta, rows, y, counter: OracleCounter | None = None):
+    """Mean parametric gradient of the losses on `rows` with labels `y`;
+    one oracle call per row, counted on `counter`."""
     z = model.forward(theta, rows)
     coeffs = np.asarray(loss.grads(z, y))
+    if counter is not None:
+        counter.add(rows.shape[0])
     return model.param_grad(theta, rows, coeffs) / rows.shape[0]
 
 
@@ -234,12 +249,14 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
 
     `make_step(cfg, dataset, model, loss, rec)` sets up one optimizer and
     returns its update `step(t, theta, draw) -> (theta, eta, row_fields)`.
-    The update draws its own batch (SVRG takes its snapshot first), pays
-    its oracle calls on `rec.counter` and keeps any state between calls.
+    The update draws its own batch, `draw() -> (idx, rows, labels)` (SVRG
+    takes its snapshot first), pays its oracle calls on `rec.counter`
+    through `freeze` or `batch_param_grad` and keeps any state between
+    calls.
     """
     rng = np.random.default_rng(cfg.seed)
     theta = np.asarray(model.init_params(dataset.d, rng), dtype=np.float64)
-    sampler = _Sampler(dataset.n, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
+    sampler = _Sampler(dataset, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
     rec = _Recorder(cfg, loss, model, dataset)
     step = make_step(cfg, dataset, model, loss, rec)
 
@@ -262,7 +279,6 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
 
 def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Surrogate optimization (any variant / schedule / inner solver)."""
-    y = losses_mod.effective_labels(dataset)
     opts, inner = cfg.schedule, cfg.inner
     if opts.eta0 is not None:
         eta0 = opts.eta0
@@ -277,21 +293,13 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
     def step(t, theta, draw):
         nonlocal warm_alpha
-        idx = draw()
-        if sched is not None and sched.kind != "adagrad-norm":
-            eta_t = schedule_eta(sched, t)
-        else:  # the step size depends on the batch's target gradient
-            y_b = y[idx]
-            z_b = model.forward(theta, dataset.X[idx])
-            g_b = np.asarray(loss.grads(z_b, y_b))
-            if sched is None:
-                eta_t, _ = target_line_search(loss, z_b, y_b, g_b)
-            else:
-                eta_t = schedule_eta(sched, t, grad=g_b)
-
-        surr = build_stochastic(
-            loss, model, dataset, theta, idx, eta_t, cfg.variant, counter=rec.counter
-        )
+        idx, rows, y_b = draw()
+        batch = freeze(loss, model, theta, rows, y_b, rec.counter)
+        if sched is None:
+            eta_t, _ = target_line_search(loss, batch.z, batch.y, batch.coeffs)
+        else:
+            eta_t = schedule_eta(sched, t, grad=batch.coeffs)
+        surr = build_stochastic(loss, batch, eta_t, cfg.variant)
         m_t = inner.m if inner.m_rule == "constant" else int(np.ceil(inner.m * np.log(t + 2)))
         if inner.solver == "exact":
             theta_next = exact_linear_solve(surr, origin=theta)
@@ -332,15 +340,13 @@ def _parametric_step0(cfg: RunConfig, dataset, loss) -> float:
 
 def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Plain stochastic gradient descent in parameter space."""
-    X, y = dataset.X, losses_mod.effective_labels(dataset)
     sched = Schedule(
         cfg.schedule.kind, _parametric_step0(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule.beta
     )
 
     def step(t, theta, draw):
-        idx = draw()
-        g = batch_param_grad(loss, model, theta, X[idx], y[idx])
-        rec.counter.add(len(idx))
+        _, rows, y_b = draw()
+        g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
         eta_t = schedule_eta(sched, t, grad=g)
         return theta - eta_t * g, eta_t, {}
 
@@ -349,15 +355,12 @@ def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """SGD with Armijo backtracking on the sampled mini-batch loss."""
-    X, y = dataset.X, losses_mod.effective_labels(dataset)
 
     def step(t, theta, draw):
-        idx = draw()
-        rows, y_b = X[idx], y[idx]
-        z = model.forward(theta, rows)
-        base = float(np.mean(loss.values(z, y_b)))
-        g = batch_param_grad(loss, model, theta, rows, y_b)
-        rec.counter.add(len(idx))
+        _, rows, y_b = draw()
+        batch = freeze(loss, model, theta, rows, y_b, rec.counter)
+        base = float(np.mean(batch.consts))
+        g = model.param_grad(theta, rows, batch.coeffs) / rows.shape[0]
         gnorm2 = float(g @ g)
         eta_t = LS_ALPHA0
         if gnorm2 > 0:
@@ -374,14 +377,12 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Adam baseline with the usual default constants."""
-    X, y = dataset.X, losses_mod.effective_labels(dataset)
     m = v = 0.0  # moment estimates; a scalar zero acts as the zero vector
 
     def step(t, theta, draw):
         nonlocal m, v
-        idx = draw()
-        g = batch_param_grad(loss, model, theta, X[idx], y[idx])
-        rec.counter.add(len(idx))
+        _, rows, y_b = draw()
+        g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
         m = 0.9 * m + (1 - 0.9) * g
         v = 0.999 * v + (1 - 0.999) * g * g
         mhat = m / (1 - 0.9**t)
@@ -393,14 +394,12 @@ def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Diagonal AdaGrad baseline."""
-    X, y = dataset.X, losses_mod.effective_labels(dataset)
     acc = 0.0  # running sum of squared gradients
 
     def step(t, theta, draw):
         nonlocal acc
-        idx = draw()
-        g = batch_param_grad(loss, model, theta, X[idx], y[idx])
-        rec.counter.add(len(idx))
+        _, rows, y_b = draw()
+        g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
         acc = acc + g * g
         return theta - cfg.adagrad_lr * g / (np.sqrt(acc) + 1e-10), cfg.adagrad_lr, {}
 
@@ -414,7 +413,6 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     gradients at the current point and at the snapshot).
     """
     n = dataset.n
-    X, y = dataset.X, losses_mod.effective_labels(dataset)
     freq = cfg.svrg_snapshot_freq or max(1, int(np.ceil(n / cfg.resolved_batch(n))))
     eta = _parametric_step0(cfg, dataset, loss)
     snapshot = mu = None
@@ -423,16 +421,14 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         nonlocal snapshot, mu
         if (t - 1) % freq == 0:
             snapshot = theta.copy()
-            mu = batch_param_grad(loss, model, snapshot, X, y)
-            rec.counter.add(n)
-        idx = draw()
-        rows, y_b = X[idx], y[idx]
+            y = losses_mod.effective_labels(dataset)
+            mu = batch_param_grad(loss, model, snapshot, dataset.X, y, rec.counter)
+        _, rows, y_b = draw()
         g = (
-            batch_param_grad(loss, model, theta, rows, y_b)
-            - batch_param_grad(loss, model, snapshot, rows, y_b)
+            batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
+            - batch_param_grad(loss, model, snapshot, rows, y_b, rec.counter)
             + mu
         )
-        rec.counter.add(2 * len(idx))
         return theta - eta * g, eta, {}
 
     return step

@@ -2,7 +2,8 @@
 
 Supported kinds: constant, sqrt-decay (eta0 / sqrt(t)), exponential
 (eta0 * alpha^t with alpha = (beta/T)^(1/T), so eta_T = eta0 * beta / T),
-adagrad-norm (eta0 / sqrt(sum of squared gradient norms)), and
+adagrad-norm (eta0 / sqrt(sum of squared gradient norms), eta0 while
+that sum is zero), and
 target-line-search (the per-step Armijo search below). Iterations are
 1-based.
 """
@@ -70,6 +71,8 @@ def eta(schedule: Schedule, t: int, grad=None) -> float:
             raise ValueError("adagrad-norm schedule needs the per-step gradient")
         g = np.asarray(grad, dtype=np.float64)
         schedule.G += float(np.sum(g * g))
+        if schedule.G == 0.0:  # no gradient accumulated yet
+            return schedule.eta0
         return schedule.eta0 / np.sqrt(schedule.G)
     raise ValueError(f"schedule kind {k!r} has no closed-form step; use target_line_search")
 

@@ -1,9 +1,10 @@
 """Surrogate construction in the target space.
 
-Every surrogate has one shape, a separable term over its own rows. At
-the anchor theta_t it slices its rows out of X once, takes their targets
-z_i = f_i(theta_t), freezes each row's loss value c_i and target
-gradient g_i there, and adds a per-row Bregman proximity D_i:
+One oracle call on a block of rows is a frozen `Batch`: `freeze` takes
+the rows' targets z_i = f_i(theta_t) at the anchor and freezes each
+row's loss value c_i and target gradient g_i there. It is the only
+function here that pays and counts the oracle. A surrogate is that batch
+plus a per-row Bregman proximity D_i:
 
     value(theta) = mean_i [ c_i + <g_i, f_i(theta) - z_i> + D_i(f_i(theta), z_i) ]
 
@@ -13,13 +14,14 @@ the floored curvature over eta for "newton") or KL(f_i || z_i)/eta for
 "entropy-mirror" on row-stochastic targets. The value is exactly the
 frozen batch loss at the anchor.
 
-`build_stochastic` builds it on a sampled batch, `build_deterministic`
-on all rows, and `build_analysis_q` on all rows with the batch's frozen
-terms scattered at weight n/|B| and weights 1/eta (its expectation over
-singleton batches is the full-batch surrogate; diagnostics use it).
+`build_stochastic` attaches the proximity to a frozen batch,
+`build_deterministic` freezes all rows, and `build_analysis_q` freezes a
+batch and scatters its terms over all rows at weight n/|B| with weights
+1/eta (its expectation over singleton batches is the full-batch
+surrogate; diagnostics use it).
 
-Building a surrogate consumes one oracle call per sampled example;
-evaluating or minimizing it consumes none.
+Freezing consumes one oracle call per row; building, evaluating or
+minimizing a surrogate consumes none.
 """
 
 from __future__ import annotations
@@ -76,43 +78,68 @@ class KLProximity:
 
 
 @dataclass(frozen=True)
-class Surrogate:
-    """A built surrogate; immutable and oracle-free once constructed.
+class Batch:
+    """One oracle call on a block of rows, frozen at the anchor theta.
 
-    `rows` are the surrogate's rows of X, `z` their anchor targets,
-    `consts` and `coeffs` the frozen loss values and target gradients,
-    and `prox` the per-row proximity D.
+    `rows` are the block's rows of X and `y` their labels, `z` their
+    anchor targets f_i(theta), and `consts` / `coeffs` the frozen loss
+    values l_i(z_i) and target gradients grad l_i(z_i).
     """
 
     model: object
-    theta_anchor: np.ndarray
+    theta: np.ndarray
     rows: object
+    y: np.ndarray
     z: np.ndarray
     consts: np.ndarray
     coeffs: np.ndarray
+
+
+def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None) -> Batch:
+    """Pay the oracle on `rows` at theta: one call per row, counted on
+    `counter`."""
+    if rows.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    theta = np.asarray(theta, dtype=np.float64)
+    z = model.forward(theta, rows)
+    consts = np.asarray(loss.values(z, y), dtype=np.float64)
+    coeffs = np.asarray(loss.grads(z, y), dtype=np.float64)
+    if counter is not None:
+        counter.add(rows.shape[0])
+    return Batch(model, theta, rows, y, z, consts, coeffs)
+
+
+@dataclass(frozen=True)
+class Surrogate:
+    """A frozen batch with a per-row proximity D; oracle-free."""
+
+    batch: Batch
     prox: SquaredProximity | KLProximity
 
     @property
     def scale(self) -> float:
-        return 1.0 / len(self.consts)
+        return 1.0 / len(self.batch.consts)
 
     def value(self, theta) -> float:
-        f = self.model.forward(theta, self.rows)
-        prod = (f - self.z) * self.coeffs
+        batch = self.batch
+        f = batch.model.forward(theta, batch.rows)
+        prod = (f - batch.z) * batch.coeffs
         lin = prod if prod.ndim == 1 else prod.sum(axis=1)
-        return float(np.mean(self.consts + lin)) + self.scale * self.prox(f, self.z)
+        return float(np.mean(batch.consts + lin)) + self.scale * self.prox(f, batch.z)
 
     def grad(self, theta) -> np.ndarray:
         # Two param_grad calls, not one on the summed coefficients: fusing
         # them moves the last bits of every SSO trace.
-        f = self.model.forward(theta, self.rows)
-        g = self.model.param_grad(theta, self.rows, self.coeffs) / len(self.consts)
-        return g + self.scale * self.model.param_grad(theta, self.rows, self.prox.grad(f, self.z))
+        batch = self.batch
+        f = batch.model.forward(theta, batch.rows)
+        g = batch.model.param_grad(theta, batch.rows, batch.coeffs) / len(batch.consts)
+        prox_coeffs = self.prox.grad(f, batch.z)
+        return g + self.scale * batch.model.param_grad(theta, batch.rows, prox_coeffs)
 
     # -- structure for solvers (linear model, Euclidean proximity) ------
 
     def _quadratic_weights(self, what: str) -> np.ndarray:
-        if self.model.kind != "linear":
+        if self.batch.model.kind != "linear":
             raise ValueError(f"{what} requires a linear model")
         if not isinstance(self.prox, SquaredProximity):
             raise ValueError(f"{what} requires a Euclidean (not entropy-mirror) surrogate")
@@ -121,75 +148,44 @@ class Surrogate:
     def smoothness_bound(self) -> float:
         """Upper bound on the surrogate's curvature."""
         w = self._quadratic_weights("smoothness bound")
-        return float(spectral_norm(self.rows) ** 2 * np.max(w) * self.scale)
+        return float(spectral_norm(self.batch.rows) ** 2 * np.max(w) * self.scale)
 
     def quadratic_parts(self):
         """(H, b) with gradient(theta) = H theta - b, for exact solves."""
         w = self._quadratic_weights("closed-form structure")
-        R, s = self.rows, self.scale
+        batch, R, s = self.batch, self.batch.rows, self.scale
         if sp.issparse(R):
             H = s * (R.T @ R.multiply(w[:, None]).tocsr()).toarray()
         else:
             H = s * (R.T @ (w[:, None] * R))
-        b = s * np.asarray(R.T @ (w * self.z)).ravel() - np.asarray(
-            R.T @ self.coeffs
-        ).ravel() / len(self.consts)
+        b = s * np.asarray(R.T @ (w * batch.z)).ravel() - np.asarray(
+            R.T @ batch.coeffs
+        ).ravel() / len(batch.consts)
         return np.asarray(H), b
 
 
-def _freeze(loss, model, dataset, theta_t, idx, counter):
-    """(rows, labels, z, consts, coeffs) of the rows `idx` at theta_t:
-    one oracle call per row."""
-    rows = dataset.X[idx]
-    y = effective_labels(dataset)[idx]
-    z = model.forward(theta_t, rows)
-    consts = np.asarray(loss.values(z, y), dtype=np.float64)
-    coeffs = np.asarray(loss.grads(z, y), dtype=np.float64)
-    if counter is not None:
-        counter.add(len(idx))
-    return rows, y, z, consts, coeffs
+def build_stochastic(loss, batch: Batch, eta: float, variant: str = "smoothness") -> Surrogate:
+    """Surrogate on a frozen batch: attach the proximity of `variant` at
+    step eta. Makes no oracle call.
 
-
-def _validated(theta_t, batch_idx, eta):
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    batch_idx = np.asarray(batch_idx, dtype=int)
-    if batch_idx.size == 0:
-        raise ValueError("batch must be nonempty")
-    return np.asarray(theta_t, dtype=np.float64), batch_idx
-
-
-def build_stochastic(
-    loss,
-    model,
-    dataset,
-    theta_t,
-    batch_idx,
-    eta: float,
-    variant: str = "smoothness",
-    counter: OracleCounter | None = None,
-) -> Surrogate:
-    """Stochastic surrogate on a sampled batch (one oracle call of size b).
-
-    The surrogate is the batch mean of per-example terms, and a repeated
-    index counts once per draw.
+    The surrogate is the batch mean of per-row terms, and a repeated row
+    counts once per draw.
     """
-    theta_t, batch_idx = _validated(theta_t, batch_idx, eta)
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown surrogate variant {variant!r}")
-    rows, y_b, z, consts, coeffs = _freeze(loss, model, dataset, theta_t, batch_idx, counter)
+    z = batch.z
     if variant == "entropy-mirror":
         if np.any(z <= 0):
             raise ValueError("entropy-mirror surrogate requires strictly positive targets")
-        prox = KLProximity(eta)
+        return Surrogate(batch, KLProximity(eta))
+    if variant == "smoothness":
+        weights = np.full(len(batch.consts), 1.0 / eta)
     else:
-        if variant == "smoothness":
-            weights = np.full(len(batch_idx), 1.0 / eta)
-        else:
-            curv = np.asarray(loss.curvs(z, y_b), dtype=np.float64)
-            weights = np.maximum(curv, NEWTON_CURVATURE_FLOOR) / eta
-        prox = SquaredProximity(weights if z.ndim == 1 else weights[:, None])
-    return Surrogate(model, theta_t, rows, z, consts, coeffs, prox)
+        curv = np.asarray(loss.curvs(z, batch.y), dtype=np.float64)
+        weights = np.maximum(curv, NEWTON_CURVATURE_FLOOR) / eta
+    return Surrogate(batch, SquaredProximity(weights if z.ndim == 1 else weights[:, None]))
 
 
 def build_deterministic(
@@ -197,9 +193,8 @@ def build_deterministic(
 ) -> Surrogate:
     """Full-batch surrogate (one full oracle call). Upper-bounds the loss
     for eta <= 1/L, L the per-coordinate smoothness constant."""
-    return build_stochastic(
-        loss, model, dataset, theta_t, np.arange(dataset.n), eta, counter=counter
-    )
+    batch = freeze(loss, model, theta_t, dataset.X, effective_labels(dataset), counter)
+    return build_stochastic(loss, batch, eta)
 
 
 def build_analysis_q(
@@ -214,17 +209,16 @@ def build_analysis_q(
     """Analysis surrogate: the batch's linear term, the full-vector
     regularizer with step eta * n. Its expectation over singleton batches
     equals the full-batch surrogate."""
-    theta_t, batch_idx = _validated(theta_t, batch_idx, eta)
+    batch_idx = np.asarray(batch_idx, dtype=int)
+    y = effective_labels(dataset)
+    sampled = freeze(loss, model, theta_t, dataset.X[batch_idx], y[batch_idx], counter)
     n = dataset.n
-    _, _, _, consts_b, coeffs_b = _freeze(loss, model, dataset, theta_t, batch_idx, counter)
-    rows = dataset.X
-    z = model.forward(theta_t, rows)
     weight = n / len(batch_idx)
     consts = np.zeros(n)
-    coeffs = np.zeros((n,) + coeffs_b.shape[1:])
+    coeffs = np.zeros((n,) + sampled.coeffs.shape[1:])
     # A batch drawn with replacement can repeat an index.
-    np.add.at(consts, batch_idx, weight * consts_b)
-    np.add.at(coeffs, batch_idx, weight * coeffs_b)
-    return Surrogate(
-        model, theta_t, rows, z, consts, coeffs, SquaredProximity(np.full(n, 1.0 / eta))
-    )
+    np.add.at(consts, batch_idx, weight * sampled.consts)
+    np.add.at(coeffs, batch_idx, weight * sampled.coeffs)
+    theta = sampled.theta
+    z = model.forward(theta, dataset.X)
+    return build_stochastic(loss, Batch(model, theta, dataset.X, y, z, consts, coeffs), eta)

@@ -41,11 +41,9 @@ from targetopt.optimizers import (
     run,
     theoretical_parametric_step,
 )
-from targetopt.surrogates import (
-    build_analysis_q,
-    build_deterministic,
-    build_stochastic,
-)
+from targetopt.surrogates import build_analysis_q, build_deterministic
+
+from helpers import stochastic
 
 
 @contextlib.contextmanager
@@ -99,7 +97,7 @@ def test_02_target_space_equivalence():
         worst = 0.0
         for _ in range(50):
             i = int(rng.integers(0, ds.n))
-            surr = build_stochastic(loss, model, ds, theta_a, [i], eta)
+            surr = stochastic(loss, model, ds, theta_a, [i], eta)
             theta_a = exact_linear_solve(surr)
             z_i = X[i] @ theta_b
             z_half = z_i - eta * loss.grads(np.array([z_i]), ds.y[[i]])[0]
@@ -348,8 +346,8 @@ def test_10_gradient_hygiene():
         theta_t = rng.normal(size=4)
         batch = [0, 3, 7]
         for build in (
-            lambda: build_stochastic(LogisticLoss(), model, ds, theta_t, batch, 0.6),
-            lambda: build_stochastic(LogisticLoss(), model, ds, theta_t, batch, 0.6, "newton"),
+            lambda: stochastic(LogisticLoss(), model, ds, theta_t, batch, 0.6),
+            lambda: stochastic(LogisticLoss(), model, ds, theta_t, batch, 0.6, "newton"),
             lambda: build_analysis_q(LogisticLoss(), model, ds, theta_t, batch, 0.6),
             lambda: build_deterministic(LogisticLoss(), model, ds, theta_t, 0.6),
         ):
@@ -361,7 +359,7 @@ def test_10_gradient_hygiene():
             SyntheticSpec("least-squares", n=10, d=3, cond=3.0, noise=0.4, seed=12)
         )
         mlp = MLPModel(hidden=4, seed=12)
-        surr = build_stochastic(SquaredLoss(), mlp, ds_r, mlp.init_params(3), [0, 4, 9], 0.7)
+        surr = stochastic(SquaredLoss(), mlp, ds_r, mlp.init_params(3), [0, 4, 9], 0.7)
         check(surr.value, surr.grad, dim=mlp.dim(3), scale=0.5)
 
         # Mirror projection objective through a softmax-linear model.
@@ -370,7 +368,7 @@ def test_10_gradient_hygiene():
         dsm = Dataset(X=Xm, y=rng.integers(0, K, 6).astype(float), task="multiclass", n_classes=K)
         dsm.meta["expert_rows"] = smoothed_expert_rows(dsm.y.astype(int), K, 0.1)
         smodel = SoftmaxLinearModel(K)
-        msurr = build_stochastic(
+        msurr = stochastic(
             MulticlassKLLoss(), smodel, dsm, rng.normal(size=smodel.dim(2)) * 0.3,
             [1, 4], 0.8, "entropy-mirror",
         )

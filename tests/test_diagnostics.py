@@ -34,12 +34,12 @@ class TestProjectionError:
         # so an exact inner solve has zero projection error.
         ds = Dataset(X=sp.csr_matrix(np.array([[1.5]])), y=np.array([2.0]), task="regression")
         model, loss = LinearModel(), SquaredLoss()
-        from targetopt.surrogates import build_stochastic
+        from helpers import stochastic
         from targetopt.inner_solvers import exact_linear_solve
 
         theta_t = np.array([0.2])
         eta = 0.5
-        surr = build_stochastic(loss, model, ds, theta_t, [0], eta)
+        surr = stochastic(loss, model, ds, theta_t, [0], eta)
         theta_next = exact_linear_solve(surr, origin=theta_t)
         eps = projection_error(loss, model, ds, theta_t, [0], eta, theta_next)
         assert eps <= 1e-10
@@ -199,7 +199,7 @@ class TestCounterexample:
     def test_mc_path_matches_exact_solver_path(self):
         # One sampled trajectory replayed through the generic machinery:
         # the vectorized update formulas must match exact surrogate solves.
-        from targetopt.surrogates import build_stochastic
+        from helpers import stochastic
         from targetopt.inner_solvers import exact_linear_solve
 
         ds = counterexample()
@@ -214,7 +214,7 @@ class TestCounterexample:
         for t in range(T - 1):
             ca = c * alphas[t]
             i = 0 if picks[t] else 1
-            surr = build_stochastic(loss, model, ds, theta_solver, [i], ca)
+            surr = stochastic(loss, model, ds, theta_solver, [i], ca)
             theta_solver = exact_linear_solve(surr, origin=theta_solver)
             if i == 0:
                 theta_formula = theta_formula - ca * (theta_formula - 1.0)

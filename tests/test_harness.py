@@ -106,12 +106,25 @@ class TestRunExperiment:
         assert "FAILED adam seed 0" in out
 
     def test_all_pairs_failed_reports_without_summary(self, tmp_path, capsys):
+        # The file exists, so every pair gets to load it and fails there.
+        (tmp_path / "broken.libsvm").write_text("not libsvm\n")
         cfg = small_config(tmp_path / "out")
-        cfg["dataset"] = {"path": str(tmp_path / "missing.libsvm"), "task": "binary"}
+        cfg["dataset"] = {"path": str(tmp_path / "broken.libsvm"), "task": "binary"}
         status = run_experiment(cfg)
         assert status == 1
         out = capsys.readouterr().out
         assert out.count("FAILED") == len(cfg["runs"]) * len(cfg["seeds"])
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_data_fails_once_before_any_pair(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DATA_DIR", "data")
+        cfg = small_config(tmp_path / "out")
+        cfg["dataset"] = {"path": "$DATA_DIR/missing.libsvm", "task": "binary"}
+        resolved = str((tmp_path / "data" / "missing.libsvm").resolve())
+        with pytest.raises(FileNotFoundError, match=re.escape(resolved)):
+            run_experiment(cfg)
+        assert "FAILED" not in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
@@ -231,7 +244,14 @@ class TestConfigParsing:
     @pytest.mark.parametrize("entry,message", [
         ({"T": 6, "batchsize": 4}, "'b': unknown run key.*batchsize"),
         ({"T": 3, "epochs": 2}, "'b':.*'T'.*'epochs'"),
-    ], ids=["unknown-key", "T-with-epochs"])
+        ({"T": 6, "optimizer": "bogus"}, "'b': unknown optimizer 'bogus'"),
+        ({"T": 6, "variant": "bogus"}, "'b': unknown surrogate variant 'bogus'"),
+        ({"T": 6, "inner": {"solver": "bogus"}}, "'b': unknown inner solver 'bogus'"),
+        ({"T": 6, "inner": {"m_rule": "bogus"}}, "'b': unknown inner m_rule 'bogus'"),
+        ({"T": 6, "schedule": {"kind": "bogus"}}, "'b': unknown schedule kind 'bogus'"),
+        ({"T": 6, "sampling": "sometimes"}, "'b': unknown sampling mode 'sometimes'"),
+    ], ids=["unknown-key", "T-with-epochs", "optimizer", "variant", "inner-solver", "m-rule",
+            "schedule-kind", "sampling"])
     def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
         cfg = small_config(tmp_path / "out")
         cfg["runs"].insert(1, {"id": "b", "optimizer": "sgd", **entry})

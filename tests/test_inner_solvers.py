@@ -11,7 +11,9 @@ from targetopt.inner_solvers import (
 from targetopt.losses import SquaredLoss
 from targetopt.models import LinearModel
 from targetopt.optimizers import batch_param_grad
-from targetopt.surrogates import build_deterministic, build_stochastic
+from targetopt.surrogates import build_deterministic
+
+from helpers import stochastic
 
 
 def one_dim_ds(x=1.0, y=2.0):
@@ -34,7 +36,7 @@ class TestGDFixed:
         model, loss = LinearModel(), SquaredLoss()
         theta_t = np.random.default_rng(1).normal(size=3)
         idx = np.array([1, 4, 7])
-        surr = build_stochastic(loss, model, ds, theta_t, idx, 0.5)
+        surr = stochastic(loss, model, ds, theta_t, idx, 0.5)
         alpha = 0.05
         res = gd_fixed(surr, theta_t, 1, alpha=alpha)
         sgd_step = theta_t - alpha * batch_param_grad(loss, model, theta_t, ds.X[idx], ds.y[idx])
@@ -42,14 +44,14 @@ class TestGDFixed:
 
     def test_stationary_point_unmoved(self):
         ds = one_dim_ds()
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, np.array([2.0]), [0], 0.5)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.array([2.0]), [0], 0.5)
         # anchor == label: frozen gradient is zero, anchor is the minimum.
         res = gd_fixed(surr, np.array([2.0]), 5, alpha=0.1)
         np.testing.assert_array_equal(res.theta, [2.0])
 
     def test_converges_to_closed_form_argmin(self):
         ds = one_dim_ds()
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
         res = gd_fixed(surr, np.zeros(1), 200)
         assert res.theta[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -80,7 +82,7 @@ class TestGDFixed:
 
     def test_rejects_bad_m(self):
         ds = one_dim_ds()
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
         with pytest.raises(ValueError):
             gd_fixed(surr, np.zeros(1), 0)
 
@@ -88,7 +90,7 @@ class TestGDFixed:
 class TestArmijo:
     def test_huge_alpha0_backtracks_below_curvature(self):
         ds = one_dim_ds(x=2.0, y=1.0)
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.25)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.25)
         # Quadratic curvature along theta: w * x^2 = 4 / 0.25 = 16.
         curvature = 16.0
         res = armijo_backtracking(surr, np.zeros(1), 1, alpha0=1e6, shrink=0.5, c=0.5)
@@ -97,7 +99,7 @@ class TestArmijo:
 
     def test_zero_gradient_returns_start(self):
         ds = one_dim_ds()
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, np.array([2.0]), [0], 0.5)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.array([2.0]), [0], 0.5)
         res = armijo_backtracking(surr, np.array([2.0]), 10)
         np.testing.assert_array_equal(res.theta, [2.0])
         assert res.inner_steps == 0
@@ -146,7 +148,7 @@ class TestExactSolve:
         ds = counterexample_ds()
         eta = 0.35
         for theta_t in (0.0, 1.0, -2.5):
-            surr = build_stochastic(
+            surr = stochastic(
                 SquaredLoss(), LinearModel(), ds, np.array([theta_t]), [0], eta
             )
             theta = exact_linear_solve(surr, origin=np.array([theta_t]))
@@ -156,7 +158,7 @@ class TestExactSolve:
         ds = counterexample_ds()
         eta = 0.35
         for theta_t in (0.0, 1.0, -2.5):
-            surr = build_stochastic(
+            surr = stochastic(
                 SquaredLoss(), LinearModel(), ds, np.array([theta_t]), [1], eta
             )
             theta = exact_linear_solve(surr, origin=np.array([theta_t]))
@@ -182,7 +184,7 @@ class TestExactSolve:
         ds.n, ds.d = 2, 2
         theta_t = rng.normal(size=2)
         eta = 0.5
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, theta_t, [0], eta)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, theta_t, [0], eta)
         theta = exact_linear_solve(surr)
         x = np.array([1.0, 2.0])
         z_t = x @ theta_t
@@ -193,7 +195,7 @@ class TestExactSolve:
 
     def test_ridge_term(self):
         ds = one_dim_ds()
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
         plain = exact_linear_solve(surr)
         ridged = exact_linear_solve(surr, lam=10.0)
         assert abs(ridged[0]) < abs(plain[0])

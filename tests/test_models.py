@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from targetopt.data import SyntheticSpec, generate_synthetic
-from targetopt.surrogates import SquaredProximity, Surrogate
+from targetopt.surrogates import Batch, SquaredProximity, Surrogate
 from targetopt.models import (
     LinearModel,
     MLPModel,
@@ -21,11 +21,11 @@ def dense(X):
 def surrogate_grad(model, theta, X, idx, lin_coeffs, quad_weights, anchors):
     """Gradient of mean_i [c_i f_i + (w_i/2)(f_i - z_i)^2] over `idx`."""
     idx = np.asarray(idx)
-    surr = Surrogate(
-        model=model, theta_anchor=theta, rows=X[idx], z=anchors,
+    batch = Batch(
+        model=model, theta=theta, rows=X[idx], y=None, z=anchors,
         consts=np.zeros(len(idx)), coeffs=np.asarray(lin_coeffs),
-        prox=SquaredProximity(np.asarray(quad_weights)),
     )
+    surr = Surrogate(batch=batch, prox=SquaredProximity(np.asarray(quad_weights)))
     return surr.grad(theta)
 
 

@@ -17,6 +17,7 @@ from targetopt.optimizers import (
     run,
     theoretical_parametric_step,
 )
+from targetopt.schedules import LS_ALPHA0
 
 
 def ls_dataset(n=30, d=5, cond=5.0, noise=0.4, seed=0, kind="least-squares"):
@@ -85,8 +86,8 @@ class TestSSO:
     def test_epoch_shuffling_covers_dataset(self):
         ds = ls_dataset(n=12, seed=6)
         rng = np.random.default_rng(0)
-        sampler = _Sampler(12, 4, rng, "shuffle")
-        seen = np.concatenate([sampler.draw() for _ in range(3)])
+        sampler = _Sampler(ds, 4, rng, "shuffle")
+        seen = np.concatenate([sampler.draw()[0] for _ in range(3)])
         assert sorted(seen.tolist()) == list(range(12))
 
     def test_log_growth_inner_rule(self):
@@ -199,7 +200,7 @@ class TestTargetSpaceEquivalence:
         # Singleton batches on a linear model: exact surrogate minimization
         # must track explicit target-space SGD followed by a coordinate
         # projection (both sides solved with minimum-norm conventions).
-        from targetopt.surrogates import build_stochastic
+        from helpers import stochastic
         from targetopt.inner_solvers import exact_linear_solve
 
         ds = ls_dataset(n=15, d=4, cond=8, noise=0.5, seed=10)
@@ -213,7 +214,7 @@ class TestTargetSpaceEquivalence:
         for step in range(50):
             i = int(rng.integers(0, ds.n))
             # Side A: minimize the surrogate in closed form.
-            surr = build_stochastic(loss, model, ds, theta_a, [i], eta)
+            surr = stochastic(loss, model, ds, theta_a, [i], eta)
             theta_a = exact_linear_solve(surr)
             # Side B: target-space SGD on coordinate i, then solve the
             # single-coordinate consistency equation by least squares.
@@ -305,9 +306,9 @@ class TestParametricBaselines:
         # Replay the run: same derived sampling stream, recorded step sizes.
         rng = np.random.default_rng(3)
         theta = model.init_params(ds.d, rng)
-        sampler = _Sampler(ds.n, 5, rng, "replacement")
+        sampler = _Sampler(ds, 5, rng, "replacement")
         for row in trace.rows[1:]:
-            idx = sampler.draw()
+            idx, _, _ = sampler.draw()
             z = model.forward(theta, ds.X[idx])
             base = float(np.mean(loss.values(z, ds.y[idx])))
             g = batch_param_grad(loss, model, theta, ds.X[idx], ds.y[idx])
@@ -423,3 +424,62 @@ class TestEveryOptimizer:
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.inner_stalls == 5
         assert trace.rows[-1].inner_steps == 0
+
+    @pytest.mark.parametrize("optimizer, solver", [("sgd", "gd"), ("sso", "gd"), ("sso", "armijo")])
+    def test_adagrad_norm_run_from_an_exact_optimum(self, optimizer, solver):
+        # y = 0 and theta_0 = 0: every gradient is zero, so adagrad-norm
+        # has accumulated nothing and must keep its first step size.
+        ds = Dataset(X=sp.csr_matrix(np.eye(3)), y=np.zeros(3), task="regression")
+        cfg = RunConfig(optimizer=optimizer, T=4, batch_size=None, seed=0, eval_every=1,
+                        schedule=ScheduleOptions(kind="adagrad-norm", eta0=0.5),
+                        step_size=0.5, inner=InnerOptions(solver=solver))
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
+        assert np.all(trace.losses() == 0.0)
+        assert [r.eta for r in trace.rows[1:]] == [0.5] * cfg.T
+
+
+class RecordingModel(LinearModel):
+    """A linear model that records the rows of every call."""
+
+    def __init__(self):
+        self.forward_rows, self.grad_rows = [], []
+
+    def forward(self, theta, rows):
+        self.forward_rows.append(rows)
+        return super().forward(theta, rows)
+
+    def param_grad(self, theta, rows, coeffs):
+        self.grad_rows.append(rows)
+        return super().param_grad(theta, rows, coeffs)
+
+
+class TestOneOraclePerBatch:
+    @pytest.mark.parametrize("optimizer, kind", [
+        ("sso", "constant"), ("sso", "target-line-search"), ("sso", "adagrad-norm"),
+        ("sls", "constant"),
+    ])
+    def test_one_forward_at_the_anchor_per_outer_step(self, optimizer, kind):
+        ds = ls_dataset(n=30, d=5, seed=25)
+        model = RecordingModel()
+        cfg = RunConfig(optimizer=optimizer, T=10, batch_size=5, seed=0, eval_every=1,
+                        schedule=ScheduleOptions(kind=kind), inner=InnerOptions(solver="exact"))
+        trace = run(cfg, ds, model, SquaredLoss())
+        on_batch = sum(rows is not ds.X for rows in model.forward_rows)
+        # The exact solve makes no forward call; an SLS step that accepted
+        # eta = LS_ALPHA0 / 2^k made k + 1 trial forwards.
+        trials = 0
+        if optimizer == "sls":
+            trials = sum(round(np.log2(LS_ALPHA0 / r.eta)) + 1 for r in trace.rows[1:])
+        assert on_batch - trials == cfg.T
+
+    @pytest.mark.parametrize("optimizer, solver", [
+        ("sso", "exact"), ("sso", "gd"), ("sgd", "gd"), ("svrg", "gd"),
+    ])
+    def test_full_batch_runs_pass_X_itself(self, optimizer, solver):
+        ds = ls_dataset(n=20, d=4, seed=26)
+        model = RecordingModel()
+        cfg = RunConfig(optimizer=optimizer, T=4, batch_size=None, seed=0, eval_every=2,
+                        schedule=ScheduleOptions(eta0=0.5), inner=InnerOptions(solver=solver))
+        run(cfg, ds, model, SquaredLoss())
+        assert model.forward_rows and model.grad_rows
+        assert all(rows is ds.X for rows in model.forward_rows + model.grad_rows)

@@ -60,6 +60,11 @@ class TestAdagradNorm:
         vals = [eta(sched, t, grad=rng.normal(size=5)) for t in range(1, 50)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    def test_zero_gradient_keeps_eta0(self):
+        sched = Schedule("adagrad-norm", 0.5)
+        assert eta(sched, 1, grad=np.zeros(3)) == 0.5
+        assert eta(sched, 2, grad=np.array([3.0, 4.0, 0.0])) == pytest.approx(0.5 / 5.0)
+
     def test_matches_accumulator_formula(self):
         sched = Schedule("adagrad-norm", 0.5)
         g1 = np.array([3.0, 4.0])  # norm^2 = 25

@@ -18,8 +18,9 @@ from targetopt.surrogates import (
     OracleCounter,
     build_analysis_q,
     build_deterministic,
-    build_stochastic,
 )
+
+from helpers import stochastic
 
 
 def make_ls(n=12, d=4, seed=0, noise=0.5):
@@ -39,7 +40,7 @@ class TestStochastic:
         theta_t = rng.normal(size=2)
         eta = 0.7
         i = 1
-        surr = build_stochastic(loss, model, ds, theta_t, [i], eta)
+        surr = stochastic(loss, model, ds, theta_t, [i], eta)
         x_i = ds.X.getrow(i).toarray().ravel()
         for _ in range(20):
             theta = rng.normal(size=2)
@@ -58,7 +59,7 @@ class TestStochastic:
         ds.y = np.where(ds.y > np.median(ds.y), 1.0, -1.0)
         theta_t = np.random.default_rng(3).normal(size=ds.d)
         idx = [0, 3, 7]
-        surr = build_stochastic(loss, model, ds, theta_t, idx, 0.5)
+        surr = stochastic(loss, model, ds, theta_t, idx, 0.5)
         z = model.forward(theta_t, ds.X[idx])
         batch_loss = float(np.mean(loss.values(z, ds.y[idx])))
         assert surr.value(theta_t) == pytest.approx(batch_loss, abs=1e-15)
@@ -68,7 +69,7 @@ class TestStochastic:
         X = sp.csr_matrix(np.array([[1.0]]))
         ds = type("D", (), {})()
         ds.X, ds.y, ds.n, ds.d = X, np.array([2.0]), 1, 1
-        surr = build_stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
         ts = np.linspace(-1, 3, 4001)
         vals = [surr.value(np.array([t])) for t in ts]
         assert ts[int(np.argmin(vals))] == pytest.approx(1.0, abs=1e-3)
@@ -85,7 +86,7 @@ class TestStochastic:
             theta = rng.normal(size=3)
             mean_val = np.mean(
                 [
-                    build_stochastic(loss, model, ds, theta_t, [i], eta).value(theta)
+                    stochastic(loss, model, ds, theta_t, [i], eta).value(theta)
                     for i in range(ds.n)
                 ]
             )
@@ -97,7 +98,7 @@ class TestStochastic:
         loss = SquaredLoss()
         rng = np.random.default_rng(7)
         theta_t = rng.normal(size=4)
-        surr = build_stochastic(loss, model, ds, theta_t, [1, 4, 8], 0.4)
+        surr = stochastic(loss, model, ds, theta_t, [1, 4, 8], 0.4)
         theta = rng.normal(size=4)
         g = surr.grad(theta)
         h = 1e-6
@@ -114,7 +115,7 @@ class TestStochastic:
         theta_t = np.random.default_rng(9).normal(size=3)
         eta = 0.5
         idx = [0, 2, 5]
-        surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant="newton")
+        surr = stochastic(loss, model, ds, theta_t, idx, eta, variant="newton")
         z = model.forward(theta_t, ds.X[idx])
         curv = loss.curvs(z, ds.y[idx])
         np.testing.assert_allclose(surr.prox.weights, curv / eta)
@@ -124,7 +125,7 @@ class TestStochastic:
         ds = type("D", (), {})()
         ds.X, ds.y, ds.n, ds.d = X, np.array([1.0]), 1, 1
         # Saturated logistic: curvature underflows to 0; weight gets floored.
-        surr = build_stochastic(
+        surr = stochastic(
             LogisticLoss(), LinearModel(), ds, np.array([1e3]), [0], 0.5, "newton"
         )
         assert surr.prox.weights[0] == pytest.approx(1e-8 / 0.5)
@@ -132,7 +133,7 @@ class TestStochastic:
     def test_oracle_isolation(self):
         ds = make_ls()
         counter = OracleCounter()
-        surr = build_stochastic(
+        surr = stochastic(
             SquaredLoss(), LinearModel(), ds, np.zeros(ds.d), [0, 1], 0.5, counter=counter
         )
         assert counter.calls == 2
@@ -145,9 +146,12 @@ class TestStochastic:
     def test_rejects_bad_inputs(self):
         ds = make_ls()
         with pytest.raises(ValueError, match="eta"):
-            build_stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(ds.d), [0], 0.0)
+            stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(ds.d), [0], 0.0)
+        for eta in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"eta.*{eta}"):
+                stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(ds.d), [0], eta)
         with pytest.raises(ValueError, match="nonempty"):
-            build_stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(ds.d), [], 0.5)
+            stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(ds.d), [], 0.5)
 
 
 class TestDeterministic:
@@ -241,7 +245,7 @@ class TestAnalysisQ:
         ds = type("D", (), {})()
         ds.X, ds.y, ds.n, ds.d = X, np.array([2.0]), 1, 1
         theta_t = np.array([0.3])
-        g = build_stochastic(SquaredLoss(), LinearModel(), ds, theta_t, [0], 0.5)
+        g = stochastic(SquaredLoss(), LinearModel(), ds, theta_t, [0], 0.5)
         q = build_analysis_q(SquaredLoss(), LinearModel(), ds, theta_t, [0], 0.5)
         for t in np.linspace(-2, 2, 17):
             assert g.value(np.array([t])) == pytest.approx(q.value(np.array([t])), abs=1e-14)
@@ -256,7 +260,7 @@ class TestMirror:
         ds = type("D", (), {})()
         ds.X, ds.y, ds.n, ds.d = sp.csr_matrix(np.ones((1, 1))), np.array([[0.5, 0.5]]), 1, 1
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="strictly positive"):
-            build_stochastic(
+            stochastic(
                 MulticlassKLLoss(), ZeroTarget(2), ds, np.zeros(2), [0], 1.0, "entropy-mirror"
             )
 
@@ -282,7 +286,7 @@ class TestMirror:
         model = SoftmaxLinearModel(K)
         loss = MulticlassKLLoss()
         theta_t = rng.normal(size=model.dim(d)) * 0.3
-        surr = build_stochastic(loss, model, ds, theta_t, [0, 2], 0.8, "entropy-mirror")
+        surr = stochastic(loss, model, ds, theta_t, [0, 2], 0.8, "entropy-mirror")
         theta = rng.normal(size=model.dim(d)) * 0.3
         g = surr.grad(theta)
         h = 1e-6
@@ -303,7 +307,7 @@ class TestMirror:
         loss = MulticlassKLLoss()
         theta_t = rng.normal(size=model.dim(d)) * 0.2
         idx = [1, 3]
-        surr = build_stochastic(loss, model, ds, theta_t, idx, 0.5, "entropy-mirror")
+        surr = stochastic(loss, model, ds, theta_t, idx, 0.5, "entropy-mirror")
         z = model.forward(theta_t, ds.X[idx])
         batch_loss = float(np.mean(loss.values(z, ds.y[idx])))
         assert surr.value(theta_t) == pytest.approx(batch_loss, abs=1e-12)
@@ -401,7 +405,7 @@ class TestRepresentationProperties:
     @given(problems())
     def test_anchor_value_is_the_batch_loss(self, problem):
         (variant, ds, model, loss, theta_t, _), idx, eta = problem
-        surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant)
+        surr = stochastic(loss, model, ds, theta_t, idx, eta, variant)
         assert surr.value(theta_t) == batch_loss(loss, model, ds, theta_t, idx)
 
     @PROPERTY
@@ -409,7 +413,7 @@ class TestRepresentationProperties:
     def test_value_and_grad_make_no_oracle_calls(self, problem):
         (variant, ds, model, loss, theta_t, rng), idx, eta = problem
         counting, counter = CountingLoss(loss), OracleCounter()
-        surr = build_stochastic(counting, model, ds, theta_t, idx, eta, variant, counter)
+        surr = stochastic(counting, model, ds, theta_t, idx, eta, variant, counter)
         assert counter.calls == len(idx)
         built = counting.calls
         for _ in range(3):
@@ -422,7 +426,7 @@ class TestRepresentationProperties:
     @given(problems())
     def test_grad_matches_central_differences(self, problem):
         (variant, ds, model, loss, theta_t, rng), idx, eta = problem
-        surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant)
+        surr = stochastic(loss, model, ds, theta_t, idx, eta, variant)
         theta = theta_t + 0.3 * rng.normal(size=theta_t.size)
         g = surr.grad(theta)
         h = 1e-6
@@ -449,7 +453,7 @@ class TestRepresentationProperties:
         # With X = I every row has its own free logits, so the surrogate's
         # minimizer over the parameters is its minimizer over the targets.
         (variant, ds, model, loss, theta_t, rng), idx, eta = problem
-        surr = build_stochastic(loss, model, ds, theta_t, idx, eta, variant)
+        surr = stochastic(loss, model, ds, theta_t, idx, eta, variant)
         z = model.forward(theta_t, ds.X)
         g = loss.grads(z, ds.meta["expert_rows"])
         step = z * np.exp(-eta * g)
