@@ -84,9 +84,14 @@ def main(argv=None) -> int:
             config.setdefault("dataset", {})["d"] = args.dim
         if args.normalize:
             config.setdefault("dataset", {})["normalize"] = True
-        return harness.run_experiment(
-            config, out_dir=args.out, jobs=args.jobs, global_seed=args.seed
-        )
+        # Pairs report their own failures; what escapes is a config error.
+        try:
+            return harness.run_experiment(
+                config, out_dir=args.out, jobs=args.jobs, global_seed=args.seed
+            )
+        except (ValueError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
     if args.verb == "verify":
         results = harness.verify_suite()

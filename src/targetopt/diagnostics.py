@@ -58,10 +58,16 @@ def _min_value(surrogate) -> float:
     return surrogate.value(theta_hat)
 
 
-def _singleton(loss, model, dataset, theta_t, i, eta_t):
-    """The stochastic surrogate of example i alone at theta_t."""
+def _singletons(loss, model, dataset, theta_t, eta_t):
+    """(g_i, q_i) for every example i: its stochastic and analysis
+    surrogates at theta_t, both from one oracle call on row i."""
     y = losses_mod.effective_labels(dataset)
-    return build_stochastic(loss, freeze(loss, model, theta_t, dataset.X[[i]], y[[i]]), eta_t)
+    pairs = []
+    for i in range(dataset.n):
+        batch = freeze(loss, model, theta_t, dataset.X[[i]], y[[i]])
+        q_i = build_analysis_q(loss, dataset, batch, [i], eta_t)
+        pairs.append((build_stochastic(loss, batch, eta_t), q_i))
+    return pairs
 
 
 def projection_error(loss, model, dataset, theta_t, batch_idx, eta_t, theta_next) -> float:
@@ -71,7 +77,9 @@ def projection_error(loss, model, dataset, theta_t, batch_idx, eta_t, theta_next
     at (theta_t, batch, eta_t). Exact solve, so linear models only.
     """
     _require_linear(model)
-    q = build_analysis_q(loss, model, dataset, theta_t, batch_idx, eta_t, counter=None)
+    y = losses_mod.effective_labels(dataset)
+    sampled = freeze(loss, model, theta_t, dataset.X[batch_idx], y[batch_idx])
+    q = build_analysis_q(loss, dataset, sampled, batch_idx, eta_t)
     theta_bar = exact_linear_solve(q, origin=theta_t)
     z_next = model.forward(theta_next, dataset.X)
     z_bar = model.forward(theta_bar, dataset.X)
@@ -128,21 +136,21 @@ def _convex_min_value(dataset, loss, iters: int = 5000) -> float:
     return full_loss(loss, model, dataset, theta)
 
 
-def surrogate_curvatures(dataset, loss, model, theta_t, eta_t):
-    """(mu_g, L_g, mu_q, L_q) over all singleton surrogates, exact eigs."""
-    _require_linear(model)
-    mu_g = np.inf
-    L_g = 0.0
-    mu_q = np.inf
-    L_q = 0.0
-    for i in range(dataset.n):
-        g_i = _singleton(loss, model, dataset, theta_t, i, eta_t)
-        q_i = build_analysis_q(loss, model, dataset, theta_t, [i], eta_t)
+def _curvatures(singletons):
+    mu_g = mu_q = np.inf
+    L_g = L_q = 0.0
+    for g_i, q_i in singletons:
         lo, hi = _eig_range(g_i.quadratic_parts()[0])
         mu_g, L_g = min(mu_g, lo), max(L_g, hi)
         lo, hi = _eig_range(q_i.quadratic_parts()[0])
         mu_q, L_q = min(mu_q, lo), max(L_q, hi)
     return mu_g, L_g, mu_q, L_q
+
+
+def surrogate_curvatures(dataset, loss, model, theta_t, eta_t):
+    """(mu_g, L_g, mu_q, L_q) over all singleton surrogates, exact eigs."""
+    _require_linear(model)
+    return _curvatures(_singletons(loss, model, dataset, theta_t, eta_t))
 
 
 def zeta2(dataset, loss, model, theta_t, eta_t) -> float:
@@ -153,19 +161,15 @@ def zeta2(dataset, loss, model, theta_t, eta_t) -> float:
     closed form.
     """
     _require_linear(model)
-    n = dataset.n
-    g_full = build_deterministic(loss, model, dataset, theta_t, eta_t)
-    min_expected = _min_value(g_full)
+    singletons = _singletons(loss, model, dataset, theta_t, eta_t)
+    return _zeta2(loss, model, dataset, theta_t, eta_t, singletons, _curvatures(singletons))
 
-    min_g = np.empty(n)
-    min_q = np.empty(n)
-    for i in range(dataset.n):
-        g_i = _singleton(loss, model, dataset, theta_t, i, eta_t)
-        q_i = build_analysis_q(loss, model, dataset, theta_t, [i], eta_t)
-        min_g[i] = _min_value(g_i)
-        min_q[i] = _min_value(q_i)
 
-    mu_g, _, mu_q, _ = surrogate_curvatures(dataset, loss, model, theta_t, eta_t)
+def _zeta2(loss, model, dataset, theta_t, eta_t, singletons, curvatures) -> float:
+    min_expected = _min_value(build_deterministic(loss, model, dataset, theta_t, eta_t))
+    min_g = np.array([_min_value(g_i) for g_i, _ in singletons])
+    min_q = np.array([_min_value(q_i) for _, q_i in singletons])
+    mu_g, _, mu_q, _ = curvatures
     gap_g = min_expected - float(np.mean(min_g))
     gap_q = min_expected - float(np.mean(min_q))
     return (8.0 / min(mu_g, mu_q)) * (gap_g + gap_q)
@@ -180,13 +184,11 @@ def expected_projection_error_sq(
     enumerated surrogates).
     """
     _require_linear(model)
-    _, L_g, _, _ = surrogate_curvatures(dataset, loss, model, theta_t, eta_t)
-    alpha = 1.0 / L_g
+    singletons = _singletons(loss, model, dataset, theta_t, eta_t)
+    alpha = 1.0 / _curvatures(singletons)[1]
     errs = np.empty(dataset.n)
-    for i in range(dataset.n):
-        g_i = _singleton(loss, model, dataset, theta_t, i, eta_t)
+    for i, (g_i, q_i) in enumerate(singletons):
         res = gd_fixed(g_i, theta_t, m, alpha=alpha)
-        q_i = build_analysis_q(loss, model, dataset, theta_t, [i], eta_t)
         theta_bar = exact_linear_solve(q_i, origin=theta_t)
         z_next = model.forward(res.theta, dataset.X)
         z_bar = model.forward(theta_bar, dataset.X)
@@ -201,13 +203,15 @@ def projection_error_bound(dataset, loss, model, theta_t, eta_t, m: int, z_star)
     """
     _require_linear(model)
     L_f = lipschitz_estimate(model, dataset.X)
-    mu_g, L_g, _, _ = surrogate_curvatures(dataset, loss, model, theta_t, eta_t)
+    singletons = _singletons(loss, model, dataset, theta_t, eta_t)
+    curvatures = _curvatures(singletons)
+    mu_g, L_g, _, _ = curvatures
     kappa_g = L_g / mu_g
     z_t = model.forward(theta_t, dataset.X)
     gap = losses_mod.loss_value(loss, z_t, dataset.y) - losses_mod.loss_value(
         loss, np.asarray(z_star), dataset.y
     )
-    zt2 = zeta2(dataset, loss, model, theta_t, eta_t)
+    zt2 = _zeta2(loss, model, dataset, theta_t, eta_t, singletons, curvatures)
     s2z = sigma2_z(dataset, loss)
     return L_f**2 * zt2 + (4.0 * L_f**2 / mu_g) * np.exp(-m / kappa_g) * (gap + s2z)
 

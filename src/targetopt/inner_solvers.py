@@ -3,17 +3,24 @@
 Inner solvers never touch the loss oracle: they work on the frozen
 surrogate only. `gd_fixed` runs m fixed-step gradient steps (step 1/beta
 by default, beta the surrogate smoothness bound), `armijo_backtracking`
-uses a sufficient-decrease line search, and `exact_linear_solve` solves
-the quadratic surrogate of a linear model in closed form.
+uses a sufficient-decrease line search (whose trials move the batch
+logits, not theta, on linear and softmax-linear models), and
+`exact_linear_solve` solves the quadratic surrogate of a linear model in
+closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+
+from .surrogates import SquaredProximity
 
 BACKTRACK_FLOOR = 1e-12
+LINK_MODELS = ("linear", "softmax-linear")
 
 
 class DivergenceError(RuntimeError):
@@ -53,6 +60,41 @@ def gd_fixed(surrogate, omega0, m: int, alpha: float | None = None) -> InnerResu
     return InnerResult(theta=omega, inner_steps=m, last_alpha=alpha)
 
 
+class _TargetLine:
+    """The surrogate along -g for a model whose targets are link(R theta):
+    moving theta by -a g moves the batch logits L by -a R g, so no trial
+    touches the rows. Under a linear model's Euclidean proximity the value
+    is exactly val - a ||g||^2 + a^2 sum_i w_i (R g)_i^2 / 2b; otherwise a
+    trial is the surrogate's value at link(L - a R g)."""
+
+    def __init__(self, surrogate, omega):
+        self.surrogate, self.model = surrogate, surrogate.batch.model
+        self.rows, self.rows_t, self.omega0 = surrogate.batch.rows, None, omega
+        linear = self.model.kind == "linear"
+        self.quadratic = linear and isinstance(surrogate.prox, SquaredProximity)
+
+    @cached_property
+    def logits(self) -> np.ndarray:
+        # Lazy: quadratic trials never read it, so a one-step solve skips it.
+        return self.model.logits(self.omega0, self.rows)
+
+    def values(self, g, val, gnorm2):
+        """The value at omega - a g as a function of a."""
+        self.u = u = self.model.logits(g, self.rows)
+        if self.quadratic:
+            curv = float(np.sum(self.surrogate.prox.weights * u * u)) * self.surrogate.scale / 2
+            return lambda a: val - a * gnorm2 + a * a * curv
+        return lambda a: self.surrogate.target_value(self.model.link(self.logits - a * u))
+
+    def step(self, a) -> np.ndarray:
+        """Take the accepted step in the logits; the gradient there."""
+        self.logits = self.logits - a * self.u
+        if self.rows_t is None:  # built once a second step is needed
+            self.rows_t = self.rows.T.tocsr() if sp.issparse(self.rows) else self.rows.T
+        v = self.surrogate.logit_grad(self.model.link(self.logits))
+        return np.asarray(self.rows_t @ v).ravel()
+
+
 def armijo_backtracking(
     surrogate,
     omega0,
@@ -66,7 +108,8 @@ def armijo_backtracking(
     Each accepted step satisfies value(w - a g) <= value(w) - c a ||g||^2;
     every step starts its search at alpha0, and the accepted trial's
     value is the next step's base value. Hitting the backtrack floor
-    returns the current point with `stalled` set.
+    returns the current point with `stalled` set. Linear and softmax-linear
+    models search on the batch logits (`_TargetLine`).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -75,25 +118,29 @@ def armijo_backtracking(
     omega = np.asarray(omega0, dtype=np.float64).copy()
     alpha = alpha0
     val = surrogate.value(omega)
+    g = surrogate.grad(omega)
+    line = _TargetLine(surrogate, omega) if surrogate.batch.model.kind in LINK_MODELS else None
     steps = 0
     for k in range(m):
-        g = surrogate.grad(omega)
         if not np.all(np.isfinite(g)):
             raise DivergenceError(k)
         gnorm2 = float(g @ g.ravel()) if g.ndim == 1 else float(np.sum(g * g))
         if gnorm2 == 0.0:
             break
+        value_at = (line.values(g, val, gnorm2) if line is not None
+                    else lambda a: surrogate.value(omega - a * g))
         alpha = alpha0
         while alpha >= BACKTRACK_FLOOR:
-            trial = omega - alpha * g
-            trial_val = surrogate.value(trial)
+            trial_val = value_at(alpha)
             if trial_val <= val - c * alpha * gnorm2:
                 break
             alpha *= shrink
         else:
             return InnerResult(omega, steps, stalled=True, last_alpha=alpha)
-        omega, val = trial, trial_val
+        omega, val = omega - alpha * g, trial_val
         steps += 1
+        if steps < m:
+            g = line.step(alpha) if line is not None else surrogate.grad(omega)
     return InnerResult(omega, steps, last_alpha=alpha)
 
 

@@ -5,8 +5,10 @@ target per row, `param_grad(theta, rows, coeffs)` the gradient of a
 coefficient-weighted sum of them (the only primitive surrogate
 minimization needs), and `lipschitz` an estimate of the map's constant.
 The optimizers' sampler hands out a batch's rows, X itself for a full
-batch. MLP gradients are hand-written reverse accumulation so they can
-be checked against finite differences without an autodiff dependency.
+batch. Linear and softmax-linear targets are link(rows @ W), W = theta,
+and these models expose `logits`, `link` and its vector-Jacobian product
+`link_vjp`. MLP gradients are hand-written reverse accumulation so they
+can be checked against finite differences without an autodiff dependency.
 """
 
 from __future__ import annotations
@@ -70,8 +72,16 @@ class LinearModel:
     def dim(self, d: int) -> int:
         return d
 
-    def forward(self, theta, rows) -> np.ndarray:
+    def logits(self, theta, rows) -> np.ndarray:
         return np.asarray(rows @ theta).ravel()
+
+    forward = logits  # the identity link
+
+    def link(self, logits) -> np.ndarray:
+        return logits
+
+    def link_vjp(self, f, coeffs) -> np.ndarray:
+        return coeffs
 
     def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         """Gradient of sum_i coeffs_i * f_i(theta)."""
@@ -100,19 +110,24 @@ class SoftmaxLinearModel:
     def _weights(self, theta, d):
         return np.asarray(theta).reshape(d, self.arity)
 
-    def forward(self, theta, rows) -> np.ndarray:
-        logits = np.asarray(rows @ self._weights(theta, rows.shape[1]))
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
+    def logits(self, theta, rows) -> np.ndarray:
+        return np.asarray(rows @ self._weights(theta, rows.shape[1]))
+
+    def link(self, logits) -> np.ndarray:
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
+
+    def link_vjp(self, f, coeffs) -> np.ndarray:
+        """The softmax Jacobian at targets f applied to each coefficient row."""
+        coeffs = np.atleast_2d(coeffs)
+        return f * (coeffs - (f * coeffs).sum(axis=1, keepdims=True))
+
+    def forward(self, theta, rows) -> np.ndarray:
+        return self.link(self.logits(theta, rows))
 
     def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         """Gradient of sum_i <coeffs_i, f_i(theta)> with (m, K) coeffs."""
-        s = self.forward(theta, rows)
-        coeffs = np.atleast_2d(coeffs)
-        # Softmax Jacobian applied to each coefficient row.
-        g_logits = s * (coeffs - (s * coeffs).sum(axis=1, keepdims=True))
-        return np.asarray(rows.T @ g_logits).ravel()
+        return np.asarray(rows.T @ self.link_vjp(self.forward(theta, rows), coeffs)).ravel()
 
     def lipschitz(self, X) -> float:
         # Softmax is 1-Lipschitz, so the linear layer norm bounds the map.

@@ -15,10 +15,10 @@ the floored curvature over eta for "newton") or KL(f_i || z_i)/eta for
 frozen batch loss at the anchor.
 
 `build_stochastic` attaches the proximity to a frozen batch,
-`build_deterministic` freezes all rows, and `build_analysis_q` freezes a
-batch and scatters its terms over all rows at weight n/|B| with weights
-1/eta (its expectation over singleton batches is the full-batch
-surrogate; diagnostics use it).
+`build_deterministic` freezes all rows, and `build_analysis_q` scatters a
+frozen batch's terms over all rows at weight n/|B| with weights 1/eta
+(its expectation over singleton batches is the full-batch surrogate;
+diagnostics use it).
 
 Freezing consumes one oracle call per row; building, evaluating or
 minimizing a surrogate consumes none.
@@ -121,11 +121,19 @@ class Surrogate:
         return 1.0 / len(self.batch.consts)
 
     def value(self, theta) -> float:
+        return self.target_value(self.batch.model.forward(theta, self.batch.rows))
+
+    def target_value(self, f) -> float:
+        """The value at targets f of the batch rows."""
         batch = self.batch
-        f = batch.model.forward(theta, batch.rows)
         prod = (f - batch.z) * batch.coeffs
         lin = prod if prod.ndim == 1 else prod.sum(axis=1)
         return float(np.mean(batch.consts + lin)) + self.scale * self.prox(f, batch.z)
+
+    def logit_grad(self, f) -> np.ndarray:
+        """Gradient in the batch logits at targets f, for models with a link."""
+        batch = self.batch
+        return batch.model.link_vjp(f, (batch.coeffs + self.prox.grad(f, batch.z)) * self.scale)
 
     def grad(self, theta) -> np.ndarray:
         # Two param_grad calls, not one on the summed coefficients: fusing
@@ -197,21 +205,12 @@ def build_deterministic(
     return build_stochastic(loss, batch, eta)
 
 
-def build_analysis_q(
-    loss,
-    model,
-    dataset,
-    theta_t,
-    batch_idx,
-    eta: float,
-    counter: OracleCounter | None = None,
-) -> Surrogate:
-    """Analysis surrogate: the batch's linear term, the full-vector
-    regularizer with step eta * n. Its expectation over singleton batches
-    equals the full-batch surrogate."""
+def build_analysis_q(loss, dataset, sampled: Batch, batch_idx, eta: float) -> Surrogate:
+    """Analysis surrogate of `sampled`, the frozen rows `batch_idx` of the
+    dataset: the batch's linear term, the full-vector regularizer with step
+    eta * n. Its expectation over singleton batches equals the full-batch
+    surrogate. Makes no oracle call."""
     batch_idx = np.asarray(batch_idx, dtype=int)
-    y = effective_labels(dataset)
-    sampled = freeze(loss, model, theta_t, dataset.X[batch_idx], y[batch_idx], counter)
     n = dataset.n
     weight = n / len(batch_idx)
     consts = np.zeros(n)
@@ -219,6 +218,6 @@ def build_analysis_q(
     # A batch drawn with replacement can repeat an index.
     np.add.at(consts, batch_idx, weight * sampled.consts)
     np.add.at(coeffs, batch_idx, weight * sampled.coeffs)
-    theta = sampled.theta
+    model, theta, y = sampled.model, sampled.theta, effective_labels(dataset)
     z = model.forward(theta, dataset.X)
     return build_stochastic(loss, Batch(model, theta, dataset.X, y, z, consts, coeffs), eta)

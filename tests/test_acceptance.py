@@ -41,9 +41,9 @@ from targetopt.optimizers import (
     run,
     theoretical_parametric_step,
 )
-from targetopt.surrogates import build_analysis_q, build_deterministic
+from targetopt.surrogates import build_deterministic
 
-from helpers import stochastic
+from helpers import analysis_q, stochastic
 
 
 @contextlib.contextmanager
@@ -348,7 +348,7 @@ def test_10_gradient_hygiene():
         for build in (
             lambda: stochastic(LogisticLoss(), model, ds, theta_t, batch, 0.6),
             lambda: stochastic(LogisticLoss(), model, ds, theta_t, batch, 0.6, "newton"),
-            lambda: build_analysis_q(LogisticLoss(), model, ds, theta_t, batch, 0.6),
+            lambda: analysis_q(LogisticLoss(), model, ds, theta_t, batch, 0.6),
             lambda: build_deterministic(LogisticLoss(), model, ds, theta_t, 0.6),
         ):
             surr = build()

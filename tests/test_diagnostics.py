@@ -47,13 +47,13 @@ class TestProjectionError:
     def test_no_inner_steps_gives_distance_to_analysis_targets(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=8, d=3, cond=4, noise=0.5, seed=1))
         model, loss = LinearModel(), SquaredLoss()
-        from targetopt.surrogates import build_analysis_q
+        from helpers import analysis_q
         from targetopt.inner_solvers import exact_linear_solve
 
         theta_t = np.random.default_rng(2).normal(size=3)
         eta = 0.3
         eps = projection_error(loss, model, ds, theta_t, [4], eta, theta_t)
-        q = build_analysis_q(loss, model, ds, theta_t, [4], eta)
+        q = analysis_q(loss, model, ds, theta_t, [4], eta)
         theta_bar = exact_linear_solve(q, origin=theta_t)
         z_t = model.forward(theta_t, ds.X)
         z_bar = model.forward(theta_bar, ds.X)
@@ -169,6 +169,19 @@ class TestZeta2:
         ds = Dataset(X=sp.csr_matrix(np.zeros((2, 2))), y=np.array([1.0, 2.0]), task="regression")
         with pytest.raises(DegenerateCurvature):
             zeta2(ds, SquaredLoss(), LinearModel(), np.zeros(2), 0.5)
+
+    def test_freezes_each_singleton_once(self):
+        # The full batch once (n rows) and each singleton once (n rows).
+        class RowCountingLoss(SquaredLoss):
+            rows = 0
+
+            def grads(self, z, y):
+                RowCountingLoss.rows += len(z)
+                return super().grads(z, y)
+
+        ds = interpolating(n=10, d=3, seed=4)
+        zeta2(ds, RowCountingLoss(), LinearModel(), np.ones(3), 0.5)
+        assert RowCountingLoss.rows == 20
 
 
 class TestCounterexample:

@@ -371,3 +371,25 @@ class TestCLI:
 
     def test_run_needs_config(self, capsys):
         assert cli.main(["run"]) == 2
+
+    def test_missing_preset_data_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--preset", "mushrooms-logistic", "--out", str(out)]) == 2
+        missing = (tmp_path / "data" / "mushrooms").resolve()
+        assert capsys.readouterr().err == f"error: dataset file {missing} does not exist\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"id": "sgd", "optimizer": "adam", "T": 6}, "duplicate run id(s) ['sgd']"),
+        ({"id": "x", "optimizer": "sgdd", "T": 6}, "unknown optimizer 'sgdd'"),
+    ])
+    def test_config_error_is_one_error_line(self, tmp_path, capsys, bad, message):
+        cfg = small_config(tmp_path / "out")
+        cfg["runs"].append(bad)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()

@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from targetopt.data import SyntheticSpec, generate_synthetic
 from targetopt.inner_solvers import (
+    BACKTRACK_FLOOR,
+    DivergenceError,
+    InnerResult,
     armijo_backtracking,
     exact_linear_solve,
     gd_fixed,
@@ -11,9 +17,9 @@ from targetopt.inner_solvers import (
 from targetopt.losses import SquaredLoss
 from targetopt.models import LinearModel
 from targetopt.optimizers import batch_param_grad
-from targetopt.surrogates import build_deterministic
+from targetopt.surrogates import Surrogate, build_deterministic
 
-from helpers import stochastic
+from helpers import CASES, CountingLoss, make_problem, stochastic
 
 
 def one_dim_ds(x=1.0, y=2.0):
@@ -132,6 +138,101 @@ class TestArmijo:
                 break
             assert surr.value(res.theta) <= val - c * res.last_alpha * (g @ g) + 1e-12
             omega = res.theta
+
+
+def parameter_armijo(surrogate, omega0, m, alpha0, shrink=0.8, c=0.5):
+    """Armijo on theta from `Surrogate.value` and `grad` alone, the
+    reference for `armijo_backtracking`; also returns the smallest gap
+    between a trial value and its Armijo bound, relative to the bound."""
+    omega, alpha, steps, gap = omega0.copy(), alpha0, 0, np.inf
+    val = surrogate.value(omega)
+    for _ in range(m):
+        g = surrogate.grad(omega)
+        gnorm2 = float(np.sum(g * g))
+        if gnorm2 == 0.0:
+            break
+        alpha = alpha0
+        while alpha >= BACKTRACK_FLOOR:
+            trial = omega - alpha * g
+            trial_val, bound = surrogate.value(trial), val - c * alpha * gnorm2
+            gap = min(gap, abs(trial_val - bound) / max(abs(bound), abs(val)))
+            if trial_val <= bound:
+                break
+            alpha *= shrink
+        else:
+            return InnerResult(omega, steps, stalled=True, last_alpha=alpha), gap
+        omega, val = trial, trial_val
+        steps += 1
+    return InnerResult(omega, steps, last_alpha=alpha), gap
+
+
+@st.composite
+def armijo_problems(draw, cases):
+    """(surrogate, omega0, m, alpha0) on a batch that may repeat rows."""
+    n = draw(st.integers(2, 6))
+    case = draw(st.sampled_from(cases))
+    _, ds, model, loss, theta_t, rng = make_problem(
+        case, n, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+    )
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    surr = stochastic(loss, model, ds, theta_t, idx, draw(st.floats(0.05, 2.0)), case[0])
+    omega0 = theta_t + draw(st.sampled_from([0.0, 0.3])) * rng.normal(size=theta_t.size)
+    alpha0 = 10.0 ** draw(st.floats(-14.0, 3.0))
+    return surr, omega0, draw(st.integers(1, 8)), alpha0
+
+
+LINK_CASES = [c for c in CASES if c[1] != "mlp"]
+
+
+class TestTargetSpaceArmijo:
+    """Linear and softmax-linear surrogates run the line search on the
+    batch logits; it must take the steps the parameter-space search takes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(armijo_problems(LINK_CASES))
+    def test_matches_parameter_space_armijo(self, problem):
+        surr, omega0, m, alpha0 = problem
+        ref, gap = parameter_armijo(surr, omega0, m, alpha0)
+        assume(gap > 1e-9)
+        res = armijo_backtracking(surr, omega0, m, alpha0=alpha0)
+        assert (res.inner_steps, res.stalled, res.last_alpha) == (
+            ref.inner_steps, ref.stalled, ref.last_alpha
+        )
+        if m == 1:
+            np.testing.assert_array_equal(res.theta, ref.theta)
+        else:
+            scale = np.max(np.abs(ref.theta))
+            np.testing.assert_allclose(res.theta, ref.theta, rtol=1e-9, atol=1e-9 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(armijo_problems([c for c in CASES if c[1] == "mlp"]))
+    def test_mlp_takes_the_parameter_space_path(self, problem):
+        surr, omega0, m, alpha0 = problem
+        ref, _ = parameter_armijo(surr, omega0, m, alpha0)
+        res = armijo_backtracking(surr, omega0, m, alpha0=alpha0)
+        np.testing.assert_array_equal(res.theta, ref.theta)
+        assert (res.inner_steps, res.stalled, res.last_alpha) == (
+            ref.inner_steps, ref.stalled, ref.last_alpha
+        )
+
+    @pytest.mark.parametrize("case", LINK_CASES)
+    def test_no_oracle_call(self, case):
+        _, ds, model, loss, theta_t, _ = make_problem(case, 5, 3, 11, False)
+        counting = CountingLoss(loss)
+        surr = stochastic(counting, model, ds, theta_t, [0, 2, 2, 4], 0.5, case[0])
+        built = counting.calls
+        res = armijo_backtracking(surr, theta_t, 8, alpha0=10.0)
+        assert res.inner_steps > 1 and counting.calls == built
+
+    @pytest.mark.parametrize("case", LINK_CASES)
+    def test_non_finite_coefficient_raises(self, case):
+        _, ds, model, loss, theta_t, _ = make_problem(case, 5, 3, 12, True)
+        surr = stochastic(loss, model, ds, theta_t, [1, 3], 0.5, case[0])
+        coeffs = surr.batch.coeffs.copy()
+        coeffs.flat[0] = np.nan
+        bad = Surrogate(dataclasses.replace(surr.batch, coeffs=coeffs), surr.prox)
+        with pytest.raises(DivergenceError):
+            armijo_backtracking(bad, theta_t, 4)
 
 
 class TestExactSolve:

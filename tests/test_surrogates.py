@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from targetopt.data import Dataset, SyntheticSpec, generate_synthetic
+from targetopt.data import SyntheticSpec, generate_synthetic
 from targetopt.losses import (
     LogisticLoss,
     MulticlassKLLoss,
@@ -11,16 +11,15 @@ from targetopt.losses import (
     loss_value,
     smoothed_expert_rows,
 )
-from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
+from targetopt.models import LinearModel, SoftmaxLinearModel
 from targetopt.optimizers import InnerOptions, RunConfig, ScheduleOptions, run
 from targetopt.surrogates import (
     KLProximity,
     OracleCounter,
-    build_analysis_q,
     build_deterministic,
 )
 
-from helpers import stochastic
+from helpers import CASES, CountingLoss, analysis_q, make_problem, problems, stochastic
 
 
 def make_ls(n=12, d=4, seed=0, noise=0.5):
@@ -209,7 +208,7 @@ class TestAnalysisQ:
             theta = rng.normal(size=3)
             mean_q = np.mean(
                 [
-                    build_analysis_q(loss, model, ds, theta_t, [i], eta).value(theta)
+                    analysis_q(loss, model, ds, theta_t, [i], eta).value(theta)
                     for i in range(ds.n)
                 ]
             )
@@ -222,8 +221,8 @@ class TestAnalysisQ:
         rng = np.random.default_rng(24)
         theta_t = rng.normal(size=3)
         idx = [3, 1, 3]
-        q = build_analysis_q(loss, model, ds, theta_t, idx, 0.4)
-        singles = [build_analysis_q(loss, model, ds, theta_t, [i], 0.4) for i in idx]
+        q = analysis_q(loss, model, ds, theta_t, idx, 0.4)
+        singles = [analysis_q(loss, model, ds, theta_t, [i], 0.4) for i in idx]
         for _ in range(5):
             theta = rng.normal(size=3)
             mean_q = np.mean([s.value(theta) for s in singles])
@@ -234,7 +233,7 @@ class TestAnalysisQ:
         model = LinearModel()
         loss = SquaredLoss()
         theta_t = np.random.default_rng(19).normal(size=ds.d)
-        q = build_analysis_q(loss, model, ds, theta_t, [2], 0.4)
+        q = analysis_q(loss, model, ds, theta_t, [2], 0.4)
         z2 = model.forward(theta_t, ds.X[[2]])
         assert q.value(theta_t) == pytest.approx(
             float(loss.values(z2, ds.y[[2]])[0]), abs=1e-14
@@ -246,7 +245,7 @@ class TestAnalysisQ:
         ds.X, ds.y, ds.n, ds.d = X, np.array([2.0]), 1, 1
         theta_t = np.array([0.3])
         g = stochastic(SquaredLoss(), LinearModel(), ds, theta_t, [0], 0.5)
-        q = build_analysis_q(SquaredLoss(), LinearModel(), ds, theta_t, [0], 0.5)
+        q = analysis_q(SquaredLoss(), LinearModel(), ds, theta_t, [0], 0.5)
         for t in np.linspace(-2, 2, 17):
             assert g.value(np.array([t])) == pytest.approx(q.value(np.array([t])), abs=1e-14)
 
@@ -316,81 +315,6 @@ class TestMirror:
 # ----------------------------------------------------------------------
 # Properties of the one representation, over map x model x loss x batch
 # ----------------------------------------------------------------------
-
-# (variant, model, loss) triples the builders accept: the entropy map
-# needs row-stochastic targets, and the KL loss has no curvature.
-CASES = [
-    ("smoothness", "linear", "squared"),
-    ("smoothness", "linear", "logistic"),
-    ("smoothness", "mlp", "squared"),
-    ("smoothness", "mlp", "logistic"),
-    ("smoothness", "softmax", "kl"),
-    ("newton", "linear", "squared"),
-    ("newton", "linear", "logistic"),
-    ("newton", "mlp", "logistic"),
-    ("entropy-mirror", "softmax", "kl"),
-]
-K = 3
-
-
-class CountingLoss:
-    """Wraps a loss and counts every call to its oracle methods."""
-
-    def __init__(self, loss):
-        self.loss, self.calls = loss, 0
-
-    def values(self, z, y):
-        self.calls += 1
-        return self.loss.values(z, y)
-
-    def grads(self, z, y):
-        self.calls += 1
-        return self.loss.grads(z, y)
-
-    def curvs(self, z, y):
-        self.calls += 1
-        return self.loss.curvs(z, y)
-
-
-def make_problem(case, n, d, seed, dense, eye=False):
-    variant, model_kind, loss_kind = case
-    rng = np.random.default_rng(seed)
-    X = np.eye(n) if eye else rng.normal(size=(n, d))
-    meta = {}
-    if loss_kind == "squared":
-        y, task, loss = rng.normal(size=n), "regression", SquaredLoss()
-    elif loss_kind == "logistic":
-        y, task, loss = rng.choice([-1.0, 1.0], size=n), "binary", LogisticLoss()
-    else:
-        y, task, loss = rng.integers(0, K, n).astype(float), "multiclass", MulticlassKLLoss()
-        meta["expert_rows"] = smoothed_expert_rows(y.astype(int), K, eps=0.1)
-    ds = Dataset(X=X if dense else sp.csr_matrix(X), y=y, task=task, n_classes=K, meta=meta)
-    model = {
-        "linear": LinearModel(),
-        "mlp": MLPModel(hidden=3, seed=seed % 7),
-        "softmax": SoftmaxLinearModel(K),
-    }[model_kind]
-    theta_t = 0.5 * rng.normal(size=model.dim(d))
-    return variant, ds, model, loss, theta_t, rng
-
-
-@st.composite
-def problems(draw, cases=CASES, eye=False):
-    """(problem, batch, eta); `eye` makes X the n x n identity."""
-    n = draw(st.integers(2, 6))
-    return (
-        make_problem(
-            draw(st.sampled_from(cases)),
-            n,
-            n if eye else draw(st.integers(1, 4)),
-            draw(st.integers(0, 2**32 - 1)),
-            draw(st.booleans()),
-            eye,
-        ),
-        np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))),
-        draw(st.floats(0.05, 2.0)),
-    )
-
 
 def batch_loss(loss, model, ds, theta, idx):
     y = ds.meta.get("expert_rows", ds.y)
