@@ -463,7 +463,8 @@ def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     sso = RunConfig(optimizer="sso", schedule=ScheduleOptions(eta0=0.5),
                     inner=InnerOptions(solver="gd", m=1, alpha=step), **common)
     a = run_optimizer(sso, ds, model, loss)
-    b = run_optimizer(RunConfig(optimizer="sgd", step_size=step, **common), ds, model, loss)
+    sgd = RunConfig(optimizer="sgd", schedule=ScheduleOptions(eta0=step), **common)
+    b = run_optimizer(sgd, ds, model, loss)
     dev = abs(a.final_loss() - b.final_loss())
     results.append(("m1-equals-sgd", dev <= 1e-10, f"loss dev {dev:.2e}"))
 

@@ -3,7 +3,7 @@
 A model maps the rows it is given: `forward(theta, rows)` returns one
 target per row, `param_grad(theta, rows, coeffs)` the gradient of a
 coefficient-weighted sum of them (the only primitive surrogate
-minimization needs), and `lipschitz` an estimate of the map's constant.
+minimization needs); `lipschitz_estimate` bounds the map's constant.
 The optimizers' sampler hands out a batch's rows, X itself for a full
 batch. Linear and softmax-linear targets are link(rows @ W), W = theta,
 and these models expose `logits`, `link` and its vector-Jacobian product
@@ -87,9 +87,6 @@ class LinearModel:
         """Gradient of sum_i coeffs_i * f_i(theta)."""
         return np.asarray(rows.T @ coeffs).ravel()
 
-    def lipschitz(self, X) -> float:
-        return spectral_norm(X)
-
 
 class SoftmaxLinearModel:
     """f_i(theta) = softmax(W^T X_i); row-stochastic targets, theta = vec(W)."""
@@ -128,10 +125,6 @@ class SoftmaxLinearModel:
     def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         """Gradient of sum_i <coeffs_i, f_i(theta)> with (m, K) coeffs."""
         return np.asarray(rows.T @ self.link_vjp(self.forward(theta, rows), coeffs)).ravel()
-
-    def lipschitz(self, X) -> float:
-        # Softmax is 1-Lipschitz, so the linear layer norm bounds the map.
-        return spectral_norm(X)
 
 
 class MLPModel:
@@ -209,14 +202,6 @@ class MLPModel:
             [jac_W1.reshape(m, d * self.hidden), back, a, np.ones((m, 1))], axis=1
         )
 
-    def lipschitz(self, X, theta=None) -> float:
-        # Local estimate: spectral norm of the parameter Jacobian at a
-        # point (seeded initialization by default). The map is piecewise
-        # linear in the parameters, so this bounds nearby slopes only.
-        if theta is None:
-            theta = self.init_params(X.shape[1])
-        return spectral_norm(self.param_jacobian(theta, X))
-
 
 def make_model(kind: str, hidden: int = 16, n_classes: int = 0, seed: int = 0):
     if kind == "linear":
@@ -229,10 +214,12 @@ def make_model(kind: str, hidden: int = 16, n_classes: int = 0, seed: int = 0):
 
 
 def lipschitz_estimate(model, X, theta=None) -> float:
-    """Lipschitz constant of the target map.
-
-    Exact (the spectral norm) for linear models; for the MLP a product-of-
-    layer-norms bound at `theta` (seeded initialization by default)."""
-    if model.kind == "mlp":
-        return model.lipschitz(X, theta)
-    return model.lipschitz(X)
+    """Lipschitz constant of the target map: the spectral norm of X for link
+    models (exact for linear, a bound for softmax-linear, softmax being
+    1-Lipschitz); for the MLP that of the parameter Jacobian at `theta`
+    (seeded initialization by default), which bounds nearby slopes only."""
+    if model.kind != "mlp":
+        return spectral_norm(X)
+    if theta is None:
+        theta = model.init_params(X.shape[1])
+    return spectral_norm(model.param_jacobian(theta, X))

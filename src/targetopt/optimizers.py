@@ -28,33 +28,42 @@ from .surrogates import VARIANTS, OracleCounter, build_stochastic, freeze
 INNER_SOLVERS = ("gd", "armijo", "exact")
 M_RULES = ("constant", "log")
 SAMPLING_MODES = ("replacement", "shuffle")
+# Schedule kinds by optimizer; any other optimizer follows only "constant".
+SCHEDULE_KINDS = {"sso": KINDS, "sgd": tuple(k for k in KINDS if k != "target-line-search")}
 
 
 @dataclass
 class ScheduleOptions:
-    """A run's "schedule" group: the target step size and its schedule."""
+    """A run's "schedule" group: the outer step size and its schedule.
+
+    `eta0` is every optimizer's base step (SSO's target step, the SGD and
+    SVRG step, the Adam and AdaGrad rate, the first SLS and target line
+    search trial); None takes the optimizer's default. SSO follows every
+    kind, SGD all but target-line-search, the others only "constant"."""
 
     kind: str = "constant"
-    eta0: float | None = None  # None = 1/(2 L n)
+    eta0: float | None = None
     beta: float = 1.0
 
 
 @dataclass
 class InnerOptions:
-    """A run's "inner" group: the inner solver and its step budget."""
+    """A run's "inner" group: the inner solver, its step and its budget.
+    `alpha` is gd's fixed step (None = 1/beta, beta the surrogate's
+    smoothness bound) and Armijo's first trial (None = 1.0, times `growth`)."""
 
     solver: str = "gd"  # gd | armijo | exact
     m: int = 1
     m_rule: str = "constant"  # constant | log
-    alpha: float | None = None  # None = 1/beta for gd
-    alpha0: float = 1.0
+    alpha: float | None = None
     growth: float = 1.0
     warm_start: bool = False
 
 
 @dataclass
 class RunConfig:
-    """One run of one optimizer on one dataset; shaped like a JSON run entry."""
+    """One run of one optimizer on one dataset; shaped like a JSON run entry.
+    Its one outer step is `schedule.eta0`, its one inner step `inner.alpha`."""
 
     optimizer: str = "sso"
     run_id: str = ""
@@ -63,21 +72,17 @@ class RunConfig:
     seed: int = 0
     tau: float = 1.0
     eval_every: int = 1
-    # Surrogate-based runs.
-    variant: str = "smoothness"
+    variant: str = "smoothness"  # SSO's surrogate
     schedule: ScheduleOptions = field(default_factory=ScheduleOptions)
     inner: InnerOptions = field(default_factory=InnerOptions)
     sampling: str = "replacement"  # replacement | shuffle
-    # Parametric runs.
-    step_size: float | None = None  # None = theoretical 1/(2 L_theta)
-    adam_lr: float = 1e-3
-    adagrad_lr: float = 1e-2
     svrg_snapshot_freq: int | None = None  # None = ceil(n / b)
     diagnostics: tuple = ()
     record_theta: bool = False
 
     def check_names(self) -> None:
-        """Reject a name that is not one of the known choices."""
+        """Reject a name that is not one of the known choices, and a
+        schedule kind the optimizer cannot follow."""
         for what, name, known in (
             ("optimizer", self.optimizer, OPTIMIZERS),
             ("surrogate variant", self.variant, VARIANTS),
@@ -88,6 +93,8 @@ class RunConfig:
         ):
             if name not in known:
                 raise ValueError(f"unknown {what} {name!r}")
+        if (kind := self.schedule.kind) not in SCHEDULE_KINDS.get(self.optimizer, ("constant",)):
+            raise ValueError(f"optimizer {self.optimizer!r} cannot follow schedule kind {kind!r}")
 
     def validate(self, n: int) -> None:
         self.check_names()
@@ -100,6 +107,8 @@ class RunConfig:
             raise ValueError("tau must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.schedule.eta0 is not None and not self.schedule.eta0 > 0:
+            raise ValueError("schedule eta0 must be positive")
 
     def resolved_batch(self, n: int) -> int:
         return n if self.batch_size is None else int(self.batch_size)
@@ -186,22 +195,33 @@ def full_grad_norm(loss, model, dataset, theta) -> float:
     return float(np.linalg.norm(batch_param_grad(loss, model, theta, dataset.X, y)))
 
 
-def parametric_smoothness(dataset, loss, batch_size: int | None = None) -> float:
-    """Smoothness of the averaged parametric loss.
+def theoretical_parametric_step(dataset, loss, batch_size=None) -> float:
+    """1/(2 L_theta), L_theta the smoothness of the averaged parametric loss.
 
     Full batch: L * lambda_max(X^T X) / n. Stochastic batches: the max
     individual constant L * max_i ||X_i||^2 (the safe step-size scale for
     sampled gradients).
     """
-    X = dataset.X
-    n = dataset.n
+    X, n = dataset.X, dataset.n
     if batch_size is None or batch_size == n:
-        return loss.L * spectral_norm(X) ** 2 / n
-    return loss.L * float(row_norms2(X).max())
+        return 1.0 / (2.0 * (loss.L * spectral_norm(X) ** 2 / n))
+    return 1.0 / (2.0 * (loss.L * float(row_norms2(X).max())))
 
 
-def theoretical_parametric_step(dataset, loss, batch_size=None) -> float:
-    return 1.0 / (2.0 * parametric_smoothness(dataset, loss, batch_size))
+def base_step(cfg: RunConfig, dataset, loss) -> float:
+    """The run's `schedule.eta0`, by default 1/(2 L n) for SSO (1e-2 under
+    adagrad-norm), 1/(2 L_theta) for SGD and SVRG, 1e-3 for Adam, 1e-2 for
+    AdaGrad, and LS_ALPHA0 for SLS and the target line search."""
+    opt, kind = cfg.optimizer, cfg.schedule.kind
+    if cfg.schedule.eta0 is not None:
+        return cfg.schedule.eta0
+    if opt == "sls" or kind == "target-line-search":
+        return LS_ALPHA0
+    if opt == "sso":
+        return 1e-2 if kind == "adagrad-norm" else theoretical_eta0(loss.L, dataset.n)
+    if opt in ("sgd", "svrg"):
+        return theoretical_parametric_step(dataset, loss, cfg.batch_size)
+    return {"adam": 1e-3, "adagrad": 1e-2}[opt]
 
 
 class _Recorder:
@@ -280,12 +300,7 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
 def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Surrogate optimization (any variant / schedule / inner solver)."""
     opts, inner = cfg.schedule, cfg.inner
-    if opts.eta0 is not None:
-        eta0 = opts.eta0
-    elif opts.kind == "adagrad-norm":
-        eta0 = 1e-2  # no theoretical constant for the adaptive rule
-    else:
-        eta0 = theoretical_eta0(loss.L, dataset.n)
+    eta0 = base_step(cfg, dataset, loss)
     sched = None
     if opts.kind != "target-line-search":
         sched = Schedule(opts.kind, eta0, T=cfg.T, beta=opts.beta)
@@ -296,7 +311,7 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         idx, rows, y_b = draw()
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
         if sched is None:
-            eta_t, _ = target_line_search(loss, batch.z, batch.y, batch.coeffs)
+            eta_t, _ = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=eta0)
         else:
             eta_t = schedule_eta(sched, t, grad=batch.coeffs)
         surr = build_stochastic(loss, batch, eta_t, cfg.variant)
@@ -308,7 +323,7 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
             if inner.solver == "gd":
                 res = gd_fixed(surr, theta, m_t, alpha=inner.alpha)
             else:
-                alpha0 = inner.alpha0 * inner.growth
+                alpha0 = (1.0 if inner.alpha is None else inner.alpha) * inner.growth
                 if inner.warm_start and warm_alpha is not None:
                     alpha0 = warm_alpha * inner.growth
                 res = armijo_backtracking(surr, theta, m_t, alpha0=alpha0)
@@ -332,16 +347,10 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     return step
 
 
-def _parametric_step0(cfg: RunConfig, dataset, loss) -> float:
-    if cfg.step_size is not None:
-        return cfg.step_size
-    return theoretical_parametric_step(dataset, loss, cfg.batch_size)
-
-
 def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Plain stochastic gradient descent in parameter space."""
     sched = Schedule(
-        cfg.schedule.kind, _parametric_step0(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule.beta
+        cfg.schedule.kind, base_step(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule.beta
     )
 
     def step(t, theta, draw):
@@ -355,6 +364,7 @@ def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """SGD with Armijo backtracking on the sampled mini-batch loss."""
+    eta0 = base_step(cfg, dataset, loss)
 
     def step(t, theta, draw):
         _, rows, y_b = draw()
@@ -362,7 +372,7 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         base = float(np.mean(batch.consts))
         g = model.param_grad(theta, rows, batch.coeffs) / rows.shape[0]
         gnorm2 = float(g @ g)
-        eta_t = LS_ALPHA0
+        eta_t = eta0
         if gnorm2 > 0:
             while eta_t >= BACKTRACK_FLOOR:
                 z_try = model.forward(theta - eta_t * g, rows)
@@ -377,6 +387,7 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Adam baseline with the usual default constants."""
+    lr = base_step(cfg, dataset, loss)
     m = v = 0.0  # moment estimates; a scalar zero acts as the zero vector
 
     def step(t, theta, draw):
@@ -387,13 +398,14 @@ def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         v = 0.999 * v + (1 - 0.999) * g * g
         mhat = m / (1 - 0.9**t)
         vhat = v / (1 - 0.999**t)
-        return theta - cfg.adam_lr * mhat / (np.sqrt(vhat) + 1e-8), cfg.adam_lr, {}
+        return theta - lr * mhat / (np.sqrt(vhat) + 1e-8), lr, {}
 
     return step
 
 
 def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Diagonal AdaGrad baseline."""
+    lr = base_step(cfg, dataset, loss)
     acc = 0.0  # running sum of squared gradients
 
     def step(t, theta, draw):
@@ -401,7 +413,7 @@ def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         _, rows, y_b = draw()
         g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
         acc = acc + g * g
-        return theta - cfg.adagrad_lr * g / (np.sqrt(acc) + 1e-10), cfg.adagrad_lr, {}
+        return theta - lr * g / (np.sqrt(acc) + 1e-10), lr, {}
 
     return step
 
@@ -414,7 +426,7 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """
     n = dataset.n
     freq = cfg.svrg_snapshot_freq or max(1, int(np.ceil(n / cfg.resolved_batch(n))))
-    eta = _parametric_step0(cfg, dataset, loss)
+    eta = base_step(cfg, dataset, loss)
     snapshot = mu = None
 
     def step(t, theta, draw):

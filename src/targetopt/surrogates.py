@@ -136,13 +136,9 @@ class Surrogate:
         return batch.model.link_vjp(f, (batch.coeffs + self.prox.grad(f, batch.z)) * self.scale)
 
     def grad(self, theta) -> np.ndarray:
-        # Two param_grad calls, not one on the summed coefficients: fusing
-        # them moves the last bits of every SSO trace.
         batch = self.batch
-        f = batch.model.forward(theta, batch.rows)
-        g = batch.model.param_grad(theta, batch.rows, batch.coeffs) / len(batch.consts)
-        prox_coeffs = self.prox.grad(f, batch.z)
-        return g + self.scale * batch.model.param_grad(theta, batch.rows, prox_coeffs)
+        coeffs = batch.coeffs + self.prox.grad(batch.model.forward(theta, batch.rows), batch.z)
+        return batch.model.param_grad(theta, batch.rows, coeffs) / len(batch.consts)
 
     # -- structure for solvers (linear model, Euclidean proximity) ------
 

@@ -72,7 +72,8 @@ def test_01_m1_equivalence():
             ds, model, loss,
         )
         sgd = run(
-            RunConfig(optimizer="sgd", step_size=alpha, **common), ds, model, loss
+            RunConfig(optimizer="sgd", schedule=ScheduleOptions(eta0=alpha), **common),
+            ds, model, loss,
         )
         elapsed = time.perf_counter() - start
         assert len(sso.thetas) == len(sgd.thetas) == 201

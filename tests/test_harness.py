@@ -149,7 +149,7 @@ class TestRunExperiment:
         cfg["runs"] = [
             {"id": "stall", "optimizer": "sso", "T": 6, "batch_size": 4,
              "schedule": {"kind": "constant", "eta0": 0.5},
-             "inner": {"solver": "armijo", "m": 3, "alpha0": 1e-14}},
+             "inner": {"solver": "armijo", "m": 3, "alpha": 1e-14}},
         ]
         assert run_experiment(cfg) == 0
         assert "STALLED stall seed 0: 6 inner solves hit the backtrack floor" in capsys.readouterr().out
@@ -219,11 +219,11 @@ class TestConfigParsing:
             "optimizer": "sso",
             "T": 5,
             "schedule": {"kind": "exponential", "eta0": 0.2, "beta": 1.0},
-            "inner": {"solver": "armijo", "m": 7, "alpha0": 2.0},
+            "inner": {"solver": "armijo", "m": 7, "alpha": 2.0},
         }
         cfg = make_run_config(spec, n=10, seed=3)
         assert cfg.schedule.kind == "exponential" and cfg.schedule.eta0 == 0.2
-        assert cfg.inner.solver == "armijo" and cfg.inner.m == 7 and cfg.inner.alpha0 == 2.0
+        assert cfg.inner.solver == "armijo" and cfg.inner.m == 7 and cfg.inner.alpha == 2.0
         assert cfg.seed == 3
 
     @pytest.mark.parametrize("group,entry", [("inner", {"solver": "gd", "mm": 5}),
@@ -250,8 +250,18 @@ class TestConfigParsing:
         ({"T": 6, "inner": {"m_rule": "bogus"}}, "'b': unknown inner m_rule 'bogus'"),
         ({"T": 6, "schedule": {"kind": "bogus"}}, "'b': unknown schedule kind 'bogus'"),
         ({"T": 6, "sampling": "sometimes"}, "'b': unknown sampling mode 'sometimes'"),
+        ({"T": 6, "step_size": 0.5}, "'b': unknown run key.*step_size"),
+        ({"T": 6, "adam_lr": 0.5}, "'b': unknown run key.*adam_lr"),
+        ({"T": 6, "adagrad_lr": 0.5}, "'b': unknown run key.*adagrad_lr"),
+        ({"T": 6, "optimizer": "sso", "inner": {"solver": "armijo", "alpha0": 2.0}},
+         "'b': unknown inner key.*alpha0"),
+        ({"T": 6, "schedule": {"kind": "target-line-search"}},
+         "'b': optimizer 'sgd' cannot follow schedule kind 'target-line-search'"),
+        ({"T": 6, "optimizer": "adam", "schedule": {"kind": "sqrt-decay", "eta0": 0.5}},
+         "'b': optimizer 'adam' cannot follow schedule kind 'sqrt-decay'"),
     ], ids=["unknown-key", "T-with-epochs", "optimizer", "variant", "inner-solver", "m-rule",
-            "schedule-kind", "sampling"])
+            "schedule-kind", "sampling", "step_size", "adam_lr", "adagrad_lr", "inner-alpha0",
+            "sgd-target-line-search", "adam-sqrt-decay"])
     def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
         cfg = small_config(tmp_path / "out")
         cfg["runs"].insert(1, {"id": "b", "optimizer": "sgd", **entry})

@@ -38,7 +38,8 @@ class TestSSO:
             ds, model, loss,
         )
         sgd = run(
-            RunConfig(optimizer="sgd", step_size=alpha, **common), ds, model, loss
+            RunConfig(optimizer="sgd", schedule=ScheduleOptions(eta0=alpha), **common),
+            ds, model, loss,
         )
         np.testing.assert_array_equal(sso.losses(), sgd.losses())
 
@@ -248,8 +249,8 @@ class TestParametricBaselines:
         L = theoretical_parametric_step(ds, loss)  # = 1/(2 L_theta)
         step = 2 * L  # exactly 1/L_theta
         T = 12
-        cfg = RunConfig(optimizer="sgd", T=T, batch_size=None, step_size=step,
-                        seed=0, eval_every=1)
+        cfg = RunConfig(optimizer="sgd", T=T, batch_size=None,
+                        schedule=ScheduleOptions(eta0=step), seed=0, eval_every=1)
         trace = run(cfg, ds, LinearModel(), loss)
         # Closed form: theta1_t = (1 - mu/L_theta)^t-scaled approach to 1.
         Ltheta = 2.0 / 2  # lambda_max(X^T X)/n = 4/2 ... per-coordinate 2^2/2
@@ -274,8 +275,8 @@ class TestParametricBaselines:
 
     def test_adam_reaches_optimum(self):
         ds = ls_dataset(n=40, d=5, seed=13)
-        cfg = RunConfig(optimizer="adam", T=300, batch_size=None, adam_lr=0.05,
-                        seed=0, eval_every=300)
+        cfg = RunConfig(optimizer="adam", T=300, batch_size=None,
+                        schedule=ScheduleOptions(eta0=0.05), seed=0, eval_every=300)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         _, z_star = least_squares_optimum(ds)
         assert trace.final_loss() <= loss_value(SquaredLoss(), z_star, ds.y) + 1e-6
@@ -284,7 +285,7 @@ class TestParametricBaselines:
         ds = ls_dataset(n=10, d=3, seed=14)
         model, loss = LinearModel(), SquaredLoss()
         cfg = RunConfig(optimizer="adagrad", T=6, batch_size=None, seed=0,
-                        adagrad_lr=0.3, eval_every=1)
+                        schedule=ScheduleOptions(eta0=0.3), eval_every=1)
         trace = run(cfg, ds, model, loss)
         theta = np.zeros(3)
         acc = np.zeros(3)
@@ -417,10 +418,28 @@ class TestEveryOptimizer:
         b = run(cfg(), dense, LinearModel(), loss)
         np.testing.assert_allclose(b.losses(), a.losses(), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_schedule_eta0_is_the_base_step(self, optimizer):
+        # schedule.eta0 is every optimizer's outer step; SLS backtracks from it.
+        ds = ls_dataset(n=20, d=4, seed=25)
+        cfg = RunConfig(optimizer=optimizer, T=3, batch_size=5,
+                        schedule=ScheduleOptions(eta0=0.3), seed=0, eval_every=1)
+        eta = run(cfg, ds, LinearModel(), SquaredLoss()).rows[1].eta
+        if optimizer == "sls":
+            assert any(eta == 0.3 * 0.5**k for k in range(60)), eta
+        else:
+            assert eta == 0.3
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_nonpositive_eta0_rejected(self, optimizer):
+        cfg = RunConfig(optimizer=optimizer, T=3, schedule=ScheduleOptions(eta0=0.0))
+        with pytest.raises(ValueError, match="eta0 must be positive"):
+            run(cfg, ls_dataset(n=20, d=4, seed=25), LinearModel(), SquaredLoss())
+
     def test_stalled_inner_solves_are_counted(self):
         ds = ls_dataset(seed=24)
         cfg = RunConfig(optimizer="sso", T=5, batch_size=4, schedule=ScheduleOptions(eta0=0.5),
-                        inner=InnerOptions(solver="armijo", m=3, alpha0=1e-14), seed=0)
+                        inner=InnerOptions(solver="armijo", m=3, alpha=1e-14), seed=0)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.inner_stalls == 5
         assert trace.rows[-1].inner_steps == 0
@@ -432,7 +451,7 @@ class TestEveryOptimizer:
         ds = Dataset(X=sp.csr_matrix(np.eye(3)), y=np.zeros(3), task="regression")
         cfg = RunConfig(optimizer=optimizer, T=4, batch_size=None, seed=0, eval_every=1,
                         schedule=ScheduleOptions(kind="adagrad-norm", eta0=0.5),
-                        step_size=0.5, inner=InnerOptions(solver=solver))
+                        inner=InnerOptions(solver=solver))
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert np.all(trace.losses() == 0.0)
         assert [r.eta for r in trace.rows[1:]] == [0.5] * cfg.T

@@ -406,6 +406,6 @@ class TestRepresentationProperties:
         sso = RunConfig(optimizer="sso", variant=variant,
                         schedule=ScheduleOptions(eta0=data.draw(st.floats(0.05, 2.0))),
                         inner=InnerOptions(solver="gd", m=1, alpha=a), **common)
-        sgd = RunConfig(optimizer="sgd", step_size=a, **common)
+        sgd = RunConfig(optimizer="sgd", schedule=ScheduleOptions(eta0=a), **common)
         np.testing.assert_array_equal(run(sso, ds, model, loss).losses(),
                                       run(sgd, ds, model, loss).losses())
