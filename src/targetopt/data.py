@@ -38,11 +38,13 @@ class Dataset:
     """Sparse-row dataset with labels.
 
     `X` is an n-by-d CSR matrix or a dense ndarray.
-    `y` holds floats for regression, values in {-1, +1} for binary
-    classification, and contiguous class ids 0..K-1 for multiclass (with
-    `label_map` recording the original label of each id in first-appearance
-    order). Instances are treated as immutable once built
-    and are safe to share across concurrent runs.
+    `y` holds the labels the loss sees: floats for regression, values in
+    {-1, +1} for binary classification, and contiguous class ids 0..K-1
+    for multiclass (with `label_map` recording the original label of each
+    id in first-appearance order). A multiclass-kl problem replaces the
+    ids by their (n, K) smoothed expert rows (`harness.load_problem`).
+    Instances are treated as immutable once built and are safe to share
+    across concurrent runs.
     """
 
     X: sp.csr_matrix | np.ndarray

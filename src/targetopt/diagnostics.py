@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
 from .models import lipschitz_estimate, row_norms2
+from .schedules import Schedule, eta as schedule_eta
 from .surrogates import build_analysis_q, build_deterministic, build_stochastic, freeze
 
 
@@ -61,10 +62,9 @@ def _min_value(surrogate) -> float:
 def _singletons(loss, model, dataset, theta_t, eta_t):
     """(g_i, q_i) for every example i: its stochastic and analysis
     surrogates at theta_t, both from one oracle call on row i."""
-    y = losses_mod.effective_labels(dataset)
     pairs = []
     for i in range(dataset.n):
-        batch = freeze(loss, model, theta_t, dataset.X[[i]], y[[i]])
+        batch = freeze(loss, model, theta_t, dataset.X[[i]], dataset.y[[i]])
         q_i = build_analysis_q(loss, dataset, batch, [i], eta_t)
         pairs.append((build_stochastic(loss, batch, eta_t), q_i))
     return pairs
@@ -77,8 +77,7 @@ def projection_error(loss, model, dataset, theta_t, batch_idx, eta_t, theta_next
     at (theta_t, batch, eta_t). Exact solve, so linear models only.
     """
     _require_linear(model)
-    y = losses_mod.effective_labels(dataset)
-    sampled = freeze(loss, model, theta_t, dataset.X[batch_idx], y[batch_idx])
+    sampled = freeze(loss, model, theta_t, dataset.X[batch_idx], dataset.y[batch_idx])
     q = build_analysis_q(loss, dataset, sampled, batch_idx, eta_t)
     theta_bar = exact_linear_solve(q, origin=theta_t)
     z_next = model.forward(theta_next, dataset.X)
@@ -130,9 +129,8 @@ def _convex_min_value(dataset, loss, iters: int = 5000) -> float:
     model = LinearModel()
     theta = np.zeros(dataset.d)
     step = theoretical_parametric_step(dataset, loss)
-    y = losses_mod.effective_labels(dataset)
     for _ in range(iters):
-        theta = theta - step * batch_param_grad(loss, model, theta, dataset.X, y)
+        theta = theta - step * batch_param_grad(loss, model, theta, dataset.X, dataset.y)
     return full_loss(loss, model, dataset, theta)
 
 
@@ -217,16 +215,11 @@ def projection_error_bound(dataset, loss, model, theta_t, eta_t, m: int, z_star)
 
 
 def counterexample_alphas(kind: str, T: int, beta: float = 1.0) -> np.ndarray:
-    """alpha_t sequences used with the two-quadratic instance."""
-    t = np.arange(1, T + 1, dtype=np.float64)
-    if kind == "constant":
-        return np.ones(T)
-    if kind == "sqrt-decay":
-        return 1.0 / np.sqrt(t)
-    if kind == "exponential":
-        alpha = (beta / T) ** (1.0 / T)
-        return alpha**t
-    raise ValueError(f"unknown alpha sequence {kind!r}")
+    """alpha_1..alpha_T for the two-quadratic instance: the steps of a
+    unit-eta0 schedule of this kind. A kind without a closed-form step
+    raises ValueError."""
+    schedule = Schedule(kind, 1.0, T=T, beta=beta)
+    return np.array([schedule_eta(schedule, t) for t in range(1, T + 1)])
 
 
 def counterexample_check(c: float, alphas, T: int, theta1: float, trials: int, seed: int = 0):

@@ -1,21 +1,23 @@
 """Experiment orchestration: config parsing, run grids, metrics files.
 
 An experiment config is a JSON document naming a dataset (file path or
-synthetic spec), a loss, a model, and a list of runs; every (run, seed)
-pair executes independently and writes one CSV plus a JSON sidecar with
-the fully resolved configuration. A summary CSV aggregates the per-seed
-loss curves (mean and 25/75 quantiles). Simulated cost, not wall clock,
-is the reproducible cost metric.
+synthetic spec), a loss, a model, and a list of runs. The problem (the
+dataset, with the labels the loss sees, the loss and the model) is
+built once per experiment, after the config checks and before any pair
+runs, and shared by every (run, seed) pair. Each pair writes one CSV
+plus a JSON sidecar with the fully resolved configuration. A summary CSV
+aggregates the per-seed loss curves (mean and 25/75 quantiles).
+Simulated cost, not wall clock, is the reproducible cost metric.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import copy
+import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +52,19 @@ def derive_seed(global_seed: int, run_id: str, seed_index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def dataset_path(spec: dict) -> Path | None:
-    """The file a dataset spec names, environment variables expanded."""
-    if "path" not in spec:
-        return None
-    path = Path(os.path.expandvars(spec["path"]))
-    if "$" in str(path):
-        raise ValueError(f"unresolved environment variable in path {path}")
-    return path
+def _keys(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 def load_dataset(spec: dict) -> data_mod.Dataset:
-    path = dataset_path(spec)
-    if path is not None:
+    """The dataset a spec names: a LibSVM file ("path", environment
+    variables expanded) or a synthetic spec, max-abs scaled on request."""
+    if "path" in spec:
+        path = Path(os.path.expandvars(spec["path"]))
+        if "$" in str(path):
+            raise ValueError(f"unresolved environment variable in path {path}")
+        if not path.is_file():
+            raise FileNotFoundError(f"dataset file {path.resolve()} does not exist")
         with open(path, "rb") as fh:
             ds = data_mod.parse_libsvm(
                 fh,
@@ -71,6 +73,9 @@ def load_dataset(spec: dict) -> data_mod.Dataset:
                 allow_binary_remap=spec.get("remap_binary", False),
             )
     elif "synthetic" in spec:
+        unknown = sorted(set(spec["synthetic"]) - _keys(data_mod.SyntheticSpec))
+        if unknown:
+            raise ValueError(f"unknown synthetic key(s) {unknown}")
         ds = data_mod.generate_synthetic(data_mod.SyntheticSpec(**spec["synthetic"]))
     else:
         raise ValueError("dataset spec needs 'path' or 'synthetic'")
@@ -96,8 +101,22 @@ def build_model(spec, dataset) -> object:
     )
 
 
-def _keys(cls) -> set:
-    return {f.name for f in fields(cls)}
+def load_problem(exp: dict):
+    """(dataset, loss, model) of an experiment, shared by all its pairs.
+
+    Under multiclass-kl the dataset's `y` becomes the smoothed expert
+    rows, so `y` is the label array the loss sees everywhere."""
+    loss = build_loss(exp["loss"])
+    dataset = load_dataset(exp["dataset"])
+    model = build_model(exp.get("model", "linear"), dataset)
+    if loss.kind == "multiclass-kl":
+        if dataset.task != "multiclass":
+            raise ValueError(f"loss 'multiclass-kl' needs a multiclass task, not {dataset.task!r}")
+        rows = losses_mod.smoothed_expert_rows(
+            dataset.y.astype(int), dataset.n_classes, exp.get("expert_smoothing", 0.05)
+        )
+        dataset = dataclasses.replace(dataset, y=rows)
+    return dataset, loss, model
 
 
 def check_run_spec(run_spec: dict, seed: int = 0) -> RunConfig:
@@ -180,18 +199,12 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def execute_single(exp: dict, run_spec: dict, seed_index: int, out_dir: str) -> dict:
-    """Run one (run, seed) pair end to end and write its files."""
-    global_seed = exp.get("global_seed", 0)
+def execute_single(exp: dict, problem, run_spec: dict, seed_index: int, out_dir: str) -> dict:
+    """Run one (run, seed) pair on the experiment's problem
+    `(dataset, loss, model)` and write its files."""
+    dataset, loss, model = problem
     run_id = run_id_of(run_spec)
-    seed = derive_seed(global_seed, run_id, seed_index)
-    dataset = load_dataset(exp["dataset"])
-    loss = build_loss(exp["loss"])
-    model = build_model(exp.get("model", "linear"), dataset)
-    if loss.kind == "multiclass-kl":
-        dataset.meta["expert_rows"] = losses_mod.smoothed_expert_rows(
-            dataset.y.astype(int), dataset.n_classes, exp.get("expert_smoothing", 0.05)
-        )
+    seed = derive_seed(exp.get("global_seed", 0), run_id, seed_index)
     cfg = make_run_config(run_spec, dataset.n, seed)
     trace = run_optimizer(cfg, dataset, model, loss)
     trace.seed = seed_index  # report the configured index, not the derived stream
@@ -218,9 +231,9 @@ def execute_single(exp: dict, run_spec: dict, seed_index: int, out_dir: str) -> 
 
 
 def _pool_entry(payload):
-    exp, run_spec, seed_index, out_dir = payload
+    exp, problem, run_spec, seed_index, out_dir = payload
     try:
-        return execute_single(exp, run_spec, seed_index, out_dir), None
+        return execute_single(exp, problem, run_spec, seed_index, out_dir), None
     except Exception as e:  # noqa: BLE001 - per-run failures are reported
         return {"run_id": run_id_of(run_spec), "seed": seed_index}, repr(e)
 
@@ -248,7 +261,9 @@ def write_summary(out_dir) -> str:
 
 
 def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int:
-    """Execute every (run x seed) pair; returns a process exit status."""
+    """Check the config, build its problem once, then execute every
+    (run x seed) pair on it; returns a process exit status. A config or
+    problem error raises before any pair runs or any file is written."""
     if not isinstance(config, dict):
         with open(config) as fh:
             config = json.load(fh)
@@ -264,12 +279,10 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
     duplicates = sorted({i for i in ids if ids.count(i) > 1})
     if duplicates:
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
-    path = dataset_path(config["dataset"])
-    if path is not None and not path.is_file():
-        raise FileNotFoundError(f"dataset file {path.resolve()} does not exist")
+    problem = load_problem(config)
 
     payloads = [
-        (config, run_spec, seed_index, out_dir)
+        (config, problem, run_spec, seed_index, out_dir)
         for run_spec in config["runs"]
         for seed_index in seeds
     ]

@@ -140,9 +140,3 @@ def smoothed_expert_rows(class_ids, n_classes: int, eps: float = 0.05) -> np.nda
     rows[np.arange(ids.shape[0]), ids] = 1.0 - eps
     return rows
 
-
-def effective_labels(dataset):
-    """Labels as the loss sees them: expert rows when attached, else y."""
-    meta = getattr(dataset, "meta", None) or {}
-    rows = meta.get("expert_rows")
-    return rows if rows is not None else dataset.y

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field, asdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .surrogates import VARIANTS, OracleCounter, build_stochastic, freeze
 INNER_SOLVERS = ("gd", "armijo", "exact")
 M_RULES = ("constant", "log")
 SAMPLING_MODES = ("replacement", "shuffle")
+# Inner settings each solver never reads ("armijo" reads them all).
+UNREAD_INNER = {"exact": ("m", "m_rule", "alpha", "growth", "warm_start"),
+                "gd": ("growth", "warm_start")}
 # Schedule kinds by optimizer; any other optimizer follows only "constant".
 SCHEDULE_KINDS = {"sso": KINDS, "sgd": tuple(k for k in KINDS if k != "target-line-search")}
 
@@ -81,8 +85,9 @@ class RunConfig:
     record_theta: bool = False
 
     def check_names(self) -> None:
-        """Reject a name that is not one of the known choices, and a
-        schedule kind the optimizer cannot follow."""
+        """Reject a name that is not one of the known choices, a schedule
+        kind the optimizer cannot follow, and a non-default setting that
+        the optimizer, schedule kind or inner solver never reads."""
         for what, name, known in (
             ("optimizer", self.optimizer, OPTIMIZERS),
             ("surrogate variant", self.variant, VARIANTS),
@@ -95,6 +100,20 @@ class RunConfig:
                 raise ValueError(f"unknown {what} {name!r}")
         if (kind := self.schedule.kind) not in SCHEDULE_KINDS.get(self.optimizer, ("constant",)):
             raise ValueError(f"optimizer {self.optimizer!r} cannot follow schedule kind {kind!r}")
+        opt = f"optimizer {self.optimizer!r}"
+        unread = []  # (setting, what never reads it)
+        if self.optimizer != "sso":
+            unread += [("variant", opt), ("inner", opt), ("diagnostics", opt)]
+        if self.optimizer != "svrg":
+            unread.append(("svrg_snapshot_freq", opt))
+        if kind != "exponential":
+            unread.append(("schedule.beta", f"schedule kind {kind!r}"))
+        solver = f"inner solver {self.inner.solver!r}"
+        unread += [(f"inner.{name}", solver) for name in UNREAD_INNER.get(self.inner.solver, ())]
+        default = RunConfig()
+        for name, reader in unread:
+            if attrgetter(name)(self) != attrgetter(name)(default):
+                raise ValueError(f"{reader} does not read {name!r}; leave it out")
 
     def validate(self, n: int) -> None:
         self.check_names()
@@ -130,12 +149,16 @@ class TraceRow:
 
 @dataclass
 class RunTrace:
+    """A run's trace rows and resolved config. `inner_stalls` counts the
+    searches that hit the backtrack floor: inner Armijo solves, target
+    line searches and SLS searches; each still takes its last step."""
+
     run_id: str
     seed: int
     config: dict
     rows: list = field(default_factory=list)
     thetas: list = field(default_factory=list)  # populated when record_theta
-    inner_stalls: int = 0  # inner solves that hit the backtrack floor
+    inner_stalls: int = 0
 
     def final_loss(self) -> float:
         return self.rows[-1].loss
@@ -150,7 +173,7 @@ class _Sampler:
     dataset's own X and labels, not a copy."""
 
     def __init__(self, dataset, batch: int, rng, mode: str):
-        self.X, self.y = dataset.X, losses_mod.effective_labels(dataset)
+        self.X, self.y = dataset.X, dataset.y
         self.n, self.batch, self.rng, self.mode = dataset.n, batch, rng, mode
         self._order = np.empty(0, dtype=int)
         self._pos = 0
@@ -177,7 +200,7 @@ class _Sampler:
 
 def full_loss(loss, model, dataset, theta) -> float:
     z = model.forward(theta, dataset.X)
-    return losses_mod.loss_value(loss, z, losses_mod.effective_labels(dataset))
+    return losses_mod.loss_value(loss, z, dataset.y)
 
 
 def batch_param_grad(loss, model, theta, rows, y, counter: OracleCounter | None = None):
@@ -191,8 +214,7 @@ def batch_param_grad(loss, model, theta, rows, y, counter: OracleCounter | None 
 
 
 def full_grad_norm(loss, model, dataset, theta) -> float:
-    y = losses_mod.effective_labels(dataset)
-    return float(np.linalg.norm(batch_param_grad(loss, model, theta, dataset.X, y)))
+    return float(np.linalg.norm(batch_param_grad(loss, model, theta, dataset.X, dataset.y)))
 
 
 def theoretical_parametric_step(dataset, loss, batch_size=None) -> float:
@@ -311,7 +333,8 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         idx, rows, y_b = draw()
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
         if sched is None:
-            eta_t, _ = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=eta0)
+            eta_t, stalled = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=eta0)
+            rec.inner_stalls += stalled
         else:
             eta_t = schedule_eta(sched, t, grad=batch.coeffs)
         surr = build_stochastic(loss, batch, eta_t, cfg.variant)
@@ -379,6 +402,7 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
                 if float(np.mean(loss.values(z_try, y_b))) <= base - LS_C * eta_t * gnorm2:
                     break
                 eta_t *= LS_SHRINK
+            rec.inner_stalls += eta_t < BACKTRACK_FLOOR
             theta = theta - eta_t * g
         return theta, eta_t, {}
 
@@ -433,8 +457,7 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         nonlocal snapshot, mu
         if (t - 1) % freq == 0:
             snapshot = theta.copy()
-            y = losses_mod.effective_labels(dataset)
-            mu = batch_param_grad(loss, model, snapshot, dataset.X, y, rec.counter)
+            mu = batch_param_grad(loss, model, snapshot, dataset.X, dataset.y, rec.counter)
         _, rows, y_b = draw()
         g = (
             batch_param_grad(loss, model, theta, rows, y_b, rec.counter)

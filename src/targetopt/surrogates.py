@@ -32,7 +32,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import xlogy
 
-from .losses import effective_labels
 from .models import spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
@@ -197,7 +196,7 @@ def build_deterministic(
 ) -> Surrogate:
     """Full-batch surrogate (one full oracle call). Upper-bounds the loss
     for eta <= 1/L, L the per-coordinate smoothness constant."""
-    batch = freeze(loss, model, theta_t, dataset.X, effective_labels(dataset), counter)
+    batch = freeze(loss, model, theta_t, dataset.X, dataset.y, counter)
     return build_stochastic(loss, batch, eta)
 
 
@@ -214,6 +213,6 @@ def build_analysis_q(loss, dataset, sampled: Batch, batch_idx, eta: float) -> Su
     # A batch drawn with replacement can repeat an index.
     np.add.at(consts, batch_idx, weight * sampled.consts)
     np.add.at(coeffs, batch_idx, weight * sampled.coeffs)
-    model, theta, y = sampled.model, sampled.theta, effective_labels(dataset)
+    model, theta = sampled.model, sampled.theta
     z = model.forward(theta, dataset.X)
-    return build_stochastic(loss, Batch(model, theta, dataset.X, y, z, consts, coeffs), eta)
+    return build_stochastic(loss, Batch(model, theta, dataset.X, dataset.y, z, consts, coeffs), eta)

@@ -9,7 +9,6 @@ from targetopt.losses import (
     LogisticLoss,
     MulticlassKLLoss,
     SquaredLoss,
-    effective_labels,
     smoothed_expert_rows,
 )
 from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
@@ -19,14 +18,14 @@ from targetopt.surrogates import build_analysis_q, build_stochastic, freeze
 def stochastic(loss, model, ds, theta_t, idx, eta, variant="smoothness", counter=None):
     """The stochastic surrogate on the rows `idx` of `ds`, frozen at theta_t."""
     idx = np.asarray(idx, dtype=int)
-    batch = freeze(loss, model, theta_t, ds.X[idx], effective_labels(ds)[idx], counter)
+    batch = freeze(loss, model, theta_t, ds.X[idx], ds.y[idx], counter)
     return build_stochastic(loss, batch, eta, variant)
 
 
 def analysis_q(loss, model, ds, theta_t, idx, eta):
     """The analysis surrogate of the rows `idx` of `ds`, frozen at theta_t."""
     idx = np.asarray(idx, dtype=int)
-    batch = freeze(loss, model, theta_t, ds.X[idx], effective_labels(ds)[idx])
+    batch = freeze(loss, model, theta_t, ds.X[idx], ds.y[idx])
     return build_analysis_q(loss, ds, batch, idx, eta)
 
 
@@ -69,15 +68,14 @@ def make_problem(case, n, d, seed, dense, eye=False):
     variant, model_kind, loss_kind = case
     rng = np.random.default_rng(seed)
     X = np.eye(n) if eye else rng.normal(size=(n, d))
-    meta = {}
     if loss_kind == "squared":
         y, task, loss = rng.normal(size=n), "regression", SquaredLoss()
     elif loss_kind == "logistic":
         y, task, loss = rng.choice([-1.0, 1.0], size=n), "binary", LogisticLoss()
     else:
-        y, task, loss = rng.integers(0, K, n).astype(float), "multiclass", MulticlassKLLoss()
-        meta["expert_rows"] = smoothed_expert_rows(y.astype(int), K, eps=0.1)
-    ds = Dataset(X=X if dense else sp.csr_matrix(X), y=y, task=task, n_classes=K, meta=meta)
+        y = smoothed_expert_rows(rng.integers(0, K, n), K, eps=0.1)
+        task, loss = "multiclass", MulticlassKLLoss()
+    ds = Dataset(X=X if dense else sp.csr_matrix(X), y=y, task=task, n_classes=K)
     model = {
         "linear": LinearModel(),
         "mlp": MLPModel(hidden=3, seed=seed % 7),

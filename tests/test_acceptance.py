@@ -366,8 +366,8 @@ def test_10_gradient_hygiene():
         # Mirror projection objective through a softmax-linear model.
         K = 3
         Xm = sp.csr_matrix(rng.normal(size=(6, 2)))
-        dsm = Dataset(X=Xm, y=rng.integers(0, K, 6).astype(float), task="multiclass", n_classes=K)
-        dsm.meta["expert_rows"] = smoothed_expert_rows(dsm.y.astype(int), K, 0.1)
+        ym = smoothed_expert_rows(rng.integers(0, K, 6), K, 0.1)
+        dsm = Dataset(X=Xm, y=ym, task="multiclass", n_classes=K)
         smodel = SoftmaxLinearModel(K)
         msurr = stochastic(
             MulticlassKLLoss(), smodel, dsm, rng.normal(size=smodel.dim(2)) * 0.3,

@@ -106,10 +106,10 @@ class TestRunExperiment:
         assert "FAILED adam seed 0" in out
 
     def test_all_pairs_failed_reports_without_summary(self, tmp_path, capsys):
-        # The file exists, so every pair gets to load it and fails there.
-        (tmp_path / "broken.libsvm").write_text("not libsvm\n")
+        # T = 0 passes the config checks, so every pair starts and fails.
         cfg = small_config(tmp_path / "out")
-        cfg["dataset"] = {"path": str(tmp_path / "broken.libsvm"), "task": "binary"}
+        for run_spec in cfg["runs"]:
+            run_spec["T"] = 0
         status = run_experiment(cfg)
         assert status == 1
         out = capsys.readouterr().out
@@ -123,6 +123,40 @@ class TestRunExperiment:
         cfg["dataset"] = {"path": "$DATA_DIR/missing.libsvm", "task": "binary"}
         resolved = str((tmp_path / "data" / "missing.libsvm").resolve())
         with pytest.raises(FileNotFoundError, match=re.escape(resolved)):
+            run_experiment(cfg)
+        assert "FAILED" not in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    def test_problem_is_loaded_once_per_experiment(self, tmp_path, monkeypatch):
+        from targetopt import harness
+
+        calls = []
+        load = harness.load_dataset
+
+        def counting_load(spec):
+            calls.append(spec)
+            return load(spec)
+
+        monkeypatch.setattr(harness, "load_dataset", counting_load)
+        cfg = small_config(tmp_path / "out")  # 2 runs x 3 seeds
+        assert run_experiment(cfg) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dataset", {"path": "broken.libsvm", "task": "binary"}, "line 1: bad label token 'not'"),
+        ("loss", "hinge", "unknown loss kind 'hinge'"),
+        ("model", "tree", "unknown model kind 'tree'"),
+        ("dataset", {"synthetic": {"kind": "least-squares", "nn": 5}},
+         "unknown synthetic key(s) ['nn']"),
+        ("loss", "multiclass-kl", "loss 'multiclass-kl' needs a multiclass task, not 'regression'"),
+    ], ids=["malformed-data", "unknown-loss", "unknown-model", "synthetic-key", "kl-on-regression"])
+    def test_bad_problem_fails_once_before_any_pair(self, tmp_path, capsys, monkeypatch,
+                                                    key, value, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.libsvm").write_text("not libsvm\n")
+        cfg = small_config(tmp_path / "out")
+        cfg[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(cfg)
         assert "FAILED" not in capsys.readouterr().out
         assert not (tmp_path / "out").exists()
@@ -259,9 +293,26 @@ class TestConfigParsing:
          "'b': optimizer 'sgd' cannot follow schedule kind 'target-line-search'"),
         ({"T": 6, "optimizer": "adam", "schedule": {"kind": "sqrt-decay", "eta0": 0.5}},
          "'b': optimizer 'adam' cannot follow schedule kind 'sqrt-decay'"),
+        ({"T": 6, "optimizer": "sso",
+          "inner": {"solver": "exact", "alpha": 5.0, "m": 9, "growth": 3.0}},
+         "'b': inner solver 'exact' does not read 'inner.m'"),
+        ({"T": 6, "variant": "newton", "inner": {"solver": "armijo", "m": 20},
+          "svrg_snapshot_freq": 3},
+         "'b': optimizer 'sgd' does not read 'variant'"),
+        ({"T": 6, "inner": {"solver": "gd"}, "diagnostics": ["eps"]},
+         "'b': optimizer 'sgd' does not read 'diagnostics'"),
+        ({"T": 6, "optimizer": "adam", "inner": {"m": 5}},
+         "'b': optimizer 'adam' does not read 'inner'"),
+        ({"T": 6, "svrg_snapshot_freq": 3}, "'b': optimizer 'sgd' does not read 'svrg_snapshot_freq'"),
+        ({"T": 6, "schedule": {"kind": "sqrt-decay", "beta": 2.0}},
+         "'b': schedule kind 'sqrt-decay' does not read 'schedule.beta'"),
+        ({"T": 6, "optimizer": "sso", "inner": {"solver": "gd", "warm_start": True}},
+         "'b': inner solver 'gd' does not read 'inner.warm_start'"),
     ], ids=["unknown-key", "T-with-epochs", "optimizer", "variant", "inner-solver", "m-rule",
             "schedule-kind", "sampling", "step_size", "adam_lr", "adagrad_lr", "inner-alpha0",
-            "sgd-target-line-search", "adam-sqrt-decay"])
+            "sgd-target-line-search", "adam-sqrt-decay", "exact-ignores-inner",
+            "sgd-ignores-variant", "sgd-ignores-diagnostics", "adam-ignores-inner",
+            "sgd-ignores-snapshot-freq", "sqrt-decay-ignores-beta", "gd-ignores-warm-start"])
     def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
         cfg = small_config(tmp_path / "out")
         cfg["runs"].insert(1, {"id": "b", "optimizer": "sgd", **entry})
@@ -389,6 +440,19 @@ class TestCLI:
         missing = (tmp_path / "data" / "mushrooms").resolve()
         assert capsys.readouterr().err == f"error: dataset file {missing} does not exist\n"
         assert not out.exists()
+
+    def test_too_small_dim_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "ls.libsvm"
+        assert cli.main(["gen", "--n", "12", "--d", "3", "--seed", "4", "--out", str(data)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(tmp_path / "out")))
+        capsys.readouterr()
+        argv = ["run", "--config", str(cfg_path), "--data", str(data), "--dim", "2"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: d override 2 smaller than max feature index 3\n"
+        assert "FAILED" not in captured.out
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad, message", [
         ({"id": "sgd", "optimizer": "adam", "T": 6}, "duplicate run id(s) ['sgd']"),

@@ -142,8 +142,8 @@ class TestSSO:
         rng = np.random.default_rng(31)
         n, d, K = 30, 5, 3
         X = sp.csr_matrix(rng.normal(size=(n, d)))
-        ds = Dataset(X=X, y=rng.integers(0, K, n).astype(float), task="multiclass", n_classes=K)
-        ds.meta["expert_rows"] = smoothed_expert_rows(ds.y.astype(int), K, 0.1)
+        y = smoothed_expert_rows(rng.integers(0, K, n), K, 0.1)
+        ds = Dataset(X=X, y=y, task="multiclass", n_classes=K)
         model = SoftmaxLinearModel(K)
         loss = MulticlassKLLoss()
         # Full batch: multiplicative updates + KL projection decrease the loss.
@@ -411,9 +411,10 @@ class TestEveryOptimizer:
         ds = ls_dataset(n=20, d=4, seed=23, kind="logistic", noise=0.1)
         dense = Dataset(X=ds.X.toarray(), y=ds.y, task=ds.task)
         loss = LogisticLoss()
+        inner = InnerOptions(solver="armijo", m=3) if optimizer == "sso" else InnerOptions()
         cfg = lambda: RunConfig(optimizer=optimizer, T=15, batch_size=5,
                                 schedule=ScheduleOptions(eta0=0.5),
-                                inner=InnerOptions(solver="armijo", m=3), seed=1, eval_every=1)
+                                inner=inner, seed=1, eval_every=1)
         a = run(cfg(), ds, LinearModel(), loss)
         b = run(cfg(), dense, LinearModel(), loss)
         np.testing.assert_allclose(b.losses(), a.losses(), rtol=0, atol=1e-12)
@@ -443,6 +444,15 @@ class TestEveryOptimizer:
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert trace.inner_stalls == 5
         assert trace.rows[-1].inner_steps == 0
+
+    @pytest.mark.parametrize("optimizer, kind", [("sls", "constant"), ("sso", "target-line-search")])
+    def test_stalled_line_searches_are_counted(self, optimizer, kind):
+        # A first trial below the backtrack floor stalls every search.
+        ds = ls_dataset(seed=24)
+        cfg = RunConfig(optimizer=optimizer, T=5, batch_size=4, seed=0,
+                        schedule=ScheduleOptions(kind=kind, eta0=1e-14),
+                        inner=InnerOptions(solver="gd"))
+        assert run(cfg, ds, LinearModel(), SquaredLoss()).inner_stalls == cfg.T
 
     @pytest.mark.parametrize("optimizer, solver", [("sgd", "gd"), ("sso", "gd"), ("sso", "armijo")])
     def test_adagrad_norm_run_from_an_exact_optimum(self, optimizer, solver):
@@ -480,8 +490,9 @@ class TestOneOraclePerBatch:
     def test_one_forward_at_the_anchor_per_outer_step(self, optimizer, kind):
         ds = ls_dataset(n=30, d=5, seed=25)
         model = RecordingModel()
+        inner = InnerOptions(solver="exact") if optimizer == "sso" else InnerOptions()
         cfg = RunConfig(optimizer=optimizer, T=10, batch_size=5, seed=0, eval_every=1,
-                        schedule=ScheduleOptions(kind=kind), inner=InnerOptions(solver="exact"))
+                        schedule=ScheduleOptions(kind=kind), inner=inner)
         trace = run(cfg, ds, model, SquaredLoss())
         on_batch = sum(rows is not ds.X for rows in model.forward_rows)
         # The exact solve makes no forward call; an SLS step that accepted

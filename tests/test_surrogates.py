@@ -317,8 +317,7 @@ class TestMirror:
 # ----------------------------------------------------------------------
 
 def batch_loss(loss, model, ds, theta, idx):
-    y = ds.meta.get("expert_rows", ds.y)
-    return float(np.mean(loss.values(model.forward(theta, ds.X[idx]), y[idx])))
+    return float(np.mean(loss.values(model.forward(theta, ds.X[idx]), ds.y[idx])))
 
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -379,7 +378,7 @@ class TestRepresentationProperties:
         (variant, ds, model, loss, theta_t, rng), idx, eta = problem
         surr = stochastic(loss, model, ds, theta_t, idx, eta, variant)
         z = model.forward(theta_t, ds.X)
-        g = loss.grads(z, ds.meta["expert_rows"])
+        g = loss.grads(z, ds.y)
         step = z * np.exp(-eta * g)
         step /= step.sum(axis=1, keepdims=True)
         theta_star = np.log(step).ravel()
