@@ -1,7 +1,9 @@
 """Dataset loading and synthetic problem generation.
 
-Datasets are stored as a sparse CSR feature matrix with a label vector.
-Parsing follows the LibSVM text format (`<label> <idx>:<val> ...` with
+A dataset is a feature matrix with a label vector. The feature matrix is
+a dense ndarray when every entry is present (synthetic data, and LibSVM
+text that stores all n*d entries) and a CSR matrix otherwise. Parsing
+follows the LibSVM text format (`<label> <idx>:<val> ...` with
 1-based, strictly increasing feature indices per line). Synthetic
 generators cover least-squares / logistic instances with a controllable
 condition number, exactly interpolable instances, and the fixed
@@ -35,9 +37,10 @@ class ParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Sparse-row dataset with labels.
+    """Feature matrix with labels.
 
-    `X` is an n-by-d CSR matrix or a dense ndarray.
+    `X` is an n-by-d dense ndarray when every entry is present and a CSR
+    matrix otherwise (see `parse_libsvm` and `generate_synthetic`).
     `y` holds the labels the loss sees: floats for regression, values in
     {-1, +1} for binary classification, and contiguous class ids 0..K-1
     for multiclass (with `label_map` recording the original label of each
@@ -141,9 +144,10 @@ def parse_libsvm(
     `text` may be a str, bytes, file object, or iterable of lines. Blank
     lines are skipped and `#` starts a comment (whole-line or trailing).
     `d` overrides the inferred feature dimension (max index seen); it is an
-    error for it to be smaller than an observed index. For binary tasks,
-    `allow_binary_remap=True` maps a two-valued label set (e.g. {1, 2}) onto
-    {+1, -1} by sorted order instead of rejecting it.
+    error for it to be smaller than an observed index. X is a dense ndarray
+    when every line stores all d entries, and CSR otherwise. For binary
+    tasks, `allow_binary_remap=True` maps a two-valued label set (e.g.
+    {1, 2}) onto {+1, -1} by sorted order instead of rejecting it.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -195,6 +199,8 @@ def parse_libsvm(
         (np.asarray(values, dtype=np.float64), indices, indptr),
         shape=(n, d),
     )
+    if 0 < X.nnz == n * d:
+        X = X.toarray()
     y = np.asarray(labels, dtype=np.float64)
     n_classes = 0
     label_map: tuple = ()
@@ -278,14 +284,15 @@ def _conditioned_factors(rng: np.random.Generator, n: int, d: int, cond: float):
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Generate a synthetic Dataset; deterministic given `spec.seed`."""
+    """Generate a synthetic Dataset with a dense X; deterministic given
+    `spec.seed`."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "counterexample-quadratics":
         # Two one-dimensional quadratics: residuals (theta - 1) and
         # (2 theta + 1/2) under the squared loss.
-        X = sp.csr_matrix(np.array([[1.0], [2.0]]))
+        X = np.array([[1.0], [2.0]])
         y = np.array([1.0, -0.5])
         return Dataset(X=X, y=y, task="regression", meta={"kind": spec.kind})
 
@@ -309,7 +316,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         task = "binary"
 
     return Dataset(
-        X=sp.csr_matrix(dense),
+        X=dense,
         y=y,
         task=task,
         meta={"kind": spec.kind, "seed": spec.seed},

@@ -52,13 +52,25 @@ def derive_seed(global_seed: int, run_id: str, seed_index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+DATASET_KEYS = {"path", "task", "d", "remap_binary", "normalize", "synthetic"}
+LOSS_KEYS = {"kind", "smoothness"}
+MODEL_KEYS = {"kind", "hidden", "n_classes", "seed"}
+
+
 def _keys(cls) -> set:
     return {f.name for f in dataclasses.fields(cls)}
+
+
+def _reject_unknown(group: str, spec: dict, known: set) -> None:
+    unknown = sorted(set(spec) - known)
+    if unknown:
+        raise ValueError(f"unknown {group} key(s) {unknown}")
 
 
 def load_dataset(spec: dict) -> data_mod.Dataset:
     """The dataset a spec names: a LibSVM file ("path", environment
     variables expanded) or a synthetic spec, max-abs scaled on request."""
+    _reject_unknown("dataset", spec, DATASET_KEYS)
     if "path" in spec:
         path = Path(os.path.expandvars(spec["path"]))
         if "$" in str(path):
@@ -73,9 +85,7 @@ def load_dataset(spec: dict) -> data_mod.Dataset:
                 allow_binary_remap=spec.get("remap_binary", False),
             )
     elif "synthetic" in spec:
-        unknown = sorted(set(spec["synthetic"]) - _keys(data_mod.SyntheticSpec))
-        if unknown:
-            raise ValueError(f"unknown synthetic key(s) {unknown}")
+        _reject_unknown("synthetic", spec["synthetic"], _keys(data_mod.SyntheticSpec))
         ds = data_mod.generate_synthetic(data_mod.SyntheticSpec(**spec["synthetic"]))
     else:
         raise ValueError("dataset spec needs 'path' or 'synthetic'")
@@ -87,12 +97,14 @@ def load_dataset(spec: dict) -> data_mod.Dataset:
 def build_loss(spec) -> object:
     if isinstance(spec, str):
         spec = {"kind": spec}
+    _reject_unknown("loss", spec, LOSS_KEYS)
     return losses_mod.make_loss(spec["kind"], spec.get("smoothness"))
 
 
 def build_model(spec, dataset) -> object:
     if isinstance(spec, str):
         spec = {"kind": spec}
+    _reject_unknown("model", spec, MODEL_KEYS)
     return models_mod.make_model(
         spec.get("kind", "linear"),
         hidden=spec.get("hidden", 16),
@@ -301,7 +313,7 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
         elif result["inner_stalls"]:
             print(
                 f"STALLED {result['run_id']} seed {result['seed']}: "
-                f"{result['inner_stalls']} inner solves hit the backtrack floor"
+                f"{result['inner_stalls']} searches hit the backtrack floor"
             )
     return 1 if any(err for _, err in outcomes) else 0
 

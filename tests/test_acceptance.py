@@ -90,7 +90,7 @@ def test_02_target_space_equivalence():
             SyntheticSpec("least-squares", n=30, d=6, cond=8.0, noise=0.5, seed=1)
         )
         model, loss = LinearModel(), SquaredLoss()
-        X = ds.X.toarray()
+        X = np.asarray(ds.X)
         eta = 0.4
         rng = np.random.default_rng(2)
         theta_a = np.zeros(ds.d)

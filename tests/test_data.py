@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from targetopt.data import (
+    SYNTHETIC_KINDS,
     Dataset,
     ParseError,
     SyntheticSpec,
@@ -110,7 +111,7 @@ class TestRoundTrip:
 class TestSynthetic:
     def test_counterexample_instance(self):
         ds = generate_synthetic(SyntheticSpec("counterexample-quadratics"))
-        np.testing.assert_allclose(ds.X.toarray(), [[1.0], [2.0]])
+        np.testing.assert_allclose(np.asarray(ds.X), [[1.0], [2.0]])
         np.testing.assert_allclose(ds.y, [1.0, -0.5])
 
     def test_counterexample_shape_fixed(self):
@@ -119,12 +120,12 @@ class TestSynthetic:
 
     def test_interpolating_zero_residual(self):
         ds = generate_synthetic(SyntheticSpec("interpolating", n=40, d=7, seed=5))
-        theta, *_ = np.linalg.lstsq(ds.X.toarray(), ds.y, rcond=None)
+        theta, *_ = np.linalg.lstsq(np.asarray(ds.X), ds.y, rcond=None)
         assert np.linalg.norm(ds.X @ theta - ds.y) <= 1e-9
 
     def test_interpolating_min_loss_zero(self):
         ds = generate_synthetic(SyntheticSpec("interpolating", n=30, d=4, seed=1))
-        theta, res, *_ = np.linalg.lstsq(ds.X.toarray(), ds.y, rcond=None)
+        theta, res, *_ = np.linalg.lstsq(np.asarray(ds.X), ds.y, rcond=None)
         h_min = 0.5 * np.sum((ds.X @ theta - ds.y) ** 2) / ds.n
         assert h_min <= 1e-18
 
@@ -135,7 +136,7 @@ class TestSynthetic:
 
     def test_condition_number_target(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=50, d=8, cond=100, seed=2))
-        s = np.linalg.svd(ds.X.toarray(), compute_uv=False)
+        s = np.linalg.svd(np.asarray(ds.X), compute_uv=False)
         np.testing.assert_allclose((s[0] / s[-1]) ** 2, 100.0, rtol=1e-8)
 
     def test_logistic_labels(self):
@@ -189,3 +190,32 @@ def test_to_libsvm_accepts_dense(storage):
     text = to_libsvm(storage(ds))
     assert text == to_libsvm(ds)
     assert parse_libsvm(text, d=ds.d).equal_to(ds)
+
+
+class TestStorage:
+    """X is a dense ndarray exactly when every entry is stored."""
+
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    def test_synthetic_is_dense(self, kind):
+        spec = SyntheticSpec(kind) if kind == "counterexample-quadratics" else SyntheticSpec(kind, n=6, d=3)
+        assert isinstance(generate_synthetic(spec).X, np.ndarray)
+
+    def test_fully_stored_text_is_dense(self):
+        ds = parse_libsvm("1 1:0.5 2:0\n-2 1:3 2:4\n")
+        assert isinstance(ds.X, np.ndarray)
+        np.testing.assert_array_equal(ds.X, [[0.5, 0.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text, d", [
+        ("1 1:0.5 2:1\n-2 2:4\n", None),  # one missing entry
+        ("1 1:0.5 2:1\n-2 1:3 2:4\n", 3),  # d above the largest index
+        ("", None),  # empty
+    ], ids=["missing-entry", "d-override", "empty"])
+    def test_partly_stored_text_is_csr(self, text, d):
+        X = parse_libsvm(text, d=d).X
+        assert sp.issparse(X) and X.format == "csr"
+
+    def test_dense_round_trip(self):
+        ds = generate_synthetic(SyntheticSpec("logistic", n=8, d=3, noise=0.1, seed=4))
+        again = parse_libsvm(to_libsvm(ds), task="binary")
+        assert isinstance(again.X, np.ndarray)
+        assert ds.equal_to(again) and again.equal_to(ds)

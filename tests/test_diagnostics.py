@@ -113,8 +113,8 @@ class TestSigmaZ:
     def test_dense_X_matches_csr(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=12, d=3, noise=0.5, seed=8))
         ds.X[0] = 0.0  # a zero row takes the per-example branch
-        dense = Dataset(X=ds.X.toarray(), y=ds.y, task=ds.task)
-        assert sigma2_z(dense, SquaredLoss()) == pytest.approx(sigma2_z(ds, SquaredLoss()), abs=1e-12)
+        csr = Dataset(X=sp.csr_matrix(ds.X), y=ds.y, task=ds.task)
+        assert sigma2_z(ds, SquaredLoss()) == pytest.approx(sigma2_z(csr, SquaredLoss()), abs=1e-12)
 
 
 class TestZeta2:

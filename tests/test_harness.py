@@ -149,7 +149,12 @@ class TestRunExperiment:
         ("dataset", {"synthetic": {"kind": "least-squares", "nn": 5}},
          "unknown synthetic key(s) ['nn']"),
         ("loss", "multiclass-kl", "loss 'multiclass-kl' needs a multiclass task, not 'regression'"),
-    ], ids=["malformed-data", "unknown-loss", "unknown-model", "synthetic-key", "kl-on-regression"])
+        ("dataset", {"synthetic": {"kind": "least-squares"}, "normalise": True},
+         "unknown dataset key(s) ['normalise']"),
+        ("loss", {"kind": "squared", "smothness": 2.0}, "unknown loss key(s) ['smothness']"),
+        ("model", {"kind": "mlp", "hiden": 5}, "unknown model key(s) ['hiden']"),
+    ], ids=["malformed-data", "unknown-loss", "unknown-model", "synthetic-key", "kl-on-regression",
+            "dataset-key", "loss-key", "model-key"])
     def test_bad_problem_fails_once_before_any_pair(self, tmp_path, capsys, monkeypatch,
                                                     key, value, message):
         monkeypatch.chdir(tmp_path)
@@ -186,7 +191,7 @@ class TestRunExperiment:
              "inner": {"solver": "armijo", "m": 3, "alpha": 1e-14}},
         ]
         assert run_experiment(cfg) == 0
-        assert "STALLED stall seed 0: 6 inner solves hit the backtrack floor" in capsys.readouterr().out
+        assert "STALLED stall seed 0: 6 searches hit the backtrack floor" in capsys.readouterr().out
         assert json.loads((out / "stall_s0.json").read_text())["inner_stalls"] == 6
         assert read_csv(out / "stall_s0.csv")[-1]["inner_steps"] == "0"
 
@@ -467,3 +472,31 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_misspelt_problem_key_is_one_error_line(self, tmp_path, capsys):
+        cfg = small_config(tmp_path / "out")
+        cfg["loss"] = {"kind": "squared", "smothness": 2.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown loss key(s) ['smothness']\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_preset_from_generated_file_matches_synthetic(self, tmp_path):
+        # The generated file stores every entry, so it loads as the same
+        # dense X as the synthetic spec and the runs cannot tell them apart.
+        spec = presets()["ill-conditioned-ls"]["dataset"]["synthetic"]
+        data = tmp_path / "ls.libsvm"
+        gen = ["gen", "--kind", spec["kind"], "--n", str(spec["n"]), "--d", str(spec["d"]),
+               "--cond", str(spec["cond"]), "--seed", str(spec["seed"]), "--out", str(data)]
+        assert cli.main(gen) == 0
+        run = ["run", "--preset", "ill-conditioned-ls", "--out"]
+        assert cli.main([*run, str(tmp_path / "synthetic")]) == 0
+        assert cli.main([*run, str(tmp_path / "file"), "--data", str(data)]) == 0
+        names = sorted(p.name for p in (tmp_path / "synthetic").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "file").glob("*.csv"))
+        assert len(names) == 3  # two runs and the summary
+        for name in names:
+            a = (tmp_path / "synthetic" / name).read_text()
+            b = (tmp_path / "file" / name).read_text()
+            assert a == b if name == "summary.csv" else strip_wall(a) == strip_wall(b)

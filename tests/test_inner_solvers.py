@@ -242,7 +242,7 @@ class TestExactSolve:
         )
         surr = build_deterministic(SquaredLoss(), LinearModel(), ds, np.zeros(6), 1.0)
         theta = exact_linear_solve(surr)
-        direct, *_ = np.linalg.lstsq(ds.X.toarray(), ds.y, rcond=None)
+        direct, *_ = np.linalg.lstsq(np.asarray(ds.X), ds.y, rcond=None)
         np.testing.assert_allclose(theta, direct, atol=1e-9)
 
     def test_counterexample_update_first_example(self):

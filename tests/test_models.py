@@ -203,7 +203,7 @@ class TestLipschitz:
 
     def test_synthetic_matches_svd(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=30, d=6, cond=50, seed=0))
-        sigma = np.linalg.svd(ds.X.toarray(), compute_uv=False)[0]
+        sigma = np.linalg.svd(np.asarray(ds.X), compute_uv=False)[0]
         assert lipschitz_estimate(LinearModel(), ds.X) == pytest.approx(sigma, rel=1e-6)
 
     def test_mlp_jacobian_matches_finite_differences(self):

@@ -206,7 +206,7 @@ class TestTargetSpaceEquivalence:
 
         ds = ls_dataset(n=15, d=4, cond=8, noise=0.5, seed=10)
         model, loss = LinearModel(), SquaredLoss()
-        X = ds.X.toarray()
+        X = np.asarray(ds.X)
         eta = 0.45
         rng = np.random.default_rng(11)
 
@@ -409,14 +409,14 @@ class TestEveryOptimizer:
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_dense_X_matches_csr(self, optimizer):
         ds = ls_dataset(n=20, d=4, seed=23, kind="logistic", noise=0.1)
-        dense = Dataset(X=ds.X.toarray(), y=ds.y, task=ds.task)
+        csr = Dataset(X=sp.csr_matrix(ds.X), y=ds.y, task=ds.task)
         loss = LogisticLoss()
         inner = InnerOptions(solver="armijo", m=3) if optimizer == "sso" else InnerOptions()
         cfg = lambda: RunConfig(optimizer=optimizer, T=15, batch_size=5,
                                 schedule=ScheduleOptions(eta0=0.5),
                                 inner=inner, seed=1, eval_every=1)
-        a = run(cfg(), ds, LinearModel(), loss)
-        b = run(cfg(), dense, LinearModel(), loss)
+        a = run(cfg(), csr, LinearModel(), loss)
+        b = run(cfg(), ds, LinearModel(), loss)
         np.testing.assert_allclose(b.losses(), a.losses(), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)

@@ -40,7 +40,7 @@ class TestStochastic:
         eta = 0.7
         i = 1
         surr = stochastic(loss, model, ds, theta_t, [i], eta)
-        x_i = ds.X.getrow(i).toarray().ravel()
+        x_i = ds.X[i]
         for _ in range(20):
             theta = rng.normal(size=2)
             r = x_i @ theta_t - ds.y[i]
@@ -184,7 +184,7 @@ class TestDeterministic:
         theta_t = rng.normal(size=3)
         eta = 0.9
         surr = build_deterministic(SquaredLoss(), model, ds, theta_t, eta)
-        X = ds.X.toarray()
+        X = np.asarray(ds.X)
         r = X @ theta_t - ds.y
         for _ in range(10):
             theta = rng.normal(size=3)

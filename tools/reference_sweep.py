@@ -8,8 +8,10 @@ and checks every (run, seed) CSV with the benchmark's own `check_pair`
 against `perfbench/reference.json`, plus the headline run's loss
 threshold. It prints the failing pairs with their problems, the number
 of pairs byte-identical to the reference apart from `wall_ms`, and the
-worst relative deviation of the final loss and gradient norm. Exit
-status 1 if any pair fails. The benchmark's files are only read.
+worst relative deviation of the final loss and gradient norm, for the
+workload and for each run id in it, so a numerical change names the
+runs it moved. Exit status 1 if any pair fails. The benchmark's files
+are only read.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ from workloads import (  # noqa: E402
 )
 
 
+COLUMNS = ("loss", "grad_norm")
+
+
 def sweep(name: str, reference: dict) -> tuple[list[str], int, int, int, dict]:
     """(problems, failing pairs, identical pairs, pairs, worst relative
-    deviation by column)."""
+    deviation by run id and column)."""
     workload = WORKLOADS[name]
     failures, failing, identical, pairs = [], 0, 0, 0
-    worst = {"loss": 0.0, "grad_norm": 0.0}
+    worst: dict = {}
     for instance in range(POOL):
         ref = reference[str(instance)]
         with tempfile.TemporaryDirectory() as tmp:
@@ -65,10 +70,11 @@ def sweep(name: str, reference: dict) -> tuple[list[str], int, int, int, dict]:
                 failing += bool(problems)
                 identical += hashlib.sha256(without_wall(text).encode()).hexdigest() == want["sha256"]
                 last = parse_csv(text)[-1]
-                for col in worst:
+                run_worst = worst.setdefault(run["id"], dict.fromkeys(COLUMNS, 0.0))
+                for col in COLUMNS:
                     ref_val = want[f"final_{col}"]
                     dev = abs(float(last[col]) - ref_val) / max(abs(ref_val), 1e-12)
-                    worst[col] = max(worst[col], dev)
+                    run_worst[col] = max(run_worst[col], dev)
     return failures, failing, identical, pairs, worst
 
 
@@ -79,12 +85,15 @@ def main(names: list[str]) -> int:
         failures, failing, identical, pairs, worst = sweep(name, reference[name])
         for line in failures:
             print(f"FAIL {line}")
+        overall = {col: max((w[col] for w in worst.values()), default=0.0) for col in COLUMNS}
         print(
             f"{name}: {pairs - failing} of {pairs} pairs pass, "
             f"{identical} byte-identical apart from wall_ms; worst relative deviation "
-            f"final loss {worst['loss']:.3g}, final grad norm {worst['grad_norm']:.3g}",
-            flush=True,
+            f"final loss {overall['loss']:.3g}, final grad norm {overall['grad_norm']:.3g}"
         )
+        for run_id, w in worst.items():
+            print(f"  {run_id}: final loss {w['loss']:.3g}, final grad norm {w['grad_norm']:.3g}")
+        sys.stdout.flush()
         failed |= bool(failures)
     return 1 if failed else 0
 
