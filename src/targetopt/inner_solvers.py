@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
+from .models import row_product
 from .surrogates import SquaredProximity
 
 BACKTRACK_FLOOR = 1e-12
@@ -69,7 +69,7 @@ class _TargetLine:
 
     def __init__(self, surrogate, omega):
         self.surrogate, self.model = surrogate, surrogate.batch.model
-        self.rows, self.rows_t, self.omega0 = surrogate.batch.rows, None, omega
+        self.rows, self.omega0 = surrogate.batch.rows, omega
         linear = self.model.kind == "linear"
         self.quadratic = linear and isinstance(surrogate.prox, SquaredProximity)
 
@@ -89,10 +89,8 @@ class _TargetLine:
     def step(self, a) -> np.ndarray:
         """Take the accepted step in the logits; the gradient there."""
         self.logits = self.logits - a * self.u
-        if self.rows_t is None:  # built once a second step is needed
-            self.rows_t = self.rows.T.tocsr() if sp.issparse(self.rows) else self.rows.T
         v = self.surrogate.logit_grad(self.model.link(self.logits))
-        return np.asarray(self.rows_t @ v).ravel()
+        return row_product(self.rows, v, transpose=True).ravel()
 
 
 def armijo_backtracking(

@@ -9,16 +9,77 @@ batch. Linear and softmax-linear targets are link(rows @ W), W = theta,
 and these models expose `logits`, `link` and its vector-Jacobian product
 `link_vjp`. MLP gradients are hand-written reverse accumulation so they
 can be checked against finite differences without an autodiff dependency.
+
+Rows are a dense ndarray or a CSR matrix. `take_rows` gathers a batch and
+`row_product` forms `rows @ v` and `rows.T @ v`: dense rows use ndarray
+indexing and `@`, and CSR rows go straight to the compiled kernels that
+scipy's own `X[idx]` and `@` end in, on the matrix's own arrays, so the
+sums are scipy's bit for bit without its per-call matrix construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools  # the kernels behind scipy's CSR X[idx] and @
+
+
+def take_rows(X, idx):
+    """X[idx] in X's storage: an ndarray, or a csr_matrix of the rows idx.
+
+    A CSR gather casts idx to X's index dtype, as scipy's own fancy row
+    indexing does, runs scipy's `csr_row_index` on X's arrays and wraps
+    the result without re-running the constructor's format checks (each
+    row is a row of X verbatim).
+    """
+    if isinstance(X, np.ndarray):
+        return X[idx]
+    _require_csr(X)
+    idx = np.asarray(idx, dtype=X.indptr.dtype).ravel()
+    if idx.size and idx.min() < 0:
+        raise IndexError("row indices must be non-negative")
+    indptr = np.zeros(idx.size + 1, dtype=idx.dtype)
+    np.cumsum(X.indptr[idx + 1] - X.indptr[idx], out=indptr[1:])  # IndexError past the last row
+    indices, data = np.empty(indptr[-1], dtype=idx.dtype), np.empty(indptr[-1], dtype=X.dtype)
+    _sparsetools.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
+    rows = type(X).__new__(type(X))
+    rows.data, rows.indices, rows.indptr = data, indices, indptr
+    rows._shape, rows.maxprint = (idx.size, X.shape[1]), X.maxprint
+    return rows
+
+
+def row_product(rows, v, transpose: bool = False) -> np.ndarray:
+    """rows @ v, or rows.T @ v with `transpose`, for a 1-D or 2-D v.
+
+    CSR rows call scipy's `csr_matvec(s)`, and `csc_matvec(s)` for the
+    transpose: the CSR arrays of R are the CSC arrays of R^T.
+    """
+    if isinstance(rows, np.ndarray):
+        return rows.T @ v if transpose else rows @ v
+    _require_csr(rows)
+    m, n = rows.shape[::-1] if transpose else rows.shape
+    v = np.asarray(v)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError(f"cannot multiply {m}x{n} rows by an operand of shape {v.shape}")
+    out = np.zeros((m,) + v.shape[1:], dtype=np.result_type(rows.dtype, v.dtype))
+    arrays = rows.indptr, rows.indices, rows.data
+    if v.ndim == 1:
+        kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
+        kernel(m, n, *arrays, v, out)
+    else:
+        kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
+        kernel(m, n, v.shape[1], *arrays, v.ravel(), out.ravel())
+    return out
+
+
+def _require_csr(X) -> None:
+    if X.format != "csr":
+        raise TypeError(f"rows must be a dense ndarray or CSR, not {X.format!r}")
 
 
 def spectral_norm(X, tol: float = 1e-6, max_iter: int = 100000) -> float:
-    """Largest singular value of X by power iteration on X^T X.
+    """Largest singular value of X by power iteration on X^T X; for one
+    row or one column, its Euclidean norm.
 
     Stops when the geometric-tail estimate of the remaining error drops
     below the relative tolerance (successive increments shrink with ratio
@@ -27,6 +88,8 @@ def spectral_norm(X, tol: float = 1e-6, max_iter: int = 100000) -> float:
     n, d = X.shape
     if n == 0 or d == 0:
         return 0.0
+    if min(n, d) == 1:  # one row or one column: its Euclidean norm
+        return float(np.linalg.norm(X.toarray() if sp.issparse(X) else X))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -73,7 +136,7 @@ class LinearModel:
         return d
 
     def logits(self, theta, rows) -> np.ndarray:
-        return np.asarray(rows @ theta).ravel()
+        return row_product(rows, theta)
 
     forward = logits  # the identity link
 
@@ -85,7 +148,7 @@ class LinearModel:
 
     def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         """Gradient of sum_i coeffs_i * f_i(theta)."""
-        return np.asarray(rows.T @ coeffs).ravel()
+        return row_product(rows, coeffs, transpose=True)
 
 
 class SoftmaxLinearModel:
@@ -108,7 +171,7 @@ class SoftmaxLinearModel:
         return np.asarray(theta).reshape(d, self.arity)
 
     def logits(self, theta, rows) -> np.ndarray:
-        return np.asarray(rows @ self._weights(theta, rows.shape[1]))
+        return row_product(rows, self._weights(theta, rows.shape[1]))
 
     def link(self, logits) -> np.ndarray:
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -124,7 +187,8 @@ class SoftmaxLinearModel:
 
     def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         """Gradient of sum_i <coeffs_i, f_i(theta)> with (m, K) coeffs."""
-        return np.asarray(rows.T @ self.link_vjp(self.forward(theta, rows), coeffs)).ravel()
+        v = self.link_vjp(self.forward(theta, rows), coeffs)
+        return row_product(rows, v, transpose=True).ravel()
 
 
 class MLPModel:
@@ -171,12 +235,12 @@ class MLPModel:
 
     def forward(self, theta, rows) -> np.ndarray:
         W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
-        a = np.maximum(np.asarray(rows @ W1) + b1, 0.0)
+        a = np.maximum(row_product(rows, W1) + b1, 0.0)
         return a @ w2 + b2
 
     def param_grad(self, theta, rows, coeffs) -> np.ndarray:
         W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
-        pre = np.asarray(rows @ W1) + b1
+        pre = row_product(rows, W1) + b1
         a = np.maximum(pre, 0.0)
         mask = (pre > 0).astype(np.float64)
         coeffs = np.asarray(coeffs)
@@ -184,7 +248,7 @@ class MLPModel:
         g_w2 = a.T @ coeffs
         g_b2 = coeffs.sum()
         back = (coeffs[:, None] * w2[None, :]) * mask
-        g_W1 = np.asarray(rows.T @ back)
+        g_W1 = row_product(rows, back, transpose=True)
         g_b1 = back.sum(axis=0)
         return np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .inner_solvers import BACKTRACK_FLOOR, armijo_backtracking, exact_linear_solve, gd_fixed
-from .models import row_norms2, spectral_norm
+from .models import row_norms2, spectral_norm, take_rows
 from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
 from .schedules import eta as schedule_eta, target_line_search
 from .surrogates import VARIANTS, OracleCounter, build_stochastic, freeze
@@ -182,7 +182,7 @@ class _Sampler:
         if self.batch == self.n:
             return np.arange(self.n), self.X, self.y
         idx = self._indices()
-        return idx, self.X[idx], self.y[idx]
+        return idx, take_rows(self.X, idx), self.y[idx]
 
     def _indices(self) -> np.ndarray:
         if self.mode == "replacement":

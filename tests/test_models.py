@@ -10,7 +10,9 @@ from targetopt.models import (
     MLPModel,
     SoftmaxLinearModel,
     lipschitz_estimate,
+    row_product,
     spectral_norm,
+    take_rows,
 )
 
 
@@ -188,7 +190,93 @@ class TestRowContract:
         )
 
 
+def csr_with_empty_row():
+    """A 6x4 CSR matrix with int32 indices whose row 2 stores no entry."""
+    X = np.random.default_rng(0).normal(size=(6, 4))
+    X[X < -0.3] = 0.0
+    X[2] = 0.0
+    R = sp.csr_matrix(X)
+    assert R.indptr.dtype == np.int32 and R.indptr[2] == R.indptr[3]
+    return R
+
+
+class TestRowKernels:
+    """take_rows and row_product call scipy's compiled CSR kernels directly;
+    they must give scipy's own X[idx] and @ bit for bit."""
+
+    @pytest.mark.parametrize("idx", [
+        [0, 3, 3, 5, 0],  # repeated rows
+        [2],  # a row with no entries
+        [2, 2],
+        list(range(6)),  # every row
+        [],
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_gather_matches_scipy(self, idx, dtype):
+        X = csr_with_empty_row()
+        idx = np.asarray(idx, dtype=dtype)
+        rows, want = take_rows(X, idx), X[idx]
+        assert type(rows) is type(want) and rows.shape == want.shape
+        rows.check_format(full_check=True)
+        np.testing.assert_array_equal(rows.indptr, want.indptr)
+        np.testing.assert_array_equal(rows.indices, want.indices)
+        np.testing.assert_array_equal(rows.data, want.data)
+        np.testing.assert_array_equal(rows.toarray(), X.toarray()[idx])
+
+    def test_gather_dense(self):
+        X = np.random.default_rng(1).normal(size=(5, 3))
+        idx = np.array([4, 0, 4])
+        np.testing.assert_array_equal(take_rows(X, idx), X[idx])
+
+    def test_gather_rejects_rows_outside(self):
+        X = csr_with_empty_row()
+        for idx in ([6], [-1], [0, 7]):
+            with pytest.raises(IndexError):
+                take_rows(X, np.array(idx))
+
+    @pytest.mark.parametrize("idx", [[0, 3, 3, 5, 0], [2], list(range(6))])
+    @pytest.mark.parametrize("K", [None, 1, 3])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_products_match_scipy(self, idx, K, transpose):
+        R = take_rows(csr_with_empty_row(), np.array(idx))
+        rng = np.random.default_rng(len(idx))
+        n = R.shape[0] if transpose else R.shape[1]
+        v = rng.normal(size=n if K is None else (n, K))
+        want = R.T @ v if transpose else R @ v
+        got = row_product(R, v, transpose=transpose)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        dense_got = row_product(R.toarray(), v, transpose=transpose)
+        np.testing.assert_allclose(dense_got, want, rtol=1e-14, atol=1e-15)
+
+    def test_product_rejects_mismatched_operand(self):
+        R = csr_with_empty_row()
+        with pytest.raises(ValueError):
+            row_product(R, np.ones(6))
+        with pytest.raises(ValueError):
+            row_product(R, np.ones((4, 2)), transpose=True)
+
+    def test_other_sparse_formats_are_refused(self):
+        C = csr_with_empty_row().tocsc()
+        with pytest.raises(TypeError):
+            row_product(C, np.ones(4))
+        with pytest.raises(TypeError):
+            take_rows(C, np.array([0]))
+
+
 class TestLipschitz:
+    @pytest.mark.parametrize("shape", [(1, 7), (9, 1), (1, 1)])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_one_row_or_column_matches_power_iteration(self, shape, storage):
+        # A zero row and column keep the singular values, and with two rows
+        # and two columns spectral_norm runs the power iteration.
+        X = np.random.default_rng(sum(shape)).normal(size=shape)
+        padded = np.pad(X, ((0, 1), (0, 1)))
+        store = dense if storage == "csr" else np.asarray
+        got = spectral_norm(store(X))
+        assert got == np.linalg.norm(X)
+        np.testing.assert_allclose(got, spectral_norm(store(padded)), rtol=1e-12)
+
     def test_identity(self):
         assert lipschitz_estimate(LinearModel(), dense(np.eye(2))) == pytest.approx(1.0)
 
