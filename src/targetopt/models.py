@@ -96,7 +96,7 @@ def spectral_norm(X, tol: float = 1e-6, max_iter: int = 100000) -> float:
     sigma = 0.0
     prev_diff = np.inf
     for _ in range(max_iter):
-        w = X.T @ (X @ v)
+        w = row_product(X, row_product(X, v), transpose=True)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0

@@ -1,8 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_parse_libsvm
+from targetopt import data
 from targetopt.data import (
     SYNTHETIC_KINDS,
     Dataset,
@@ -63,6 +67,38 @@ class TestParse:
         assert ds.y.tolist() == [0.0, 1.0, 0.0]
         assert ds.n_classes == 2
         assert ds.label_map == (7.0, 3.0)
+
+    def test_binary_error_names_first_bad_label_at_its_file_line(self):
+        with pytest.raises(ParseError, match=r"^line 4: binary label 2.0 not in"):
+            parse_libsvm("# header\n\n+1 1:1\n2 1:1\n", task="binary")
+        with pytest.raises(ParseError, match=r"^line 3: binary label 3.0 not in"):
+            parse_libsvm("+1 1:1\n\n3 1:1\n2 1:1\n-1\n", task="binary")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1:nan 2:inf\nnan 1:1\n", "line 1: non-finite feature token '1:nan'"),
+        ("1 1:1\nnan 1:1\n", "line 2: non-finite label token 'nan'"),
+        ("-inf\n", "line 1: non-finite label token '-inf'"),
+        ("1 1:1\n1 2:1e999\n", "line 2: non-finite feature token '2:1e999'"),
+        ("1 1:Infinity 0:1\n", "line 1: non-finite feature token '1:Infinity'"),
+    ])
+    def test_non_finite_numbers_rejected(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("token", ["1_0:1", "\u0661:1", "1.0:1", "0x1:1", "1" * 19 + ":1"])
+    def test_index_is_ascii_digits(self, token):
+        with pytest.raises(ParseError, match="bad feature token"):
+            parse_libsvm(f"1 {token}\n")
+
+    def test_vertical_tab_and_form_feed_separate_tokens(self):
+        ds = parse_libsvm("1\v1:1\f2:2\n")
+        assert ds.n == 1 and ds.X.tolist() == [[1.0, 2.0]]
+
+    def test_signed_index(self):
+        assert parse_libsvm("1 +2:1\n").X.indices.tolist() == [1]
+        with pytest.raises(ParseError, match="^line 1: feature index -2 < 1$"):
+            parse_libsvm("1 -2:1\n")
 
     def test_d_override(self):
         ds = parse_libsvm("1 1:1\n", task="regression", d=5)
@@ -219,3 +255,195 @@ class TestStorage:
         again = parse_libsvm(to_libsvm(ds), task="binary")
         assert isinstance(again.X, np.ndarray)
         assert ds.equal_to(again) and again.equal_to(ds)
+
+
+def _assert_same_parse(got, want):
+    """The same X arrays and dtypes, storage, labels and label map."""
+    assert type(got.X) is type(want.X) and got.X.shape == want.X.shape
+    if sp.issparse(want.X):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.X, name), getattr(want.X, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(got.X.data), np.signbit(want.X.data))
+    else:
+        assert got.X.dtype == want.X.dtype
+        np.testing.assert_array_equal(got.X, want.X)
+        np.testing.assert_array_equal(np.signbit(got.X), np.signbit(want.X))
+    assert got.y.dtype == want.y.dtype
+    np.testing.assert_array_equal(got.y, want.y)
+    np.testing.assert_array_equal(np.signbit(got.y), np.signbit(want.y))
+    assert (got.task, got.n_classes, got.label_map) == (want.task, want.n_classes, want.label_map)
+    assert [type(v) for v in got.label_map] == [type(v) for v in want.label_map]
+
+
+def _outcome(parse, text, **kw):
+    """The parse, or the type and text of the error it raises."""
+    try:
+        return parse(text, **kw)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _check_against_reference(text, block_bytes=None, **kw):
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(data, "_BLOCK_BYTES", block_bytes)
+        got = _outcome(parse_libsvm, text, **kw)
+    want = _outcome(reference_parse_libsvm, text, **kw)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, Dataset), got
+        _assert_same_parse(got, want)
+
+
+NUMBERS = st.one_of(
+    st.integers(-10**15 + 1, 10**15 - 1).map(str),
+    st.integers(0, 99).map(lambda v: f"+{v}"),
+    st.integers(0, 999).map(lambda v: f"-{v:04d}"),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
+    st.sampled_from(["0.5", "-.25", "1e3", "2E-3", "-0", "-0.0", "7.", "123456789012345678"]),
+)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+# \v and \f separate tokens here but end a line for str.splitlines.
+SPACE = st.sampled_from([" ", "  ", "\t", " \t"])
+
+
+@st.composite
+def libsvm_lines(draw, labels=NUMBERS):
+    """Lines of LibSVM text without line ends: rows with leading, inner and
+    trailing whitespace and comments, blank lines and comment lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row", "row", "row", "label-only", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #", "#1 1:1"])))
+            continue
+        parts = [draw(labels)]
+        if kind == "row":
+            for idx in sorted(draw(st.sets(st.integers(1, 12), max_size=6))):
+                parts.append(f"{idx}:{draw(NUMBERS)}")
+        line = "".join(p + draw(SPACE) for p in parts[:-1]) + parts[-1]
+        lead, tail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", " # c", "#x:y"]))
+        lines.append(lead + line + tail)
+    return lines
+
+
+def _join(lines, ends):
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@st.composite
+def libsvm_text(draw, labels=NUMBERS):
+    lines = draw(libsvm_lines(labels))
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return _join(lines, ends)
+
+
+BAD_TOKENS = {
+    "label": ["x", "1:1", "--1", "1e", ""],
+    "feature": ["5", "1:2:3", "3:", ":3", "1:abc", "a:1", "1.5:1", "1::2"],
+    "index": ["0:1", "-2:1", "-0:1"],
+    "order": ["4:1 4:2", "5:1 3:1"],
+}
+
+
+class TestMatchesReference:
+    """parse_libsvm gives the token-by-token reference parser's arrays,
+    dtypes, labels and label map, and its errors with their lines."""
+
+    @pytest.mark.parametrize("text", [
+        "# header\n\n+1 1:1  # tail\n-1 2:3\n",
+        "+1 1:1\r\n-1 2:3\r\n",
+        "1\t1:1\t\t2:-3\r-1 2:3\r\r",
+        "0.5\n-2 1:1\n7\n",  # label-only rows
+        "-1.5 1:-2 2:0.25 3:1e-3 4:-2.5E+2 5:-0 6:007 7:+3 8:1_0\n",
+        "1 1:123456789012345 2:-999999999999999 3:1234567890123456 4:0.1\n",
+        "  3 1:1 # a # b\n\t\n#only\n2 2:2",
+        "",
+        "\n\n",
+        "1 1:1\n2 2:2\n3 1:1 2:2",
+    ])
+    @pytest.mark.parametrize("task", ["regression", "multiclass"])
+    def test_fixed_cases(self, text, task):
+        _check_against_reference(text, task=task)
+
+    def test_binary_and_remap(self):
+        _check_against_reference("+1 1:1\n-1 2:1\n1 1:2\n", task="binary")
+        _check_against_reference("2 1:1\n1 2:1\n2 1:2\n", task="binary", allow_binary_remap=True)
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "binary-file", "text-file", "lines", "line-iterator"])
+    def test_input_kinds(self, kind):
+        text = "# c\n1 1:0.5 3:2\r\n\n-2 2:1e-3\n4\n"
+        source = {
+            "str": lambda: text,
+            "bytes": lambda: text.encode(),
+            "binary-file": lambda: io.BytesIO(text.encode()),
+            "text-file": lambda: io.StringIO(text, newline=""),
+            "lines": lambda: text.splitlines(),
+            "line-iterator": lambda: iter(text.splitlines(keepends=True)),
+        }[kind]
+        _assert_same_parse(parse_libsvm(source(), task="multiclass"),
+                           reference_parse_libsvm(source(), task="multiclass"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=libsvm_text(), task=st.sampled_from(["regression", "multiclass"]),
+           block_bytes=st.sampled_from([None, 1, 7, 16, 64]))
+    def test_random_text(self, text, task, block_bytes):
+        _check_against_reference(text, block_bytes=block_bytes, task=task)
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=libsvm_text(labels=st.sampled_from(["1", "+1", "-1", "1.0", "-1e0"])),
+           block_bytes=st.sampled_from([None, 5, 32]))
+    def test_random_binary_text(self, text, block_bytes):
+        _check_against_reference(text, block_bytes=block_bytes, task="binary")
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=libsvm_lines(), data=st.data(), block_bytes=st.sampled_from([None, 8, 24]))
+    def test_random_malformed_line(self, lines, data, block_bytes):
+        kind = data.draw(st.sampled_from(sorted(BAD_TOKENS)))
+        bad = data.draw(st.sampled_from(BAD_TOKENS[kind]))
+        line = bad + " 1:1" if kind == "label" else "1 2:1 " + bad if kind == "order" else "1 " + bad
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+        ends = data.draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+        text = _join(lines, ends)
+        _check_against_reference(text, block_bytes=block_bytes)
+        with pytest.raises(ParseError):
+            parse_libsvm(text)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_TOKENS))
+    @pytest.mark.parametrize("where", ["first-block", "later-block"])
+    def test_malformed_kinds(self, kind, where):
+        rows = [f"{i % 3} 1:{i} 2:0.5" for i in range(40)]
+        at = 1 if where == "first-block" else 33
+        for bad in BAD_TOKENS[kind]:
+            line = bad + " 1:1" if kind == "label" else "1 2:1 " + bad if kind == "order" else "1 " + bad
+            text = "\n".join(rows[:at] + [line] + rows[at:]) + "\n"
+            _check_against_reference(text, block_bytes=128)
+            with pytest.raises(ParseError, match=f"^line {at + 1}: "):
+                parse_libsvm(text)
+
+    @pytest.mark.parametrize("missing", [None, 0, 37])
+    def test_dense_rule_across_blocks(self, missing):
+        rows = [f"{i} 1:{i} 2:1 3:-1" for i in range(40)]
+        if missing is not None:
+            rows[missing] = f"{missing} 1:1 3:1"
+        text = "\n".join(rows) + "\n"
+        _check_against_reference(text, block_bytes=100)
+        assert isinstance(parse_libsvm(text).X, np.ndarray) == (missing is None)
+
+    @pytest.mark.parametrize("block_bytes", range(2, 12))
+    def test_crlf_at_a_block_edge_is_one_line_end(self, block_bytes):
+        text = "1 1:1\r\n" * 5 + "2 1:x\r\n"
+        _check_against_reference(text, block_bytes=block_bytes)
+
+    def test_long_line_spans_blocks(self):
+        row = "1 " + " ".join(f"{j}:{j / 7!r}" for j in range(1, 200))
+        _check_against_reference(f"{row}\r\n2 1:1\r{row}\n", block_bytes=50)

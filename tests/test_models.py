@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from targetopt import models
 from targetopt.data import SyntheticSpec, generate_synthetic
 from targetopt.surrogates import Batch, SquaredProximity, Surrogate
 from targetopt.models import (
@@ -276,6 +277,21 @@ class TestLipschitz:
         got = spectral_norm(store(X))
         assert got == np.linalg.norm(X)
         np.testing.assert_allclose(got, spectral_norm(store(padded)), rtol=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_power_iteration_matches_scipy_operators(self, storage, monkeypatch):
+        # The iteration forms X^T (X v) with row_product; with scipy's own
+        # @ in its place the result must be the same float.
+        rng = np.random.default_rng(12)
+        X = np.where(rng.random((125, 100)) < 0.2, rng.normal(size=(125, 100)), 0.0)
+        X = dense(X) if storage == "csr" else X
+        v = rng.normal(size=100)
+        np.testing.assert_array_equal(row_product(X, row_product(X, v), transpose=True), X.T @ (X @ v))
+        got = spectral_norm(X)
+        monkeypatch.setattr(
+            models, "row_product", lambda rows, v, transpose=False: rows.T @ v if transpose else rows @ v
+        )
+        assert got == spectral_norm(X)
 
     def test_identity(self):
         assert lipschitz_estimate(LinearModel(), dense(np.eye(2))) == pytest.approx(1.0)
