@@ -69,23 +69,28 @@ def main(argv=None) -> int:
             for name in sorted(harness.presets()):
                 print(name)
             return 0
-        if args.preset:
-            config = harness.presets()[args.preset]
-        elif args.config:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        else:
-            print("run needs --config or --preset", file=sys.stderr)
-            return 2
-        if args.data:
-            config.setdefault("dataset", {})["path"] = args.data
-            config["dataset"].pop("synthetic", None)
-        if args.dim is not None:
-            config.setdefault("dataset", {})["d"] = args.dim
-        if args.normalize:
-            config.setdefault("dataset", {})["normalize"] = True
         # Pairs report their own failures; what escapes is a config error.
         try:
+            if args.preset:
+                presets = harness.presets()
+                if args.preset not in presets:
+                    raise ValueError(f"unknown preset {args.preset!r}; see --list-presets")
+                config = presets[args.preset]
+            elif args.config:
+                with open(args.config) as fh:
+                    try:
+                        config = json.load(fh)
+                    except json.JSONDecodeError as e:
+                        raise ValueError(f"config {args.config} is not JSON: {e}") from None
+            else:
+                raise ValueError("run needs --config or --preset")
+            if args.data:
+                config.setdefault("dataset", {})["path"] = args.data
+                config["dataset"].pop("synthetic", None)
+            if args.dim is not None:
+                config.setdefault("dataset", {})["d"] = args.dim
+            if args.normalize:
+                config.setdefault("dataset", {})["normalize"] = True
             return harness.run_experiment(
                 config, out_dir=args.out, jobs=args.jobs, global_seed=args.seed
             )

@@ -145,12 +145,6 @@ def _curvatures(singletons):
     return mu_g, L_g, mu_q, L_q
 
 
-def surrogate_curvatures(dataset, loss, model, theta_t, eta_t):
-    """(mu_g, L_g, mu_q, L_q) over all singleton surrogates, exact eigs."""
-    _require_linear(model)
-    return _curvatures(_singletons(loss, model, dataset, theta_t, eta_t))
-
-
 def zeta2(dataset, loss, model, theta_t, eta_t) -> float:
     """Dissimilarity of singleton surrogates at theta_t.
 

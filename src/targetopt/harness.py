@@ -25,7 +25,8 @@ import numpy as np
 from . import data as data_mod
 from . import losses as losses_mod
 from . import models as models_mod
-from .optimizers import InnerOptions, RunConfig, RunTrace, ScheduleOptions, run as run_optimizer
+from .optimizers import DIAGNOSTICS, InnerOptions, RunConfig, RunTrace, ScheduleOptions
+from .optimizers import run as run_optimizer
 
 CSV_COLUMNS = [
     "run_id",
@@ -39,7 +40,7 @@ CSV_COLUMNS = [
     "loss",
     "grad_norm",
 ]
-OPTIONAL_COLUMNS = ["eps", "zeta2"]
+OPTIONAL_COLUMNS = list(DIAGNOSTICS)
 
 
 def run_id_of(run_spec: dict) -> str:
@@ -273,9 +274,10 @@ def write_summary(out_dir) -> str:
 
 
 def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int:
-    """Check the config, build its problem once, then execute every
-    (run x seed) pair on it; returns a process exit status. A config or
-    problem error raises before any pair runs or any file is written."""
+    """Check the config, build its problem once, validate every run on
+    it, then execute every (run x seed) pair; returns a process exit
+    status. A config, problem or run error raises before any pair runs
+    or any file is written."""
     if not isinstance(config, dict):
         with open(config) as fh:
             config = json.load(fh)
@@ -284,6 +286,10 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
         config["global_seed"] = global_seed
     out_dir = os.environ.get("TARGETOPT_OUT", out_dir or config.get("out_dir", "runs"))
     seeds = config.get("seeds", [0])
+    if not config.get("runs"):
+        raise ValueError("config has no runs")
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError(f"'seeds' must be a non-empty list of distinct seeds, not {seeds!r}")
 
     for run_spec in config["runs"]:
         check_run_spec(run_spec)
@@ -292,6 +298,12 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
     if duplicates:
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
     problem = load_problem(config)
+    n = problem[0].n
+    for run_spec in config["runs"]:
+        try:
+            make_run_config(run_spec, n, 0).validate(n)
+        except ValueError as e:
+            raise ValueError(f"run {run_id_of(run_spec)!r}: {e}") from None
 
     payloads = [
         (config, problem, run_spec, seed_index, out_dir)

@@ -3,10 +3,10 @@
 Inner solvers never touch the loss oracle: they work on the frozen
 surrogate only. `gd_fixed` runs m fixed-step gradient steps (step 1/beta
 by default, beta the surrogate smoothness bound), `armijo_backtracking`
-uses a sufficient-decrease line search (whose trials move the batch
-logits, not theta, on linear and softmax-linear models), and
-`exact_linear_solve` solves the quadratic surrogate of a linear model in
-closed form.
+searches each step with `backtrack`, the sufficient-decrease search that
+the target line search and SLS share (its trials move the batch logits,
+not theta, on linear and softmax-linear models), and `exact_linear_solve`
+solves the quadratic surrogate of a linear model in closed form.
 """
 
 from __future__ import annotations
@@ -29,6 +29,17 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"non-finite surrogate gradient at inner step {step}")
         self.step = step
+
+
+def backtrack(value_at, base, slope, alpha0, shrink, c):
+    """(a, value_at(a), False) for the first a in alpha0 * shrink^k with
+    value_at(a) <= base - c a slope; (a, None, True) once a < BACKTRACK_FLOOR."""
+    alpha = alpha0
+    while alpha >= BACKTRACK_FLOOR:
+        if (value := value_at(alpha)) <= base - c * alpha * slope:
+            return alpha, value, False
+        alpha *= shrink
+    return alpha, None, True
 
 
 @dataclass
@@ -127,13 +138,8 @@ def armijo_backtracking(
             break
         value_at = (line.values(g, val, gnorm2) if line is not None
                     else lambda a: surrogate.value(omega - a * g))
-        alpha = alpha0
-        while alpha >= BACKTRACK_FLOOR:
-            trial_val = value_at(alpha)
-            if trial_val <= val - c * alpha * gnorm2:
-                break
-            alpha *= shrink
-        else:
+        alpha, trial_val, stalled = backtrack(value_at, val, gnorm2, alpha0, shrink, c)
+        if stalled:
             return InnerResult(omega, steps, stalled=True, last_alpha=alpha)
         omega, val = omega - alpha * g, trial_val
         steps += 1

@@ -13,6 +13,7 @@ solve counts as d of them) and parametric updates count zero.
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 from operator import attrgetter
@@ -20,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import losses as losses_mod
-from .inner_solvers import BACKTRACK_FLOOR, armijo_backtracking, exact_linear_solve, gd_fixed
+from .inner_solvers import armijo_backtracking, backtrack, exact_linear_solve, gd_fixed
 from .models import row_norms2, spectral_norm, take_rows
 from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
 from .schedules import eta as schedule_eta, target_line_search
@@ -29,6 +30,7 @@ from .surrogates import VARIANTS, OracleCounter, build_stochastic, freeze
 INNER_SOLVERS = ("gd", "armijo", "exact")
 M_RULES = ("constant", "log")
 SAMPLING_MODES = ("replacement", "shuffle")
+DIAGNOSTICS = ("eps", "zeta2")
 # Inner settings each solver never reads ("armijo" reads them all).
 UNREAD_INNER = {"exact": ("m", "m_rule", "alpha", "growth", "warm_start"),
                 "gd": ("growth", "warm_start")}
@@ -95,9 +97,13 @@ class RunConfig:
             ("inner m_rule", self.inner.m_rule, M_RULES),
             ("schedule kind", self.schedule.kind, KINDS),
             ("sampling mode", self.sampling, SAMPLING_MODES),
+            *(("diagnostic", name, DIAGNOSTICS) for name in self.diagnostics),
         ):
             if name not in known:
                 raise ValueError(f"unknown {what} {name!r}")
+        freq = self.svrg_snapshot_freq
+        if freq is not None and not (isinstance(freq, numbers.Integral) and freq >= 1):
+            raise ValueError(f"svrg_snapshot_freq must be an integer >= 1, not {freq!r}")
         if (kind := self.schedule.kind) not in SCHEDULE_KINDS.get(self.optimizer, ("constant",)):
             raise ValueError(f"optimizer {self.optimizer!r} cannot follow schedule kind {kind!r}")
         opt = f"optimizer {self.optimizer!r}"
@@ -117,8 +123,8 @@ class RunConfig:
 
     def validate(self, n: int) -> None:
         self.check_names()
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if not (isinstance(self.T, numbers.Integral) and self.T >= 1):
+            raise ValueError(f"T must be an integer >= 1, not {self.T!r}")
         b = self.resolved_batch(n)
         if not (1 <= b <= n):
             raise ValueError(f"batch size {b} outside [1, {n}]")
@@ -128,6 +134,13 @@ class RunConfig:
             raise ValueError("eval_every must be >= 1")
         if self.schedule.eta0 is not None and not self.schedule.eta0 > 0:
             raise ValueError("schedule eta0 must be positive")
+        inner = self.inner
+        if not (isinstance(inner.m, numbers.Integral) and inner.m >= 1):
+            raise ValueError(f"inner m must be an integer >= 1, not {inner.m!r}")
+        if inner.alpha is not None and not inner.alpha > 0:
+            raise ValueError("inner alpha must be positive")
+        if not inner.growth > 0:
+            raise ValueError("inner growth must be positive")
 
     def resolved_batch(self, n: int) -> int:
         return n if self.batch_size is None else int(self.batch_size)
@@ -395,16 +408,13 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         base = float(np.mean(batch.consts))
         g = model.param_grad(theta, rows, batch.coeffs) / rows.shape[0]
         gnorm2 = float(g @ g)
-        eta_t = eta0
-        if gnorm2 > 0:
-            while eta_t >= BACKTRACK_FLOOR:
-                z_try = model.forward(theta - eta_t * g, rows)
-                if float(np.mean(loss.values(z_try, y_b))) <= base - LS_C * eta_t * gnorm2:
-                    break
-                eta_t *= LS_SHRINK
-            rec.inner_stalls += eta_t < BACKTRACK_FLOOR
-            theta = theta - eta_t * g
-        return theta, eta_t, {}
+        if gnorm2 == 0.0:
+            return theta, eta0, {}
+        eta_t, _, stalled = backtrack(
+            lambda a: float(np.mean(loss.values(model.forward(theta - a * g, rows), y_b))),
+            base, gnorm2, eta0, LS_SHRINK, LS_C)
+        rec.inner_stalls += stalled
+        return theta - eta_t * g, eta_t, {}
 
     return step
 

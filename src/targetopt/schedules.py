@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner_solvers import BACKTRACK_FLOOR
+from .inner_solvers import backtrack
 
 KINDS = ("constant", "sqrt-decay", "exponential", "target-line-search", "adagrad-norm")
 # Armijo constants of the target line search and of parametric SLS: the
@@ -99,10 +99,6 @@ def target_line_search(
     if gnorm2 == 0.0:
         return alpha0, False
     base = float(np.mean(loss.values(z, y_batch)))
-    step = alpha0
-    while step >= BACKTRACK_FLOOR:
-        trial = float(np.mean(loss.values(z - step * g, y_batch)))
-        if trial <= base - c * step * gnorm2:
-            return step, False
-        step *= shrink
-    return step, True
+    step, _, stalled = backtrack(lambda a: float(np.mean(loss.values(z - a * g, y_batch))),
+                                 base, gnorm2, alpha0, shrink, c)
+    return step, stalled

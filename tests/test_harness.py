@@ -95,21 +95,25 @@ class TestRunExperiment:
         run_experiment(small_config(tmp_path / "ignored"))
         assert (target / "summary.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_reports_nonzero(self, tmp_path, capsys):
+        # A step of 1e300 passes every check and diverges on the first step.
         cfg = small_config(tmp_path / "out")
-        cfg["runs"].append({"id": "bad", "optimizer": "sso", "T": 0})
-        cfg["runs"].append({"optimizer": "adam", "T": 0})  # named after its optimizer
+        cfg["runs"].append({"id": "bad", "optimizer": "sgd", "T": 6, "schedule": {"eta0": 1e300}})
+        cfg["runs"].append({"optimizer": "adam", "T": 6,  # named after its optimizer
+                            "schedule": {"eta0": 1e300}})
         status = run_experiment(cfg)
         assert status == 1
         out = capsys.readouterr().out
         assert "FAILED bad" in out
         assert "FAILED adam seed 0" in out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_all_pairs_failed_reports_without_summary(self, tmp_path, capsys):
-        # T = 0 passes the config checks, so every pair starts and fails.
+        # A diverging step passes the config checks, so every pair starts and fails.
         cfg = small_config(tmp_path / "out")
         for run_spec in cfg["runs"]:
-            run_spec["T"] = 0
+            run_spec["schedule"] = {"kind": "constant", "eta0": 1e300}
         status = run_experiment(cfg)
         assert status == 1
         out = capsys.readouterr().out
@@ -173,6 +177,18 @@ class TestRunExperiment:
             a = strip_wall((tmp_path / "serial" / name).read_text())
             b = strip_wall((tmp_path / "par" / name).read_text())
             assert a == b
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", [0, 1, 0], "'seeds' must be a non-empty list of distinct seeds, not [0, 1, 0]"),
+        ("seeds", [], "'seeds' must be a non-empty list of distinct seeds, not []"),
+        ("runs", [], "config has no runs"),
+    ], ids=["duplicate-seed", "no-seeds", "no-runs"])
+    def test_bad_experiment_rejected_before_any_file(self, tmp_path, key, value, message):
+        cfg = small_config(tmp_path / "out")
+        cfg[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_run_id_rejected_before_any_file(self, tmp_path):
         cfg = small_config(tmp_path / "out")
@@ -313,11 +329,36 @@ class TestConfigParsing:
          "'b': schedule kind 'sqrt-decay' does not read 'schedule.beta'"),
         ({"T": 6, "optimizer": "sso", "inner": {"solver": "gd", "warm_start": True}},
          "'b': inner solver 'gd' does not read 'inner.warm_start'"),
+        # Value checks that need the dataset's n run on the loaded problem.
+        ({"T": 0}, "'b': T must be an integer >= 1, not 0"),
+        ({"T": 2.5}, "'b': T must be an integer >= 1, not 2.5"),
+        ({"epochs": 0}, "'b': T must be an integer >= 1, not 0"),
+        ({"T": 6, "batch_size": 17}, r"'b': batch size 17 outside \[1, 16\]"),
+        ({"T": 6, "tau": -1}, "'b': tau must be >= 0"),
+        ({"T": 6, "eval_every": 0}, "'b': eval_every must be >= 1"),
+        ({"T": 6, "optimizer": "sso", "inner": {"m": 0}}, "'b': inner m must be an integer >= 1"),
+        ({"T": 6, "optimizer": "sso", "inner": {"m": 2.5}},
+         "'b': inner m must be an integer >= 1, not 2.5"),
+        ({"T": 6, "optimizer": "sso", "inner": {"solver": "gd", "alpha": 0}},
+         "'b': inner alpha must be positive"),
+        ({"T": 6, "optimizer": "sso", "inner": {"solver": "armijo", "alpha": -1.0}},
+         "'b': inner alpha must be positive"),
+        ({"T": 6, "optimizer": "sso", "inner": {"solver": "armijo", "growth": 0}},
+         "'b': inner growth must be positive"),
+        ({"T": 6, "optimizer": "svrg", "svrg_snapshot_freq": 0},
+         "'b': svrg_snapshot_freq must be an integer >= 1, not 0"),
+        ({"T": 6, "optimizer": "svrg", "svrg_snapshot_freq": -2},
+         "'b': svrg_snapshot_freq must be an integer >= 1, not -2"),
+        ({"T": 6, "optimizer": "sso", "diagnostics": ["eps", "nope"]},
+         "'b': unknown diagnostic 'nope'"),
     ], ids=["unknown-key", "T-with-epochs", "optimizer", "variant", "inner-solver", "m-rule",
             "schedule-kind", "sampling", "step_size", "adam_lr", "adagrad_lr", "inner-alpha0",
             "sgd-target-line-search", "adam-sqrt-decay", "exact-ignores-inner",
             "sgd-ignores-variant", "sgd-ignores-diagnostics", "adam-ignores-inner",
-            "sgd-ignores-snapshot-freq", "sqrt-decay-ignores-beta", "gd-ignores-warm-start"])
+            "sgd-ignores-snapshot-freq", "sqrt-decay-ignores-beta", "gd-ignores-warm-start",
+            "T-zero", "T-fraction", "epochs-zero", "batch-above-n", "negative-tau", "eval-every-zero",
+            "inner-m-zero", "inner-m-fraction", "gd-alpha-zero", "armijo-alpha-negative",
+            "growth-zero", "snapshot-freq-zero", "snapshot-freq-negative", "unknown-diagnostic"])
     def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
         cfg = small_config(tmp_path / "out")
         cfg["runs"].insert(1, {"id": "b", "optimizer": "sgd", **entry})
@@ -437,6 +478,21 @@ class TestCLI:
 
     def test_run_needs_config(self, capsys):
         assert cli.main(["run"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--preset", "nope"], "error: unknown preset 'nope'; see --list-presets\n"),
+        (["--config", "missing.json"],
+         "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+        (["--config", "broken.json"], "error: config broken.json is not JSON: "),
+    ], ids=["unknown-preset", "missing-config", "malformed-config"])
+    def test_bad_config_source_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                 argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.json").write_text("{not json")
+        assert cli.main(["run", *argv, "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_preset_data_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

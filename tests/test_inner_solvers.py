@@ -11,6 +11,7 @@ from targetopt.inner_solvers import (
     DivergenceError,
     InnerResult,
     armijo_backtracking,
+    backtrack,
     exact_linear_solve,
     gd_fixed,
 )
@@ -91,6 +92,35 @@ class TestGDFixed:
         surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
         with pytest.raises(ValueError):
             gd_fixed(surr, np.zeros(1), 0)
+
+
+class TestBacktrack:
+    # value_at(a) = a^2 against the line base - a/2: with base 1, trials
+    # pass for a <= 0.78; with base -1, none passes.
+    @staticmethod
+    def trials(log):
+        def value_at(a):
+            log.append(a)
+            return a * a
+        return value_at
+
+    def test_first_trial_accepted(self):
+        log = []
+        assert backtrack(self.trials(log), 1.0, 1.0, 0.5, 0.5, 0.5) == (0.5, 0.25, False)
+        assert log == [0.5]
+
+    def test_shrinks_to_first_passing_grid_point(self):
+        log = []
+        alpha, value, stalled = backtrack(self.trials(log), 1.0, 1.0, 4.0, 0.5, 0.5)
+        assert (alpha, value, stalled) == (0.5, 0.25, False)
+        assert log == [4.0, 2.0, 1.0, 0.5]
+
+    def test_stall_returns_sub_floor_step(self):
+        log = []
+        alpha, value, stalled = backtrack(self.trials(log), -1.0, 1.0, 1.0, 0.5, 0.5)
+        assert stalled and value is None
+        assert alpha < BACKTRACK_FLOOR <= log[-1] and alpha == log[-1] * 0.5
+        assert log == [0.5**k for k in range(len(log))]
 
 
 class TestArmijo:
