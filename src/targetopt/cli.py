@@ -10,7 +10,6 @@ Verbs:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -77,11 +76,7 @@ def main(argv=None) -> int:
                     raise ValueError(f"unknown preset {args.preset!r}; see --list-presets")
                 config = presets[args.preset]
             elif args.config:
-                with open(args.config) as fh:
-                    try:
-                        config = json.load(fh)
-                    except json.JSONDecodeError as e:
-                        raise ValueError(f"config {args.config} is not JSON: {e}") from None
+                config = harness.load_config(args.config)
             else:
                 raise ValueError("run needs --config or --preset")
             if args.data:

@@ -17,6 +17,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 from pathlib import Path
 
@@ -170,8 +171,13 @@ def make_run_config(run_spec: dict, n: int, seed: int) -> RunConfig:
     T = epochs * ceil(n / batch)."""
     cfg = check_run_spec(run_spec, seed)
     if "epochs" in run_spec:
-        b = cfg.resolved_batch(n)
-        cfg.T = int(run_spec["epochs"]) * max(1, int(np.ceil(n / b)))
+        epochs, b = run_spec["epochs"], cfg.batch_size
+        if not isinstance(epochs, numbers.Integral):
+            raise ValueError(f"epochs must be an integer, not {epochs!r}")
+        # A batch size that is no integer in [1, n] leaves T unresolved,
+        # for `RunConfig.validate` to report.
+        if b is None or (isinstance(b, numbers.Integral) and 1 <= b <= n):
+            cfg.T = epochs * max(1, int(np.ceil(n / cfg.resolved_batch(n))))
     return cfg
 
 
@@ -273,14 +279,26 @@ def write_summary(out_dir) -> str:
     return str(out / "summary.csv")
 
 
+def load_config(path) -> dict:
+    """Read an experiment config from a JSON file; malformed JSON, or JSON
+    that is not an object, is a ValueError that names the file."""
+    with open(path) as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"config {path} is not JSON: {e}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must be a JSON object, not {type(config).__name__}")
+    return config
+
+
 def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int:
     """Check the config, build its problem once, validate every run on
     it, then execute every (run x seed) pair; returns a process exit
     status. A config, problem or run error raises before any pair runs
     or any file is written."""
     if not isinstance(config, dict):
-        with open(config) as fh:
-            config = json.load(fh)
+        config = load_config(config)
     config = copy.deepcopy(config)
     if global_seed is not None:
         config["global_seed"] = global_seed

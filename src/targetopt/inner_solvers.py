@@ -65,7 +65,7 @@ def gd_fixed(surrogate, omega0, m: int, alpha: float | None = None) -> InnerResu
     omega = np.asarray(omega0, dtype=np.float64).copy()
     for k in range(m):
         g = surrogate.grad(omega)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceError(k)
         omega = omega - alpha * g
     return InnerResult(theta=omega, inner_steps=m, last_alpha=alpha)
@@ -93,7 +93,8 @@ class _TargetLine:
         """The value at omega - a g as a function of a."""
         self.u = u = self.model.logits(g, self.rows)
         if self.quadratic:
-            curv = float(np.sum(self.surrogate.prox.weights * u * u)) * self.surrogate.scale / 2
+            weights = self.surrogate.prox.weights
+            curv = float(np.add.reduce(weights * u * u, axis=None)) * self.surrogate.scale / 2
             return lambda a: val - a * gnorm2 + a * a * curv
         return lambda a: self.surrogate.target_value(self.model.link(self.logits - a * u))
 
@@ -131,9 +132,9 @@ def armijo_backtracking(
     line = _TargetLine(surrogate, omega) if surrogate.batch.model.kind in LINK_MODELS else None
     steps = 0
     for k in range(m):
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceError(k)
-        gnorm2 = float(g @ g.ravel()) if g.ndim == 1 else float(np.sum(g * g))
+        gnorm2 = float(g @ g.ravel()) if g.ndim == 1 else float(np.add.reduce(g * g, axis=None))
         if gnorm2 == 0.0:
             break
         value_at = (line.values(g, val, gnorm2) if line is not None

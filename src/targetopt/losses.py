@@ -102,6 +102,11 @@ def make_loss(kind: str, smoothness: float | None = None):
     return loss
 
 
+def mean(x) -> float:
+    """np.mean of a float64 array, bit for bit, without its Python wrapper."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
 def loss_value(loss, z, y) -> float:
     """Averaged loss mean_i l_i(z^i); dimensions must agree."""
     z = np.asarray(z, dtype=np.float64)
@@ -110,7 +115,7 @@ def loss_value(loss, z, y) -> float:
         raise ValueError(f"dimension mismatch: {z.shape[0]} targets, {y.shape[0]} labels")
     if z.shape[0] == 0:
         return 0.0
-    return float(np.mean(loss.values(z, y)))
+    return mean(loss.values(z, y))
 
 
 def kl_to_expert(policy, expert) -> float:

@@ -61,7 +61,7 @@ def row_product(rows, v, transpose: bool = False) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim not in (1, 2) or v.shape[0] != n:
         raise ValueError(f"cannot multiply {m}x{n} rows by an operand of shape {v.shape}")
-    out = np.zeros((m,) + v.shape[1:], dtype=np.result_type(rows.dtype, v.dtype))
+    out = np.zeros((m,) + v.shape[1:], dtype=np.promote_types(rows.dtype, v.dtype))
     arrays = rows.indptr, rows.indices, rows.data
     if v.ndim == 1:
         kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
@@ -174,13 +174,13 @@ class SoftmaxLinearModel:
         return row_product(rows, self._weights(theta, rows.shape[1]))
 
     def link(self, logits) -> np.ndarray:
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+        return e / np.add.reduce(e, axis=1, keepdims=True)
 
     def link_vjp(self, f, coeffs) -> np.ndarray:
         """The softmax Jacobian at targets f applied to each coefficient row."""
         coeffs = np.atleast_2d(coeffs)
-        return f * (coeffs - (f * coeffs).sum(axis=1, keepdims=True))
+        return f * (coeffs - np.add.reduce(f * coeffs, axis=1, keepdims=True))
 
     def forward(self, theta, rows) -> np.ndarray:
         return self.link(self.logits(theta, rows))

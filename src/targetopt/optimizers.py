@@ -125,6 +125,8 @@ class RunConfig:
         self.check_names()
         if not (isinstance(self.T, numbers.Integral) and self.T >= 1):
             raise ValueError(f"T must be an integer >= 1, not {self.T!r}")
+        if not (self.batch_size is None or isinstance(self.batch_size, numbers.Integral)):
+            raise ValueError(f"batch_size must be an integer, not {self.batch_size!r}")
         b = self.resolved_batch(n)
         if not (1 <= b <= n):
             raise ValueError(f"batch size {b} outside [1, {n}]")
@@ -405,13 +407,13 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     def step(t, theta, draw):
         _, rows, y_b = draw()
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
-        base = float(np.mean(batch.consts))
+        base = losses_mod.mean(batch.consts)
         g = model.param_grad(theta, rows, batch.coeffs) / rows.shape[0]
         gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
             return theta, eta0, {}
         eta_t, _, stalled = backtrack(
-            lambda a: float(np.mean(loss.values(model.forward(theta - a * g, rows), y_b))),
+            lambda a: losses_mod.mean(loss.values(model.forward(theta - a * g, rows), y_b)),
             base, gnorm2, eta0, LS_SHRINK, LS_C)
         rec.inner_stalls += stalled
         return theta - eta_t * g, eta_t, {}

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inner_solvers import backtrack
+from .losses import mean
 
 KINDS = ("constant", "sqrt-decay", "exponential", "target-line-search", "adagrad-norm")
 # Armijo constants of the target line search and of parametric SLS: the
@@ -95,10 +96,10 @@ def target_line_search(
     """
     z = np.asarray(z_batch, dtype=np.float64)
     g = np.asarray(grad_batch, dtype=np.float64)
-    gnorm2 = float(np.mean(g * g))
+    gnorm2 = mean(g * g)
     if gnorm2 == 0.0:
         return alpha0, False
-    base = float(np.mean(loss.values(z, y_batch)))
-    step, _, stalled = backtrack(lambda a: float(np.mean(loss.values(z - a * g, y_batch))),
+    base = mean(loss.values(z, y_batch))
+    step, _, stalled = backtrack(lambda a: mean(loss.values(z - a * g, y_batch)),
                                  base, gnorm2, alpha0, shrink, c)
     return step, stalled

@@ -22,6 +22,10 @@ diagnostics use it).
 
 Freezing consumes one oracle call per row; building, evaluating or
 minimizing a surrogate consumes none.
+
+Reductions go through `np.add.reduce` (and `losses.mean`): on a batch of
+a few rows numpy's `np.sum` / `np.mean` wrappers cost more than the sum
+itself, and the ufunc computes the same sum in the same order, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import xlogy
 
+from .losses import mean
 from .models import spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
@@ -55,7 +60,7 @@ class SquaredProximity:
     weights: np.ndarray
 
     def __call__(self, f, z) -> float:
-        return float(np.sum(0.5 * self.weights * (f - z) ** 2))
+        return float(np.add.reduce(0.5 * self.weights * (f - z) ** 2, axis=None))
 
     def grad(self, f, z) -> np.ndarray:
         return self.weights * (f - z)
@@ -70,7 +75,7 @@ class KLProximity:
     eta: float
 
     def __call__(self, f, z) -> float:
-        return float(np.sum(xlogy(f, f / z))) / self.eta
+        return float(np.add.reduce(xlogy(f, f / z), axis=None)) / self.eta
 
     def grad(self, f, z) -> np.ndarray:
         return (np.log(f / z) + 1.0) / self.eta
@@ -126,8 +131,8 @@ class Surrogate:
         """The value at targets f of the batch rows."""
         batch = self.batch
         prod = (f - batch.z) * batch.coeffs
-        lin = prod if prod.ndim == 1 else prod.sum(axis=1)
-        return float(np.mean(batch.consts + lin)) + self.scale * self.prox(f, batch.z)
+        lin = prod if prod.ndim == 1 else np.add.reduce(prod, axis=1)
+        return mean(batch.consts + lin) + self.scale * self.prox(f, batch.z)
 
     def logit_grad(self, f) -> np.ndarray:
         """Gradient in the batch logits at targets f, for models with a link."""

@@ -190,6 +190,13 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
 
+    def test_config_that_is_no_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=f"^config {re.escape(str(path))} must be a JSON "
+                                             "object, not list$"):
+            run_experiment(str(path))
+
     def test_duplicate_run_id_rejected_before_any_file(self, tmp_path):
         cfg = small_config(tmp_path / "out")
         cfg["runs"].append({"id": "sgd", "optimizer": "adam", "T": 6})
@@ -333,6 +340,10 @@ class TestConfigParsing:
         ({"T": 0}, "'b': T must be an integer >= 1, not 0"),
         ({"T": 2.5}, "'b': T must be an integer >= 1, not 2.5"),
         ({"epochs": 0}, "'b': T must be an integer >= 1, not 0"),
+        ({"epochs": 2.5, "batch_size": 4}, "'b': epochs must be an integer, not 2.5"),
+        ({"T": 6, "batch_size": 2.5}, "'b': batch_size must be an integer, not 2.5"),
+        ({"epochs": 2, "batch_size": 0}, r"'b': batch size 0 outside \[1, 16\]"),
+        ({"epochs": 2, "batch_size": "x"}, "'b': batch_size must be an integer, not 'x'"),
         ({"T": 6, "batch_size": 17}, r"'b': batch size 17 outside \[1, 16\]"),
         ({"T": 6, "tau": -1}, "'b': tau must be >= 0"),
         ({"T": 6, "eval_every": 0}, "'b': eval_every must be >= 1"),
@@ -356,7 +367,8 @@ class TestConfigParsing:
             "sgd-target-line-search", "adam-sqrt-decay", "exact-ignores-inner",
             "sgd-ignores-variant", "sgd-ignores-diagnostics", "adam-ignores-inner",
             "sgd-ignores-snapshot-freq", "sqrt-decay-ignores-beta", "gd-ignores-warm-start",
-            "T-zero", "T-fraction", "epochs-zero", "batch-above-n", "negative-tau", "eval-every-zero",
+            "T-zero", "T-fraction", "epochs-zero", "epochs-fraction", "batch-fraction",
+            "epochs-batch-zero", "epochs-batch-text", "batch-above-n", "negative-tau", "eval-every-zero",
             "inner-m-zero", "inner-m-fraction", "gd-alpha-zero", "armijo-alpha-negative",
             "growth-zero", "snapshot-freq-zero", "snapshot-freq-negative", "unknown-diagnostic"])
     def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
@@ -484,11 +496,16 @@ class TestCLI:
         (["--config", "missing.json"],
          "error: [Errno 2] No such file or directory: 'missing.json'\n"),
         (["--config", "broken.json"], "error: config broken.json is not JSON: "),
-    ], ids=["unknown-preset", "missing-config", "malformed-config"])
+        (["--config", "list.json"], "error: config list.json must be a JSON object, not list\n"),
+        (["--config", "list.json", "--data", "x.libsvm"],
+         "error: config list.json must be a JSON object, not list\n"),
+    ], ids=["unknown-preset", "missing-config", "malformed-config", "list-config",
+            "list-config-with-data"])
     def test_bad_config_source_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "broken.json").write_text("{not json")
+        (tmp_path / "list.json").write_text("[]")
         assert cli.main(["run", *argv, "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1

@@ -1,0 +1,231 @@
+"""The hot paths reduce through `np.add.reduce` and `losses.mean` instead of
+numpy's `np.sum` / `np.mean` wrappers. These tests hold each rewritten path
+to the wrapper formula it replaced with `==`, not a tolerance: the sums run
+in the same order, so every value is the same float."""
+
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.special import xlogy
+
+from targetopt import inner_solvers
+from targetopt.inner_solvers import _TargetLine, armijo_backtracking, backtrack
+from targetopt.losses import (
+    LogisticLoss,
+    MulticlassKLLoss,
+    SquaredLoss,
+    loss_value,
+    mean,
+    smoothed_expert_rows,
+)
+from targetopt.models import LinearModel, SoftmaxLinearModel, row_product
+from targetopt.schedules import target_line_search
+from targetopt.surrogates import KLProximity, build_stochastic, freeze
+
+K = 3
+TRIALS = (10.0, 1.0, 0.37, 1e-3)
+
+
+# -- the wrapper formulas the hot paths used before ---------------------
+
+
+def wrapper_prox(prox, f, z):
+    if isinstance(prox, KLProximity):
+        return float(np.sum(xlogy(f, f / z))) / prox.eta
+    return float(np.sum(0.5 * prox.weights * (f - z) ** 2))
+
+
+def wrapper_target_value(surr, f):
+    batch = surr.batch
+    prod = (f - batch.z) * batch.coeffs
+    lin = prod if prod.ndim == 1 else prod.sum(axis=1)
+    return float(np.mean(batch.consts + lin)) + surr.scale * wrapper_prox(surr.prox, f, batch.z)
+
+
+def wrapper_softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def wrapper_target_line_search(loss, z, y, g, alpha0=10.0, shrink=0.5, c=0.5):
+    gnorm2 = float(np.mean(g * g))
+    if gnorm2 == 0.0:
+        return alpha0, False
+    base = float(np.mean(loss.values(z, y)))
+    alpha = alpha0
+    while alpha >= 1e-12:
+        if float(np.mean(loss.values(z - alpha * g, y))) <= base - c * alpha * gnorm2:
+            return alpha, False
+        alpha *= shrink
+    return alpha, True
+
+
+def wrapper_armijo(surr, omega, m, alpha0, shrink=0.8, c=0.5):
+    """Parameter-space Armijo as it was; also returns each step's ||g||^2."""
+    val, g, steps, slopes = surr.value(omega), surr.grad(omega), 0, []
+    for _ in range(m):
+        gnorm2 = float(np.sum(g * g))
+        if gnorm2 == 0.0:
+            break
+        slopes.append(gnorm2)
+        alpha, val, stalled = backtrack(lambda a: surr.value(omega - a * g), val, gnorm2,
+                                        alpha0, shrink, c)
+        if stalled:
+            break
+        omega, steps, g = omega - alpha * g, steps + 1, surr.grad(omega - alpha * g)
+    return omega, steps, slopes
+
+
+class MatrixQuadratic:
+    """sum(w * (W - C)^2) / 2 over a (d, K) matrix W: a surrogate whose
+    gradient is 2-D, so Armijo takes the parameter-space path."""
+
+    batch = SimpleNamespace(model=SimpleNamespace(kind="mlp"))
+
+    def __init__(self, w, C):
+        self.w, self.C = w, C
+
+    def value(self, W):
+        return float(np.sum(0.5 * self.w * (W - self.C) ** 2))
+
+    def grad(self, W):
+        return self.w * (W - self.C)
+
+
+# -- random batches --------------------------------------------------------
+
+
+@st.composite
+def batches(draw, multiclass=None):
+    """(rows, y, loss, model, theta, rng): dense or CSR rows with 1-D
+    targets (linear model, squared or logistic loss) or (b, K) targets
+    (softmax-linear model, KL loss)."""
+    b, d = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    sparse = draw(st.booleans())
+    if multiclass is None:
+        multiclass = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Small softmax logits: a target that underflows to 0 has an infinite
+    # KL gradient, and nan == nan fails.
+    X = rng.normal(size=(b, d)) * 10.0 ** draw(st.integers(-3, 1 if multiclass else 3))
+    if sparse:
+        X = sp.csr_matrix(X * (rng.random((b, d)) < 0.5))
+    if multiclass:
+        y = smoothed_expert_rows(rng.integers(0, K, b), K, eps=0.1)
+        loss, model = MulticlassKLLoss(), SoftmaxLinearModel(K)
+    elif draw(st.booleans()):
+        y, loss, model = rng.normal(size=b), SquaredLoss(), LinearModel()
+    else:
+        y, loss, model = rng.choice([-1.0, 1.0], size=b), LogisticLoss(), LinearModel()
+    theta = rng.normal(size=model.dim(d))
+    return X, y, loss, model, theta, rng
+
+
+def surrogate_of(data, variant, eta):
+    X, y, loss, model, theta, rng = data
+    return build_stochastic(loss, freeze(loss, model, theta, X, y), eta, variant)
+
+
+VARIANTS_1D = st.sampled_from(["smoothness", "newton"])
+VARIANTS_2D = st.sampled_from(["smoothness", "entropy-mirror"])
+ETAS = st.floats(1e-3, 10.0)
+
+
+class TestSameFloats:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2000), st.integers(0, 2**32 - 1), st.booleans())
+    def test_mean_is_np_mean(self, size, seed, blocked):
+        x = np.random.default_rng(seed).normal(size=size)
+        if blocked and size >= K:  # a (rows, K) block, as the softmax targets come
+            x = x[: size - size % K].reshape(-1, K)
+        assert mean(x) == float(np.mean(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), st.data(), ETAS)
+    def test_target_value(self, multiclass, draw, eta):
+        data = draw.draw(batches(multiclass=multiclass))
+        variant = draw.draw(VARIANTS_2D if multiclass else VARIANTS_1D)
+        surr = surrogate_of(data, variant, eta)
+        X, _, _, model, theta, rng = data
+        for f in (surr.batch.z, model.forward(theta + rng.normal(size=theta.shape), X)):
+            assert surr.target_value(f) == wrapper_target_value(surr, f)
+            assert surr.prox(f, surr.batch.z) == wrapper_prox(surr.prox, f, surr.batch.z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), ETAS)
+    def test_target_line_trials(self, data, eta):
+        X, _, _, model, theta, rng = data
+        variant = "entropy-mirror" if model.kind == "softmax-linear" else "smoothness"
+        surr = surrogate_of(data, variant, eta)
+        omega = theta + 0.1 * rng.normal(size=theta.shape)
+        line = _TargetLine(surr, omega)
+        g, val = surr.grad(omega), surr.value(omega)
+        gnorm2 = float(g.ravel() @ g.ravel())
+        value_at = line.values(g, val, gnorm2)
+        u = line.u
+        assert line.quadratic == (model.kind == "linear")
+        for a in TRIALS:
+            if line.quadratic:
+                curv = float(np.sum(surr.prox.weights * u * u)) * surr.scale / 2
+                want = val - a * gnorm2 + a * a * curv
+            else:
+                want = wrapper_target_value(surr, wrapper_softmax(line.logits - a * u))
+            assert value_at(a) == want
+        if not line.quadratic:
+            f, coeffs = model.link(line.logits), surr.batch.coeffs
+            assert np.array_equal(f, wrapper_softmax(line.logits))
+            want = f * (coeffs - (f * coeffs).sum(axis=1, keepdims=True))
+            assert np.array_equal(model.link_vjp(f, coeffs), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches())
+    def test_loss_value(self, data):
+        X, y, loss, model, theta, _ = data
+        z = model.forward(theta, X)
+        assert loss_value(loss, z, y) == float(np.mean(loss.values(z, y)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), st.floats(1e-6, 100.0))
+    def test_target_line_search_step(self, data, alpha0):
+        X, y, loss, model, theta, _ = data
+        batch = freeze(loss, model, theta, X, y)
+        with np.errstate(invalid="ignore"):  # KL trials can leave the simplex
+            got = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=alpha0)
+            want = wrapper_target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=alpha0)
+        assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 8))
+    def test_armijo_on_a_matrix_gradient(self, seed, d, m):
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-3, 3, size=(d, K))
+        surr = MatrixQuadratic(w, rng.normal(size=(d, K)))
+        W0 = rng.normal(size=(d, K))
+        got_slopes = []
+
+        def recording_backtrack(value_at, base, slope, *args):
+            got_slopes.append(slope)
+            return backtrack(value_at, base, slope, *args)
+
+        with mock.patch.object(inner_solvers, "backtrack", recording_backtrack):
+            got = armijo_backtracking(surr, W0, m, alpha0=1.0)
+        theta, steps, slopes = wrapper_armijo(surr, W0, m, alpha0=1.0)
+        assert got_slopes == slopes
+        assert got.inner_steps == steps
+        assert np.array_equal(got.theta, theta)
+
+
+@pytest.mark.parametrize("rows_dtype", [np.float32, np.int32, np.float64])
+@pytest.mark.parametrize("v_dtype", [np.float32, np.int32, np.float64])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_row_product_dtype_is_result_type(rows_dtype, v_dtype, transpose, ndim):
+    R = sp.csr_matrix(np.array([[1, 0, 2], [0, 3, 0]], dtype=rows_dtype))
+    v = np.ones((2 if transpose else 3,) + (2,) * (ndim - 1), dtype=v_dtype)
+    out = row_product(R, v, transpose=transpose)
+    assert out.dtype == np.result_type(R.dtype, v.dtype)
+    np.testing.assert_array_equal(out, R.T @ v if transpose else R @ v)
