@@ -4,9 +4,11 @@ An experiment config is a JSON document naming a dataset (file path or
 synthetic spec), a loss, a model, and a list of runs. The problem (the
 dataset, with the labels the loss sees, the loss and the model) is
 built once per experiment, after the config checks and before any pair
-runs, and shared by every (run, seed) pair. Each pair writes one CSV
-plus a JSON sidecar with the fully resolved configuration. A summary CSV
-aggregates the per-seed loss curves (mean and 25/75 quantiles).
+runs, and shared by every (run, seed) pair. So is each run's checked
+`RunConfig`; a pair only derives its seed. Each pair writes one CSV
+(`run_id`, `seed`, then `TraceRow`'s fields) plus a JSON sidecar with
+the fully resolved configuration. A summary CSV aggregates the per-seed
+loss curves (mean and 25/75 quantiles).
 Simulated cost, not wall clock, is the reproducible cost metric.
 """
 
@@ -26,27 +28,10 @@ import numpy as np
 from . import data as data_mod
 from . import losses as losses_mod
 from . import models as models_mod
-from .optimizers import DIAGNOSTICS, InnerOptions, RunConfig, RunTrace, ScheduleOptions
+from .optimizers import (
+    DIAGNOSTICS, RUNNERS, InnerOptions, RunConfig, RunTrace, ScheduleOptions, TraceRow,
+)
 from .optimizers import run as run_optimizer
-
-CSV_COLUMNS = [
-    "run_id",
-    "seed",
-    "outer_t",
-    "oracle_calls",
-    "inner_steps",
-    "sim_cost",
-    "wall_ms",
-    "eta",
-    "loss",
-    "grad_norm",
-]
-OPTIONAL_COLUMNS = list(DIAGNOSTICS)
-
-
-def run_id_of(run_spec: dict) -> str:
-    return run_spec.get("id", run_spec.get("optimizer", "run"))
-
 
 def derive_seed(global_seed: int, run_id: str, seed_index: int) -> int:
     """Stable per-run RNG seed; no run shares another's stream."""
@@ -64,6 +49,8 @@ def _keys(cls) -> set:
 
 
 def _reject_unknown(group: str, spec: dict, known: set) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{group} spec must be an object, not {spec!r}")
     unknown = sorted(set(spec) - known)
     if unknown:
         raise ValueError(f"unknown {group} key(s) {unknown}")
@@ -133,17 +120,20 @@ def load_problem(exp: dict):
     return dataset, loss, model
 
 
-def check_run_spec(run_spec: dict, seed: int = 0) -> RunConfig:
+def check_run_spec(run_spec: dict) -> RunConfig:
     """Reject unknown keys (RunConfig's fields, "id" and "epochs" are
-    known; in "schedule" / "inner", their option classes' fields), "T"
-    given together with "epochs", and unknown names. Returns the entry's
-    RunConfig with "epochs" not yet resolved."""
-    run_id = run_id_of(run_spec)
+    known; in "schedule" / "inner", their option classes' fields), a
+    group that is no object, "T" given together with "epochs", and
+    unknown names. Returns the entry's RunConfig with "epochs" not yet
+    resolved and seed 0."""
+    run_id = run_spec.get("id", run_spec.get("optimizer", "run"))
     for group, entry, keys in (
         ("run", run_spec, _keys(RunConfig) - {"run_id", "seed"} | {"id", "epochs"}),
-        ("schedule", run_spec.get("schedule") or {}, _keys(ScheduleOptions)),
-        ("inner", run_spec.get("inner") or {}, _keys(InnerOptions)),
+        ("schedule", run_spec.get("schedule", {}), _keys(ScheduleOptions)),
+        ("inner", run_spec.get("inner", {}), _keys(InnerOptions)),
     ):
+        if not isinstance(entry, dict):
+            raise ValueError(f"run {run_id!r}: {group!r} must be an object, not {entry!r}")
         unknown = sorted(set(entry) - keys)
         if unknown:
             raise ValueError(f"run {run_id!r}: unknown {group} key(s) {unknown}")
@@ -152,11 +142,11 @@ def check_run_spec(run_spec: dict, seed: int = 0) -> RunConfig:
     spec = dict(run_spec, run_id=run_id)
     spec.pop("id", None)
     spec.pop("epochs", None)
-    spec["schedule"] = ScheduleOptions(**(spec.get("schedule") or {}))
-    spec["inner"] = InnerOptions(**(spec.get("inner") or {}))
+    spec["schedule"] = ScheduleOptions(**spec.get("schedule", {}))
+    spec["inner"] = InnerOptions(**spec.get("inner", {}))
     if "diagnostics" in spec:
         spec["diagnostics"] = tuple(spec["diagnostics"])
-    cfg = RunConfig(**spec, seed=seed)
+    cfg = RunConfig(**spec)
     try:
         cfg.check_names()
     except ValueError as e:
@@ -164,20 +154,25 @@ def check_run_spec(run_spec: dict, seed: int = 0) -> RunConfig:
     return cfg
 
 
-def make_run_config(run_spec: dict, n: int, seed: int) -> RunConfig:
-    """Translate a JSON run entry into a RunConfig of the same shape.
+def make_run_config(run_spec: dict, n: int) -> RunConfig:
+    """Translate a JSON run entry into its RunConfig, checked by
+    `RunConfig.validate` on a dataset of n rows; its seed is 0.
 
     "id" becomes `run_id`; an "epochs" key resolves to
     T = epochs * ceil(n / batch)."""
-    cfg = check_run_spec(run_spec, seed)
-    if "epochs" in run_spec:
-        epochs, b = run_spec["epochs"], cfg.batch_size
-        if not isinstance(epochs, numbers.Integral):
-            raise ValueError(f"epochs must be an integer, not {epochs!r}")
-        # A batch size that is no integer in [1, n] leaves T unresolved,
-        # for `RunConfig.validate` to report.
-        if b is None or (isinstance(b, numbers.Integral) and 1 <= b <= n):
-            cfg.T = epochs * max(1, int(np.ceil(n / cfg.resolved_batch(n))))
+    cfg = check_run_spec(run_spec)
+    try:
+        if "epochs" in run_spec:
+            epochs, b = run_spec["epochs"], cfg.batch_size
+            if not isinstance(epochs, numbers.Integral):
+                raise ValueError(f"epochs must be an integer, not {epochs!r}")
+            # A batch size that is no integer in [1, n] leaves T unresolved,
+            # for `RunConfig.validate` to report.
+            if b is None or (isinstance(b, numbers.Integral) and 1 <= b <= n):
+                cfg.T = epochs * max(1, int(np.ceil(n / cfg.resolved_batch(n))))
+        cfg.validate(n)
+    except ValueError as e:
+        raise ValueError(f"run {cfg.run_id!r}: {e}") from None
     return cfg
 
 
@@ -186,24 +181,17 @@ def _fmt_float(x: float) -> str:
 
 
 def trace_to_csv(trace: RunTrace, with_diag: bool) -> str:
-    cols = CSV_COLUMNS + (OPTIONAL_COLUMNS if with_diag else [])
-    lines = [",".join(cols)]
+    """`run_id`, `seed`, then TraceRow's fields in order (the DIAGNOSTICS
+    ones only `with_diag`): ints as written, floats to 17 significant
+    digits, None as an empty cell."""
+    fields = [f for f in dataclasses.fields(TraceRow) if with_diag or f.name not in DIAGNOSTICS]
+    fmts = [(f.name, str if f.type == "int" else _fmt_float) for f in fields]
+    lines = [",".join(["run_id", "seed", *(f.name for f in fields)])]
     for r in trace.rows:
-        vals = [
-            trace.run_id,
-            str(trace.seed),
-            str(r.outer_t),
-            str(r.oracle_calls),
-            str(r.inner_steps),
-            _fmt_float(r.sim_cost),
-            _fmt_float(r.wall_ms),
-            _fmt_float(r.eta),
-            _fmt_float(r.loss),
-            _fmt_float(r.grad_norm),
-        ]
-        if with_diag:
-            vals.append("" if r.eps is None else _fmt_float(r.eps))
-            vals.append("" if r.zeta2 is None else _fmt_float(r.zeta2))
+        vals = [trace.run_id, str(trace.seed)]
+        for name, fmt in fmts:
+            v = getattr(r, name)
+            vals.append("" if v is None else fmt(v))
         lines.append(",".join(vals))
     return "\n".join(lines) + "\n"
 
@@ -218,20 +206,19 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def execute_single(exp: dict, problem, run_spec: dict, seed_index: int, out_dir: str) -> dict:
-    """Run one (run, seed) pair on the experiment's problem
-    `(dataset, loss, model)` and write its files."""
+def execute_single(exp: dict, problem, cfg: RunConfig, seed_index: int, out_dir: str) -> dict:
+    """Run one (run, seed) pair of the checked `cfg` on the experiment's
+    problem `(dataset, loss, model)` and write its files."""
     dataset, loss, model = problem
-    run_id = run_id_of(run_spec)
+    run_id = cfg.run_id
     seed = derive_seed(exp.get("global_seed", 0), run_id, seed_index)
-    cfg = make_run_config(run_spec, dataset.n, seed)
-    trace = run_optimizer(cfg, dataset, model, loss)
+    cfg = dataclasses.replace(cfg, seed=seed)
+    trace = RUNNERS[cfg.optimizer](cfg, dataset, model, loss)
     trace.seed = seed_index  # report the configured index, not the derived stream
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{run_id}_s{seed_index}"
-    with_diag = bool(cfg.diagnostics)
-    (out / f"{stem}.csv").write_text(trace_to_csv(trace, with_diag))
+    (out / f"{stem}.csv").write_text(trace_to_csv(trace, bool(cfg.diagnostics)))
     sidecar = {
         "run_id": run_id,
         "seed_index": seed_index,
@@ -250,11 +237,11 @@ def execute_single(exp: dict, problem, run_spec: dict, seed_index: int, out_dir:
 
 
 def _pool_entry(payload):
-    exp, problem, run_spec, seed_index, out_dir = payload
+    exp, problem, cfg, seed_index, out_dir = payload
     try:
-        return execute_single(exp, problem, run_spec, seed_index, out_dir), None
+        return execute_single(exp, problem, cfg, seed_index, out_dir), None
     except Exception as e:  # noqa: BLE001 - per-run failures are reported
-        return {"run_id": run_id_of(run_spec), "seed": seed_index}, repr(e)
+        return {"run_id": cfg.run_id, "seed": seed_index}, repr(e)
 
 
 def write_summary(out_dir) -> str:
@@ -293,40 +280,35 @@ def load_config(path) -> dict:
 
 
 def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int:
-    """Check the config, build its problem once, validate every run on
-    it, then execute every (run x seed) pair; returns a process exit
-    status. A config, problem or run error raises before any pair runs
-    or any file is written."""
+    """Check the config, build its problem once, translate every run
+    entry once into its RunConfig checked on that problem, then execute
+    every (run x seed) pair; returns a process exit status. A config,
+    problem or run error raises before any pair runs or any file is
+    written."""
     if not isinstance(config, dict):
         config = load_config(config)
     config = copy.deepcopy(config)
     if global_seed is not None:
         config["global_seed"] = global_seed
     out_dir = os.environ.get("TARGETOPT_OUT", out_dir or config.get("out_dir", "runs"))
-    seeds = config.get("seeds", [0])
-    if not config.get("runs"):
+    seeds, runs = config.get("seeds", [0]), config.get("runs")
+    if not runs:
         raise ValueError("config has no runs")
-    if not seeds or len(set(seeds)) < len(seeds):
+    if not (isinstance(runs, list) and all(isinstance(r, dict) for r in runs)):
+        raise ValueError(f"'runs' must be a list of objects, not {runs!r}")
+    if not (isinstance(seeds, list) and all(isinstance(k, numbers.Integral) for k in seeds)
+            and 0 < len(seeds) == len(set(seeds))):
         raise ValueError(f"'seeds' must be a non-empty list of distinct seeds, not {seeds!r}")
 
-    for run_spec in config["runs"]:
-        check_run_spec(run_spec)
-    ids = [run_id_of(run_spec) for run_spec in config["runs"]]
+    ids = [check_run_spec(run_spec).run_id for run_spec in runs]
     duplicates = sorted({i for i in ids if ids.count(i) > 1})
     if duplicates:
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
     problem = load_problem(config)
-    n = problem[0].n
-    for run_spec in config["runs"]:
-        try:
-            make_run_config(run_spec, n, 0).validate(n)
-        except ValueError as e:
-            raise ValueError(f"run {run_id_of(run_spec)!r}: {e}") from None
+    cfgs = [make_run_config(run_spec, problem[0].n) for run_spec in runs]
 
     payloads = [
-        (config, problem, run_spec, seed_index, out_dir)
-        for run_spec in config["runs"]
-        for seed_index in seeds
+        (config, problem, cfg, seed_index, out_dir) for cfg in cfgs for seed_index in seeds
     ]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -96,12 +96,19 @@ class _TargetLine:
             weights = self.surrogate.prox.weights
             curv = float(np.add.reduce(weights * u * u, axis=None)) * self.surrogate.scale / 2
             return lambda a: val - a * gnorm2 + a * a * curv
-        return lambda a: self.surrogate.target_value(self.model.link(self.logits - a * u))
+        return lambda a: self.surrogate.target_value(self._at(a)[1])
+
+    def _at(self, a):
+        """(logits, targets) at omega - a g, kept as the latest trial."""
+        logits = self.logits - a * self.u
+        self.trial = logits, self.model.link(logits)
+        return self.trial
 
     def step(self, a) -> np.ndarray:
-        """Take the accepted step in the logits; the gradient there."""
-        self.logits = self.logits - a * self.u
-        v = self.surrogate.logit_grad(self.model.link(self.logits))
+        """Take the accepted step in the logits; the gradient there. Off
+        the quadratic path the latest trial is the accepted one."""
+        self.logits, f = self._at(a) if self.quadratic else self.trial
+        v = self.surrogate.logit_grad(f)
         return row_product(self.rows, v, transpose=True).ravel()
 
 

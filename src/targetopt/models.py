@@ -4,7 +4,7 @@ A model maps the rows it is given: `forward(theta, rows)` returns one
 target per row, `param_grad(theta, rows, coeffs)` the gradient of a
 coefficient-weighted sum of them (the only primitive surrogate
 minimization needs); `lipschitz_estimate` bounds the map's constant.
-The optimizers' sampler hands out a batch's rows, X itself for a full
+The optimizers' outer loop hands out a batch's rows, X itself for a full
 batch. Linear and softmax-linear targets are link(rows @ W), W = theta,
 and these models expose `logits`, `link` and its vector-Jacobian product
 `link_vjp`. MLP gradients are hand-written reverse accumulation so they

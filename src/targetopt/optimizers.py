@@ -125,6 +125,8 @@ class RunConfig:
         self.check_names()
         if not (isinstance(self.T, numbers.Integral) and self.T >= 1):
             raise ValueError(f"T must be an integer >= 1, not {self.T!r}")
+        if self.schedule.kind == "exponential":  # the schedule's own horizon and beta checks
+            Schedule("exponential", 1.0, T=self.T, beta=self.schedule.beta)
         if not (self.batch_size is None or isinstance(self.batch_size, numbers.Integral)):
             raise ValueError(f"batch_size must be an integer, not {self.batch_size!r}")
         b = self.resolved_batch(n)
@@ -182,35 +184,23 @@ class RunTrace:
         return np.array([r.loss for r in self.rows])
 
 
-class _Sampler:
-    """Batch source: `draw()` returns (idx, rows, labels) of a batch drawn
-    uniformly with replacement or by epoch shuffling. A full batch is the
-    dataset's own X and labels, not a copy."""
-
-    def __init__(self, dataset, batch: int, rng, mode: str):
-        self.X, self.y = dataset.X, dataset.y
-        self.n, self.batch, self.rng, self.mode = dataset.n, batch, rng, mode
-        self._order = np.empty(0, dtype=int)
-        self._pos = 0
-
-    def draw(self):
-        if self.batch == self.n:
-            return np.arange(self.n), self.X, self.y
-        idx = self._indices()
-        return idx, take_rows(self.X, idx), self.y[idx]
-
-    def _indices(self) -> np.ndarray:
-        if self.mode == "replacement":
-            return self.rng.integers(0, self.n, size=self.batch)
-        out = []
-        while len(out) < self.batch:
-            if self._pos >= self._order.size:
-                self._order = self.rng.permutation(self.n)
-                self._pos = 0
-            take = min(self.batch - len(out), self._order.size - self._pos)
-            out.extend(self._order[self._pos : self._pos + take])
-            self._pos += take
-        return np.asarray(out, dtype=int)
+def _batches(dataset, batch: int, rng, mode: str):
+    """Endless batches (idx, rows, labels), drawn uniformly with replacement
+    or by epoch shuffling. A full batch is the dataset's own X and labels,
+    not a copy, and takes nothing from `rng`."""
+    X, y, n = dataset.X, dataset.y, dataset.n
+    if batch == n:
+        while True:
+            yield np.arange(n), X, y
+    order = np.empty(0, dtype=int)  # the rest of the current permutation
+    while True:
+        if mode == "replacement":
+            idx = rng.integers(0, n, size=batch)
+        else:
+            if order.size < batch:
+                order = np.concatenate([order, rng.permutation(n)])
+            idx, order = order[:batch], order[batch:]
+        yield idx, take_rows(X, idx), y[idx]
 
 
 def full_loss(loss, model, dataset, theta) -> float:
@@ -305,22 +295,21 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
     """The outer loop shared by every optimizer.
 
     `make_step(cfg, dataset, model, loss, rec)` sets up one optimizer and
-    returns its update `step(t, theta, draw) -> (theta, eta, row_fields)`.
-    The update draws its own batch, `draw() -> (idx, rows, labels)` (SVRG
-    takes its snapshot first), pays its oracle calls on `rec.counter`
-    through `freeze` or `batch_param_grad` and keeps any state between
-    calls.
+    returns its update `step(t, theta, idx, rows, labels) -> (theta, eta,
+    row_fields)` on the batch the loop drew. The update pays its oracle
+    calls on `rec.counter` through `freeze` or `batch_param_grad` and keeps
+    any state between calls.
     """
     rng = np.random.default_rng(cfg.seed)
     theta = np.asarray(model.init_params(dataset.d, rng), dtype=np.float64)
-    sampler = _Sampler(dataset, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
+    batches = _batches(dataset, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
     rec = _Recorder(cfg, loss, model, dataset)
     step = make_step(cfg, dataset, model, loss, rec)
 
     rec.record(0, theta, 0.0)
     rec.snap(theta)
     for t in range(1, cfg.T + 1):
-        theta, eta_t, row_fields = step(t, theta, sampler.draw)
+        theta, eta_t, row_fields = step(t, theta, *next(batches))
         rec.snap(theta)
         if rec.due(t):
             rec.record(t, theta, eta_t, **row_fields)
@@ -343,9 +332,8 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         sched = Schedule(opts.kind, eta0, T=cfg.T, beta=opts.beta)
     warm_alpha = None
 
-    def step(t, theta, draw):
+    def step(t, theta, idx, rows, y_b):
         nonlocal warm_alpha
-        idx, rows, y_b = draw()
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
         if sched is None:
             eta_t, stalled = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=eta0)
@@ -391,8 +379,7 @@ def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
         cfg.schedule.kind, base_step(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule.beta
     )
 
-    def step(t, theta, draw):
-        _, rows, y_b = draw()
+    def step(t, theta, _, rows, y_b):
         g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
         eta_t = schedule_eta(sched, t, grad=g)
         return theta - eta_t * g, eta_t, {}
@@ -404,8 +391,7 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """SGD with Armijo backtracking on the sampled mini-batch loss."""
     eta0 = base_step(cfg, dataset, loss)
 
-    def step(t, theta, draw):
-        _, rows, y_b = draw()
+    def step(t, theta, _, rows, y_b):
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
         base = losses_mod.mean(batch.consts)
         g = model.param_grad(theta, rows, batch.coeffs) / rows.shape[0]
@@ -426,9 +412,8 @@ def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     lr = base_step(cfg, dataset, loss)
     m = v = 0.0  # moment estimates; a scalar zero acts as the zero vector
 
-    def step(t, theta, draw):
+    def step(t, theta, _, rows, y_b):
         nonlocal m, v
-        _, rows, y_b = draw()
         g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
         m = 0.9 * m + (1 - 0.9) * g
         v = 0.999 * v + (1 - 0.999) * g * g
@@ -444,9 +429,8 @@ def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     lr = base_step(cfg, dataset, loss)
     acc = 0.0  # running sum of squared gradients
 
-    def step(t, theta, draw):
+    def step(t, theta, _, rows, y_b):
         nonlocal acc
-        _, rows, y_b = draw()
         g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
         acc = acc + g * g
         return theta - lr * g / (np.sqrt(acc) + 1e-10), lr, {}
@@ -465,12 +449,11 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     eta = base_step(cfg, dataset, loss)
     snapshot = mu = None
 
-    def step(t, theta, draw):
+    def step(t, theta, _, rows, y_b):
         nonlocal snapshot, mu
         if (t - 1) % freq == 0:
             snapshot = theta.copy()
             mu = batch_param_grad(loss, model, snapshot, dataset.X, dataset.y, rec.counter)
-        _, rows, y_b = draw()
         g = (
             batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
             - batch_param_grad(loss, model, snapshot, rows, y_b, rec.counter)

@@ -146,6 +146,31 @@ class TestRunExperiment:
         assert run_experiment(cfg) == 0
         assert len(calls) == 1
 
+    def test_run_entry_is_translated_once_per_experiment(self, tmp_path, monkeypatch):
+        from targetopt import harness
+
+        calls = []
+        make = harness.make_run_config
+
+        def counting_make(run_spec, n):
+            calls.append(run_spec["id"])
+            return make(run_spec, n)
+
+        monkeypatch.setattr(harness, "make_run_config", counting_make)
+        cfg = small_config(tmp_path / "out")  # 2 runs x 3 seeds
+        assert run_experiment(cfg) == 0
+        assert calls == ["sgd", "sso-m3"]
+
+    def test_csv_header_is_trace_row_fields(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = small_config(out, T=2)
+        cfg["seeds"] = [0]
+        cfg["runs"][1]["diagnostics"] = ["eps"]
+        assert run_experiment(cfg) == 0
+        header = "run_id,seed,outer_t,oracle_calls,inner_steps,sim_cost,wall_ms,eta,loss,grad_norm"
+        assert (out / "sgd_s0.csv").read_text().splitlines()[0] == header
+        assert (out / "sso-m3_s0.csv").read_text().splitlines()[0] == header + ",eps,zeta2"
+
     @pytest.mark.parametrize("key, value, message", [
         ("dataset", {"path": "broken.libsvm", "task": "binary"}, "line 1: bad label token 'not'"),
         ("loss", "hinge", "unknown loss kind 'hinge'"),
@@ -157,8 +182,13 @@ class TestRunExperiment:
          "unknown dataset key(s) ['normalise']"),
         ("loss", {"kind": "squared", "smothness": 2.0}, "unknown loss key(s) ['smothness']"),
         ("model", {"kind": "mlp", "hiden": 5}, "unknown model key(s) ['hiden']"),
+        ("loss", 3, "loss spec must be an object, not 3"),
+        ("model", [], "model spec must be an object, not []"),
+        ("dataset", "data.libsvm", "dataset spec must be an object, not 'data.libsvm'"),
+        ("dataset", {"synthetic": 3}, "synthetic spec must be an object, not 3"),
     ], ids=["malformed-data", "unknown-loss", "unknown-model", "synthetic-key", "kl-on-regression",
-            "dataset-key", "loss-key", "model-key"])
+            "dataset-key", "loss-key", "model-key", "loss-number", "model-list", "dataset-name",
+            "synthetic-number"])
     def test_bad_problem_fails_once_before_any_pair(self, tmp_path, capsys, monkeypatch,
                                                     key, value, message):
         monkeypatch.chdir(tmp_path)
@@ -182,7 +212,13 @@ class TestRunExperiment:
         ("seeds", [0, 1, 0], "'seeds' must be a non-empty list of distinct seeds, not [0, 1, 0]"),
         ("seeds", [], "'seeds' must be a non-empty list of distinct seeds, not []"),
         ("runs", [], "config has no runs"),
-    ], ids=["duplicate-seed", "no-seeds", "no-runs"])
+        ("seeds", 3, "'seeds' must be a non-empty list of distinct seeds, not 3"),
+        ("seeds", [0, 1.5], "'seeds' must be a non-empty list of distinct seeds, not [0, 1.5]"),
+        ("runs", [1], "'runs' must be a list of objects, not [1]"),
+        ("runs", ["x"], "'runs' must be a list of objects, not ['x']"),
+        ("runs", {"a": 1}, "'runs' must be a list of objects, not {'a': 1}"),
+    ], ids=["duplicate-seed", "no-seeds", "no-runs", "seeds-number", "seed-fraction",
+            "run-number", "run-name", "runs-object"])
     def test_bad_experiment_rejected_before_any_file(self, tmp_path, key, value, message):
         cfg = small_config(tmp_path / "out")
         cfg[key] = value
@@ -283,10 +319,10 @@ class TestConfigParsing:
             "schedule": {"kind": "exponential", "eta0": 0.2, "beta": 1.0},
             "inner": {"solver": "armijo", "m": 7, "alpha": 2.0},
         }
-        cfg = make_run_config(spec, n=10, seed=3)
+        cfg = make_run_config(spec, n=10)
         assert cfg.schedule.kind == "exponential" and cfg.schedule.eta0 == 0.2
         assert cfg.inner.solver == "armijo" and cfg.inner.m == 7 and cfg.inner.alpha == 2.0
-        assert cfg.seed == 3
+        assert cfg.seed == 0  # each pair derives its own
 
     @pytest.mark.parametrize("group,entry", [("inner", {"solver": "gd", "mm": 5}),
                                              ("schedule", {"kind": "constant", "bogus": 1})])
@@ -294,7 +330,7 @@ class TestConfigParsing:
         spec = {"id": "x", "optimizer": "sso", "T": 5, group: entry}
         bad = "mm" if group == "inner" else "bogus"
         with pytest.raises(ValueError, match=f"'x': unknown {group} key.*{bad}"):
-            make_run_config(spec, n=10, seed=0)
+            make_run_config(spec, n=10)
 
     def test_unknown_nested_key_rejected_before_any_file(self, tmp_path):
         cfg = small_config(tmp_path / "out")
@@ -362,6 +398,14 @@ class TestConfigParsing:
          "'b': svrg_snapshot_freq must be an integer >= 1, not -2"),
         ({"T": 6, "optimizer": "sso", "diagnostics": ["eps", "nope"]},
          "'b': unknown diagnostic 'nope'"),
+        ({"T": 6, "optimizer": "sso", "inner": 5}, "'b': 'inner' must be an object, not 5"),
+        ({"T": 6, "schedule": "constant"}, "'b': 'schedule' must be an object, not 'constant'"),
+        ({"T": 1, "schedule": {"kind": "exponential"}},
+         "'b': exponential schedule needs horizon T >= 2"),
+        ({"T": 6, "schedule": {"kind": "exponential", "beta": 6.0}},
+         "'b': exponential schedule needs 0 < beta < T"),
+        ({"T": 6, "schedule": {"kind": "exponential", "beta": -1.0}},
+         "'b': exponential schedule needs 0 < beta < T"),
     ], ids=["unknown-key", "T-with-epochs", "optimizer", "variant", "inner-solver", "m-rule",
             "schedule-kind", "sampling", "step_size", "adam_lr", "adagrad_lr", "inner-alpha0",
             "sgd-target-line-search", "adam-sqrt-decay", "exact-ignores-inner",
@@ -370,7 +414,8 @@ class TestConfigParsing:
             "T-zero", "T-fraction", "epochs-zero", "epochs-fraction", "batch-fraction",
             "epochs-batch-zero", "epochs-batch-text", "batch-above-n", "negative-tau", "eval-every-zero",
             "inner-m-zero", "inner-m-fraction", "gd-alpha-zero", "armijo-alpha-negative",
-            "growth-zero", "snapshot-freq-zero", "snapshot-freq-negative", "unknown-diagnostic"])
+            "growth-zero", "snapshot-freq-zero", "snapshot-freq-negative", "unknown-diagnostic",
+            "inner-number", "schedule-name", "exp-T1", "exp-beta-above-T", "exp-beta-negative"])
     def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
         cfg = small_config(tmp_path / "out")
         cfg["runs"].insert(1, {"id": "b", "optimizer": "sgd", **entry})
@@ -379,9 +424,7 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     def test_epochs_resolution(self):
-        cfg = make_run_config(
-            {"id": "e", "optimizer": "sgd", "epochs": 4, "batch_size": 3}, n=10, seed=0
-        )
+        cfg = make_run_config({"id": "e", "optimizer": "sgd", "epochs": 4, "batch_size": 3}, n=10)
         assert cfg.T == 4 * 4  # ceil(10/3) = 4 steps per epoch
 
     def test_presets_resolve(self):
@@ -391,8 +434,7 @@ class TestConfigParsing:
             assert cfg["runs"], name
             # Every run entry must translate into a valid RunConfig.
             for run_spec in cfg["runs"]:
-                rc = make_run_config(run_spec, n=1000, seed=0)
-                rc.validate(1000)
+                make_run_config(run_spec, n=1000)
 
     def test_mushrooms_preset_grid(self):
         runs = presets()["mushrooms-logistic"]["runs"]
@@ -535,6 +577,7 @@ class TestCLI:
     @pytest.mark.parametrize("bad, message", [
         ({"id": "sgd", "optimizer": "adam", "T": 6}, "duplicate run id(s) ['sgd']"),
         ({"id": "x", "optimizer": "sgdd", "T": 6}, "unknown optimizer 'sgdd'"),
+        (1, "'runs' must be a list of objects"),
     ])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, bad, message):
         cfg = small_config(tmp_path / "out")

@@ -254,6 +254,26 @@ class TestTargetSpaceArmijo:
         res = armijo_backtracking(surr, theta_t, 8, alpha0=10.0)
         assert res.inner_steps > 1 and counting.calls == built
 
+    def test_accepted_trial_is_not_recomputed(self, monkeypatch):
+        # After the start's value and gradient (three softmaxes), a mirror
+        # solve takes one softmax per trial: a step reuses its accepted trial.
+        _, ds, model, loss, theta_t, _ = make_problem(CASES[-1], 6, 3, 13, True)
+        surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, "entropy-mirror")
+        calls = {"link": 0, "value": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(model, "link", counting("link", model.link))
+        monkeypatch.setattr(Surrogate, "target_value", counting("value", Surrogate.target_value))
+        res = armijo_backtracking(surr, theta_t, 8, alpha0=10.0)
+        trials = calls["value"] - 1  # the start's value is no trial
+        assert res.inner_steps > 1 and trials > res.inner_steps
+        assert calls["link"] == 3 + trials
+
     @pytest.mark.parametrize("case", LINK_CASES)
     def test_non_finite_coefficient_raises(self, case):
         _, ds, model, loss, theta_t, _ = make_problem(case, 5, 3, 12, True)

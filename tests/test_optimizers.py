@@ -11,7 +11,7 @@ from targetopt.optimizers import (
     InnerOptions,
     RunConfig,
     ScheduleOptions,
-    _Sampler,
+    _batches,
     batch_param_grad,
     full_loss,
     run,
@@ -87,9 +87,20 @@ class TestSSO:
     def test_epoch_shuffling_covers_dataset(self):
         ds = ls_dataset(n=12, seed=6)
         rng = np.random.default_rng(0)
-        sampler = _Sampler(ds, 4, rng, "shuffle")
-        seen = np.concatenate([sampler.draw()[0] for _ in range(3)])
+        batches = _batches(ds, 4, rng, "shuffle")
+        seen = np.concatenate([next(batches)[0] for _ in range(3)])
         assert sorted(seen.tolist()) == list(range(12))
+
+    def test_shuffled_batches_pinned(self):
+        # The first three epoch-shuffled batches of n=7, b=3 at seed 0; the
+        # third spans two permutations.
+        ds = Dataset(X=np.arange(14.0).reshape(7, 2), y=np.arange(7.0), task="regression")
+        batches = _batches(ds, 3, np.random.default_rng(0), "shuffle")
+        drawn = [next(batches) for _ in range(3)]
+        assert [idx.tolist() for idx, _, _ in drawn] == [[2, 4, 3], [6, 5, 0], [1, 5, 2]]
+        for idx, rows, labels in drawn:
+            np.testing.assert_array_equal(rows, ds.X[idx])
+            np.testing.assert_array_equal(labels, ds.y[idx])
 
     def test_log_growth_inner_rule(self):
         ds = ls_dataset(seed=7)
@@ -307,9 +318,9 @@ class TestParametricBaselines:
         # Replay the run: same derived sampling stream, recorded step sizes.
         rng = np.random.default_rng(3)
         theta = model.init_params(ds.d, rng)
-        sampler = _Sampler(ds, 5, rng, "replacement")
+        batches = _batches(ds, 5, rng, "replacement")
         for row in trace.rows[1:]:
-            idx, _, _ = sampler.draw()
+            idx, _, _ = next(batches)
             z = model.forward(theta, ds.X[idx])
             base = float(np.mean(loss.values(z, ds.y[idx])))
             g = batch_param_grad(loss, model, theta, ds.X[idx], ds.y[idx])
