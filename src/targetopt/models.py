@@ -10,7 +10,8 @@ and these models expose `logits`, `link` and its vector-Jacobian product
 `link_vjp`. MLP gradients are hand-written reverse accumulation so they
 can be checked against finite differences without an autodiff dependency.
 
-Rows are a dense ndarray or a CSR matrix. `take_rows` gathers a batch and
+Rows are a dense ndarray or a CSR matrix. `take_rows` gathers a batch,
+`row_range` views a contiguous run of a gathered block's rows, and
 `row_product` forms `rows @ v` and `rows.T @ v`: dense rows use ndarray
 indexing and `@`, and CSR rows go straight to the compiled kernels that
 scipy's own `X[idx]` and `@` end in, on the matrix's own arrays, so the
@@ -42,9 +43,30 @@ def take_rows(X, idx):
     np.cumsum(X.indptr[idx + 1] - X.indptr[idx], out=indptr[1:])  # IndexError past the last row
     indices, data = np.empty(indptr[-1], dtype=idx.dtype), np.empty(indptr[-1], dtype=X.dtype)
     _sparsetools.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
+    return _wrap_csr(X, data, indices, indptr)
+
+
+def row_range(rows, start: int, stop: int):
+    """rows[start:stop] for 0 <= start <= stop <= rows.shape[0], sharing
+    rows' storage: an ndarray slice, or a csr_matrix over slices of the
+    CSR arrays with its indptr rebased to 0, wrapped as `take_rows` wraps
+    its result. The rebased indptr is as writeable as rows' own."""
+    if isinstance(rows, np.ndarray):
+        return rows[start:stop]
+    _require_csr(rows)
+    ptr = rows.indptr[start:stop + 1]
+    lo, hi = ptr[0], ptr[-1]
+    indptr = ptr - lo
+    indptr.flags.writeable = rows.indptr.flags.writeable
+    return _wrap_csr(rows, rows.data[lo:hi], rows.indices[lo:hi], indptr)
+
+
+def _wrap_csr(X, data, indices, indptr):
+    """A csr_matrix of X's type and width over the given arrays, without
+    the constructor's format checks: each row is a row of X verbatim."""
     rows = type(X).__new__(type(X))
     rows.data, rows.indices, rows.indptr = data, indices, indptr
-    rows._shape, rows.maxprint = (idx.size, X.shape[1]), X.maxprint
+    rows._shape, rows.maxprint = (indptr.size - 1, X.shape[1]), X.maxprint
     return rows
 
 

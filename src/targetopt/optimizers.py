@@ -22,7 +22,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .inner_solvers import armijo_backtracking, backtrack, exact_linear_solve, gd_fixed
-from .models import row_norms2, spectral_norm, take_rows
+from .models import row_norms2, row_range, spectral_norm, take_rows
 from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
 from .schedules import eta as schedule_eta, target_line_search
 from .surrogates import VARIANTS, OracleCounter, build_stochastic, freeze
@@ -31,6 +31,9 @@ INNER_SOLVERS = ("gd", "armijo", "exact")
 M_RULES = ("constant", "log")
 SAMPLING_MODES = ("replacement", "shuffle")
 DIAGNOSTICS = ("eps", "zeta2")
+# Stored entries (CSR nonzeros, or values of dense rows) that `_batches`
+# gathers in one block: 2**16 float64 values are 512 KiB.
+BLOCK_ENTRIES = 2**16
 # Inner settings each solver never reads ("armijo" reads them all).
 UNREAD_INNER = {"exact": ("m", "m_rule", "alpha", "growth", "warm_start"),
                 "gd": ("growth", "warm_start")}
@@ -184,23 +187,44 @@ class RunTrace:
         return np.array([r.loss for r in self.rows])
 
 
-def _batches(dataset, batch: int, rng, mode: str):
-    """Endless batches (idx, rows, labels), drawn uniformly with replacement
-    or by epoch shuffling. A full batch is the dataset's own X and labels,
-    not a copy, and takes nothing from `rng`."""
+def _batches(dataset, batch: int, rng, mode: str, T: int):
+    """The run's T batches (idx, rows, labels), drawn uniformly with
+    replacement or by epoch shuffling. A full batch is the dataset's own X
+    and labels, not a copy, and takes nothing from `rng`.
+
+    Smaller batches are drawn and gathered a block at a time: the indices
+    of up to BLOCK_ENTRIES stored entries' worth of batches (b times the
+    longest CSR row, or b*d dense), one `take_rows` for their rows and one
+    `y[idx]` for their labels. Each batch is a view of its block, which is
+    read-only, so an update that writes into a batch fails instead of
+    changing a later one. The batches are those of one draw per batch, bit
+    for bit: numpy's Generator draws bounded integers one value at a time
+    and keeps a spare half-word in the bit generator's state, so one
+    `integers` call of k*b values is the stream of k calls of b values and
+    leaves the same state; epoch shuffling takes the block from the same
+    permutations, drawn in the same order, as they run out."""
     X, y, n = dataset.X, dataset.y, dataset.n
     if batch == n:
-        while True:
+        for _ in range(T):
             yield np.arange(n), X, y
-    order = np.empty(0, dtype=int)  # the rest of the current permutation
-    while True:
+        return
+    row_entries = X.shape[1] if isinstance(X, np.ndarray) else int(np.diff(X.indptr).max())
+    per_block = max(1, BLOCK_ENTRIES // max(1, batch * row_entries))
+    order = np.empty(0, dtype=int)  # the rest of the drawn permutations
+    for start in range(0, T, per_block):
+        size = min(per_block, T - start) * batch
         if mode == "replacement":
-            idx = rng.integers(0, n, size=batch)
+            idx = rng.integers(0, n, size=size)
         else:
-            if order.size < batch:
+            while order.size < size:
                 order = np.concatenate([order, rng.permutation(n)])
-            idx, order = order[:batch], order[batch:]
-        yield idx, take_rows(X, idx), y[idx]
+            idx, order = order[:size], order[size:]
+        rows, labels = take_rows(X, idx), y[idx]
+        stored = (rows,) if isinstance(rows, np.ndarray) else (rows.data, rows.indices, rows.indptr)
+        for a in (idx, labels, *stored):
+            a.flags.writeable = False
+        for lo in range(0, size, batch):
+            yield idx[lo:lo + batch], row_range(rows, lo, lo + batch), labels[lo:lo + batch]
 
 
 def full_loss(loss, model, dataset, theta) -> float:
@@ -302,7 +326,7 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
     """
     rng = np.random.default_rng(cfg.seed)
     theta = np.asarray(model.init_params(dataset.d, rng), dtype=np.float64)
-    batches = _batches(dataset, cfg.resolved_batch(dataset.n), rng, cfg.sampling)
+    batches = _batches(dataset, cfg.resolved_batch(dataset.n), rng, cfg.sampling, cfg.T)
     rec = _Recorder(cfg, loss, model, dataset)
     step = make_step(cfg, dataset, model, loss, rec)
 

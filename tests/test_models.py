@@ -12,6 +12,7 @@ from targetopt.models import (
     SoftmaxLinearModel,
     lipschitz_estimate,
     row_product,
+    row_range,
     spectral_norm,
     take_rows,
 )
@@ -228,6 +229,22 @@ class TestRowKernels:
         X = np.random.default_rng(1).normal(size=(5, 3))
         idx = np.array([4, 0, 4])
         np.testing.assert_array_equal(take_rows(X, idx), X[idx])
+
+    @pytest.mark.parametrize("start, stop", [(0, 6), (1, 4), (2, 3), (3, 3), (5, 6)])
+    def test_row_range_is_a_view_of_the_slice(self, start, stop):
+        X = csr_with_empty_row()
+        X.data.flags.writeable = X.indices.flags.writeable = X.indptr.flags.writeable = False
+        rows, want = row_range(X, start, stop), X[start:stop]
+        assert type(rows) is type(want) and rows.shape == want.shape
+        for got, ref in ((rows.indptr, want.indptr), (rows.indices, want.indices),
+                         (rows.data, want.data)):
+            np.testing.assert_array_equal(got, ref)
+            assert got.dtype == ref.dtype and not got.flags.writeable
+        assert np.shares_memory(rows.data, X.data) or rows.nnz == 0
+        rows.check_format(full_check=True)  # may swap in writeable copies, so checked last
+        D = X.toarray()
+        assert np.shares_memory(row_range(D, start, stop), D) or start == stop
+        np.testing.assert_array_equal(row_range(D, start, stop), D[start:stop])
 
     def test_gather_rejects_rows_outside(self):
         X = csr_with_empty_row()

@@ -5,9 +5,11 @@ import scipy.sparse as sp
 from targetopt.data import Dataset, SyntheticSpec, generate_synthetic
 from targetopt.diagnostics import least_squares_optimum
 from targetopt.losses import SquaredLoss, LogisticLoss, loss_value
-from targetopt.models import LinearModel
+from targetopt import optimizers
+from targetopt.models import LinearModel, take_rows
 from targetopt.optimizers import (
     OPTIMIZERS,
+    SAMPLING_MODES,
     InnerOptions,
     RunConfig,
     ScheduleOptions,
@@ -87,7 +89,7 @@ class TestSSO:
     def test_epoch_shuffling_covers_dataset(self):
         ds = ls_dataset(n=12, seed=6)
         rng = np.random.default_rng(0)
-        batches = _batches(ds, 4, rng, "shuffle")
+        batches = _batches(ds, 4, rng, "shuffle", 3)
         seen = np.concatenate([next(batches)[0] for _ in range(3)])
         assert sorted(seen.tolist()) == list(range(12))
 
@@ -95,7 +97,7 @@ class TestSSO:
         # The first three epoch-shuffled batches of n=7, b=3 at seed 0; the
         # third spans two permutations.
         ds = Dataset(X=np.arange(14.0).reshape(7, 2), y=np.arange(7.0), task="regression")
-        batches = _batches(ds, 3, np.random.default_rng(0), "shuffle")
+        batches = _batches(ds, 3, np.random.default_rng(0), "shuffle", 3)
         drawn = [next(batches) for _ in range(3)]
         assert [idx.tolist() for idx, _, _ in drawn] == [[2, 4, 3], [6, 5, 0], [1, 5, 2]]
         for idx, rows, labels in drawn:
@@ -205,6 +207,70 @@ class TestSSO:
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         etas = [r.eta for r in trace.rows[1:]]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
+
+
+def one_draw_per_batch(ds, b, rng, mode, T):
+    """The batches of one rng draw and one take_rows per batch."""
+    order = np.empty(0, dtype=int)
+    for _ in range(T):
+        if mode == "replacement":
+            idx = rng.integers(0, ds.n, size=b)
+        else:
+            if order.size < b:
+                order = np.concatenate([order, rng.permutation(ds.n)])
+            idx, order = order[:b], order[b:]
+        yield idx, take_rows(ds.X, idx), ds.y[idx]
+
+
+def stored_arrays(rows):
+    return [rows] if isinstance(rows, np.ndarray) else [rows.indptr, rows.indices, rows.data]
+
+
+class TestBatchBlocks:
+    """_batches draws and gathers several batches at once; they must be the
+    batches of one draw per batch, and read-only."""
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("b", [1, 3, 16])
+    def test_same_batches_as_one_draw_per_batch(self, monkeypatch, mode, storage, b):
+        # T * b is a whole number of permutations: the last block ends where
+        # one ends, and drawing another there would change the end state.
+        n, d, T = 17, 6, 34
+        gen = np.random.default_rng(4)
+        A = np.where(gen.random((n, d)) < 0.4, gen.normal(size=(n, d)), 0.0)
+        A[5] = 0.0  # a row with no stored entries
+        ds = Dataset(X=A if storage == "dense" else sp.csr_matrix(A), y=gen.normal(size=n),
+                     task="regression")
+        # Four to six batches per block, so T spans several blocks.
+        monkeypatch.setattr(optimizers, "BLOCK_ENTRIES", 4 * b * d)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = list(_batches(ds, b, rng, mode, T))
+        want = list(one_draw_per_batch(ds, b, ref_rng, mode, T))
+        assert len(got) == T
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for (idx, rows, labels), (ref_idx, ref_rows, ref_labels) in zip(got, want):
+            np.testing.assert_array_equal(idx, ref_idx)
+            np.testing.assert_array_equal(labels, ref_labels)
+            assert type(rows) is type(ref_rows) and rows.shape == ref_rows.shape
+            for a, ref in zip(stored_arrays(rows), stored_arrays(ref_rows)):
+                np.testing.assert_array_equal(a, ref)
+                assert a.dtype == ref.dtype
+            for a in [idx, labels] + stored_arrays(rows):
+                assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored_arrays(got[0][1])[-1][0] = 1.0
+
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    def test_full_batch_is_the_dataset(self, mode):
+        ds = ls_dataset(n=9, seed=2)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        got = list(_batches(ds, 9, rng, mode, 4))
+        assert len(got) == 4 and rng.bit_generator.state == state
+        for idx, rows, labels in got:
+            np.testing.assert_array_equal(idx, np.arange(9))
+            assert rows is ds.X and labels is ds.y
 
 
 class TestTargetSpaceEquivalence:
@@ -318,7 +384,7 @@ class TestParametricBaselines:
         # Replay the run: same derived sampling stream, recorded step sizes.
         rng = np.random.default_rng(3)
         theta = model.init_params(ds.d, rng)
-        batches = _batches(ds, 5, rng, "replacement")
+        batches = _batches(ds, 5, rng, "replacement", cfg.T)
         for row in trace.rows[1:]:
             idx, _, _ = next(batches)
             z = model.forward(theta, ds.X[idx])

@@ -1,6 +1,6 @@
 """Check every reference instance of the benchmark workloads.
 
-    python3 tools/reference_sweep.py [workload ...]
+    python3 tools/reference_sweep.py [--hashes FILE] [workload ...]
 
 Runs each of the POOL input instances of each named workload (default:
 all) once, in this process, through `targetopt.harness.run_experiment`,
@@ -12,10 +12,18 @@ worst relative deviation of the final loss and gradient norm, for the
 workload and for each run id in it, so a numerical change names the
 runs it moved. Exit status 1 if any pair fails. The benchmark's files
 are only read.
+
+With `--hashes FILE` it also writes one SHA-256 digest per pair (its CSV
+without `wall_ms`, plus its `inner_stalls`) and per `summary.csv`, one
+`<digest>  <workload>/<instance>/<file>` line each. A second pass runs
+every instance again with every run set to `"sampling": "shuffle"` and
+adds its digests under `shuffle/`. Two commits that write identical
+files produce the same traces on every instance of both sampling modes.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -36,22 +44,55 @@ from workloads import (  # noqa: E402
 COLUMNS = ("loss", "grad_norm")
 
 
-def sweep(name: str, reference: dict) -> tuple[list[str], int, int, int, dict]:
+def run_instance(workload, instance: int, tmp: str, sampling: str | None = None):
+    """Build one input instance in `tmp` and run its experiment there;
+    (config, input hashes, (n, d), output directory)."""
+    inputs, out = Path(tmp, "inputs"), Path(tmp, "out")
+    inputs.mkdir()
+    config, hashes, shape = workload.build(instance, inputs)
+    if sampling is not None:
+        config["runs"] = [{**run, "sampling": sampling} for run in config["runs"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        harness.run_experiment(config, out_dir=str(out), jobs=1)
+    return config, hashes, shape, out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(config: dict, out: Path, prefix: str) -> list[str]:
+    """`<digest>  <prefix>/<file>` for each pair (its CSV without wall_ms
+    and its inner_stalls) and for summary.csv; "missing" for an absent file."""
+    lines = []
+    for _, _, stem in pair_names(config):
+        csv, sidecar = out / f"{stem}.csv", out / f"{stem}.json"
+        if csv.exists() and sidecar.exists():
+            stalls = json.loads(sidecar.read_text())["inner_stalls"]
+            digest = sha256(f"{without_wall(csv.read_text())}inner_stalls,{stalls}\n")
+        else:
+            digest = "missing"
+        lines.append(f"{digest}  {prefix}/{stem}")
+    summary = out / "summary.csv"
+    digest = sha256(summary.read_text()) if summary.exists() else "missing"
+    return lines + [f"{digest}  {prefix}/summary.csv"]
+
+
+def sweep(name: str, reference: dict, hash_lines: list | None = None):
     """(problems, failing pairs, identical pairs, pairs, worst relative
-    deviation by run id and column)."""
+    deviation by run id and column); appends each instance's digests to
+    `hash_lines` when it is given."""
     workload = WORKLOADS[name]
     failures, failing, identical, pairs = [], 0, 0, 0
     worst: dict = {}
     for instance in range(POOL):
         ref = reference[str(instance)]
         with tempfile.TemporaryDirectory() as tmp:
-            inputs, out = Path(tmp, "inputs"), Path(tmp, "out")
-            inputs.mkdir()
-            config, hashes, (n, d) = workload.build(instance, inputs)
+            config, hashes, (n, d), out = run_instance(workload, instance, tmp)
             if hashes != ref["inputs"]:
                 failures.append(f"{name}/{instance}: inputs differ from the reference inputs")
-            with contextlib.redirect_stdout(io.StringIO()):
-                harness.run_experiment(config, out_dir=str(out), jobs=1)
+            if hash_lines is not None:
+                hash_lines += digests(config, out, f"{name}/{instance}")
             for run, k, stem in pair_names(config):
                 pairs += 1
                 want = ref["pairs"][stem]
@@ -68,7 +109,7 @@ def sweep(name: str, reference: dict) -> tuple[list[str], int, int, int, dict]:
                     problems.append(f"loss never reached {want['loss_threshold']!r}")
                 failures += [f"{name}/{instance} {stem}: {p}" for p in problems]
                 failing += bool(problems)
-                identical += hashlib.sha256(without_wall(text).encode()).hexdigest() == want["sha256"]
+                identical += sha256(without_wall(text)) == want["sha256"]
                 last = parse_csv(text)[-1]
                 run_worst = worst.setdefault(run["id"], dict.fromkeys(COLUMNS, 0.0))
                 for col in COLUMNS:
@@ -78,11 +119,33 @@ def sweep(name: str, reference: dict) -> tuple[list[str], int, int, int, dict]:
     return failures, failing, identical, pairs, worst
 
 
-def main(names: list[str]) -> int:
+def shuffle_digests(name: str) -> list[str]:
+    """The digests of every instance of a workload with every run set to
+    epoch-shuffle sampling, which has no reference outputs to check."""
+    lines = []
+    for instance in range(POOL):
+        with tempfile.TemporaryDirectory() as tmp:
+            config, _, _, out = run_instance(WORKLOADS[name], instance, tmp, "shuffle")
+            lines += digests(config, out, f"shuffle/{name}/{instance}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Check every reference instance.")
+    parser.add_argument("workloads", nargs="*", help="workloads to sweep (default: all)")
+    parser.add_argument("--hashes", metavar="FILE",
+                        help="also write each pair's and summary's digest here, "
+                             "and those of an all-shuffle pass")
+    args = parser.parse_args(argv)
+    names = args.workloads or sorted(WORKLOADS)
+    unknown = sorted(set(names) - set(WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; choose from {sorted(WORKLOADS)}")
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    hash_lines = [] if args.hashes else None
     failed = False
-    for name in names or sorted(WORKLOADS):
-        failures, failing, identical, pairs, worst = sweep(name, reference[name])
+    for name in names:
+        failures, failing, identical, pairs, worst = sweep(name, reference[name], hash_lines)
         for line in failures:
             print(f"FAIL {line}")
         overall = {col: max((w[col] for w in worst.values()), default=0.0) for col in COLUMNS}
@@ -95,6 +158,11 @@ def main(names: list[str]) -> int:
             print(f"  {run_id}: final loss {w['loss']:.3g}, final grad norm {w['grad_norm']:.3g}")
         sys.stdout.flush()
         failed |= bool(failures)
+    if args.hashes:
+        for name in names:
+            hash_lines += shuffle_digests(name)
+        Path(args.hashes).write_text("\n".join(hash_lines) + "\n")
+        print(f"wrote {len(hash_lines)} digests to {args.hashes}")
     return 1 if failed else 0
 
 
