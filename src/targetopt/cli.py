@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import get_args
 
 from . import data as data_mod
 from . import harness
@@ -36,16 +37,12 @@ def _add_report(sub):
     p = sub.add_parser("report", help="cost-to-threshold table")
     p.add_argument("csvs", nargs="+", help="run CSV files")
     p.add_argument("--tau", type=float, default=1.0, help="cost per oracle call")
-    p.add_argument(
-        "--thresholds",
-        default="1e-1,1e-2,1e-3",
-        help="comma-separated loss thresholds",
-    )
+    p.add_argument("--thresholds", default="1e-1,1e-2,1e-3", help="comma-separated loss thresholds")
 
 
 def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a synthetic LibSVM file")
-    p.add_argument("--kind", default="least-squares", choices=data_mod.SYNTHETIC_KINDS)
+    p.add_argument("--kind", default="least-squares", choices=get_args(data_mod.SyntheticKind))
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--cond", type=float, default=1.0)
@@ -63,36 +60,6 @@ def main(argv=None) -> int:
     _add_gen(sub)
     args = parser.parse_args(argv)
 
-    if args.verb == "run":
-        if args.list_presets:
-            for name in sorted(harness.presets()):
-                print(name)
-            return 0
-        # Pairs report their own failures; what escapes is a config error.
-        try:
-            if args.preset:
-                presets = harness.presets()
-                if args.preset not in presets:
-                    raise ValueError(f"unknown preset {args.preset!r}; see --list-presets")
-                config = presets[args.preset]
-            elif args.config:
-                config = harness.load_config(args.config)
-            else:
-                raise ValueError("run needs --config or --preset")
-            if args.data:
-                config.setdefault("dataset", {})["path"] = args.data
-                config["dataset"].pop("synthetic", None)
-            if args.dim is not None:
-                config.setdefault("dataset", {})["d"] = args.dim
-            if args.normalize:
-                config.setdefault("dataset", {})["normalize"] = True
-            return harness.run_experiment(
-                config, out_dir=args.out, jobs=args.jobs, global_seed=args.seed
-            )
-        except (ValueError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-
     if args.verb == "verify":
         results = harness.verify_suite()
         ok = True
@@ -100,12 +67,6 @@ def main(argv=None) -> int:
             print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
             ok &= passed
         return 0 if ok else 1
-
-    if args.verb == "report":
-        thresholds = [float(x) for x in args.thresholds.split(",") if x]
-        report = harness.cost_report(args.csvs, args.tau, thresholds)
-        print(harness.format_cost_table(report))
-        return 0
 
     if args.verb == "gen":
         spec = data_mod.SyntheticSpec(
@@ -117,7 +78,39 @@ def main(argv=None) -> int:
         print(f"wrote {ds.n}x{ds.d} {args.kind} dataset to {args.out}")
         return 0
 
-    return 2
+    if args.verb == "run" and args.list_presets:
+        for name in sorted(harness.presets()):
+            print(name)
+        return 0
+    # Pairs report their own failures; what escapes `run` is a config
+    # error, and what escapes `report` a bad threshold or CSV.
+    try:
+        if args.verb == "report":
+            thresholds = [float(x) for x in args.thresholds.split(",") if x]
+            print(harness.format_cost_table(harness.cost_report(args.csvs, args.tau, thresholds)))
+            return 0
+        if args.preset:
+            presets = harness.presets()
+            if args.preset not in presets:
+                raise ValueError(f"unknown preset {args.preset!r}; see --list-presets")
+            config = presets[args.preset]
+        elif args.config:
+            config = harness.load_config(args.config)
+        else:
+            raise ValueError("run needs --config or --preset")
+        if args.data:
+            config.setdefault("dataset", {})["path"] = args.data
+            config["dataset"].pop("synthetic", None)
+        if args.dim is not None:
+            config.setdefault("dataset", {})["d"] = args.dim
+        if args.normalize:
+            config.setdefault("dataset", {})["normalize"] = True
+        return harness.run_experiment(
+            config, out_dir=args.out, jobs=args.jobs, global_seed=args.seed
+        )
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 import scipy.sparse as sp
 
-TASKS = ("regression", "binary", "multiclass")
-SYNTHETIC_KINDS = (
-    "least-squares",
-    "logistic",
-    "counterexample-quadratics",
-    "interpolating",
-)
+from .schema import check
+
+Task = Literal["regression", "binary", "multiclass"]
+TASKS = get_args(Task)
+SyntheticKind = Literal["least-squares", "logistic", "counterexample-quadratics", "interpolating"]
 
 
 class ParseError(ValueError):
@@ -57,7 +56,7 @@ class Dataset:
 
     X: sp.csr_matrix | np.ndarray
     y: np.ndarray
-    task: str
+    task: Task
     n_classes: int = 0
     label_map: tuple = ()
     meta: dict = field(default_factory=dict)
@@ -103,7 +102,7 @@ class SyntheticSpec:
     fixed two-example instance.
     """
 
-    kind: str
+    kind: SyntheticKind
     n: int = 2
     d: int = 1
     cond: float = 1.0
@@ -111,8 +110,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.kind not in SYNTHETIC_KINDS:
-            raise ValueError(f"unknown synthetic kind {self.kind!r}")
+        check(self)
         if self.cond < 1.0:
             raise ValueError("condition-number target must be >= 1")
         if self.noise < 0.0:
@@ -276,7 +274,7 @@ def _parse_block(buf: bytes, lo: int, hi: int, line0: int):
 
 def parse_libsvm(
     text,
-    task: str = "regression",
+    task: Task = "regression",
     d: int | None = None,
     allow_binary_remap: bool = False,
 ) -> Dataset:

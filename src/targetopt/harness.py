@@ -1,7 +1,9 @@
-"""Experiment orchestration: config parsing, run grids, metrics files.
+"""Experiment orchestration: config reading, run grids, metrics files.
 
 An experiment config is a JSON document naming a dataset (file path or
-synthetic spec), a loss, a model, and a list of runs. The problem (the
+synthetic spec), a loss, a model, and a list of runs, read into the
+dataclasses below by `schema.read`, which checks every key and type
+against their annotations. The problem (the
 dataset, with the labels the loss sees, the loss and the model) is
 built once per experiment, after the config checks and before any pair
 runs, and shared by every (run, seed) pair. So is each run's checked
@@ -15,12 +17,11 @@ Simulated cost, not wall clock, is the reproducible cost metric.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import dataclasses
 import hashlib
 import json
-import numbers
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ import numpy as np
 from . import data as data_mod
 from . import losses as losses_mod
 from . import models as models_mod
+from . import schema
 from .optimizers import (
     DIAGNOSTICS, RUNNERS, InnerOptions, RunConfig, RunTrace, ScheduleOptions, TraceRow,
 )
@@ -39,137 +41,151 @@ def derive_seed(global_seed: int, run_id: str, seed_index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-DATASET_KEYS = {"path", "task", "d", "remap_binary", "normalize", "synthetic"}
-LOSS_KEYS = {"kind", "smoothness"}
-MODEL_KEYS = {"kind", "hidden", "n_classes", "seed"}
+@dataclass
+class DatasetSpec:
+    """The "dataset" object: a LibSVM file (`path`, environment variables
+    expanded; `task`, `d`, `remap_binary`) or a `synthetic` spec."""
+
+    path: str | None = None
+    task: data_mod.Task = "regression"
+    d: int | None = None
+    remap_binary: bool = False
+    normalize: bool = False  # max-abs column scaling
+    synthetic: data_mod.SyntheticSpec | None = None
+
+    def __post_init__(self):
+        if (self.path is None) == (self.synthetic is None):
+            raise ValueError("dataset needs exactly one of 'path' and 'synthetic'")
+        if self.synthetic is not None:
+            schema.reject_unread(self, "a synthetic dataset", ("task", "d", "remap_binary"))
 
 
-def _keys(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
+@dataclass
+class LossSpec:
+    kind: str
+    smoothness: float | None = None  # overrides the per-coordinate constant
 
 
-def _reject_unknown(group: str, spec: dict, known: set) -> None:
-    if not isinstance(spec, dict):
-        raise ValueError(f"{group} spec must be an object, not {spec!r}")
-    unknown = sorted(set(spec) - known)
-    if unknown:
-        raise ValueError(f"unknown {group} key(s) {unknown}")
+@dataclass
+class ModelSpec:
+    """`hidden` and `seed` set the MLP, `n_classes` the softmax-linear model
+    (None: the dataset's)."""
+
+    kind: str = "linear"
+    hidden: int = 16
+    n_classes: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        unread = {"mlp": ("n_classes",), "softmax-linear": ("hidden", "seed")}
+        schema.reject_unread(self, f"model {self.kind!r}",
+                             unread.get(self.kind, ("hidden", "n_classes", "seed")))
+
+
+@dataclass
+class Experiment:
+    """An experiment config; a loss or model given as its kind alone reads
+    as {"kind": ...}. "dataset" is read by `load_dataset` and each "runs"
+    entry by `read_run`."""
+
+    dataset: dict
+    loss: LossSpec | str
+    runs: list[dict]
+    name: str = ""
+    model: ModelSpec | str = "linear"
+    expert_smoothing: float = 0.05  # of multiclass-kl's expert rows
+    global_seed: int = 0
+    seeds: list[int] = field(default_factory=lambda: [0])
+    out_dir: str = "runs"
+
+    def __post_init__(self):
+        if not self.runs:
+            raise ValueError("config has no runs")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"'seeds' must be a non-empty list of distinct seeds, not {self.seeds!r}")
+        self.loss = LossSpec(self.loss) if isinstance(self.loss, str) else self.loss
+        self.model = ModelSpec(self.model) if isinstance(self.model, str) else self.model
+        if self.loss.kind != "multiclass-kl":
+            schema.reject_unread(self, f"loss {self.loss.kind!r}", ("expert_smoothing",))
+
+
+@dataclass
+class RunSpec(RunConfig):
+    """A "runs" entry: RunConfig's settings, with "id" for `run_id` (default:
+    the optimizer), "epochs" in place of "T" (T = epochs * ceil(n / batch))
+    and no seed: each pair derives its own."""
+
+    run_id: str = field(default="", init=False)
+    seed: int = field(default=0, init=False)
+    T: int | None = None  # None: from "epochs", or RunConfig's default
+    id: str | None = None
+    epochs: int | None = None
+
+    def __post_init__(self):
+        if self.T is not None and self.epochs is not None:
+            raise ValueError("give 'T' or 'epochs', not both")
+        self.check_names()
+        self.run_id = self.id or self.optimizer
 
 
 def load_dataset(spec: dict) -> data_mod.Dataset:
-    """The dataset a spec names: a LibSVM file ("path", environment
-    variables expanded) or a synthetic spec, max-abs scaled on request."""
-    _reject_unknown("dataset", spec, DATASET_KEYS)
-    if "path" in spec:
-        path = Path(os.path.expandvars(spec["path"]))
+    """The dataset that a JSON "dataset" object names."""
+    spec = schema.read(DatasetSpec, spec, "dataset")
+    if spec.synthetic is not None:
+        ds = data_mod.generate_synthetic(spec.synthetic)
+    else:
+        path = Path(os.path.expandvars(spec.path))
         if "$" in str(path):
             raise ValueError(f"unresolved environment variable in path {path}")
         if not path.is_file():
             raise FileNotFoundError(f"dataset file {path.resolve()} does not exist")
         with open(path, "rb") as fh:
-            ds = data_mod.parse_libsvm(
-                fh,
-                task=spec.get("task", "regression"),
-                d=spec.get("d"),
-                allow_binary_remap=spec.get("remap_binary", False),
-            )
-    elif "synthetic" in spec:
-        _reject_unknown("synthetic", spec["synthetic"], _keys(data_mod.SyntheticSpec))
-        ds = data_mod.generate_synthetic(data_mod.SyntheticSpec(**spec["synthetic"]))
-    else:
-        raise ValueError("dataset spec needs 'path' or 'synthetic'")
-    if spec.get("normalize", False):
+            ds = data_mod.parse_libsvm(fh, task=spec.task, d=spec.d,
+                                       allow_binary_remap=spec.remap_binary)
+    if spec.normalize:
         ds = data_mod.max_abs_scale(ds)
     return ds
 
 
-def build_loss(spec) -> object:
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    _reject_unknown("loss", spec, LOSS_KEYS)
-    return losses_mod.make_loss(spec["kind"], spec.get("smoothness"))
-
-
-def build_model(spec, dataset) -> object:
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    _reject_unknown("model", spec, MODEL_KEYS)
-    return models_mod.make_model(
-        spec.get("kind", "linear"),
-        hidden=spec.get("hidden", 16),
-        n_classes=spec.get("n_classes", dataset.n_classes),
-        seed=spec.get("seed", 0),
-    )
-
-
-def load_problem(exp: dict):
+def load_problem(exp: Experiment):
     """(dataset, loss, model) of an experiment, shared by all its pairs.
 
     Under multiclass-kl the dataset's `y` becomes the smoothed expert
     rows, so `y` is the label array the loss sees everywhere."""
-    loss = build_loss(exp["loss"])
-    dataset = load_dataset(exp["dataset"])
-    model = build_model(exp.get("model", "linear"), dataset)
+    loss = losses_mod.make_loss(exp.loss.kind, exp.loss.smoothness)
+    dataset = load_dataset(exp.dataset)
+    m = exp.model
+    n_classes = dataset.n_classes if m.n_classes is None else m.n_classes
+    model = models_mod.make_model(m.kind, hidden=m.hidden, n_classes=n_classes, seed=m.seed)
     if loss.kind == "multiclass-kl":
         if dataset.task != "multiclass":
             raise ValueError(f"loss 'multiclass-kl' needs a multiclass task, not {dataset.task!r}")
-        rows = losses_mod.smoothed_expert_rows(
-            dataset.y.astype(int), dataset.n_classes, exp.get("expert_smoothing", 0.05)
-        )
+        rows = losses_mod.smoothed_expert_rows(dataset.y.astype(int), dataset.n_classes,
+                                               exp.expert_smoothing)
         dataset = dataclasses.replace(dataset, y=rows)
     return dataset, loss, model
 
 
-def check_run_spec(run_spec: dict) -> RunConfig:
-    """Reject unknown keys (RunConfig's fields, "id" and "epochs" are
-    known; in "schedule" / "inner", their option classes' fields), a
-    group that is no object, "T" given together with "epochs", and
-    unknown names. Returns the entry's RunConfig with "epochs" not yet
-    resolved and seed 0."""
-    run_id = run_spec.get("id", run_spec.get("optimizer", "run"))
-    for group, entry, keys in (
-        ("run", run_spec, _keys(RunConfig) - {"run_id", "seed"} | {"id", "epochs"}),
-        ("schedule", run_spec.get("schedule", {}), _keys(ScheduleOptions)),
-        ("inner", run_spec.get("inner", {}), _keys(InnerOptions)),
-    ):
-        if not isinstance(entry, dict):
-            raise ValueError(f"run {run_id!r}: {group!r} must be an object, not {entry!r}")
-        unknown = sorted(set(entry) - keys)
-        if unknown:
-            raise ValueError(f"run {run_id!r}: unknown {group} key(s) {unknown}")
-    if "T" in run_spec and "epochs" in run_spec:
-        raise ValueError(f"run {run_id!r}: give 'T' or 'epochs', not both")
-    spec = dict(run_spec, run_id=run_id)
-    spec.pop("id", None)
-    spec.pop("epochs", None)
-    spec["schedule"] = ScheduleOptions(**spec.get("schedule", {}))
-    spec["inner"] = InnerOptions(**spec.get("inner", {}))
-    if "diagnostics" in spec:
-        spec["diagnostics"] = tuple(spec["diagnostics"])
-    cfg = RunConfig(**spec)
+def read_run(entry: dict, path: str) -> RunSpec:
+    """The "runs" entry at `path`, read and checked; an error names the run."""
     try:
-        cfg.check_names()
+        return schema.read(RunSpec, entry, path)
     except ValueError as e:
-        raise ValueError(f"run {run_id!r}: {e}") from None
-    return cfg
+        name = entry.get("id", entry.get("optimizer", RunConfig.optimizer))
+        raise ValueError(f"run {name!r}: {e}") from None
 
 
-def make_run_config(run_spec: dict, n: int) -> RunConfig:
-    """Translate a JSON run entry into its RunConfig, checked by
-    `RunConfig.validate` on a dataset of n rows; its seed is 0.
-
-    "id" becomes `run_id`; an "epochs" key resolves to
-    T = epochs * ceil(n / batch)."""
-    cfg = check_run_spec(run_spec)
+def make_run_config(spec: RunSpec, n: int) -> RunConfig:
+    """The RunConfig of a read run entry on a dataset of n rows, checked
+    by `RunConfig.validate`; its seed is 0."""
+    cfg = RunConfig(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(RunConfig)
+                       if f.name != "T"})
+    b = cfg.resolved_batch(n)
+    if spec.T is not None:
+        cfg.T = spec.T
+    elif spec.epochs is not None and 1 <= b <= n:  # else `validate` reports the batch size
+        cfg.T = spec.epochs * -(-n // b)
     try:
-        if "epochs" in run_spec:
-            epochs, b = run_spec["epochs"], cfg.batch_size
-            if not isinstance(epochs, numbers.Integral):
-                raise ValueError(f"epochs must be an integer, not {epochs!r}")
-            # A batch size that is no integer in [1, n] leaves T unresolved,
-            # for `RunConfig.validate` to report.
-            if b is None or (isinstance(b, numbers.Integral) and 1 <= b <= n):
-                cfg.T = epochs * max(1, int(np.ceil(n / cfg.resolved_batch(n))))
         cfg.validate(n)
     except ValueError as e:
         raise ValueError(f"run {cfg.run_id!r}: {e}") from None
@@ -206,12 +222,12 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def execute_single(exp: dict, problem, cfg: RunConfig, seed_index: int, out_dir: str) -> dict:
+def execute_single(exp: Experiment, problem, cfg: RunConfig, seed_index: int, out_dir: str) -> dict:
     """Run one (run, seed) pair of the checked `cfg` on the experiment's
     problem `(dataset, loss, model)` and write its files."""
     dataset, loss, model = problem
     run_id = cfg.run_id
-    seed = derive_seed(exp.get("global_seed", 0), run_id, seed_index)
+    seed = derive_seed(exp.global_seed, run_id, seed_index)
     cfg = dataclasses.replace(cfg, seed=seed)
     trace = RUNNERS[cfg.optimizer](cfg, dataset, model, loss)
     trace.seed = seed_index  # report the configured index, not the derived stream
@@ -219,21 +235,12 @@ def execute_single(exp: dict, problem, cfg: RunConfig, seed_index: int, out_dir:
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{run_id}_s{seed_index}"
     (out / f"{stem}.csv").write_text(trace_to_csv(trace, bool(cfg.diagnostics)))
-    sidecar = {
-        "run_id": run_id,
-        "seed_index": seed_index,
-        "derived_seed": seed,
-        "experiment": exp,
-        "resolved_run": trace.config,
-        "inner_stalls": trace.inner_stalls,
-    }
+    sidecar = {"run_id": run_id, "seed_index": seed_index, "derived_seed": seed,
+               "experiment": dataclasses.asdict(exp), "resolved_run": trace.config,
+               "inner_stalls": trace.inner_stalls}
     (out / f"{stem}.json").write_text(json.dumps(sidecar, indent=2, default=str))
-    return {
-        "run_id": run_id,
-        "seed": seed_index,
-        "csv": str(out / f"{stem}.csv"),
-        "inner_stalls": trace.inner_stalls,
-    }
+    return {"run_id": run_id, "seed": seed_index, "csv": str(out / f"{stem}.csv"),
+            "inner_stalls": trace.inner_stalls}
 
 
 def _pool_entry(payload):
@@ -244,13 +251,12 @@ def _pool_entry(payload):
         return {"run_id": cfg.run_id, "seed": seed_index}, repr(e)
 
 
-def write_summary(out_dir) -> str:
-    """Aggregate per-run CSVs: mean and 25/75 loss quantiles over seeds."""
+def write_summary(out_dir, csv_paths) -> str:
+    """Aggregate the given per-run CSVs into `out_dir/summary.csv`: mean
+    and 25/75 loss quantiles over seeds."""
     out = Path(out_dir)
     groups: dict = {}
-    for path in sorted(out.glob("*.csv")):
-        if path.name == "summary.csv":
-            continue
+    for path in sorted(csv_paths):
         for row in read_csv(path):
             key = (row["run_id"], int(row["outer_t"]))
             groups.setdefault(key, []).append(float(row["loss"]))
@@ -280,36 +286,25 @@ def load_config(path) -> dict:
 
 
 def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int:
-    """Check the config, build its problem once, translate every run
-    entry once into its RunConfig checked on that problem, then execute
-    every (run x seed) pair; returns a process exit status. A config,
-    problem or run error raises before any pair runs or any file is
-    written."""
+    """Read the config, build its problem once, translate every run entry
+    once into its RunConfig checked on that problem, then execute every
+    (run x seed) pair; returns a process exit status. A config, problem or
+    run error raises before any pair runs or any file is written."""
     if not isinstance(config, dict):
         config = load_config(config)
-    config = copy.deepcopy(config)
     if global_seed is not None:
-        config["global_seed"] = global_seed
-    out_dir = os.environ.get("TARGETOPT_OUT", out_dir or config.get("out_dir", "runs"))
-    seeds, runs = config.get("seeds", [0]), config.get("runs")
-    if not runs:
-        raise ValueError("config has no runs")
-    if not (isinstance(runs, list) and all(isinstance(r, dict) for r in runs)):
-        raise ValueError(f"'runs' must be a list of objects, not {runs!r}")
-    if not (isinstance(seeds, list) and all(isinstance(k, numbers.Integral) for k in seeds)
-            and 0 < len(seeds) == len(set(seeds))):
-        raise ValueError(f"'seeds' must be a non-empty list of distinct seeds, not {seeds!r}")
-
-    ids = [check_run_spec(run_spec).run_id for run_spec in runs]
+        config = dict(config, global_seed=global_seed)
+    exp = schema.read(Experiment, config)
+    out_dir = os.environ.get("TARGETOPT_OUT", out_dir or exp.out_dir)
+    specs = [read_run(entry, f"runs[{i}]") for i, entry in enumerate(exp.runs)]
+    ids = [spec.run_id for spec in specs]
     duplicates = sorted({i for i in ids if ids.count(i) > 1})
     if duplicates:
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
-    problem = load_problem(config)
-    cfgs = [make_run_config(run_spec, problem[0].n) for run_spec in runs]
+    problem = load_problem(exp)
+    cfgs = [make_run_config(spec, problem[0].n) for spec in specs]
 
-    payloads = [
-        (config, problem, cfg, seed_index, out_dir) for cfg in cfgs for seed_index in seeds
-    ]
+    payloads = [(exp, problem, cfg, seed_index, out_dir) for cfg in cfgs for seed_index in exp.seeds]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_pool_entry, payloads))
@@ -317,16 +312,15 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
         outcomes = [_pool_entry(payload) for payload in payloads]
     # When every pair failed there is nothing to summarize and no
     # directory is made for it; the FAILED lines below say why.
-    if any(err is None for _, err in outcomes):
-        write_summary(out_dir)
+    csvs = [result["csv"] for result, err in outcomes if err is None]
+    if csvs:
+        write_summary(out_dir, csvs)
     for result, err in outcomes:
         if err:
             print(f"FAILED {result['run_id']} seed {result['seed']}: {err}")
         elif result["inner_stalls"]:
-            print(
-                f"STALLED {result['run_id']} seed {result['seed']}: "
-                f"{result['inner_stalls']} searches hit the backtrack floor"
-            )
+            print(f"STALLED {result['run_id']} seed {result['seed']}: "
+                  f"{result['inner_stalls']} searches hit the backtrack floor")
     return 1 if any(err for _, err in outcomes) else 0
 
 
@@ -341,6 +335,9 @@ def cost_report(csv_paths, tau: float, thresholds) -> list[dict]:
         rows = read_csv(path)
         if not rows:
             continue
+        missing = sorted({"run_id", "seed", "loss", "oracle_calls", "inner_steps"} - rows[0].keys())
+        if missing:
+            raise ValueError(f"{path} is no run CSV: it has no column(s) {missing}")
         run_id, seed = rows[0]["run_id"], rows[0]["seed"]
         for thr in thresholds:
             cost = None
@@ -348,9 +345,7 @@ def cost_report(csv_paths, tau: float, thresholds) -> list[dict]:
                 if float(row["loss"]) <= thr:
                     cost = float(row["oracle_calls"]) * tau + float(row["inner_steps"])
                     break
-            report.append(
-                {"run_id": run_id, "seed": seed, "threshold": thr, "cost": cost}
-            )
+            report.append({"run_id": run_id, "seed": seed, "threshold": thr, "cost": cost})
     return report
 
 
@@ -358,9 +353,7 @@ def format_cost_table(report) -> str:
     lines = [f"{'run_id':<24}{'seed':>6}{'threshold':>14}{'sim_cost':>16}"]
     for row in report:
         cost = "unreached" if row["cost"] is None else _fmt_float(row["cost"])
-        lines.append(
-            f"{row['run_id']:<24}{row['seed']:>6}{row['threshold']:>14.3g}{cost:>16}"
-        )
+        lines.append(f"{row['run_id']:<24}{row['seed']:>6}{row['threshold']:>14.3g}{cost:>16}")
     return "\n".join(lines)
 
 
@@ -368,61 +361,32 @@ def format_cost_table(report) -> str:
 # Presets
 # ----------------------------------------------------------------------
 
-def _sso_run(run_id, m, batch, epochs, **kw):
-    out = {
-        "id": run_id,
-        "optimizer": "sso",
-        "batch_size": batch,
-        "epochs": epochs,
-        "inner": {"solver": "armijo", "m": m},
-    }
-    out.update(kw)
-    return out
-
-
 def presets() -> dict:
     """Named experiment configs; `dataset.path` entries expand env vars."""
     mushrooms_runs = []
     for batch in (25, 125, 625, None):
         tag = "full" if batch is None else str(batch)
-        mushrooms_runs.append(
-            {"id": f"sgd-b{tag}", "optimizer": "sgd", "batch_size": batch,
-             "epochs": 50, "eval_every": 10}
-        )
-        for m in (1, 5, 10, 20, 100):
-            mushrooms_runs.append(
-                _sso_run(f"sso-m{m}-b{tag}", m, batch, 50, eval_every=10,
-                         schedule={"kind": "constant", "eta0": 2.0})
-            )
+        mushrooms_runs.append({"id": f"sgd-b{tag}", "optimizer": "sgd", "batch_size": batch,
+                               "epochs": 50, "eval_every": 10})
+        mushrooms_runs += [
+            {"id": f"sso-m{m}-b{tag}", "optimizer": "sso", "batch_size": batch, "epochs": 50,
+             "eval_every": 10, "schedule": {"kind": "constant", "eta0": 2.0},
+             "inner": {"solver": "armijo", "m": m}}
+            for m in (1, 5, 10, 20, 100)
+        ]
     return {
         "mushrooms-logistic": {
-            "name": "mushrooms-logistic",
-            "dataset": {
-                "path": "data/mushrooms",
-                "task": "binary",
-                "remap_binary": True,
-            },
-            "loss": "logistic",
-            "model": "linear",
-            "seeds": [0, 1, 2],
+            "name": "mushrooms-logistic", "loss": "logistic", "seeds": [0, 1, 2],
+            "dataset": {"path": "data/mushrooms", "task": "binary", "remap_binary": True},
             "runs": mushrooms_runs,
         },
         "ill-conditioned-ls": {
-            "name": "ill-conditioned-ls",
-            "dataset": {
-                "synthetic": {
-                    "kind": "interpolating",
-                    "n": 100,
-                    "d": 20,
-                    "cond": 1e3,
-                    "seed": 7,
-                }
-            },
-            "loss": "squared",
-            "model": "linear",
-            "seeds": [0],
+            "name": "ill-conditioned-ls", "loss": "squared",
+            "dataset": {"synthetic": {"kind": "interpolating", "n": 100, "d": 20, "cond": 1e3,
+                                      "seed": 7}},
             "runs": [
-                {"id": "sgd", "optimizer": "sgd", "batch_size": 1, "T": 40000, "tau": 1000, "eval_every": 200},
+                {"id": "sgd", "optimizer": "sgd", "batch_size": 1, "T": 40000, "tau": 1000,
+                 "eval_every": 200},
                 {"id": "sso-exact", "optimizer": "sso", "batch_size": None,
                  "T": 50, "tau": 1000, "eval_every": 1,
                  "schedule": {"kind": "constant", "eta0": 0.5},
@@ -430,29 +394,12 @@ def presets() -> dict:
             ],
         },
         "interpolation": {
-            "name": "interpolation",
-            "dataset": {
-                "synthetic": {
-                    "kind": "interpolating",
-                    "n": 200,
-                    "d": 50,
-                    "cond": 1.0,
-                    "seed": 3,
-                }
-            },
-            "loss": "squared",
-            "model": "linear",
-            "seeds": [0],
-            "runs": [
-                {
-                    "id": "sso-m20",
-                    "optimizer": "sso",
-                    "batch_size": None,
-                    "T": 500,
-                    "schedule": {"kind": "constant", "eta0": 0.5},
-                    "inner": {"solver": "gd", "m": 20},
-                }
-            ],
+            "name": "interpolation", "loss": "squared",
+            "dataset": {"synthetic": {"kind": "interpolating", "n": 200, "d": 50, "cond": 1.0,
+                                      "seed": 3}},
+            "runs": [{"id": "sso-m20", "optimizer": "sso", "batch_size": None, "T": 500,
+                      "schedule": {"kind": "constant", "eta0": 0.5},
+                      "inner": {"solver": "gd", "m": 20}}],
         },
     }
 
@@ -470,9 +417,8 @@ def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     results = []
     rng = np.random.default_rng(seed)
 
-    ds = data_mod.generate_synthetic(
-        data_mod.SyntheticSpec("least-squares", n=40, d=8, cond=10.0, noise=0.3, seed=seed)
-    )
+    spec = data_mod.SyntheticSpec("least-squares", n=40, d=8, cond=10.0, noise=0.3, seed=seed)
+    ds = data_mod.generate_synthetic(spec)
     loss = losses_mod.make_loss("squared")
     model = models_mod.LinearModel()
 
@@ -512,9 +458,7 @@ def verify_suite(seed: int = 0) -> list[tuple[str, bool, str]]:
     results.append(("counterexample-bias", ok, f"closed {closed:.4f} mc {mc:.4f}"))
 
     # Interpolation: noise diagnostics vanish.
-    ds_i = data_mod.generate_synthetic(
-        data_mod.SyntheticSpec("interpolating", n=30, d=6, cond=1.0, seed=seed)
-    )
+    ds_i = data_mod.generate_synthetic(data_mod.SyntheticSpec("interpolating", n=30, d=6, seed=seed))
     _, z_star = diag.least_squares_optimum(ds_i)
     s2 = diag.noise_sigma2(ds_i, loss, z_star)
     s2z = diag.sigma2_z(ds_i, loss)

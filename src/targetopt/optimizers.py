@@ -13,24 +13,27 @@ solve counts as d of them) and parametric updates count zero.
 from __future__ import annotations
 
 import functools
-import numbers
 import time
 from dataclasses import dataclass, field, asdict
-from operator import attrgetter
+from typing import Literal, get_args
 
 import numpy as np
 
 from . import losses as losses_mod
 from .inner_solvers import armijo_backtracking, backtrack, exact_linear_solve, gd_fixed
 from .models import row_norms2, row_range, spectral_norm, take_rows
-from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, theoretical_eta0
+from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, ScheduleKind, theoretical_eta0
 from .schedules import eta as schedule_eta, target_line_search
-from .surrogates import VARIANTS, OracleCounter, build_stochastic, freeze
+from .schema import check, reject_unread
+from .surrogates import OracleCounter, Variant, build_stochastic, freeze
 
-INNER_SOLVERS = ("gd", "armijo", "exact")
-M_RULES = ("constant", "log")
-SAMPLING_MODES = ("replacement", "shuffle")
-DIAGNOSTICS = ("eps", "zeta2")
+# The names with fixed choices; `RUNNERS` has one runner per Optimizer.
+Optimizer = Literal["sso", "sgd", "sls", "adam", "adagrad", "svrg"]
+Solver = Literal["gd", "armijo", "exact"]
+MRule = Literal["constant", "log"]
+Sampling = Literal["replacement", "shuffle"]
+Diagnostic = Literal["eps", "zeta2"]
+DIAGNOSTICS = get_args(Diagnostic)
 # Stored entries (CSR nonzeros, or values of dense rows) that `_batches`
 # gathers in one block: 2**16 float64 values are 512 KiB.
 BLOCK_ENTRIES = 2**16
@@ -50,7 +53,7 @@ class ScheduleOptions:
     search trial); None takes the optimizer's default. SSO follows every
     kind, SGD all but target-line-search, the others only "constant"."""
 
-    kind: str = "constant"
+    kind: ScheduleKind = "constant"
     eta0: float | None = None
     beta: float = 1.0
 
@@ -61,9 +64,9 @@ class InnerOptions:
     `alpha` is gd's fixed step (None = 1/beta, beta the surrogate's
     smoothness bound) and Armijo's first trial (None = 1.0, times `growth`)."""
 
-    solver: str = "gd"  # gd | armijo | exact
+    solver: Solver = "gd"
     m: int = 1
-    m_rule: str = "constant"  # constant | log
+    m_rule: MRule = "constant"
     alpha: float | None = None
     growth: float = 1.0
     warm_start: bool = False
@@ -74,83 +77,62 @@ class RunConfig:
     """One run of one optimizer on one dataset; shaped like a JSON run entry.
     Its one outer step is `schedule.eta0`, its one inner step `inner.alpha`."""
 
-    optimizer: str = "sso"
+    optimizer: Optimizer = "sso"
     run_id: str = ""
     T: int = 100
     batch_size: int | None = None  # None = full batch
     seed: int = 0
     tau: float = 1.0
     eval_every: int = 1
-    variant: str = "smoothness"  # SSO's surrogate
+    variant: Variant = "smoothness"  # SSO's surrogate
     schedule: ScheduleOptions = field(default_factory=ScheduleOptions)
     inner: InnerOptions = field(default_factory=InnerOptions)
-    sampling: str = "replacement"  # replacement | shuffle
+    sampling: Sampling = "replacement"
     svrg_snapshot_freq: int | None = None  # None = ceil(n / b)
-    diagnostics: tuple = ()
+    diagnostics: tuple[Diagnostic, ...] = ()
     record_theta: bool = False
 
     def check_names(self) -> None:
-        """Reject a name that is not one of the known choices, a schedule
-        kind the optimizer cannot follow, and a non-default setting that
-        the optimizer, schedule kind or inner solver never reads."""
-        for what, name, known in (
-            ("optimizer", self.optimizer, OPTIMIZERS),
-            ("surrogate variant", self.variant, VARIANTS),
-            ("inner solver", self.inner.solver, INNER_SOLVERS),
-            ("inner m_rule", self.inner.m_rule, M_RULES),
-            ("schedule kind", self.schedule.kind, KINDS),
-            ("sampling mode", self.sampling, SAMPLING_MODES),
-            *(("diagnostic", name, DIAGNOSTICS) for name in self.diagnostics),
-        ):
-            if name not in known:
-                raise ValueError(f"unknown {what} {name!r}")
-        freq = self.svrg_snapshot_freq
-        if freq is not None and not (isinstance(freq, numbers.Integral) and freq >= 1):
-            raise ValueError(f"svrg_snapshot_freq must be an integer >= 1, not {freq!r}")
+        """Reject a schedule kind the optimizer cannot follow and a
+        non-default setting that the optimizer, schedule kind or inner
+        solver never reads."""
         if (kind := self.schedule.kind) not in SCHEDULE_KINDS.get(self.optimizer, ("constant",)):
             raise ValueError(f"optimizer {self.optimizer!r} cannot follow schedule kind {kind!r}")
         opt = f"optimizer {self.optimizer!r}"
-        unread = []  # (setting, what never reads it)
         if self.optimizer != "sso":
-            unread += [("variant", opt), ("inner", opt), ("diagnostics", opt)]
+            reject_unread(self, opt, ("variant", "inner", "diagnostics"))
         if self.optimizer != "svrg":
-            unread.append(("svrg_snapshot_freq", opt))
+            reject_unread(self, opt, ("svrg_snapshot_freq",))
         if kind != "exponential":
-            unread.append(("schedule.beta", f"schedule kind {kind!r}"))
-        solver = f"inner solver {self.inner.solver!r}"
-        unread += [(f"inner.{name}", solver) for name in UNREAD_INNER.get(self.inner.solver, ())]
-        default = RunConfig()
-        for name, reader in unread:
-            if attrgetter(name)(self) != attrgetter(name)(default):
-                raise ValueError(f"{reader} does not read {name!r}; leave it out")
+            reject_unread(self.schedule, f"schedule kind {kind!r}", ("beta",), "schedule.")
+        solver = self.inner.solver
+        reject_unread(self.inner, f"inner solver {solver!r}", UNREAD_INNER.get(solver, ()), "inner.")
 
     def validate(self, n: int) -> None:
+        """Check each field against its annotation, then `check_names`,
+        then the value ranges on a dataset of n rows."""
+        check(self)
         self.check_names()
-        if not (isinstance(self.T, numbers.Integral) and self.T >= 1):
-            raise ValueError(f"T must be an integer >= 1, not {self.T!r}")
+        b, inner, eta0 = self.resolved_batch(n), self.inner, self.schedule.eta0
+        freq = self.svrg_snapshot_freq
+        for ok, problem in [
+            (self.T >= 1, f"T must be an integer >= 1, not {self.T!r}"),
+            (1 <= b <= n, f"batch size {b} outside [1, {n}]"),
+            (self.tau >= 0, "tau must be >= 0"),
+            (self.eval_every >= 1, "eval_every must be >= 1"),
+            (freq is None or freq >= 1, f"svrg_snapshot_freq must be an integer >= 1, not {freq!r}"),
+            (eta0 is None or eta0 > 0, "schedule eta0 must be positive"),
+            (inner.m >= 1, f"inner m must be an integer >= 1, not {inner.m!r}"),
+            (inner.alpha is None or inner.alpha > 0, "inner alpha must be positive"),
+            (inner.growth > 0, "inner growth must be positive"),
+        ]:
+            if not ok:
+                raise ValueError(problem)
         if self.schedule.kind == "exponential":  # the schedule's own horizon and beta checks
             Schedule("exponential", 1.0, T=self.T, beta=self.schedule.beta)
-        if not (self.batch_size is None or isinstance(self.batch_size, numbers.Integral)):
-            raise ValueError(f"batch_size must be an integer, not {self.batch_size!r}")
-        b = self.resolved_batch(n)
-        if not (1 <= b <= n):
-            raise ValueError(f"batch size {b} outside [1, {n}]")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.schedule.eta0 is not None and not self.schedule.eta0 > 0:
-            raise ValueError("schedule eta0 must be positive")
-        inner = self.inner
-        if not (isinstance(inner.m, numbers.Integral) and inner.m >= 1):
-            raise ValueError(f"inner m must be an integer >= 1, not {inner.m!r}")
-        if inner.alpha is not None and not inner.alpha > 0:
-            raise ValueError("inner alpha must be positive")
-        if not inner.growth > 0:
-            raise ValueError("inner growth must be positive")
 
     def resolved_batch(self, n: int) -> int:
-        return n if self.batch_size is None else int(self.batch_size)
+        return n if self.batch_size is None else self.batch_size
 
 
 @dataclass
@@ -490,16 +472,9 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 RUNNERS = {
     name: functools.partial(_drive, make_step=make_step)
-    for name, make_step in [
-        ("sso", _sso_step),
-        ("sgd", _sgd_step),
-        ("sls", _sls_step),
-        ("adam", _adam_step),
-        ("adagrad", _adagrad_step),
-        ("svrg", _svrg_step),
-    ]
+    for name, make_step in [("sso", _sso_step), ("sgd", _sgd_step), ("sls", _sls_step),
+                            ("adam", _adam_step), ("adagrad", _adagrad_step), ("svrg", _svrg_step)]
 }
-OPTIMIZERS = tuple(RUNNERS)
 
 
 def run(cfg: RunConfig, dataset, model, loss) -> RunTrace:

@@ -11,13 +11,16 @@ target-line-search (the per-step Armijo search below). Iterations are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
 from .inner_solvers import backtrack
 from .losses import mean
+from .schema import check
 
-KINDS = ("constant", "sqrt-decay", "exponential", "target-line-search", "adagrad-norm")
+ScheduleKind = Literal["constant", "sqrt-decay", "exponential", "target-line-search", "adagrad-norm"]
+KINDS = get_args(ScheduleKind)
 # Armijo constants of the target line search and of parametric SLS: the
 # first trial step, its shrink factor and the sufficient-decrease factor.
 LS_ALPHA0 = 10.0
@@ -32,15 +35,14 @@ def theoretical_eta0(L: float, n: int) -> float:
 
 @dataclass
 class Schedule:
-    kind: str
+    kind: ScheduleKind
     eta0: float
     T: int | None = None
     beta: float = 1.0
     G: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        check(self)
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
         if self.kind == "exponential":

@@ -31,6 +31,7 @@ itself, and the ufunc computes the same sum in the same order, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +41,8 @@ from .losses import mean
 from .models import spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
-VARIANTS = ("smoothness", "newton", "entropy-mirror")
+Variant = Literal["smoothness", "newton", "entropy-mirror"]
+VARIANTS = get_args(Variant)
 
 
 class OracleCounter:

@@ -1,4 +1,5 @@
 import io
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_parse_libsvm
 from targetopt import data
 from targetopt.data import (
-    SYNTHETIC_KINDS,
     Dataset,
     ParseError,
+    SyntheticKind,
     SyntheticSpec,
     generate_synthetic,
     max_abs_scale,
@@ -231,7 +232,7 @@ def test_to_libsvm_accepts_dense(storage):
 class TestStorage:
     """X is a dense ndarray exactly when every entry is stored."""
 
-    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    @pytest.mark.parametrize("kind", get_args(SyntheticKind))
     def test_synthetic_is_dense(self, kind):
         spec = SyntheticSpec(kind) if kind == "counterexample-quadratics" else SyntheticSpec(kind, n=6, d=3)
         assert isinstance(generate_synthetic(spec).X, np.ndarray)

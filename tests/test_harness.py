@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
 import re
+from typing import get_args
 
 import numpy as np
 import pytest
 
 from targetopt import cli
-from targetopt.data import parse_libsvm
+from targetopt.data import SyntheticKind, parse_libsvm
 from targetopt.harness import (
     cost_report,
     derive_seed,
@@ -14,6 +16,7 @@ from targetopt.harness import (
     make_run_config,
     presets,
     read_csv,
+    read_run,
     run_experiment,
     verify_suite,
 )
@@ -120,6 +123,22 @@ class TestRunExperiment:
         assert out.count("FAILED") == len(cfg["runs"]) * len(cfg["seeds"])
         assert not (tmp_path / "out").exists()
 
+    def test_summary_lists_only_this_experiments_runs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = small_config(out, T=2)
+        cfg["runs"] = [{"id": "old", "optimizer": "sgd", "T": 2}]
+        assert run_experiment(cfg) == 0
+        cfg["runs"] = [{"id": "new", "optimizer": "sgd", "T": 2}]
+        assert run_experiment(cfg) == 0
+        assert {row["run_id"] for row in read_csv(out / "summary.csv")} == {"new"}
+
+    def test_stray_csv_in_the_output_directory_is_not_summarized(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.csv").write_text("a,b\n1,2\n")
+        assert run_experiment(small_config(out, T=2)) == 0
+        assert {row["run_id"] for row in read_csv(out / "summary.csv")} == {"sgd", "sso-m3"}
+
     def test_missing_data_fails_once_before_any_pair(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("DATA_DIR", "data")
@@ -153,7 +172,7 @@ class TestRunExperiment:
         make = harness.make_run_config
 
         def counting_make(run_spec, n):
-            calls.append(run_spec["id"])
+            calls.append(run_spec.run_id)
             return make(run_spec, n)
 
         monkeypatch.setattr(harness, "make_run_config", counting_make)
@@ -176,19 +195,34 @@ class TestRunExperiment:
         ("loss", "hinge", "unknown loss kind 'hinge'"),
         ("model", "tree", "unknown model kind 'tree'"),
         ("dataset", {"synthetic": {"kind": "least-squares", "nn": 5}},
-         "unknown synthetic key(s) ['nn']"),
+         "unknown key(s) ['nn'] in dataset.synthetic"),
         ("loss", "multiclass-kl", "loss 'multiclass-kl' needs a multiclass task, not 'regression'"),
         ("dataset", {"synthetic": {"kind": "least-squares"}, "normalise": True},
-         "unknown dataset key(s) ['normalise']"),
-        ("loss", {"kind": "squared", "smothness": 2.0}, "unknown loss key(s) ['smothness']"),
-        ("model", {"kind": "mlp", "hiden": 5}, "unknown model key(s) ['hiden']"),
-        ("loss", 3, "loss spec must be an object, not 3"),
-        ("model", [], "model spec must be an object, not []"),
-        ("dataset", "data.libsvm", "dataset spec must be an object, not 'data.libsvm'"),
-        ("dataset", {"synthetic": 3}, "synthetic spec must be an object, not 3"),
+         "unknown key(s) ['normalise'] in dataset"),
+        ("loss", {"kind": "squared", "smothness": 2.0}, "unknown key(s) ['smothness'] in loss"),
+        ("model", {"kind": "mlp", "hiden": 5}, "unknown key(s) ['hiden'] in model"),
+        ("loss", 3, "loss must be an object or a string, not 3"),
+        ("model", [], "model must be an object or a string, not []"),
+        ("dataset", "data.libsvm", "dataset must be an object, not 'data.libsvm'"),
+        ("dataset", {"synthetic": 3}, "dataset.synthetic must be an object or null, not 3"),
+        # A problem setting that the dataset, loss or model never reads.
+        ("dataset", {"synthetic": {"kind": "least-squares"}, "task": "binary"},
+         "a synthetic dataset does not read 'task'; leave it out"),
+        ("dataset", {"synthetic": {"kind": "least-squares"}, "d": 5},
+         "a synthetic dataset does not read 'd'; leave it out"),
+        ("dataset", {"synthetic": {"kind": "least-squares"}, "remap_binary": True},
+         "a synthetic dataset does not read 'remap_binary'; leave it out"),
+        ("dataset", {"synthetic": {"kind": "least-squares"}, "path": "broken.libsvm"},
+         "dataset needs exactly one of 'path' and 'synthetic'"),
+        ("expert_smoothing", 0.1, "loss 'squared' does not read 'expert_smoothing'; leave it out"),
+        ("model", {"kind": "linear", "hidden": 5}, "model 'linear' does not read 'hidden'"),
+        ("model", {"kind": "softmax-linear", "seed": 2}, "model 'softmax-linear' does not read 'seed'"),
+        ("model", {"kind": "mlp", "n_classes": 3}, "model 'mlp' does not read 'n_classes'"),
     ], ids=["malformed-data", "unknown-loss", "unknown-model", "synthetic-key", "kl-on-regression",
             "dataset-key", "loss-key", "model-key", "loss-number", "model-list", "dataset-name",
-            "synthetic-number"])
+            "synthetic-number", "synthetic-ignores-task", "synthetic-ignores-d",
+            "synthetic-ignores-remap", "path-and-synthetic", "squared-ignores-smoothing",
+            "linear-ignores-hidden", "softmax-ignores-seed", "mlp-ignores-n-classes"])
     def test_bad_problem_fails_once_before_any_pair(self, tmp_path, capsys, monkeypatch,
                                                     key, value, message):
         monkeypatch.chdir(tmp_path)
@@ -212,11 +246,11 @@ class TestRunExperiment:
         ("seeds", [0, 1, 0], "'seeds' must be a non-empty list of distinct seeds, not [0, 1, 0]"),
         ("seeds", [], "'seeds' must be a non-empty list of distinct seeds, not []"),
         ("runs", [], "config has no runs"),
-        ("seeds", 3, "'seeds' must be a non-empty list of distinct seeds, not 3"),
-        ("seeds", [0, 1.5], "'seeds' must be a non-empty list of distinct seeds, not [0, 1.5]"),
-        ("runs", [1], "'runs' must be a list of objects, not [1]"),
-        ("runs", ["x"], "'runs' must be a list of objects, not ['x']"),
-        ("runs", {"a": 1}, "'runs' must be a list of objects, not {'a': 1}"),
+        ("seeds", 3, "seeds must be a list, not 3"),
+        ("seeds", [0, 1.5], "seeds[1] must be an integer, not 1.5"),
+        ("runs", [1], "runs[0] must be an object, not 1"),
+        ("runs", ["x"], "runs[0] must be an object, not 'x'"),
+        ("runs", {"a": 1}, "runs must be a list, not {'a': 1}"),
     ], ids=["duplicate-seed", "no-seeds", "no-runs", "seeds-number", "seed-fraction",
             "run-number", "run-name", "runs-object"])
     def test_bad_experiment_rejected_before_any_file(self, tmp_path, key, value, message):
@@ -319,7 +353,7 @@ class TestConfigParsing:
             "schedule": {"kind": "exponential", "eta0": 0.2, "beta": 1.0},
             "inner": {"solver": "armijo", "m": 7, "alpha": 2.0},
         }
-        cfg = make_run_config(spec, n=10)
+        cfg = make_run_config(read_run(spec, "runs[0]"), n=10)
         assert cfg.schedule.kind == "exponential" and cfg.schedule.eta0 == 0.2
         assert cfg.inner.solver == "armijo" and cfg.inner.m == 7 and cfg.inner.alpha == 2.0
         assert cfg.seed == 0  # each pair derives its own
@@ -329,8 +363,8 @@ class TestConfigParsing:
     def test_unknown_nested_key_rejected(self, group, entry):
         spec = {"id": "x", "optimizer": "sso", "T": 5, group: entry}
         bad = "mm" if group == "inner" else "bogus"
-        with pytest.raises(ValueError, match=f"'x': unknown {group} key.*{bad}"):
-            make_run_config(spec, n=10)
+        with pytest.raises(ValueError, match=fr"'x': unknown key.*{bad}.* in runs\[0\]\.{group}$"):
+            read_run(spec, "runs[0]")
 
     def test_unknown_nested_key_rejected_before_any_file(self, tmp_path):
         cfg = small_config(tmp_path / "out")
@@ -340,19 +374,23 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("entry,message", [
-        ({"T": 6, "batchsize": 4}, "'b': unknown run key.*batchsize"),
+        ({"T": 6, "batchsize": 4}, r"'b': unknown key.*batchsize.* in runs\[1\]$"),
         ({"T": 3, "epochs": 2}, "'b':.*'T'.*'epochs'"),
-        ({"T": 6, "optimizer": "bogus"}, "'b': unknown optimizer 'bogus'"),
-        ({"T": 6, "variant": "bogus"}, "'b': unknown surrogate variant 'bogus'"),
-        ({"T": 6, "inner": {"solver": "bogus"}}, "'b': unknown inner solver 'bogus'"),
-        ({"T": 6, "inner": {"m_rule": "bogus"}}, "'b': unknown inner m_rule 'bogus'"),
-        ({"T": 6, "schedule": {"kind": "bogus"}}, "'b': unknown schedule kind 'bogus'"),
-        ({"T": 6, "sampling": "sometimes"}, "'b': unknown sampling mode 'sometimes'"),
-        ({"T": 6, "step_size": 0.5}, "'b': unknown run key.*step_size"),
-        ({"T": 6, "adam_lr": 0.5}, "'b': unknown run key.*adam_lr"),
-        ({"T": 6, "adagrad_lr": 0.5}, "'b': unknown run key.*adagrad_lr"),
+        ({"T": 6, "optimizer": "bogus"}, r"'b': runs\[1\]\.optimizer must be one of .*, not 'bogus'"),
+        ({"T": 6, "variant": "bogus"}, r"'b': runs\[1\]\.variant must be one of .*, not 'bogus'"),
+        ({"T": 6, "inner": {"solver": "bogus"}},
+         r"'b': runs\[1\]\.inner\.solver must be one of .*, not 'bogus'"),
+        ({"T": 6, "inner": {"m_rule": "bogus"}},
+         r"'b': runs\[1\]\.inner\.m_rule must be one of .*, not 'bogus'"),
+        ({"T": 6, "schedule": {"kind": "bogus"}},
+         r"'b': runs\[1\]\.schedule\.kind must be one of .*, not 'bogus'"),
+        ({"T": 6, "sampling": "sometimes"},
+         r"'b': runs\[1\]\.sampling must be one of .*, not 'sometimes'"),
+        ({"T": 6, "step_size": 0.5}, r"'b': unknown key.*step_size.* in runs\[1\]$"),
+        ({"T": 6, "adam_lr": 0.5}, r"'b': unknown key.*adam_lr.* in runs\[1\]$"),
+        ({"T": 6, "adagrad_lr": 0.5}, r"'b': unknown key.*adagrad_lr.* in runs\[1\]$"),
         ({"T": 6, "optimizer": "sso", "inner": {"solver": "armijo", "alpha0": 2.0}},
-         "'b': unknown inner key.*alpha0"),
+         r"'b': unknown key.*alpha0.* in runs\[1\]\.inner$"),
         ({"T": 6, "schedule": {"kind": "target-line-search"}},
          "'b': optimizer 'sgd' cannot follow schedule kind 'target-line-search'"),
         ({"T": 6, "optimizer": "adam", "schedule": {"kind": "sqrt-decay", "eta0": 0.5}},
@@ -374,18 +412,21 @@ class TestConfigParsing:
          "'b': inner solver 'gd' does not read 'inner.warm_start'"),
         # Value checks that need the dataset's n run on the loaded problem.
         ({"T": 0}, "'b': T must be an integer >= 1, not 0"),
-        ({"T": 2.5}, "'b': T must be an integer >= 1, not 2.5"),
+        ({"T": 2.5}, r"'b': runs\[1\]\.T must be an integer or null, not 2\.5"),
         ({"epochs": 0}, "'b': T must be an integer >= 1, not 0"),
-        ({"epochs": 2.5, "batch_size": 4}, "'b': epochs must be an integer, not 2.5"),
-        ({"T": 6, "batch_size": 2.5}, "'b': batch_size must be an integer, not 2.5"),
+        ({"epochs": 2.5, "batch_size": 4},
+         r"'b': runs\[1\]\.epochs must be an integer or null, not 2\.5"),
+        ({"T": 6, "batch_size": 2.5},
+         r"'b': runs\[1\]\.batch_size must be an integer or null, not 2\.5"),
         ({"epochs": 2, "batch_size": 0}, r"'b': batch size 0 outside \[1, 16\]"),
-        ({"epochs": 2, "batch_size": "x"}, "'b': batch_size must be an integer, not 'x'"),
+        ({"epochs": 2, "batch_size": "x"},
+         r"'b': runs\[1\]\.batch_size must be an integer or null, not 'x'"),
         ({"T": 6, "batch_size": 17}, r"'b': batch size 17 outside \[1, 16\]"),
         ({"T": 6, "tau": -1}, "'b': tau must be >= 0"),
         ({"T": 6, "eval_every": 0}, "'b': eval_every must be >= 1"),
         ({"T": 6, "optimizer": "sso", "inner": {"m": 0}}, "'b': inner m must be an integer >= 1"),
         ({"T": 6, "optimizer": "sso", "inner": {"m": 2.5}},
-         "'b': inner m must be an integer >= 1, not 2.5"),
+         r"'b': runs\[1\]\.inner\.m must be an integer, not 2\.5"),
         ({"T": 6, "optimizer": "sso", "inner": {"solver": "gd", "alpha": 0}},
          "'b': inner alpha must be positive"),
         ({"T": 6, "optimizer": "sso", "inner": {"solver": "armijo", "alpha": -1.0}},
@@ -397,9 +438,10 @@ class TestConfigParsing:
         ({"T": 6, "optimizer": "svrg", "svrg_snapshot_freq": -2},
          "'b': svrg_snapshot_freq must be an integer >= 1, not -2"),
         ({"T": 6, "optimizer": "sso", "diagnostics": ["eps", "nope"]},
-         "'b': unknown diagnostic 'nope'"),
-        ({"T": 6, "optimizer": "sso", "inner": 5}, "'b': 'inner' must be an object, not 5"),
-        ({"T": 6, "schedule": "constant"}, "'b': 'schedule' must be an object, not 'constant'"),
+         r"'b': runs\[1\]\.diagnostics\[1\] must be one of 'eps', 'zeta2', not 'nope'"),
+        ({"T": 6, "optimizer": "sso", "inner": 5}, r"'b': runs\[1\]\.inner must be an object, not 5"),
+        ({"T": 6, "schedule": "constant"},
+         r"'b': runs\[1\]\.schedule must be an object, not 'constant'"),
         ({"T": 1, "schedule": {"kind": "exponential"}},
          "'b': exponential schedule needs horizon T >= 2"),
         ({"T": 6, "schedule": {"kind": "exponential", "beta": 6.0}},
@@ -424,7 +466,8 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     def test_epochs_resolution(self):
-        cfg = make_run_config({"id": "e", "optimizer": "sgd", "epochs": 4, "batch_size": 3}, n=10)
+        spec = read_run({"id": "e", "optimizer": "sgd", "epochs": 4, "batch_size": 3}, "runs[0]")
+        cfg = make_run_config(spec, n=10)
         assert cfg.T == 4 * 4  # ceil(10/3) = 4 steps per epoch
 
     def test_presets_resolve(self):
@@ -433,8 +476,8 @@ class TestConfigParsing:
         for name, cfg in ps.items():
             assert cfg["runs"], name
             # Every run entry must translate into a valid RunConfig.
-            for run_spec in cfg["runs"]:
-                make_run_config(run_spec, n=1000)
+            for i, run_spec in enumerate(cfg["runs"]):
+                make_run_config(read_run(run_spec, f"runs[{i}]"), n=1000)
 
     def test_mushrooms_preset_grid(self):
         runs = presets()["mushrooms-logistic"]["runs"]
@@ -541,8 +584,10 @@ class TestCLI:
         (["--config", "list.json"], "error: config list.json must be a JSON object, not list\n"),
         (["--config", "list.json", "--data", "x.libsvm"],
          "error: config list.json must be a JSON object, not list\n"),
+        (["--preset", "interpolation", "--dim", "3"],
+         "error: a synthetic dataset does not read 'd'; leave it out\n"),
     ], ids=["unknown-preset", "missing-config", "malformed-config", "list-config",
-            "list-config-with-data"])
+            "list-config-with-data", "synthetic-preset-with-dim"])
     def test_bad_config_source_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
         monkeypatch.chdir(tmp_path)
@@ -576,8 +621,10 @@ class TestCLI:
 
     @pytest.mark.parametrize("bad, message", [
         ({"id": "sgd", "optimizer": "adam", "T": 6}, "duplicate run id(s) ['sgd']"),
-        ({"id": "x", "optimizer": "sgdd", "T": 6}, "unknown optimizer 'sgdd'"),
-        (1, "'runs' must be a list of objects"),
+        pytest.param({"id": "x", "optimizer": "sgdd", "T": 6},
+                     "runs[2].optimizer must be one of 'sso', 'sgd', 'sls', 'adam', 'adagrad', "
+                     "'svrg', not 'sgdd'", id="unknown-optimizer"),
+        pytest.param(1, "runs[2] must be an object, not 1", id="run-number"),
     ])
     def test_config_error_is_one_error_line(self, tmp_path, capsys, bad, message):
         cfg = small_config(tmp_path / "out")
@@ -589,13 +636,85 @@ class TestCLI:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    # Each value has the wrong JSON type, or a required key is missing; the
+    # error names the value's path. A run change applies to runs[1], the SSO run.
+    @pytest.mark.parametrize("where, key, value, path", [
+        ("run", "tau", "x", "runs[1].tau must be a number, not 'x'"),
+        ("run", "eval_every", "2", "runs[1].eval_every must be an integer, not '2'"),
+        ("run", "inner", {"alpha": "1"}, "runs[1].inner.alpha must be a number or null, not '1'"),
+        ("run", "schedule", {"kind": "exponential", "beta": "x"},
+         "runs[1].schedule.beta must be a number, not 'x'"),
+        ("run", "diagnostics", 5, "runs[1].diagnostics must be a list, not 5"),
+        ("run", "diagnostics", "eps", "runs[1].diagnostics must be a list, not 'eps'"),
+        ("synthetic", "n", "20", "dataset.synthetic.n must be an integer, not '20'"),
+        ("synthetic", "seed", 1.5, "dataset.synthetic.seed must be an integer, not 1.5"),
+        ("config", "model", {"kind": "mlp", "hidden": "5"},
+         "model.hidden must be an integer, not '5'"),
+        ("config", "loss", None, "missing key(s) ['loss'] in the config"),
+        ("config", "dataset", None, "missing key(s) ['dataset'] in the config"),
+        ("config", "loss", {"smoothness": 2.0}, "missing key(s) ['kind'] in loss"),
+        ("run", "id", 3, "runs[1].id must be a string or null, not 3"),
+        ("run", "T", True, "runs[1].T must be an integer or null, not True"),
+        ("run", "epochs", True, "runs[1].epochs must be an integer or null, not True"),
+        ("run", "inner", {"m": True}, "runs[1].inner.m must be an integer, not True"),
+        ("run", "svrg_snapshot_freq", True,
+         "runs[1].svrg_snapshot_freq must be an integer or null, not True"),
+        ("run", "inner", {"solver": "armijo", "warm_start": "no"},
+         "runs[1].inner.warm_start must be true or false, not 'no'"),
+        ("dataset", "normalize", "no", "dataset.normalize must be true or false, not 'no'"),
+        ("config", "global_seed", "x", "global_seed must be an integer, not 'x'"),
+        ("config", "seed", 3, "unknown key(s) ['seed'] in the config"),
+    ], ids=["tau-text", "eval-every-text", "inner-alpha-text", "exp-beta-text",
+            "diagnostics-number", "diagnostics-name", "synthetic-n-text", "synthetic-seed-fraction",
+            "mlp-hidden-text", "no-loss", "no-dataset", "loss-without-kind", "id-number",
+            "T-true", "epochs-true", "inner-m-true", "snapshot-freq-true", "warm-start-text",
+            "normalize-text", "global-seed-text", "unknown-top-level-key"])
+    def test_config_probe_is_one_error_line(self, tmp_path, capsys, where, key, value, path):
+        cfg = small_config(tmp_path / "out")
+        group = {"run": cfg["runs"][1], "synthetic": cfg["dataset"]["synthetic"],
+                 "dataset": cfg["dataset"], "config": cfg}[where]
+        if value is None:
+            del group[key]
+        else:
+            group[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sgd_s0.csv", "--thresholds", "abc"],
+         "error: could not convert string to float: 'abc'\n"),
+        (["missing.csv"], "error: [Errno 2] No such file or directory: 'missing.csv'\n"),
+        (["notes.csv"], "error: notes.csv is no run CSV: it has no column(s) "),
+    ], ids=["bad-threshold", "missing-csv", "not-a-run-csv"])
+    def test_bad_report_input_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                argv, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(tmp_path, T=2)
+        cfg["seeds"] = [0]
+        assert run_experiment(cfg) == 0
+        (tmp_path / "notes.csv").write_text("a,b\n1,2\n")
+        capsys.readouterr()
+        assert cli.main(["report", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_gen_kinds_are_the_synthetic_kinds(self):
+        sub = argparse.ArgumentParser().add_subparsers()
+        cli._add_gen(sub)
+        kind = next(a for a in sub.choices["gen"]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == get_args(SyntheticKind)
+
     def test_misspelt_problem_key_is_one_error_line(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "out")
         cfg["loss"] = {"kind": "squared", "smothness": 2.0}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == "error: unknown loss key(s) ['smothness']\n"
+        assert capsys.readouterr().err == "error: unknown key(s) ['smothness'] in loss\n"
         assert not (tmp_path / "out").exists()
 
     def test_preset_from_generated_file_matches_synthetic(self, tmp_path):

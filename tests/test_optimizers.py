@@ -1,3 +1,5 @@
+from typing import get_args
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +10,10 @@ from targetopt.losses import SquaredLoss, LogisticLoss, loss_value
 from targetopt import optimizers
 from targetopt.models import LinearModel, take_rows
 from targetopt.optimizers import (
-    OPTIMIZERS,
-    SAMPLING_MODES,
     InnerOptions,
+    Optimizer,
     RunConfig,
+    Sampling,
     ScheduleOptions,
     _batches,
     batch_param_grad,
@@ -20,6 +22,9 @@ from targetopt.optimizers import (
     theoretical_parametric_step,
 )
 from targetopt.schedules import LS_ALPHA0
+
+OPTIMIZERS = get_args(Optimizer)
+SAMPLING_MODES = get_args(Sampling)
 
 
 def ls_dataset(n=30, d=5, cond=5.0, noise=0.4, seed=0, kind="least-squares"):
@@ -451,8 +456,12 @@ class TestTraceContents:
 
     @pytest.mark.parametrize(
         "field, message",
-        [("optimizer", "unknown optimizer"), ("variant", "unknown surrogate variant"),
-         ("inner_solver", "unknown inner solver"), ("inner_m_rule", "unknown inner m_rule")],
+        [("optimizer", "^optimizer must be one of .*, not 'nope'$"),
+         ("variant", "^variant must be one of .*, not 'nope'$"),
+         ("inner_solver", "^inner.solver must be one of .*, not 'nope'$"),
+         ("inner_m_rule", "^inner.m_rule must be one of .*, not 'constnat'$")],
+        ids=["optimizer-unknown name", "variant-unknown name", "inner_solver-unknown name",
+             "inner_m_rule-unknown name"],
     )
     def test_run_rejects_unknown_name_before_any_step(self, field, message):
         class Unevaluated(SquaredLoss):
@@ -472,6 +481,11 @@ class TestTraceContents:
 
 
 class TestEveryOptimizer:
+    def test_runners_are_the_optimizer_choices(self):
+        # A runner without its name in `Optimizer`, or a name without its
+        # runner, fails here.
+        assert set(optimizers.RUNNERS) == set(OPTIMIZERS)
+
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_record_theta(self, optimizer):
         ds = ls_dataset(n=20, d=4, seed=22)
