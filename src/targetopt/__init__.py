@@ -18,7 +18,7 @@ from .surrogates import (
     freeze,
 )
 from .inner_solvers import armijo_backtracking, exact_linear_solve, gd_fixed
-from .schedules import Schedule, eta, target_line_search, theoretical_eta0
+from .schedules import target_line_search, theoretical_eta0
 from .optimizers import (
     InnerOptions, RunConfig, RunTrace, ScheduleOptions, run, theoretical_parametric_step,
 )

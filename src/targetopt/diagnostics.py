@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
 from .models import lipschitz_estimate, row_norms2
-from .schedules import Schedule, eta as schedule_eta
+from .schedules import ScheduleOptions
 from .surrogates import build_analysis_q, build_deterministic, build_stochastic, freeze
 
 
@@ -212,8 +212,8 @@ def counterexample_alphas(kind: str, T: int, beta: float = 1.0) -> np.ndarray:
     """alpha_1..alpha_T for the two-quadratic instance: the steps of a
     unit-eta0 schedule of this kind. A kind without a closed-form step
     raises ValueError."""
-    schedule = Schedule(kind, 1.0, T=T, beta=beta)
-    return np.array([schedule_eta(schedule, t) for t in range(1, T + 1)])
+    eta = ScheduleOptions(kind, beta=beta).steps(1.0, T)
+    return np.array([eta(t) for t in range(1, T + 1)])
 
 
 def counterexample_check(c: float, alphas, T: int, theta1: float, trials: int, seed: int = 0):

@@ -65,6 +65,10 @@ class LossSpec:
     kind: str
     smoothness: float | None = None  # overrides the per-coordinate constant
 
+    def __post_init__(self):
+        if self.smoothness is not None and self.smoothness <= 0:
+            raise ValueError(f"loss.smoothness must be positive, not {self.smoothness!r}")
+
 
 @dataclass
 class ModelSpec:
@@ -107,6 +111,8 @@ class Experiment:
         self.model = ModelSpec(self.model) if isinstance(self.model, str) else self.model
         if self.loss.kind != "multiclass-kl":
             schema.reject_unread(self, f"loss {self.loss.kind!r}", ("expert_smoothing",))
+        if not 0 < self.expert_smoothing < 1:
+            raise ValueError(f"expert_smoothing must lie in (0, 1), not {self.expert_smoothing!r}")
 
 
 @dataclass
@@ -175,9 +181,11 @@ def read_run(entry: dict, path: str) -> RunSpec:
         raise ValueError(f"run {name!r}: {e}") from None
 
 
-def make_run_config(spec: RunSpec, n: int) -> RunConfig:
-    """The RunConfig of a read run entry on a dataset of n rows, checked
-    by `RunConfig.validate`; its seed is 0."""
+def make_run_config(spec: RunSpec, problem) -> RunConfig:
+    """The RunConfig of a read run entry on the problem `(dataset, loss,
+    model)`, checked by `RunConfig.validate` and `check_fit`; its seed is 0."""
+    dataset, loss, model = problem
+    n = dataset.n
     cfg = RunConfig(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(RunConfig)
                        if f.name != "T"})
     b = cfg.resolved_batch(n)
@@ -187,6 +195,7 @@ def make_run_config(spec: RunSpec, n: int) -> RunConfig:
         cfg.T = spec.epochs * -(-n // b)
     try:
         cfg.validate(n)
+        cfg.check_fit(model.kind, loss.kind)
     except ValueError as e:
         raise ValueError(f"run {cfg.run_id!r}: {e}") from None
     return cfg
@@ -302,7 +311,7 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
     if duplicates:
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
     problem = load_problem(exp)
-    cfgs = [make_run_config(spec, problem[0].n) for spec in specs]
+    cfgs = [make_run_config(spec, problem) for spec in specs]
 
     payloads = [(exp, problem, cfg, seed_index, out_dir) for cfg in cfgs for seed_index in exp.seeds]
     if jobs > 1:

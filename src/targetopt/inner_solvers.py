@@ -6,13 +6,15 @@ by default, beta the surrogate smoothness bound), `armijo_backtracking`
 searches each step with `backtrack`, the sufficient-decrease search that
 the target line search and SLS share (its trials move the batch logits,
 not theta, on linear and softmax-linear models), and `exact_linear_solve`
-solves the quadratic surrogate of a linear model in closed form.
+solves the quadratic surrogate of a linear model in closed form. A run's
+`InnerOptions` picks one of them and its budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
@@ -20,7 +22,14 @@ from .models import row_product
 from .surrogates import SquaredProximity
 
 BACKTRACK_FLOOR = 1e-12
+# Armijo's shrink factor and sufficient-decrease factor.
+ARMIJO_SHRINK = 0.8
+ARMIJO_C = 0.5
 LINK_MODELS = ("linear", "softmax-linear")
+Solver = Literal["gd", "armijo", "exact"]
+MRule = Literal["constant", "log"]
+# Inner settings each solver never reads (the others read them all).
+UNREAD_INNER = {"exact": ("m", "m_rule", "alpha")}
 
 
 class DivergenceError(RuntimeError):
@@ -112,17 +121,11 @@ class _TargetLine:
         return row_product(self.rows, v, transpose=True).ravel()
 
 
-def armijo_backtracking(
-    surrogate,
-    omega0,
-    m: int,
-    alpha0: float = 1.0,
-    shrink: float = 0.8,
-    c: float = 0.5,
-) -> InnerResult:
+def armijo_backtracking(surrogate, omega0, m: int, alpha0: float = 1.0) -> InnerResult:
     """Up to m Armijo gradient steps on the surrogate.
 
-    Each accepted step satisfies value(w - a g) <= value(w) - c a ||g||^2;
+    Each accepted step a in {alpha0 * ARMIJO_SHRINK^k} satisfies
+    value(w - a g) <= value(w) - ARMIJO_C a ||g||^2;
     every step starts its search at alpha0, and the accepted trial's
     value is the next step's base value. Hitting the backtrack floor
     returns the current point with `stalled` set. Linear and softmax-linear
@@ -130,8 +133,8 @@ def armijo_backtracking(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if alpha0 <= 0 or not (0 < shrink < 1) or not (0 < c < 1):
-        raise ValueError("need alpha0 > 0, shrink and c in (0, 1)")
+    if alpha0 <= 0:
+        raise ValueError("alpha0 must be positive")
     omega = np.asarray(omega0, dtype=np.float64).copy()
     alpha = alpha0
     val = surrogate.value(omega)
@@ -146,7 +149,7 @@ def armijo_backtracking(
             break
         value_at = (line.values(g, val, gnorm2) if line is not None
                     else lambda a: surrogate.value(omega - a * g))
-        alpha, trial_val, stalled = backtrack(value_at, val, gnorm2, alpha0, shrink, c)
+        alpha, trial_val, stalled = backtrack(value_at, val, gnorm2, alpha0, ARMIJO_SHRINK, ARMIJO_C)
         if stalled:
             return InnerResult(omega, steps, stalled=True, last_alpha=alpha)
         omega, val = omega - alpha * g, trial_val
@@ -173,3 +176,26 @@ def exact_linear_solve(surrogate, lam: float = 0.0, origin=None) -> np.ndarray:
     origin = np.asarray(origin, dtype=np.float64)
     delta, *_ = np.linalg.lstsq(H, b - H @ origin, rcond=None)
     return origin + delta
+
+
+@dataclass
+class InnerOptions:
+    """A run's "inner" group: the inner solver, its step and its budget.
+    `alpha` is gd's fixed step (None = 1/beta, beta the surrogate's
+    smoothness bound) and Armijo's first trial (None = 1.0)."""
+
+    solver: Solver = "gd"
+    m: int = 1
+    m_rule: MRule = "constant"
+    alpha: float | None = None
+
+    def solve(self, surrogate, theta, t: int) -> InnerResult:
+        """Minimize the surrogate from theta at outer iteration t: m steps,
+        or m * ceil(log(t + 2)) under the "log" rule. The exact solve counts
+        as theta.size steps, the d of the linear model it needs."""
+        if self.solver == "exact":
+            return InnerResult(exact_linear_solve(surrogate, origin=theta), theta.size)
+        m = self.m if self.m_rule == "constant" else int(np.ceil(self.m * np.log(t + 2)))
+        if self.solver == "gd":
+            return gd_fixed(surrogate, theta, m, alpha=self.alpha)
+        return armijo_backtracking(surrogate, theta, m, 1.0 if self.alpha is None else self.alpha)

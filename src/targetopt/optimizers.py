@@ -20,56 +20,24 @@ from typing import Literal, get_args
 import numpy as np
 
 from . import losses as losses_mod
-from .inner_solvers import armijo_backtracking, backtrack, exact_linear_solve, gd_fixed
+from .inner_solvers import UNREAD_INNER, InnerOptions, armijo_backtracking, backtrack
+from .inner_solvers import exact_linear_solve, gd_fixed  # perfbench's tracer test reads them here
 from .models import row_norms2, row_range, spectral_norm, take_rows
-from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, Schedule, ScheduleKind, theoretical_eta0
-from .schedules import eta as schedule_eta, target_line_search
+from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, ScheduleOptions, theoretical_eta0
+from .schedules import target_line_search
 from .schema import check, reject_unread
 from .surrogates import OracleCounter, Variant, build_stochastic, freeze
 
 # The names with fixed choices; `RUNNERS` has one runner per Optimizer.
 Optimizer = Literal["sso", "sgd", "sls", "adam", "adagrad", "svrg"]
-Solver = Literal["gd", "armijo", "exact"]
-MRule = Literal["constant", "log"]
 Sampling = Literal["replacement", "shuffle"]
 Diagnostic = Literal["eps", "zeta2"]
 DIAGNOSTICS = get_args(Diagnostic)
 # Stored entries (CSR nonzeros, or values of dense rows) that `_batches`
 # gathers in one block: 2**16 float64 values are 512 KiB.
 BLOCK_ENTRIES = 2**16
-# Inner settings each solver never reads ("armijo" reads them all).
-UNREAD_INNER = {"exact": ("m", "m_rule", "alpha", "growth", "warm_start"),
-                "gd": ("growth", "warm_start")}
 # Schedule kinds by optimizer; any other optimizer follows only "constant".
 SCHEDULE_KINDS = {"sso": KINDS, "sgd": tuple(k for k in KINDS if k != "target-line-search")}
-
-
-@dataclass
-class ScheduleOptions:
-    """A run's "schedule" group: the outer step size and its schedule.
-
-    `eta0` is every optimizer's base step (SSO's target step, the SGD and
-    SVRG step, the Adam and AdaGrad rate, the first SLS and target line
-    search trial); None takes the optimizer's default. SSO follows every
-    kind, SGD all but target-line-search, the others only "constant"."""
-
-    kind: ScheduleKind = "constant"
-    eta0: float | None = None
-    beta: float = 1.0
-
-
-@dataclass
-class InnerOptions:
-    """A run's "inner" group: the inner solver, its step and its budget.
-    `alpha` is gd's fixed step (None = 1/beta, beta the surrogate's
-    smoothness bound) and Armijo's first trial (None = 1.0, times `growth`)."""
-
-    solver: Solver = "gd"
-    m: int = 1
-    m_rule: MRule = "constant"
-    alpha: float | None = None
-    growth: float = 1.0
-    warm_start: bool = False
 
 
 @dataclass
@@ -124,12 +92,33 @@ class RunConfig:
             (eta0 is None or eta0 > 0, "schedule eta0 must be positive"),
             (inner.m >= 1, f"inner m must be an integer >= 1, not {inner.m!r}"),
             (inner.alpha is None or inner.alpha > 0, "inner alpha must be positive"),
-            (inner.growth > 0, "inner growth must be positive"),
         ]:
             if not ok:
                 raise ValueError(problem)
         if self.schedule.kind == "exponential":  # the schedule's own horizon and beta checks
-            Schedule("exponential", 1.0, T=self.T, beta=self.schedule.beta)
+            self.schedule.steps(1.0, self.T)
+
+    def check_fit(self, model: str, loss: str) -> None:
+        """Reject an SSO setting that cannot run with a model and a loss of
+        these kinds: its solver, surrogate or diagnostics would raise in
+        the first step of every pair."""
+        if self.optimizer != "sso":
+            return
+        inner, variant = self.inner, self.variant
+        solver = f"inner solver {inner.solver!r}" + " without inner.alpha" * (inner.solver == "gd")
+        closed_form = inner.solver == "exact" or inner.solver == "gd" and inner.alpha is None
+        for bad, problem in [
+            (closed_form and (model != "linear" or variant == "entropy-mirror"),
+             f"{solver} needs a linear model and variant 'smoothness' or 'newton', "
+             f"not model {model!r} with variant {variant!r}"),
+            (variant == "entropy-mirror" and model != "softmax-linear",
+             f"variant 'entropy-mirror' needs model 'softmax-linear', not {model!r}"),
+            (variant == "newton" and loss == "multiclass-kl",
+             "variant 'newton' needs a loss with curvature, not 'multiclass-kl'"),
+            (self.diagnostics and model != "linear", f"diagnostics need a linear model, not {model!r}"),
+        ]:
+            if bad:
+                raise ValueError(problem)
 
     def resolved_batch(self, n: int) -> int:
         return n if self.batch_size is None else self.batch_size
@@ -331,38 +320,19 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
 
 def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Surrogate optimization (any variant / schedule / inner solver)."""
-    opts, inner = cfg.schedule, cfg.inner
     eta0 = base_step(cfg, dataset, loss)
-    sched = None
-    if opts.kind != "target-line-search":
-        sched = Schedule(opts.kind, eta0, T=cfg.T, beta=opts.beta)
-    warm_alpha = None
+    eta = None if cfg.schedule.kind == "target-line-search" else cfg.schedule.steps(eta0, cfg.T)
 
     def step(t, theta, idx, rows, y_b):
-        nonlocal warm_alpha
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
-        if sched is None:
+        if eta is None:
             eta_t, stalled = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=eta0)
             rec.inner_stalls += stalled
         else:
-            eta_t = schedule_eta(sched, t, grad=batch.coeffs)
-        surr = build_stochastic(loss, batch, eta_t, cfg.variant)
-        m_t = inner.m if inner.m_rule == "constant" else int(np.ceil(inner.m * np.log(t + 2)))
-        if inner.solver == "exact":
-            theta_next = exact_linear_solve(surr, origin=theta)
-            rec.inner_steps += dataset.d
-        else:
-            if inner.solver == "gd":
-                res = gd_fixed(surr, theta, m_t, alpha=inner.alpha)
-            else:
-                alpha0 = (1.0 if inner.alpha is None else inner.alpha) * inner.growth
-                if inner.warm_start and warm_alpha is not None:
-                    alpha0 = warm_alpha * inner.growth
-                res = armijo_backtracking(surr, theta, m_t, alpha0=alpha0)
-                warm_alpha = res.last_alpha
-            theta_next = res.theta
-            rec.inner_steps += res.inner_steps
-            rec.inner_stalls += res.stalled
+            eta_t = eta(t, grad=batch.coeffs)
+        res = cfg.inner.solve(build_stochastic(loss, batch, eta_t, cfg.variant), theta, t)
+        rec.inner_steps += res.inner_steps
+        rec.inner_stalls += res.stalled
 
         row_fields = {}
         if cfg.diagnostics and rec.due(t):
@@ -370,24 +340,22 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
             if "eps" in cfg.diagnostics:
                 row_fields["eps"] = diag.projection_error(
-                    loss, model, dataset, theta, idx, eta_t, theta_next
+                    loss, model, dataset, theta, idx, eta_t, res.theta
                 )
             if "zeta2" in cfg.diagnostics:
                 row_fields["zeta2"] = diag.zeta2(dataset, loss, model, theta, eta_t)
-        return theta_next, eta_t, row_fields
+        return res.theta, eta_t, row_fields
 
     return step
 
 
 def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Plain stochastic gradient descent in parameter space."""
-    sched = Schedule(
-        cfg.schedule.kind, base_step(cfg, dataset, loss), T=cfg.T, beta=cfg.schedule.beta
-    )
+    eta = cfg.schedule.steps(base_step(cfg, dataset, loss), cfg.T)
 
     def step(t, theta, _, rows, y_b):
         g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
-        eta_t = schedule_eta(sched, t, grad=g)
+        eta_t = eta(t, grad=g)
         return theta - eta_t * g, eta_t, {}
 
     return step
@@ -478,6 +446,7 @@ RUNNERS = {
 
 
 def run(cfg: RunConfig, dataset, model, loss) -> RunTrace:
-    """Validate `cfg` and run its optimizer on the dataset."""
+    """Validate `cfg`, check its fit to the model and loss, and run it."""
     cfg.validate(dataset.n)
+    cfg.check_fit(model.kind, loss.kind)
     return RUNNERS[cfg.optimizer](cfg, dataset, model, loss)

@@ -3,21 +3,19 @@
 Supported kinds: constant, sqrt-decay (eta0 / sqrt(t)), exponential
 (eta0 * alpha^t with alpha = (beta/T)^(1/T), so eta_T = eta0 * beta / T),
 adagrad-norm (eta0 / sqrt(sum of squared gradient norms), eta0 while
-that sum is zero), and
-target-line-search (the per-step Armijo search below). Iterations are
-1-based.
+that sum is zero), and target-line-search (the per-step Armijo search
+below). Iterations are 1-based.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
 
 from .inner_solvers import backtrack
 from .losses import mean
-from .schema import check
 
 ScheduleKind = Literal["constant", "sqrt-decay", "exponential", "target-line-search", "adagrad-norm"]
 KINDS = get_args(ScheduleKind)
@@ -34,67 +32,63 @@ def theoretical_eta0(L: float, n: int) -> float:
 
 
 @dataclass
-class Schedule:
-    kind: ScheduleKind
-    eta0: float
-    T: int | None = None
+class ScheduleOptions:
+    """A run's "schedule" group: the outer step size and its schedule.
+
+    `eta0` is every optimizer's base step (SSO's target step, the SGD and
+    SVRG step, the Adam and AdaGrad rate, the first SLS and target line
+    search trial); None takes the optimizer's default. SSO follows every
+    kind, SGD all but target-line-search, the others only "constant"."""
+
+    kind: ScheduleKind = "constant"
+    eta0: float | None = None
     beta: float = 1.0
-    G: float = field(default=0.0, repr=False)
 
-    def __post_init__(self):
-        check(self)
-        if self.eta0 <= 0:
+    def steps(self, eta0: float, T: int | None = None):
+        """`eta(t, grad=None)`, the step at (1-based) iteration t of a
+        closed-form kind from base step eta0 over horizon T. adagrad-norm
+        adds up the squared norms of the `grad`s it is given in this
+        closure, not on the group, which every pair of a run shares."""
+        kind = self.kind
+        if eta0 <= 0:
             raise ValueError("eta0 must be positive")
-        if self.kind == "exponential":
-            if self.T is None or self.T < 2:
+        if kind not in ("constant", "sqrt-decay", "exponential", "adagrad-norm"):
+            raise ValueError(f"schedule kind {kind!r} has no closed-form step")
+        if kind == "exponential":
+            if T is None or T < 2:
                 raise ValueError("exponential schedule needs horizon T >= 2")
-            if not (0 < self.beta < self.T):
+            if not (0 < self.beta < T):
                 raise ValueError("exponential schedule needs 0 < beta < T")
+            alpha = (self.beta / T) ** (1.0 / T)
+        G = 0.0
 
-    @property
-    def alpha(self) -> float:
-        return (self.beta / self.T) ** (1.0 / self.T)
+        def eta(t: int, grad=None) -> float:
+            nonlocal G
+            if t < 1:
+                raise ValueError("t must be >= 1")
+            if kind == "constant":
+                return eta0
+            if kind == "sqrt-decay":
+                return eta0 / np.sqrt(t)
+            if kind == "exponential":
+                if t > T:
+                    raise ValueError(f"exponential schedule queried past its horizon ({t} > {T})")
+                return eta0 * alpha**t
+            if grad is None:
+                raise ValueError("adagrad-norm schedule needs the per-step gradient")
+            g = np.asarray(grad, dtype=np.float64)
+            G += float(np.sum(g * g))
+            return eta0 if G == 0.0 else eta0 / np.sqrt(G)
 
-
-def eta(schedule: Schedule, t: int, grad=None) -> float:
-    """Step size at (1-based) iteration t; adagrad-norm consumes `grad`."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    k = schedule.kind
-    if k == "constant":
-        return schedule.eta0
-    if k == "sqrt-decay":
-        return schedule.eta0 / np.sqrt(t)
-    if k == "exponential":
-        if t > schedule.T:
-            raise ValueError(f"exponential schedule queried past its horizon ({t} > {schedule.T})")
-        return schedule.eta0 * schedule.alpha**t
-    if k == "adagrad-norm":
-        if grad is None:
-            raise ValueError("adagrad-norm schedule needs the per-step gradient")
-        g = np.asarray(grad, dtype=np.float64)
-        schedule.G += float(np.sum(g * g))
-        if schedule.G == 0.0:  # no gradient accumulated yet
-            return schedule.eta0
-        return schedule.eta0 / np.sqrt(schedule.G)
-    raise ValueError(f"schedule kind {k!r} has no closed-form step; use target_line_search")
+        return eta
 
 
-def target_line_search(
-    loss,
-    z_batch,
-    y_batch,
-    grad_batch,
-    alpha0: float = LS_ALPHA0,
-    shrink: float = LS_SHRINK,
-    c: float = LS_C,
-):
+def target_line_search(loss, z_batch, y_batch, grad_batch, alpha0: float = LS_ALPHA0):
     """Backtracking Armijo search directly in the target space.
 
-    Finds the largest eta in {alpha0 * shrink^k} with
-    mean_i l_i(z_i - eta g_i) <= mean_i l_i(z_i) - (eta/2) mean_i g_i^2
-    (coefficient c in place of 1/2 when overridden). Returns
-    (eta, stalled); a zero gradient returns alpha0 untouched.
+    Finds the largest eta in {alpha0 * LS_SHRINK^k} with
+    mean_i l_i(z_i - eta g_i) <= mean_i l_i(z_i) - LS_C eta mean_i g_i^2.
+    Returns (eta, stalled); a zero gradient returns alpha0 untouched.
     """
     z = np.asarray(z_batch, dtype=np.float64)
     g = np.asarray(grad_batch, dtype=np.float64)
@@ -103,5 +97,5 @@ def target_line_search(
         return alpha0, False
     base = mean(loss.values(z, y_batch))
     step, _, stalled = backtrack(lambda a: mean(loss.values(z - a * g, y_batch)),
-                                 base, gnorm2, alpha0, shrink, c)
+                                 base, gnorm2, alpha0, LS_SHRINK, LS_C)
     return step, stalled

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+from types import SimpleNamespace
 from typing import get_args
 
 import numpy as np
@@ -38,6 +39,41 @@ def small_config(out_dir, T=6):
             {"id": "sso-m3", "optimizer": "sso", "T": T, "batch_size": 4,
              "eval_every": 2, "inner": {"solver": "gd", "m": 3},
              "schedule": {"kind": "constant", "eta0": 0.5}},
+        ],
+    }
+
+
+def stand_in_problem(n, loss="squared", model="linear"):
+    """A (dataset, loss, model) for `make_run_config`, which reads only the
+    dataset's n and the loss and model kinds."""
+    return SimpleNamespace(n=n), SimpleNamespace(kind=loss), SimpleNamespace(kind=model)
+
+
+def multiclass_config(tmp_path):
+    """A three-class LibSVM file in `tmp_path` under a multiclass-kl loss and
+    a softmax-linear model, with one SSO run of the entropy-mirror variant."""
+    text = "\n".join(
+        f"{label} 1:{v1:.3f} 2:{v2:.3f}"
+        for label, v1, v2 in zip(
+            [3, 5, 7, 3, 5, 7, 3, 5],
+            np.linspace(-1, 1, 8),
+            np.linspace(1, -1, 8),
+        )
+    )
+    data_file = tmp_path / "mc.libsvm"
+    data_file.write_text(text + "\n")
+    return {
+        "name": "mc",
+        "dataset": {"path": str(data_file), "task": "multiclass"},
+        "loss": "multiclass-kl",
+        "model": {"kind": "softmax-linear"},
+        "seeds": [0],
+        "out_dir": str(tmp_path / "out"),
+        "runs": [
+            {"id": "mirror", "optimizer": "sso", "T": 20, "batch_size": None,
+             "variant": "entropy-mirror", "eval_every": 20,
+             "schedule": {"kind": "constant", "eta0": 0.3},
+             "inner": {"solver": "armijo", "m": 5}},
         ],
     }
 
@@ -171,14 +207,28 @@ class TestRunExperiment:
         calls = []
         make = harness.make_run_config
 
-        def counting_make(run_spec, n):
+        def counting_make(run_spec, problem):
             calls.append(run_spec.run_id)
-            return make(run_spec, n)
+            return make(run_spec, problem)
 
         monkeypatch.setattr(harness, "make_run_config", counting_make)
         cfg = small_config(tmp_path / "out")  # 2 runs x 3 seeds
         assert run_experiment(cfg) == 0
         assert calls == ["sgd", "sso-m3"]
+
+    def test_adagrad_norm_steps_are_per_pair(self, tmp_path):
+        # Every pair of a run shares its RunConfig's groups, so the
+        # adagrad-norm sum must not live on them: seed 1's steps are the
+        # same whether or not seed 0 ran before it.
+        etas = []
+        for seeds in ([0, 1], [1]):
+            out = tmp_path / f"out{len(seeds)}"
+            cfg = small_config(out)
+            cfg["seeds"] = seeds
+            cfg["runs"][1]["schedule"] = {"kind": "adagrad-norm"}
+            assert run_experiment(cfg) == 0
+            etas.append([row["eta"] for row in read_csv(out / "sso-m3_s1.csv")])
+        assert etas[0] == etas[1]
 
     def test_csv_header_is_trace_row_fields(self, tmp_path):
         out = tmp_path / "out"
@@ -353,7 +403,7 @@ class TestConfigParsing:
             "schedule": {"kind": "exponential", "eta0": 0.2, "beta": 1.0},
             "inner": {"solver": "armijo", "m": 7, "alpha": 2.0},
         }
-        cfg = make_run_config(read_run(spec, "runs[0]"), n=10)
+        cfg = make_run_config(read_run(spec, "runs[0]"), stand_in_problem(10))
         assert cfg.schedule.kind == "exponential" and cfg.schedule.eta0 == 0.2
         assert cfg.inner.solver == "armijo" and cfg.inner.m == 7 and cfg.inner.alpha == 2.0
         assert cfg.seed == 0  # each pair derives its own
@@ -396,7 +446,7 @@ class TestConfigParsing:
         ({"T": 6, "optimizer": "adam", "schedule": {"kind": "sqrt-decay", "eta0": 0.5}},
          "'b': optimizer 'adam' cannot follow schedule kind 'sqrt-decay'"),
         ({"T": 6, "optimizer": "sso",
-          "inner": {"solver": "exact", "alpha": 5.0, "m": 9, "growth": 3.0}},
+          "inner": {"solver": "exact", "alpha": 5.0, "m": 9}},
          "'b': inner solver 'exact' does not read 'inner.m'"),
         ({"T": 6, "variant": "newton", "inner": {"solver": "armijo", "m": 20},
           "svrg_snapshot_freq": 3},
@@ -408,8 +458,6 @@ class TestConfigParsing:
         ({"T": 6, "svrg_snapshot_freq": 3}, "'b': optimizer 'sgd' does not read 'svrg_snapshot_freq'"),
         ({"T": 6, "schedule": {"kind": "sqrt-decay", "beta": 2.0}},
          "'b': schedule kind 'sqrt-decay' does not read 'schedule.beta'"),
-        ({"T": 6, "optimizer": "sso", "inner": {"solver": "gd", "warm_start": True}},
-         "'b': inner solver 'gd' does not read 'inner.warm_start'"),
         # Value checks that need the dataset's n run on the loaded problem.
         ({"T": 0}, "'b': T must be an integer >= 1, not 0"),
         ({"T": 2.5}, r"'b': runs\[1\]\.T must be an integer or null, not 2\.5"),
@@ -431,8 +479,6 @@ class TestConfigParsing:
          "'b': inner alpha must be positive"),
         ({"T": 6, "optimizer": "sso", "inner": {"solver": "armijo", "alpha": -1.0}},
          "'b': inner alpha must be positive"),
-        ({"T": 6, "optimizer": "sso", "inner": {"solver": "armijo", "growth": 0}},
-         "'b': inner growth must be positive"),
         ({"T": 6, "optimizer": "svrg", "svrg_snapshot_freq": 0},
          "'b': svrg_snapshot_freq must be an integer >= 1, not 0"),
         ({"T": 6, "optimizer": "svrg", "svrg_snapshot_freq": -2},
@@ -452,11 +498,11 @@ class TestConfigParsing:
             "schedule-kind", "sampling", "step_size", "adam_lr", "adagrad_lr", "inner-alpha0",
             "sgd-target-line-search", "adam-sqrt-decay", "exact-ignores-inner",
             "sgd-ignores-variant", "sgd-ignores-diagnostics", "adam-ignores-inner",
-            "sgd-ignores-snapshot-freq", "sqrt-decay-ignores-beta", "gd-ignores-warm-start",
+            "sgd-ignores-snapshot-freq", "sqrt-decay-ignores-beta",
             "T-zero", "T-fraction", "epochs-zero", "epochs-fraction", "batch-fraction",
             "epochs-batch-zero", "epochs-batch-text", "batch-above-n", "negative-tau", "eval-every-zero",
             "inner-m-zero", "inner-m-fraction", "gd-alpha-zero", "armijo-alpha-negative",
-            "growth-zero", "snapshot-freq-zero", "snapshot-freq-negative", "unknown-diagnostic",
+            "snapshot-freq-zero", "snapshot-freq-negative", "unknown-diagnostic",
             "inner-number", "schedule-name", "exp-T1", "exp-beta-above-T", "exp-beta-negative"])
     def test_bad_run_entry_rejected_before_any_file(self, tmp_path, entry, message):
         cfg = small_config(tmp_path / "out")
@@ -467,7 +513,7 @@ class TestConfigParsing:
 
     def test_epochs_resolution(self):
         spec = read_run({"id": "e", "optimizer": "sgd", "epochs": 4, "batch_size": 3}, "runs[0]")
-        cfg = make_run_config(spec, n=10)
+        cfg = make_run_config(spec, stand_in_problem(10))
         assert cfg.T == 4 * 4  # ceil(10/3) = 4 steps per epoch
 
     def test_presets_resolve(self):
@@ -475,9 +521,10 @@ class TestConfigParsing:
         assert "mushrooms-logistic" in ps
         for name, cfg in ps.items():
             assert cfg["runs"], name
-            # Every run entry must translate into a valid RunConfig.
+            # Every run entry must translate into a valid RunConfig that fits the problem.
+            problem = stand_in_problem(1000, cfg["loss"], cfg.get("model", "linear"))
             for i, run_spec in enumerate(cfg["runs"]):
-                make_run_config(read_run(run_spec, f"runs[{i}]"), n=1000)
+                make_run_config(read_run(run_spec, f"runs[{i}]"), problem)
 
     def test_mushrooms_preset_grid(self):
         runs = presets()["mushrooms-logistic"]["runs"]
@@ -510,30 +557,7 @@ class TestConfigParsing:
 
     def test_multiclass_kl_through_config(self, tmp_path):
         # Three-class LibSVM text driven end to end with the mirror variant.
-        text = "\n".join(
-            f"{label} 1:{v1:.3f} 2:{v2:.3f}"
-            for label, v1, v2 in zip(
-                [3, 5, 7, 3, 5, 7, 3, 5],
-                np.linspace(-1, 1, 8),
-                np.linspace(1, -1, 8),
-            )
-        )
-        data_file = tmp_path / "mc.libsvm"
-        data_file.write_text(text + "\n")
-        cfg = {
-            "name": "mc",
-            "dataset": {"path": str(data_file), "task": "multiclass"},
-            "loss": "multiclass-kl",
-            "model": {"kind": "softmax-linear"},
-            "seeds": [0],
-            "out_dir": str(tmp_path / "out"),
-            "runs": [
-                {"id": "mirror", "optimizer": "sso", "T": 20, "batch_size": None,
-                 "variant": "entropy-mirror", "eval_every": 20,
-                 "schedule": {"kind": "constant", "eta0": 0.3},
-                 "inner": {"solver": "armijo", "m": 5}},
-            ],
-        }
+        cfg = multiclass_config(tmp_path)
         assert run_experiment(cfg) == 0
         rows = read_csv(tmp_path / "out" / "mirror_s0.csv")
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
@@ -659,20 +683,49 @@ class TestCLI:
         ("run", "inner", {"m": True}, "runs[1].inner.m must be an integer, not True"),
         ("run", "svrg_snapshot_freq", True,
          "runs[1].svrg_snapshot_freq must be an integer or null, not True"),
-        ("run", "inner", {"solver": "armijo", "warm_start": "no"},
-         "runs[1].inner.warm_start must be true or false, not 'no'"),
         ("dataset", "normalize", "no", "dataset.normalize must be true or false, not 'no'"),
         ("config", "global_seed", "x", "global_seed must be an integer, not 'x'"),
         ("config", "seed", 3, "unknown key(s) ['seed'] in the config"),
+        # Settings out of range, or that cannot run on the problem; an "mc-"
+        # change applies to `multiclass_config` and its mirror run.
+        ("config", "loss", {"kind": "squared", "smoothness": 0},
+         "loss.smoothness must be positive, not 0"),
+        ("config", "loss", {"kind": "squared", "smoothness": -1},
+         "loss.smoothness must be positive, not -1"),
+        ("mc-config", "expert_smoothing", 0.0, "expert_smoothing must lie in (0, 1), not 0.0"),
+        ("mc-config", "expert_smoothing", 2.0, "expert_smoothing must lie in (0, 1), not 2.0"),
+        ("config", "model", "mlp",
+         "run 'sso-m3': inner solver 'gd' without inner.alpha needs a linear model"),
+        ("run", "variant", "entropy-mirror",
+         "inner solver 'gd' without inner.alpha needs a linear model and variant 'smoothness' "
+         "or 'newton', not model 'linear' with variant 'entropy-mirror'"),
+        ("mc-run", "inner", {"solver": "exact"},
+         "run 'mirror': inner solver 'exact' needs a linear model"),
+        ("mc-run", "inner", {"solver": "gd", "m": 5},
+         "run 'mirror': inner solver 'gd' without inner.alpha needs a linear model"),
+        ("mc-config", "model", "linear",
+         "run 'mirror': variant 'entropy-mirror' needs model 'softmax-linear', not 'linear'"),
+        ("mc-run", "variant", "newton",
+         "run 'mirror': variant 'newton' needs a loss with curvature, not 'multiclass-kl'"),
+        ("mc-run", "diagnostics", ["eps"],
+         "run 'mirror': diagnostics need a linear model, not 'softmax-linear'"),
     ], ids=["tau-text", "eval-every-text", "inner-alpha-text", "exp-beta-text",
             "diagnostics-number", "diagnostics-name", "synthetic-n-text", "synthetic-seed-fraction",
             "mlp-hidden-text", "no-loss", "no-dataset", "loss-without-kind", "id-number",
-            "T-true", "epochs-true", "inner-m-true", "snapshot-freq-true", "warm-start-text",
-            "normalize-text", "global-seed-text", "unknown-top-level-key"])
+            "T-true", "epochs-true", "inner-m-true", "snapshot-freq-true",
+            "normalize-text", "global-seed-text", "unknown-top-level-key",
+            "smoothness-zero", "smoothness-negative", "expert-smoothing-zero",
+            "expert-smoothing-two", "mlp-gd-without-alpha", "linear-mirror-gd-without-alpha",
+            "softmax-exact", "softmax-gd-without-alpha", "linear-mirror", "newton-kl",
+            "softmax-diagnostics"])
     def test_config_probe_is_one_error_line(self, tmp_path, capsys, where, key, value, path):
-        cfg = small_config(tmp_path / "out")
-        group = {"run": cfg["runs"][1], "synthetic": cfg["dataset"]["synthetic"],
-                 "dataset": cfg["dataset"], "config": cfg}[where]
+        if where.startswith("mc-"):
+            cfg = multiclass_config(tmp_path)
+            group = {"mc-run": cfg["runs"][0], "mc-config": cfg}[where]
+        else:
+            cfg = small_config(tmp_path / "out")
+            group = {"run": cfg["runs"][1], "synthetic": cfg["dataset"]["synthetic"],
+                     "dataset": cfg["dataset"], "config": cfg}[where]
         if value is None:
             del group[key]
         else:

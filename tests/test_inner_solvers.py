@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from targetopt.data import SyntheticSpec, generate_synthetic
 from targetopt.inner_solvers import (
+    ARMIJO_C,
     BACKTRACK_FLOOR,
     DivergenceError,
     InnerResult,
@@ -129,7 +130,7 @@ class TestArmijo:
         surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.25)
         # Quadratic curvature along theta: w * x^2 = 4 / 0.25 = 16.
         curvature = 16.0
-        res = armijo_backtracking(surr, np.zeros(1), 1, alpha0=1e6, shrink=0.5, c=0.5)
+        res = armijo_backtracking(surr, np.zeros(1), 1, alpha0=1e6)
         assert res.last_alpha <= 1.0 / curvature + 1e-12
         assert not res.stalled
 
@@ -159,11 +160,11 @@ class TestArmijo:
         )
         surr = build_deterministic(SquaredLoss(), LinearModel(), ds, np.ones(3), 0.5)
         omega = np.ones(3)
-        c = 0.5
+        c = ARMIJO_C
         for _ in range(10):
             g = surr.grad(omega)
             val = surr.value(omega)
-            res = armijo_backtracking(surr, omega, 1, alpha0=1.5, c=c)
+            res = armijo_backtracking(surr, omega, 1, alpha0=1.5)
             if res.inner_steps == 0:
                 break
             assert surr.value(res.theta) <= val - c * res.last_alpha * (g @ g) + 1e-12

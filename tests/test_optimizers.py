@@ -181,20 +181,6 @@ class TestSSO:
         )
         assert stoch.final_loss() < stoch.rows[0].loss - 0.05
 
-    def test_warm_start_line_search(self):
-        ds = ls_dataset(n=20, d=4, seed=32, kind="interpolating", noise=0.0)
-        cold = RunConfig(optimizer="sso", T=40, batch_size=4,
-                         schedule=ScheduleOptions(eta0=0.5),
-                         inner=InnerOptions(solver="armijo", m=5), seed=0, eval_every=40)
-        warm = RunConfig(optimizer="sso", T=40, batch_size=4,
-                         schedule=ScheduleOptions(eta0=0.5),
-                         inner=InnerOptions(solver="armijo", m=5, warm_start=True, growth=1.25),
-                         seed=0, eval_every=40)
-        a = run(cold, ds, LinearModel(), SquaredLoss())
-        b = run(warm, ds, LinearModel(), SquaredLoss())
-        assert a.final_loss() < 0.1 * a.rows[0].loss
-        assert b.final_loss() <= a.final_loss()
-
     def test_sqrt_decay_and_exponential_schedules_run(self):
         ds = ls_dataset(n=20, d=4, seed=33)
         for kind in ("sqrt-decay", "exponential"):
