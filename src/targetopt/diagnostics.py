@@ -131,7 +131,7 @@ def _convex_min_value(dataset, loss, iters: int = 5000) -> float:
     step = theoretical_parametric_step(dataset, loss)
     for _ in range(iters):
         theta = theta - step * batch_param_grad(loss, model, theta, dataset.X, dataset.y)
-    return full_loss(loss, model, dataset, theta)
+    return full_loss(loss, dataset, model.forward(theta, dataset.X))
 
 
 def _curvatures(singletons):

@@ -262,20 +262,24 @@ def _pool_entry(payload):
 
 def write_summary(out_dir, csv_paths) -> str:
     """Aggregate the given per-run CSVs into `out_dir/summary.csv`: mean
-    and 25/75 loss quantiles over seeds."""
+    and 25/75 loss quantiles over seeds, taken once per run id along the
+    rows of its (rows x seeds) loss table. Every CSV of a run id records
+    the same outer iterations (its config's T and eval_every)."""
     out = Path(out_dir)
-    groups: dict = {}
+    curves: dict = {}  # run id -> (outer_t column, one loss column per CSV)
     for path in sorted(csv_paths):
-        for row in read_csv(path):
-            key = (row["run_id"], int(row["outer_t"]))
-            groups.setdefault(key, []).append(float(row["loss"]))
+        rows = read_csv(path)
+        ts = [int(row["outer_t"]) for row in rows]
+        _, columns = curves.setdefault(rows[0]["run_id"], (ts, []))
+        columns.append([float(row["loss"]) for row in rows])
     lines = ["run_id,outer_t,loss_mean,loss_q25,loss_q75"]
-    for (run_id, t), vals in sorted(groups.items()):
-        arr = np.array(vals)
-        lines.append(
-            f"{run_id},{t},{_fmt_float(arr.mean())},"
-            f"{_fmt_float(np.percentile(arr, 25))},{_fmt_float(np.percentile(arr, 75))}"
-        )
+    for run_id, (ts, columns) in sorted(curves.items()):
+        table = np.array(columns).T.copy()  # C order: each row's seeds are contiguous
+        # One quantile per call: a call for both partitions each row around
+        # all four neighbours and can order a 0.0 and a -0.0 differently.
+        stats = zip(ts, table.mean(axis=1), *(np.percentile(table, q, axis=1) for q in (25, 75)))
+        lines += [f"{run_id},{t},{_fmt_float(mean)},{_fmt_float(q25)},{_fmt_float(q75)}"
+                  for t, mean, q25, q75 in stats]
     text = "\n".join(lines) + "\n"
     (out / "summary.csv").write_text(text)
     return str(out / "summary.csv")
@@ -312,6 +316,13 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
     problem = load_problem(exp)
     cfgs = [make_run_config(spec, problem) for spec in specs]
+    # Only the softmax-linear model gives the row-stochastic targets that
+    # multiclass-kl reads, and no other loss reads them.
+    loss, model = exp.loss.kind, exp.model.kind
+    if (loss == "multiclass-kl") != (model == "softmax-linear"):
+        raise ValueError(f"loss 'multiclass-kl' needs model 'softmax-linear', not {model!r}"
+                         if loss == "multiclass-kl" else
+                         f"model 'softmax-linear' needs loss 'multiclass-kl', not {loss!r}")
 
     payloads = [(exp, problem, cfg, seed_index, out_dir) for cfg in cfgs for seed_index in exp.seeds]
     if jobs > 1:

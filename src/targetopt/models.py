@@ -1,9 +1,11 @@
 """Parameterizations mapping parameters to per-example targets.
 
 A model maps the rows it is given: `forward(theta, rows)` returns one
-target per row, `param_grad(theta, rows, coeffs)` the gradient of a
+target per row, `param_grad(theta, rows, coeffs, f)` the gradient of a
 coefficient-weighted sum of them (the only primitive surrogate
-minimization needs); `lipschitz_estimate` bounds the map's constant.
+minimization needs) given the caller's targets f = forward(theta, rows),
+so no gradient runs the model again; `lipschitz_estimate` bounds the
+map's constant.
 The optimizers' outer loop hands out a batch's rows, X itself for a full
 batch. Linear and softmax-linear targets are link(rows @ W), W = theta,
 and these models expose `logits`, `link` and its vector-Jacobian product
@@ -168,8 +170,8 @@ class LinearModel:
     def link_vjp(self, f, coeffs) -> np.ndarray:
         return coeffs
 
-    def param_grad(self, theta, rows, coeffs) -> np.ndarray:
-        """Gradient of sum_i coeffs_i * f_i(theta)."""
+    def param_grad(self, theta, rows, coeffs, f) -> np.ndarray:
+        """Gradient of sum_i coeffs_i * f_i(theta); f is not needed."""
         return row_product(rows, coeffs, transpose=True)
 
 
@@ -207,9 +209,10 @@ class SoftmaxLinearModel:
     def forward(self, theta, rows) -> np.ndarray:
         return self.link(self.logits(theta, rows))
 
-    def param_grad(self, theta, rows, coeffs) -> np.ndarray:
-        """Gradient of sum_i <coeffs_i, f_i(theta)> with (m, K) coeffs."""
-        v = self.link_vjp(self.forward(theta, rows), coeffs)
+    def param_grad(self, theta, rows, coeffs, f) -> np.ndarray:
+        """Gradient of sum_i <coeffs_i, f_i(theta)> with (m, K) coeffs,
+        pulled back through the targets f = forward(theta, rows)."""
+        v = self.link_vjp(f, coeffs)
         return row_product(rows, v, transpose=True).ravel()
 
 
@@ -260,7 +263,9 @@ class MLPModel:
         a = np.maximum(row_product(rows, W1) + b1, 0.0)
         return a @ w2 + b2
 
-    def param_grad(self, theta, rows, coeffs) -> np.ndarray:
+    def param_grad(self, theta, rows, coeffs, f) -> np.ndarray:
+        """f is not needed: the gradient reads the hidden layer, which the
+        targets do not carry."""
         W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
         pre = row_product(rows, W1) + b1
         a = np.maximum(pre, 0.0)

@@ -198,8 +198,8 @@ def _batches(dataset, batch: int, rng, mode: str, T: int):
             yield idx[lo:lo + batch], row_range(rows, lo, lo + batch), labels[lo:lo + batch]
 
 
-def full_loss(loss, model, dataset, theta) -> float:
-    z = model.forward(theta, dataset.X)
+def full_loss(loss, dataset, z) -> float:
+    """The mean loss at the dataset's targets z."""
     return losses_mod.loss_value(loss, z, dataset.y)
 
 
@@ -210,11 +210,13 @@ def batch_param_grad(loss, model, theta, rows, y, counter: OracleCounter | None 
     coeffs = np.asarray(loss.grads(z, y))
     if counter is not None:
         counter.add(rows.shape[0])
-    return model.param_grad(theta, rows, coeffs) / rows.shape[0]
+    return model.param_grad(theta, rows, coeffs, z) / rows.shape[0]
 
 
-def full_grad_norm(loss, model, dataset, theta) -> float:
-    return float(np.linalg.norm(batch_param_grad(loss, model, theta, dataset.X, dataset.y)))
+def full_grad_norm(loss, model, dataset, theta, z) -> float:
+    """Norm of the mean gradient at theta, whose dataset targets are z."""
+    coeffs = np.asarray(loss.grads(z, dataset.y))
+    return float(np.linalg.norm(model.param_grad(theta, dataset.X, coeffs, z) / dataset.n))
 
 
 def theoretical_parametric_step(dataset, loss, batch_size=None) -> float:
@@ -264,7 +266,8 @@ class _Recorder:
             self.thetas.append(np.array(theta, copy=True))
 
     def record(self, t: int, theta, eta_t: float, eps=None, zeta2=None) -> None:
-        loss_val = full_loss(self.loss, self.model, self.dataset, theta)
+        z = self.model.forward(theta, self.dataset.X)  # one forward serves the loss and the gradient
+        loss_val = full_loss(self.loss, self.dataset, z)
         if not np.isfinite(loss_val):
             raise RuntimeError(f"non-finite loss at outer iteration {t}")
         self.rows.append(
@@ -276,7 +279,7 @@ class _Recorder:
                 wall_ms=(time.perf_counter() - self.t0) * 1e3,
                 eta=eta_t,
                 loss=loss_val,
-                grad_norm=full_grad_norm(self.loss, self.model, self.dataset, theta),
+                grad_norm=full_grad_norm(self.loss, self.model, self.dataset, theta, z),
                 eps=eps,
                 zeta2=zeta2,
             )
@@ -368,7 +371,7 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     def step(t, theta, _, rows, y_b):
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
         base = losses_mod.mean(batch.consts)
-        g = model.param_grad(theta, rows, batch.coeffs) / rows.shape[0]
+        g = model.param_grad(theta, rows, batch.coeffs, batch.z) / rows.shape[0]
         gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
             return theta, eta0, {}

@@ -143,8 +143,9 @@ class Surrogate:
 
     def grad(self, theta) -> np.ndarray:
         batch = self.batch
-        coeffs = batch.coeffs + self.prox.grad(batch.model.forward(theta, batch.rows), batch.z)
-        return batch.model.param_grad(theta, batch.rows, coeffs) / len(batch.consts)
+        f = batch.model.forward(theta, batch.rows)
+        coeffs = batch.coeffs + self.prox.grad(f, batch.z)
+        return batch.model.param_grad(theta, batch.rows, coeffs, f) / len(batch.consts)
 
     # -- structure for solvers (linear model, Euclidean proximity) ------
 

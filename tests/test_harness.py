@@ -709,6 +709,12 @@ class TestCLI:
          "run 'mirror': variant 'newton' needs a loss with curvature, not 'multiclass-kl'"),
         ("mc-run", "diagnostics", ["eps"],
          "run 'mirror': diagnostics need a linear model, not 'softmax-linear'"),
+        # A model and a loss that cannot go together; "mc-sgd-config" is
+        # `multiclass_config` with one SGD run in place of its mirror run.
+        ("mc-sgd-config", "model", "linear",
+         "loss 'multiclass-kl' needs model 'softmax-linear', not 'linear'"),
+        ("mc-config", "loss", "squared",
+         "model 'softmax-linear' needs loss 'multiclass-kl', not 'squared'"),
     ], ids=["tau-text", "eval-every-text", "inner-alpha-text", "exp-beta-text",
             "diagnostics-number", "diagnostics-name", "synthetic-n-text", "synthetic-seed-fraction",
             "mlp-hidden-text", "no-loss", "no-dataset", "loss-without-kind", "id-number",
@@ -717,11 +723,13 @@ class TestCLI:
             "smoothness-zero", "smoothness-negative", "expert-smoothing-zero",
             "expert-smoothing-two", "mlp-gd-without-alpha", "linear-mirror-gd-without-alpha",
             "softmax-exact", "softmax-gd-without-alpha", "linear-mirror", "newton-kl",
-            "softmax-diagnostics"])
+            "softmax-diagnostics", "kl-linear", "softmax-squared"])
     def test_config_probe_is_one_error_line(self, tmp_path, capsys, where, key, value, path):
         if where.startswith("mc-"):
             cfg = multiclass_config(tmp_path)
-            group = {"mc-run": cfg["runs"][0], "mc-config": cfg}[where]
+            if where == "mc-sgd-config":
+                cfg["runs"] = [{"id": "sgd", "optimizer": "sgd", "T": 4}]
+            group = {"mc-run": cfg["runs"][0], "mc-config": cfg, "mc-sgd-config": cfg}[where]
         else:
             cfg = small_config(tmp_path / "out")
             group = {"run": cfg["runs"][1], "synthetic": cfg["dataset"]["synthetic"],

@@ -282,8 +282,9 @@ class TestTargetSpaceArmijo:
         assert res.inner_steps > 1 and counting.calls == built
 
     def test_accepted_trial_is_not_recomputed(self, monkeypatch):
-        # After the start's value and gradient (three softmaxes), a mirror
-        # solve takes one softmax per trial: a step reuses its accepted trial.
+        # After the start's value and gradient (two softmaxes: the gradient
+        # pulls back through its own forward), a mirror solve takes one
+        # softmax per trial: a step reuses its accepted trial.
         _, ds, model, loss, theta_t, _ = make_problem(CASES[-1], 6, 3, 13, True)
         surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, "entropy-mirror")
         calls = {"link": 0, "value": 0}
@@ -299,7 +300,7 @@ class TestTargetSpaceArmijo:
         res = armijo_backtracking(surr, theta_t, 8, alpha0=10.0)
         trials = calls["value"] - 1  # the start's value is no trial
         assert res.inner_steps > 1 and trials > res.inner_steps
-        assert calls["link"] == 3 + trials
+        assert calls["link"] == 2 + trials
 
     @pytest.mark.parametrize("case", LINK_CASES)
     def test_non_finite_coefficient_raises(self, case):

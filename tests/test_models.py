@@ -155,7 +155,7 @@ class TestSoftmaxLinear:
         def val(t):
             return float(np.sum(model.forward(t, X[idx]) * coeffs))
 
-        g = model.param_grad(theta, X[idx], coeffs)
+        g = model.param_grad(theta, X[idx], coeffs, model.forward(theta, X[idx]))
         h = 1e-6
         for j in range(theta.size):
             e = np.zeros_like(theta)
@@ -185,9 +185,9 @@ class TestRowContract:
         c = rng.normal(size=(len(idx), 3) if kind == "softmax" else len(idx))
         scattered = np.zeros((8,) + c.shape[1:])
         np.add.at(scattered, idx, c)
-        full = model.param_grad(theta, X, scattered)
+        full = model.param_grad(theta, X, scattered, model.forward(theta, X))
         np.testing.assert_allclose(
-            model.param_grad(theta, X[idx], c), full, rtol=1e-12,
+            model.param_grad(theta, X[idx], c, model.forward(theta, X[idx])), full, rtol=1e-12,
             atol=1e-12 * np.abs(full).max(),
         )
 

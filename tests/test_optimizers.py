@@ -23,6 +23,8 @@ from targetopt.optimizers import (
 )
 from targetopt.schedules import LS_ALPHA0
 
+from helpers import make_problem
+
 OPTIMIZERS = get_args(Optimizer)
 SAMPLING_MODES = get_args(Sampling)
 
@@ -363,7 +365,8 @@ class TestParametricBaselines:
             acc += g * g
             coord_steps.append(0.3 / (np.sqrt(acc) + 1e-10))
             theta = theta - coord_steps[-1] * g
-        np.testing.assert_allclose(trace.final_loss(), full_loss(loss, model, ds, theta), atol=1e-14)
+        final = full_loss(loss, ds, model.forward(theta, ds.X))
+        np.testing.assert_allclose(trace.final_loss(), final, atol=1e-14)
         steps = np.array(coord_steps)
         assert np.all(np.diff(steps, axis=0) <= 0)  # per-coordinate monotone
 
@@ -386,7 +389,8 @@ class TestParametricBaselines:
             trial = float(np.mean(loss.values(z_new, ds.y[idx])))
             assert trial <= base - 0.5 * step * float(g @ g) + 1e-12
             theta = theta - step * g
-        np.testing.assert_allclose(full_loss(loss, model, ds, theta), trace.final_loss(), atol=1e-12)
+        final = full_loss(loss, ds, model.forward(theta, ds.X))
+        np.testing.assert_allclose(final, trace.final_loss(), atol=1e-12)
 
 
 class TestSVRG:
@@ -481,7 +485,7 @@ class TestEveryOptimizer:
                         record_theta=True)
         trace = run(cfg, ds, model, loss)
         assert len(trace.thetas) == cfg.T + 1
-        assert full_loss(loss, model, ds, trace.thetas[-1]) == trace.final_loss()
+        assert full_loss(loss, ds, model.forward(trace.thetas[-1], ds.X)) == trace.final_loss()
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_dense_X_matches_csr(self, optimizer):
@@ -554,9 +558,9 @@ class RecordingModel(LinearModel):
         self.forward_rows.append(rows)
         return super().forward(theta, rows)
 
-    def param_grad(self, theta, rows, coeffs):
+    def param_grad(self, theta, rows, coeffs, f):
         self.grad_rows.append(rows)
-        return super().param_grad(theta, rows, coeffs)
+        return super().param_grad(theta, rows, coeffs, f)
 
 
 class TestOneOraclePerBatch:
@@ -578,6 +582,27 @@ class TestOneOraclePerBatch:
         if optimizer == "sls":
             trials = sum(round(np.log2(LS_ALPHA0 / r.eta)) + 1 for r in trace.rows[1:])
         assert on_batch - trials == cfg.T
+
+    @pytest.mark.parametrize("optimizer", ["sso", "sgd", "adam"])
+    def test_one_forward_on_X_per_recorded_row(self, optimizer):
+        # The row's loss and gradient norm share one set of targets.
+        ds = ls_dataset(n=30, d=5, seed=27)
+        model = RecordingModel()
+        cfg = RunConfig(optimizer=optimizer, T=6, batch_size=5, seed=0, eval_every=2,
+                        schedule=ScheduleOptions(eta0=0.1))
+        trace = run(cfg, ds, model, SquaredLoss())
+        assert sum(rows is ds.X for rows in model.forward_rows) == len(trace.rows) == 4
+
+    def test_sgd_step_on_softmax_runs_one_softmax(self, monkeypatch):
+        # The gradient pulls the coefficients back through the step's own
+        # targets instead of running the softmax again.
+        _, ds, model, loss, _, _ = make_problem(("smoothness", "softmax", "kl"), 12, 3, 28, True)
+        sizes, link = [], model.link
+        monkeypatch.setattr(model, "link", lambda logits: sizes.append(len(logits)) or link(logits))
+        cfg = RunConfig(optimizer="sgd", T=5, batch_size=4, seed=0, eval_every=5,
+                        schedule=ScheduleOptions(eta0=0.1))
+        run(cfg, ds, model, loss)
+        assert sizes.count(4) == cfg.T
 
     @pytest.mark.parametrize("optimizer, solver", [
         ("sso", "exact"), ("sso", "gd"), ("sgd", "gd"), ("svrg", "gd"),
