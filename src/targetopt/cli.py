@@ -68,23 +68,23 @@ def main(argv=None) -> int:
             ok &= passed
         return 0 if ok else 1
 
-    if args.verb == "gen":
-        spec = data_mod.SyntheticSpec(
-            kind=args.kind, n=args.n, d=args.d, cond=args.cond,
-            noise=args.noise, seed=args.seed,
-        )
-        ds = data_mod.generate_synthetic(spec)
-        Path(args.out).write_text(data_mod.to_libsvm(ds))
-        print(f"wrote {ds.n}x{ds.d} {args.kind} dataset to {args.out}")
-        return 0
-
     if args.verb == "run" and args.list_presets:
         for name in sorted(harness.presets()):
             print(name)
         return 0
     # Pairs report their own failures; what escapes `run` is a config
-    # error, and what escapes `report` a bad threshold or CSV.
+    # error, what escapes `report` a bad threshold or CSV, and what
+    # escapes `gen` a bad spec or an unwritable --out.
     try:
+        if args.verb == "gen":
+            spec = data_mod.SyntheticSpec(
+                kind=args.kind, n=args.n, d=args.d, cond=args.cond,
+                noise=args.noise, seed=args.seed,
+            )
+            ds = data_mod.generate_synthetic(spec)
+            Path(args.out).write_text(data_mod.to_libsvm(ds))
+            print(f"wrote {ds.n}x{ds.d} {args.kind} dataset to {args.out}")
+            return 0
         if args.verb == "report":
             thresholds = [float(x) for x in args.thresholds.split(",") if x]
             print(harness.format_cost_table(harness.cost_report(args.csvs, args.tau, thresholds)))

@@ -7,9 +7,10 @@ against their annotations. The problem (the
 dataset, with the labels the loss sees, the loss and the model) is
 built once per experiment, after the config checks and before any pair
 runs, and shared by every (run, seed) pair. So is each run's checked
-`RunConfig`; a pair only derives its seed. Each pair writes one CSV
-(`run_id`, `seed`, then `TraceRow`'s fields) plus a JSON sidecar with
-the fully resolved configuration. A summary CSV aggregates the per-seed
+`RunConfig`, with its default step resolved; a pair only derives its
+seed. Each pair writes one CSV (`run_id`, `seed`, then `TraceRow`'s
+fields) plus a JSON sidecar with the fully resolved configuration and
+the experiment's provenance. A summary CSV aggregates the per-seed
 loss curves (mean and 25/75 quantiles).
 Simulated cost, not wall clock, is the reproducible cost metric.
 """
@@ -21,17 +22,20 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import data as data_mod
 from . import losses as losses_mod
 from . import models as models_mod
 from . import schema
 from .optimizers import (
-    DIAGNOSTICS, RUNNERS, InnerOptions, RunConfig, RunTrace, ScheduleOptions, TraceRow,
+    DIAGNOSTICS, RUNNERS, InnerOptions, RunConfig, RunTrace, ScheduleOptions, TraceRow, base_step,
 )
 from .optimizers import run as run_optimizer
 
@@ -135,7 +139,8 @@ class RunSpec(RunConfig):
 
 
 def load_dataset(spec: dict) -> data_mod.Dataset:
-    """The dataset that a JSON "dataset" object names."""
+    """The dataset that a JSON "dataset" object names; a file's resolved
+    path and the sha256 of its bytes go in its `meta`."""
     spec = schema.read(DatasetSpec, spec, "dataset")
     if spec.synthetic is not None:
         ds = data_mod.generate_synthetic(spec.synthetic)
@@ -145,9 +150,11 @@ def load_dataset(spec: dict) -> data_mod.Dataset:
             raise ValueError(f"unresolved environment variable in path {path}")
         if not path.is_file():
             raise FileNotFoundError(f"dataset file {path.resolve()} does not exist")
-        with open(path, "rb") as fh:
-            ds = data_mod.parse_libsvm(fh, task=spec.task, d=spec.d,
-                                       allow_binary_remap=spec.remap_binary)
+        raw = path.read_bytes()
+        ds = data_mod.parse_libsvm(raw, task=spec.task, d=spec.d,
+                                   allow_binary_remap=spec.remap_binary)
+        ds = dataclasses.replace(ds, meta={"path": str(path.resolve()),
+                                           "sha256": hashlib.sha256(raw).hexdigest()})
     if spec.normalize:
         ds = data_mod.max_abs_scale(ds)
     return ds
@@ -183,7 +190,9 @@ def read_run(entry: dict, path: str) -> RunSpec:
 
 def make_run_config(spec: RunSpec, problem) -> RunConfig:
     """The RunConfig of a read run entry on the problem `(dataset, loss,
-    model)`, checked by `RunConfig.validate` and `check_fit`; its seed is 0."""
+    model)`, checked by `RunConfig.validate` and `check_fit`; its seed is 0.
+    An unset `schedule.eta0` becomes the optimizer's default (`base_step`),
+    so every pair of the entry runs with the one float computed here."""
     dataset, loss, model = problem
     n = dataset.n
     cfg = RunConfig(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(RunConfig)
@@ -196,6 +205,7 @@ def make_run_config(spec: RunSpec, problem) -> RunConfig:
     try:
         cfg.validate(n)
         cfg.check_fit(model.kind, loss.kind)
+        cfg.schedule = dataclasses.replace(cfg.schedule, eta0=base_step(cfg, dataset, loss))
     except ValueError as e:
         raise ValueError(f"run {cfg.run_id!r}: {e}") from None
     return cfg
@@ -231,9 +241,22 @@ def read_csv(path) -> list[dict]:
     return rows
 
 
-def execute_single(exp: Experiment, problem, cfg: RunConfig, seed_index: int, out_dir: str) -> dict:
+def provenance(dataset) -> dict:
+    """What produced an experiment's runs: the targetopt, numpy, scipy and
+    Python versions, and for a file dataset its resolved path and sha256
+    (a synthetic dataset's spec is in the experiment record)."""
+    record = {"targetopt": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+              "python": "%d.%d.%d" % sys.version_info[:3]}
+    if "sha256" in dataset.meta:
+        record["dataset"] = {key: dataset.meta[key] for key in ("path", "sha256")}
+    return record
+
+
+def execute_single(exp: Experiment, problem, cfg: RunConfig, seed_index: int, out_dir: str,
+                   shared: dict) -> dict:
     """Run one (run, seed) pair of the checked `cfg` on the experiment's
-    problem `(dataset, loss, model)` and write its files."""
+    problem `(dataset, loss, model)` and write its files; `shared` holds
+    the sidecar entries that every pair of the experiment writes."""
     dataset, loss, model = problem
     run_id = cfg.run_id
     seed = derive_seed(exp.global_seed, run_id, seed_index)
@@ -244,18 +267,17 @@ def execute_single(exp: Experiment, problem, cfg: RunConfig, seed_index: int, ou
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{run_id}_s{seed_index}"
     (out / f"{stem}.csv").write_text(trace_to_csv(trace, bool(cfg.diagnostics)))
-    sidecar = {"run_id": run_id, "seed_index": seed_index, "derived_seed": seed,
-               "experiment": dataclasses.asdict(exp), "resolved_run": trace.config,
-               "inner_stalls": trace.inner_stalls}
+    sidecar = {"run_id": run_id, "seed_index": seed_index, "derived_seed": seed, **shared,
+               "resolved_run": trace.config, "inner_stalls": trace.inner_stalls}
     (out / f"{stem}.json").write_text(json.dumps(sidecar, indent=2, default=str))
     return {"run_id": run_id, "seed": seed_index, "csv": str(out / f"{stem}.csv"),
             "inner_stalls": trace.inner_stalls}
 
 
 def _pool_entry(payload):
-    exp, problem, cfg, seed_index, out_dir = payload
+    exp, problem, cfg, seed_index, out_dir, shared = payload
     try:
-        return execute_single(exp, problem, cfg, seed_index, out_dir), None
+        return execute_single(exp, problem, cfg, seed_index, out_dir, shared), None
     except Exception as e:  # noqa: BLE001 - per-run failures are reported
         return {"run_id": cfg.run_id, "seed": seed_index}, repr(e)
 
@@ -300,9 +322,11 @@ def load_config(path) -> dict:
 
 def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int:
     """Read the config, build its problem once, translate every run entry
-    once into its RunConfig checked on that problem, then execute every
-    (run x seed) pair; returns a process exit status. A config, problem or
-    run error raises before any pair runs or any file is written."""
+    once into its RunConfig checked on that problem (with its default step
+    resolved), build the sidecar's experiment record and provenance once,
+    then execute every (run x seed) pair; returns a process exit status.
+    A config, problem or run error raises before any pair runs or any
+    file is written."""
     if not isinstance(config, dict):
         config = load_config(config)
     if global_seed is not None:
@@ -324,7 +348,9 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
                          if loss == "multiclass-kl" else
                          f"model 'softmax-linear' needs loss 'multiclass-kl', not {loss!r}")
 
-    payloads = [(exp, problem, cfg, seed_index, out_dir) for cfg in cfgs for seed_index in exp.seeds]
+    shared = {"experiment": dataclasses.asdict(exp), "provenance": provenance(problem[0])}
+    payloads = [(exp, problem, cfg, seed_index, out_dir, shared)
+                for cfg in cfgs for seed_index in exp.seeds]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_pool_entry, payloads))

@@ -224,12 +224,17 @@ def theoretical_parametric_step(dataset, loss, batch_size=None) -> float:
 
     Full batch: L * lambda_max(X^T X) / n. Stochastic batches: the max
     individual constant L * max_i ||X_i||^2 (the safe step-size scale for
-    sampled gradients).
+    sampled gradients). An X of zero norm has no such step: ValueError.
     """
     X, n = dataset.X, dataset.n
     if batch_size is None or batch_size == n:
-        return 1.0 / (2.0 * (loss.L * spectral_norm(X) ** 2 / n))
-    return 1.0 / (2.0 * (loss.L * float(row_norms2(X).max())))
+        what, L_theta = "spectral norm", loss.L * spectral_norm(X) ** 2 / n
+    else:
+        what, L_theta = "max row norm", loss.L * float(row_norms2(X).max())
+    if L_theta == 0.0:
+        raise ValueError(f"the default step 1/(2 L_theta) needs a nonzero {what} of X, "
+                         "and it is 0; set schedule.eta0")
+    return 1.0 / (2.0 * L_theta)
 
 
 def base_step(cfg: RunConfig, dataset, loss) -> float:

@@ -1,15 +1,16 @@
 import argparse
+import hashlib
 import json
 import os
 import re
-from types import SimpleNamespace
+import sys
 from typing import get_args
 
 import numpy as np
 import pytest
 
 from targetopt import cli
-from targetopt.data import SyntheticKind, parse_libsvm
+from targetopt.data import SyntheticKind, SyntheticSpec, generate_synthetic, parse_libsvm
 from targetopt.harness import (
     cost_report,
     derive_seed,
@@ -21,6 +22,8 @@ from targetopt.harness import (
     run_experiment,
     verify_suite,
 )
+from targetopt.losses import make_loss
+from targetopt.models import make_model
 
 
 def small_config(out_dir, T=6):
@@ -44,9 +47,23 @@ def small_config(out_dir, T=6):
 
 
 def stand_in_problem(n, loss="squared", model="linear"):
-    """A (dataset, loss, model) for `make_run_config`, which reads only the
-    dataset's n and the loss and model kinds."""
-    return SimpleNamespace(n=n), SimpleNamespace(kind=loss), SimpleNamespace(kind=model)
+    """A small (dataset, loss, model) of n rows for `make_run_config`, which
+    checks the run on it and computes its default step."""
+    dataset = generate_synthetic(SyntheticSpec("least-squares", n=n, d=3, seed=0))
+    return dataset, make_loss(loss), make_model(model)
+
+
+def zero_rows_config(tmp_path):
+    """A labels-only LibSVM file read with "d": 3, so every row of X is
+    zero, under one SGD run at its default step."""
+    data_file = tmp_path / "zero.libsvm"
+    data_file.write_text("1\n-1\n0.5\n")
+    return {
+        "dataset": {"path": str(data_file), "d": 3},
+        "loss": "squared",
+        "out_dir": str(tmp_path / "out"),
+        "runs": [{"id": "sgd", "optimizer": "sgd", "T": 4}],
+    }
 
 
 def multiclass_config(tmp_path):
@@ -215,6 +232,60 @@ class TestRunExperiment:
         cfg = small_config(tmp_path / "out")  # 2 runs x 3 seeds
         assert run_experiment(cfg) == 0
         assert calls == ["sgd", "sso-m3"]
+
+    def test_default_step_is_computed_once_per_run_entry(self, tmp_path, monkeypatch):
+        from targetopt import optimizers
+
+        calls = []
+        step = optimizers.theoretical_parametric_step
+
+        def counting_step(*args, **kwargs):
+            calls.append(args)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "theoretical_parametric_step", counting_step)
+        cfg = small_config(tmp_path / "out")  # 3 seeds
+        cfg["runs"] = [{"id": "sgd", "optimizer": "sgd", "T": 4, "batch_size": 4},
+                       {"id": "svrg", "optimizer": "svrg", "T": 4, "batch_size": 4}]
+        assert run_experiment(cfg) == 0
+        assert len(calls) == 2
+
+    def test_sidecar_records_the_resolved_eta0(self, tmp_path):
+        cfg = small_config(tmp_path / "out")
+        cfg["runs"] = [
+            {"id": "sgd", "optimizer": "sgd", "T": 4, "batch_size": 4},
+            {"id": "svrg", "optimizer": "svrg", "T": 4, "batch_size": 4},
+            {"id": "sso", "optimizer": "sso", "T": 4, "batch_size": 4,
+             "inner": {"solver": "gd", "m": 3}},
+        ]
+        assert run_experiment(cfg) == 0
+        for run in ("sgd", "svrg", "sso"):
+            for seed in cfg["seeds"]:
+                sidecar = json.loads((tmp_path / "out" / f"{run}_s{seed}.json").read_text())
+                eta0 = sidecar["resolved_run"]["schedule"]["eta0"]
+                assert isinstance(eta0, float)
+                rows = read_csv(tmp_path / "out" / f"{run}_s{seed}.csv")
+                assert float(next(r for r in rows if r["outer_t"] == "1")["eta"]) == eta0
+
+    def test_sidecar_records_provenance(self, tmp_path):
+        import scipy
+
+        import targetopt
+
+        versions = {"targetopt": targetopt.__version__, "numpy": np.__version__,
+                    "scipy": scipy.__version__, "python": "%d.%d.%d" % sys.version_info[:3]}
+        cfg = small_config(tmp_path / "synthetic")
+        assert run_experiment(cfg) == 0
+        sidecar = json.loads((tmp_path / "synthetic" / "sgd_s0.json").read_text())
+        assert sidecar["provenance"] == versions  # the spec is in "experiment"
+
+        cfg = multiclass_config(tmp_path)
+        assert run_experiment(cfg) == 0
+        sidecar = json.loads((tmp_path / "out" / "mirror_s0.json").read_text())
+        data_file = tmp_path / "mc.libsvm"
+        assert sidecar["provenance"] == {
+            **versions, "dataset": {"path": str(data_file.resolve()),
+                                    "sha256": hashlib.sha256(data_file.read_bytes()).hexdigest()}}
 
     def test_adagrad_norm_steps_are_per_pair(self, tmp_path):
         # Every pair of a run shares its RunConfig's groups, so the
@@ -715,6 +786,12 @@ class TestCLI:
          "loss 'multiclass-kl' needs model 'softmax-linear', not 'linear'"),
         ("mc-config", "loss", "squared",
          "model 'softmax-linear' needs loss 'multiclass-kl', not 'squared'"),
+        # Every row of X is zero, so neither default SGD step exists: not
+        # from the max row norm (b = 2) nor from the spectral norm (b = n = 3).
+        ("zero-run", "batch_size", 2, "run 'sgd': the default step 1/(2 L_theta) needs a "
+         "nonzero max row norm of X, and it is 0; set schedule.eta0"),
+        ("zero-run", "batch_size", 3, "run 'sgd': the default step 1/(2 L_theta) needs a "
+         "nonzero spectral norm of X, and it is 0; set schedule.eta0"),
     ], ids=["tau-text", "eval-every-text", "inner-alpha-text", "exp-beta-text",
             "diagnostics-number", "diagnostics-name", "synthetic-n-text", "synthetic-seed-fraction",
             "mlp-hidden-text", "no-loss", "no-dataset", "loss-without-kind", "id-number",
@@ -723,9 +800,13 @@ class TestCLI:
             "smoothness-zero", "smoothness-negative", "expert-smoothing-zero",
             "expert-smoothing-two", "mlp-gd-without-alpha", "linear-mirror-gd-without-alpha",
             "softmax-exact", "softmax-gd-without-alpha", "linear-mirror", "newton-kl",
-            "softmax-diagnostics", "kl-linear", "softmax-squared"])
+            "softmax-diagnostics", "kl-linear", "softmax-squared", "zero-rows-batch",
+            "zero-rows-full"])
     def test_config_probe_is_one_error_line(self, tmp_path, capsys, where, key, value, path):
-        if where.startswith("mc-"):
+        if where == "zero-run":
+            cfg = zero_rows_config(tmp_path)
+            group = cfg["runs"][0]
+        elif where.startswith("mc-"):
             cfg = multiclass_config(tmp_path)
             if where == "mc-sgd-config":
                 cfg["runs"] = [{"id": "sgd", "optimizer": "sgd", "T": 4}]
@@ -762,6 +843,19 @@ class TestCLI:
         assert cli.main(["report", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0"], "error: n and d must be positive\n"),
+        (["--kind", "interpolating", "--noise", "0.5"],
+         "error: interpolating instances require noise = 0\n"),
+        (["--out", "missing/ds.libsvm"],
+         "error: [Errno 2] No such file or directory: 'missing/ds.libsvm'\n"),
+    ], ids=["n-zero", "interpolating-noise", "out-in-missing-directory"])
+    def test_bad_gen_input_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen", "--out", "ds.libsvm", *argv]) == 2
+        assert capsys.readouterr().err == message
+        assert not any(tmp_path.iterdir())
 
     def test_gen_kinds_are_the_synthetic_kinds(self):
         sub = argparse.ArgumentParser().add_subparsers()
