@@ -13,7 +13,8 @@ import scipy.sparse as sp
 
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
-from .models import lipschitz_estimate, row_norms2
+from .models import LinearModel, lipschitz_estimate, row_norms2
+from .optimizers import RunConfig, run
 from .schedules import ScheduleOptions
 from .surrogates import build_analysis_q, build_deterministic, build_stochastic, freeze
 
@@ -121,17 +122,10 @@ def sigma2_z(dataset, loss) -> float:
     return best_avg - float(np.mean(per_example))
 
 
-def _convex_min_value(dataset, loss, iters: int = 5000) -> float:
-    # Small-instance full-batch minimization (used for non-squared losses).
-    from .optimizers import batch_param_grad, full_loss, theoretical_parametric_step
-    from .models import LinearModel
-
-    model = LinearModel()
-    theta = np.zeros(dataset.d)
-    step = theoretical_parametric_step(dataset, loss)
-    for _ in range(iters):
-        theta = theta - step * batch_param_grad(loss, model, theta, dataset.X, dataset.y)
-    return full_loss(loss, dataset, model.forward(theta, dataset.X))
+def _convex_min_value(dataset, loss) -> float:
+    # Small-instance full-batch GD from zero at the default step (non-squared losses).
+    cfg = RunConfig(optimizer="sgd", T=5000, eval_every=5000)
+    return run(cfg, dataset, LinearModel(), loss).final_loss()
 
 
 def _curvatures(singletons):

@@ -4,14 +4,14 @@ An experiment config is a JSON document naming a dataset (file path or
 synthetic spec), a loss, a model, and a list of runs, read into the
 dataclasses below by `schema.read`, which checks every key and type
 against their annotations. The problem (the
-dataset, with the labels the loss sees, the loss and the model) is
+dataset, with the labels the loss sees, the model and the loss) is
 built once per experiment, after the config checks and before any pair
-runs, and shared by every (run, seed) pair. So is each run's checked
-`RunConfig`, with its default step resolved; a pair only derives its
-seed. Each pair writes one CSV (`run_id`, `seed`, then `TraceRow`'s
-fields) plus a JSON sidecar with the fully resolved configuration and
-the experiment's provenance. A summary CSV aggregates the per-seed
-loss curves (mean and 25/75 quantiles).
+runs, and shared by every (run, seed) pair. So is each run's
+`RunConfig`, checked and with its defaults fixed by `RunConfig.resolve`;
+a pair only derives its seed. Each pair writes one CSV (`run_id`,
+`seed`, then `TraceRow`'s fields) plus a JSON sidecar with the fully
+resolved configuration and the experiment's provenance. A summary CSV
+aggregates the per-seed loss curves (mean and 25/75 quantiles).
 Simulated cost, not wall clock, is the reproducible cost metric.
 """
 
@@ -35,7 +35,7 @@ from . import losses as losses_mod
 from . import models as models_mod
 from . import schema
 from .optimizers import (
-    DIAGNOSTICS, RUNNERS, InnerOptions, RunConfig, RunTrace, ScheduleOptions, TraceRow, base_step,
+    DIAGNOSTICS, RUNNERS, InnerOptions, RunConfig, RunTrace, ScheduleOptions, TraceRow,
 )
 from .optimizers import run as run_optimizer
 
@@ -161,7 +161,7 @@ def load_dataset(spec: dict) -> data_mod.Dataset:
 
 
 def load_problem(exp: Experiment):
-    """(dataset, loss, model) of an experiment, shared by all its pairs.
+    """(dataset, model, loss) of an experiment, shared by all its pairs.
 
     Under multiclass-kl the dataset's `y` becomes the smoothed expert
     rows, so `y` is the label array the loss sees everywhere."""
@@ -176,7 +176,7 @@ def load_problem(exp: Experiment):
         rows = losses_mod.smoothed_expert_rows(dataset.y.astype(int), dataset.n_classes,
                                                exp.expert_smoothing)
         dataset = dataclasses.replace(dataset, y=rows)
-    return dataset, loss, model
+    return dataset, model, loss
 
 
 def read_run(entry: dict, path: str) -> RunSpec:
@@ -189,26 +189,22 @@ def read_run(entry: dict, path: str) -> RunSpec:
 
 
 def make_run_config(spec: RunSpec, problem) -> RunConfig:
-    """The RunConfig of a read run entry on the problem `(dataset, loss,
-    model)`, checked by `RunConfig.validate` and `check_fit`; its seed is 0.
-    An unset `schedule.eta0` becomes the optimizer's default (`base_step`),
-    so every pair of the entry runs with the one float computed here."""
-    dataset, loss, model = problem
-    n = dataset.n
+    """The RunConfig of a read run entry on the problem `(dataset, model,
+    loss)`, checked and with its defaults fixed by `RunConfig.resolve`; its
+    seed is 0. Every pair of the entry runs with the one default step
+    computed here."""
+    n = problem[0].n
     cfg = RunConfig(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(RunConfig)
                        if f.name != "T"})
-    b = cfg.resolved_batch(n)
+    b = n if cfg.batch_size is None else cfg.batch_size
     if spec.T is not None:
         cfg.T = spec.T
     elif spec.epochs is not None and 1 <= b <= n:  # else `validate` reports the batch size
         cfg.T = spec.epochs * -(-n // b)
     try:
-        cfg.validate(n)
-        cfg.check_fit(model.kind, loss.kind)
-        cfg.schedule = dataclasses.replace(cfg.schedule, eta0=base_step(cfg, dataset, loss))
+        return cfg.resolve(*problem)
     except ValueError as e:
         raise ValueError(f"run {cfg.run_id!r}: {e}") from None
-    return cfg
 
 
 def _fmt_float(x: float) -> str:
@@ -254,14 +250,13 @@ def provenance(dataset) -> dict:
 
 def execute_single(exp: Experiment, problem, cfg: RunConfig, seed_index: int, out_dir: str,
                    shared: dict) -> dict:
-    """Run one (run, seed) pair of the checked `cfg` on the experiment's
-    problem `(dataset, loss, model)` and write its files; `shared` holds
+    """Run one (run, seed) pair of the resolved `cfg` on the experiment's
+    problem `(dataset, model, loss)` and write its files; `shared` holds
     the sidecar entries that every pair of the experiment writes."""
-    dataset, loss, model = problem
     run_id = cfg.run_id
     seed = derive_seed(exp.global_seed, run_id, seed_index)
     cfg = dataclasses.replace(cfg, seed=seed)
-    trace = RUNNERS[cfg.optimizer](cfg, dataset, model, loss)
+    trace = RUNNERS[cfg.optimizer](cfg, *problem)
     trace.seed = seed_index  # report the configured index, not the derived stream
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,17 +317,17 @@ def load_config(path) -> dict:
 
 def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int:
     """Read the config, build its problem once, translate every run entry
-    once into its RunConfig checked on that problem (with its default step
-    resolved), build the sidecar's experiment record and provenance once,
-    then execute every (run x seed) pair; returns a process exit status.
-    A config, problem or run error raises before any pair runs or any
-    file is written."""
+    once into its RunConfig resolved on that problem, build the sidecar's
+    experiment record and provenance once, then execute every (run x seed)
+    pair; returns a process exit status. The output directory is `out_dir`,
+    else the config's. A config, problem or run error raises before any
+    pair runs or any file is written."""
     if not isinstance(config, dict):
         config = load_config(config)
     if global_seed is not None:
         config = dict(config, global_seed=global_seed)
     exp = schema.read(Experiment, config)
-    out_dir = os.environ.get("TARGETOPT_OUT", out_dir or exp.out_dir)
+    out_dir = out_dir or exp.out_dir
     specs = [read_run(entry, f"runs[{i}]") for i, entry in enumerate(exp.runs)]
     ids = [spec.run_id for spec in specs]
     duplicates = sorted({i for i in ids if ids.count(i) > 1})
@@ -340,13 +335,6 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
         raise ValueError(f"duplicate run id(s) {duplicates}: each run needs its own id")
     problem = load_problem(exp)
     cfgs = [make_run_config(spec, problem) for spec in specs]
-    # Only the softmax-linear model gives the row-stochastic targets that
-    # multiclass-kl reads, and no other loss reads them.
-    loss, model = exp.loss.kind, exp.model.kind
-    if (loss == "multiclass-kl") != (model == "softmax-linear"):
-        raise ValueError(f"loss 'multiclass-kl' needs model 'softmax-linear', not {model!r}"
-                         if loss == "multiclass-kl" else
-                         f"model 'softmax-linear' needs loss 'multiclass-kl', not {loss!r}")
 
     shared = {"experiment": dataclasses.asdict(exp), "provenance": provenance(problem[0])}
     payloads = [(exp, problem, cfg, seed_index, out_dir, shared)

@@ -159,17 +159,14 @@ def armijo_backtracking(surrogate, omega0, m: int, alpha0: float = 1.0) -> Inner
     return InnerResult(omega, steps, last_alpha=alpha)
 
 
-def exact_linear_solve(surrogate, lam: float = 0.0, origin=None) -> np.ndarray:
+def exact_linear_solve(surrogate, origin=None) -> np.ndarray:
     """Closed-form minimizer of a quadratic surrogate on a linear model.
 
     Solves the normal equations with pseudo-inverse semantics: by default
     the minimum-norm solution; with `origin` given, the solution closest
-    to it (the limit of gradient descent started there). `lam` adds ridge
-    regularization.
+    to it (the limit of gradient descent started there).
     """
     H, b = surrogate.quadratic_parts()
-    if lam > 0:
-        H = H + lam * np.eye(H.shape[0])
     if origin is None:
         theta, *_ = np.linalg.lstsq(H, b, rcond=None)
         return theta

@@ -26,6 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools  # the kernels behind scipy's CSR X[idx] and @
 
+SPECTRAL_TOL = 1e-6
+SPECTRAL_MAX_ITER = 100000
+
 
 def take_rows(X, idx):
     """X[idx] in X's storage: an ndarray, or a csr_matrix of the rows idx.
@@ -101,13 +104,13 @@ def _require_csr(X) -> None:
         raise TypeError(f"rows must be a dense ndarray or CSR, not {X.format!r}")
 
 
-def spectral_norm(X, tol: float = 1e-6, max_iter: int = 100000) -> float:
+def spectral_norm(X) -> float:
     """Largest singular value of X by power iteration on X^T X; for one
     row or one column, its Euclidean norm.
 
     Stops when the geometric-tail estimate of the remaining error drops
-    below the relative tolerance (successive increments shrink with ratio
-    (s2/s1)^2; the tail is extrapolated from the last two increments).
+    below the relative SPECTRAL_TOL (successive increments shrink with
+    ratio (s2/s1)^2; the tail is extrapolated from the last two increments).
     """
     n, d = X.shape
     if n == 0 or d == 0:
@@ -119,7 +122,7 @@ def spectral_norm(X, tol: float = 1e-6, max_iter: int = 100000) -> float:
     v /= np.linalg.norm(v)
     sigma = 0.0
     prev_diff = np.inf
-    for _ in range(max_iter):
+    for _ in range(SPECTRAL_MAX_ITER):
         w = row_product(X, row_product(X, v), transpose=True)
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -132,7 +135,7 @@ def spectral_norm(X, tol: float = 1e-6, max_iter: int = 100000) -> float:
         if np.isfinite(prev_diff) and prev_diff > 0:
             ratio = diff / prev_diff
             tail = diff * ratio / (1.0 - ratio) if ratio < 1 else np.inf
-            if diff + tail <= tol * new_sigma:
+            if diff + tail <= SPECTRAL_TOL * new_sigma:
                 return float(new_sigma)
         prev_diff = diff
         sigma = new_sigma

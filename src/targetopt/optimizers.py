@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Literal, get_args
 
 import numpy as np
@@ -81,7 +81,8 @@ class RunConfig:
         then the value ranges on a dataset of n rows."""
         check(self)
         self.check_names()
-        b, inner, eta0 = self.resolved_batch(n), self.inner, self.schedule.eta0
+        b = n if self.batch_size is None else self.batch_size
+        inner, eta0 = self.inner, self.schedule.eta0
         freq = self.svrg_snapshot_freq
         for ok, problem in [
             (self.T >= 1, f"T must be an integer >= 1, not {self.T!r}"),
@@ -98,30 +99,42 @@ class RunConfig:
         if self.schedule.kind == "exponential":  # the schedule's own horizon and beta checks
             self.schedule.steps(1.0, self.T)
 
-    def check_fit(self, model: str, loss: str) -> None:
-        """Reject an SSO setting that cannot run with a model and a loss of
-        these kinds: its solver, surrogate or diagnostics would raise in
-        the first step of every pair."""
-        if self.optimizer != "sso":
-            return
-        inner, variant = self.inner, self.variant
+    def resolve(self, dataset, model, loss) -> RunConfig:
+        """This run checked against the problem (`validate`, then its fit to
+        the model and loss), as a copy with every default fixed: `batch_size`
+        n, svrg's snapshot frequency ceil(n / b) and `schedule.eta0` from
+        `base_step`."""
+        n = dataset.n
+        self.validate(n)
+        inner, variant, model_kind, loss_kind = self.inner, self.variant, model.kind, loss.kind
         solver = f"inner solver {inner.solver!r}" + " without inner.alpha" * (inner.solver == "gd")
-        closed_form = inner.solver == "exact" or inner.solver == "gd" and inner.alpha is None
+        closed_form = self.optimizer == "sso" and (
+            inner.solver == "exact" or inner.solver == "gd" and inner.alpha is None)
+        # Other optimizers have the default variant and no diagnostics. Only
+        # softmax-linear gives the row-stochastic targets multiclass-kl reads.
         for bad, problem in [
-            (closed_form and (model != "linear" or variant == "entropy-mirror"),
+            (closed_form and (model_kind != "linear" or variant == "entropy-mirror"),
              f"{solver} needs a linear model and variant 'smoothness' or 'newton', "
-             f"not model {model!r} with variant {variant!r}"),
-            (variant == "entropy-mirror" and model != "softmax-linear",
-             f"variant 'entropy-mirror' needs model 'softmax-linear', not {model!r}"),
-            (variant == "newton" and loss == "multiclass-kl",
+             f"not model {model_kind!r} with variant {variant!r}"),
+            (variant == "entropy-mirror" and model_kind != "softmax-linear",
+             f"variant 'entropy-mirror' needs model 'softmax-linear', not {model_kind!r}"),
+            (variant == "newton" and loss_kind == "multiclass-kl",
              "variant 'newton' needs a loss with curvature, not 'multiclass-kl'"),
-            (self.diagnostics and model != "linear", f"diagnostics need a linear model, not {model!r}"),
+            (self.diagnostics and model_kind != "linear",
+             f"diagnostics need a linear model, not {model_kind!r}"),
+            (loss_kind == "multiclass-kl" and model_kind != "softmax-linear",
+             f"loss 'multiclass-kl' needs model 'softmax-linear', not {model_kind!r}"),
+            (model_kind == "softmax-linear" and loss_kind != "multiclass-kl",
+             f"model 'softmax-linear' needs loss 'multiclass-kl', not {loss_kind!r}"),
         ]:
             if bad:
                 raise ValueError(problem)
-
-    def resolved_batch(self, n: int) -> int:
-        return n if self.batch_size is None else self.batch_size
+        b = n if self.batch_size is None else self.batch_size
+        cfg = replace(self, batch_size=b)
+        if self.optimizer == "svrg" and self.svrg_snapshot_freq is None:
+            cfg.svrg_snapshot_freq = -(-n // b)
+        cfg.schedule = replace(self.schedule, eta0=base_step(cfg, dataset, loss))
+        return cfg
 
 
 @dataclass
@@ -295,7 +308,7 @@ class _Recorder:
 
 
 def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
-    """The outer loop shared by every optimizer.
+    """The outer loop shared by every optimizer, on a resolved `cfg`.
 
     `make_step(cfg, dataset, model, loss, rec)` sets up one optimizer and
     returns its update `step(t, theta, idx, rows, labels) -> (theta, eta,
@@ -305,7 +318,7 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
     """
     rng = np.random.default_rng(cfg.seed)
     theta = np.asarray(model.init_params(dataset.d, rng), dtype=np.float64)
-    batches = _batches(dataset, cfg.resolved_batch(dataset.n), rng, cfg.sampling, cfg.T)
+    batches = _batches(dataset, cfg.batch_size, rng, cfg.sampling, cfg.T)
     rec = _Recorder(cfg, loss, model, dataset)
     step = make_step(cfg, dataset, model, loss, rec)
 
@@ -328,7 +341,7 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
 
 def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Surrogate optimization (any variant / schedule / inner solver)."""
-    eta0 = base_step(cfg, dataset, loss)
+    eta0 = cfg.schedule.eta0
     eta = None if cfg.schedule.kind == "target-line-search" else cfg.schedule.steps(eta0, cfg.T)
 
     def step(t, theta, idx, rows, y_b):
@@ -359,7 +372,7 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Plain stochastic gradient descent in parameter space."""
-    eta = cfg.schedule.steps(base_step(cfg, dataset, loss), cfg.T)
+    eta = cfg.schedule.steps(cfg.schedule.eta0, cfg.T)
 
     def step(t, theta, _, rows, y_b):
         g = batch_param_grad(loss, model, theta, rows, y_b, rec.counter)
@@ -371,7 +384,7 @@ def _sgd_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """SGD with Armijo backtracking on the sampled mini-batch loss."""
-    eta0 = base_step(cfg, dataset, loss)
+    eta0 = cfg.schedule.eta0
 
     def step(t, theta, _, rows, y_b):
         batch = freeze(loss, model, theta, rows, y_b, rec.counter)
@@ -391,7 +404,7 @@ def _sls_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Adam baseline with the usual default constants."""
-    lr = base_step(cfg, dataset, loss)
+    lr = cfg.schedule.eta0
     m = v = 0.0  # moment estimates; a scalar zero acts as the zero vector
 
     def step(t, theta, _, rows, y_b):
@@ -408,7 +421,7 @@ def _adam_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
 
 def _adagrad_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Diagonal AdaGrad baseline."""
-    lr = base_step(cfg, dataset, loss)
+    lr = cfg.schedule.eta0
     acc = 0.0  # running sum of squared gradients
 
     def step(t, theta, _, rows, y_b):
@@ -426,9 +439,7 @@ def _svrg_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     Each snapshot costs n oracle calls; each update step costs 2b (batch
     gradients at the current point and at the snapshot).
     """
-    n = dataset.n
-    freq = cfg.svrg_snapshot_freq or max(1, int(np.ceil(n / cfg.resolved_batch(n))))
-    eta = base_step(cfg, dataset, loss)
+    freq, eta = cfg.svrg_snapshot_freq, cfg.schedule.eta0
     snapshot = mu = None
 
     def step(t, theta, _, rows, y_b):
@@ -454,7 +465,7 @@ RUNNERS = {
 
 
 def run(cfg: RunConfig, dataset, model, loss) -> RunTrace:
-    """Validate `cfg`, check its fit to the model and loss, and run it."""
-    cfg.validate(dataset.n)
-    cfg.check_fit(model.kind, loss.kind)
+    """Check `cfg` against the problem, fix its defaults and run it
+    (`RunConfig.resolve`)."""
+    cfg = cfg.resolve(dataset, model, loss)
     return RUNNERS[cfg.optimizer](cfg, dataset, model, loss)

@@ -47,10 +47,10 @@ def small_config(out_dir, T=6):
 
 
 def stand_in_problem(n, loss="squared", model="linear"):
-    """A small (dataset, loss, model) of n rows for `make_run_config`, which
-    checks the run on it and computes its default step."""
+    """A small (dataset, model, loss) of n rows for `make_run_config`, which
+    checks the run on it and fixes its defaults."""
     dataset = generate_synthetic(SyntheticSpec("least-squares", n=n, d=3, seed=0))
-    return dataset, make_loss(loss), make_model(model)
+    return dataset, make_model(model), make_loss(loss)
 
 
 def zero_rows_config(tmp_path):
@@ -145,11 +145,14 @@ class TestRunExperiment:
             assert float(row["loss_q25"]) == pytest.approx(np.percentile(vals, 25), abs=1e-12)
             assert float(row["loss_q75"]) == pytest.approx(np.percentile(vals, 75), abs=1e-12)
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        target = tmp_path / "env-out"
-        monkeypatch.setenv("TARGETOPT_OUT", str(target))
-        run_experiment(small_config(tmp_path / "ignored"))
-        assert (target / "summary.csv").exists()
+    def test_out_dir_is_not_read_from_the_environment(self, tmp_path, monkeypatch):
+        env = tmp_path / "env-out"
+        monkeypatch.setenv("TARGETOPT_OUT", str(env))
+        run_experiment(small_config(tmp_path / "config-out"), out_dir=str(tmp_path / "out"))
+        assert (tmp_path / "out" / "summary.csv").exists()
+        run_experiment(small_config(tmp_path / "config-out"))
+        assert (tmp_path / "config-out" / "summary.csv").exists()
+        assert not env.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_reports_nonzero(self, tmp_path, capsys):
@@ -266,6 +269,19 @@ class TestRunExperiment:
                 assert isinstance(eta0, float)
                 rows = read_csv(tmp_path / "out" / f"{run}_s{seed}.csv")
                 assert float(next(r for r in rows if r["outer_t"] == "1")["eta"]) == eta0
+
+    def test_sidecar_records_the_resolved_batch_and_snapshot_freq(self, tmp_path):
+        cfg = small_config(tmp_path / "out")  # n = 16
+        cfg["runs"] = [
+            {"id": "full", "optimizer": "sgd", "T": 2, "batch_size": None},
+            {"id": "svrg", "optimizer": "svrg", "T": 2, "batch_size": 5},
+        ]
+        assert run_experiment(cfg) == 0
+        for seed in cfg["seeds"]:
+            full = json.loads((tmp_path / "out" / f"full_s{seed}.json").read_text())
+            assert full["resolved_run"]["batch_size"] == 16
+            svrg = json.loads((tmp_path / "out" / f"svrg_s{seed}.json").read_text())
+            assert svrg["resolved_run"]["svrg_snapshot_freq"] == 4  # ceil(16 / 5)
 
     def test_sidecar_records_provenance(self, tmp_path):
         import scipy

@@ -371,10 +371,3 @@ class TestExactSolve:
         assert x @ theta == pytest.approx(target, abs=1e-10)
         expected = x * target / (x @ x)
         np.testing.assert_allclose(theta, expected, atol=1e-10)
-
-    def test_ridge_term(self):
-        ds = one_dim_ds()
-        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)
-        plain = exact_linear_solve(surr)
-        ridged = exact_linear_solve(surr, lam=10.0)
-        assert abs(ridged[0]) < abs(plain[0])

@@ -6,9 +6,9 @@ import scipy.sparse as sp
 
 from targetopt.data import Dataset, SyntheticSpec, generate_synthetic
 from targetopt.diagnostics import least_squares_optimum
-from targetopt.losses import SquaredLoss, LogisticLoss, loss_value
+from targetopt.losses import LogisticLoss, MulticlassKLLoss, SquaredLoss, loss_value
 from targetopt import optimizers
-from targetopt.models import LinearModel, take_rows
+from targetopt.models import LinearModel, SoftmaxLinearModel, take_rows
 from targetopt.optimizers import (
     InnerOptions,
     Optimizer,
@@ -468,6 +468,31 @@ class TestTraceContents:
             setattr(cfg, field, "nope")
         with pytest.raises(ValueError, match=message):
             run(cfg, ds, LinearModel(), Unevaluated())
+
+    @pytest.mark.parametrize("model, loss, message", [
+        (LinearModel(), MulticlassKLLoss(), "^loss 'multiclass-kl' needs model 'softmax-linear', "
+                                            "not 'linear'$"),
+        (SoftmaxLinearModel(3), SquaredLoss(), "^model 'softmax-linear' needs loss "
+                                               "'multiclass-kl', not 'squared'$"),
+    ], ids=["kl-linear", "softmax-squared"])
+    def test_run_rejects_a_loss_model_pair_before_any_step(self, model, loss, message):
+        def unevaluated(theta, rows):
+            raise AssertionError("the model was evaluated before the pairing check")
+
+        model.forward = unevaluated
+        with pytest.raises(ValueError, match=message):
+            run(RunConfig(optimizer="sgd", T=3), ls_dataset(seed=22), model, loss)
+
+    def test_resolve_fixes_every_default_in_a_copy(self):
+        ds, loss = ls_dataset(n=30, seed=22), SquaredLoss()
+        cfg = RunConfig(optimizer="svrg", T=3, batch_size=None)
+        full = cfg.resolve(ds, LinearModel(), loss)
+        assert (full.batch_size, full.svrg_snapshot_freq) == (30, 1)
+        assert full.schedule.eta0 == theoretical_parametric_step(ds, loss)
+        assert (cfg.batch_size, cfg.svrg_snapshot_freq, cfg.schedule.eta0) == (None, None, None)
+        cfg.batch_size = 4
+        assert cfg.resolve(ds, LinearModel(), loss).svrg_snapshot_freq == 8  # ceil(30 / 4)
+        assert full.resolve(ds, LinearModel(), loss) == full
 
 
 class TestEveryOptimizer:
