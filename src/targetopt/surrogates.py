@@ -64,6 +64,11 @@ class SquaredProximity:
     def __call__(self, f, z) -> float:
         return float(np.add.reduce(0.5 * self.weights * (f - z) ** 2, axis=None))
 
+    def values(self, fs, z) -> np.ndarray:
+        """The value at each of a stack of targets fs[j], as `__call__`."""
+        terms = 0.5 * self.weights * (fs - z) ** 2
+        return np.add.reduce(terms.reshape(len(fs), -1), axis=1)
+
     def grad(self, f, z) -> np.ndarray:
         return self.weights * (f - z)
 
@@ -78,6 +83,10 @@ class KLProximity:
 
     def __call__(self, f, z) -> float:
         return float(np.add.reduce(xlogy(f, f / z), axis=None)) / self.eta
+
+    def values(self, fs, z) -> np.ndarray:
+        """The value at each of a stack of targets fs[j], as `__call__`."""
+        return np.add.reduce(xlogy(fs, fs / z).reshape(len(fs), -1), axis=1) / self.eta
 
     def grad(self, f, z) -> np.ndarray:
         return (np.log(f / z) + 1.0) / self.eta
@@ -135,6 +144,17 @@ class Surrogate:
         prod = (f - batch.z) * batch.coeffs
         lin = prod if prod.ndim == 1 else np.add.reduce(prod, axis=1)
         return mean(batch.consts + lin) + self.scale * self.prox(f, batch.z)
+
+    def target_values(self, fs) -> np.ndarray:
+        """`target_value` at each of a stack of targets fs[j], the same
+        floats: the elementwise operations are the same, and each sum runs
+        over one trial's contiguous row, in the order of the single sum."""
+        batch = self.batch
+        lin = (fs - batch.z) * batch.coeffs
+        if lin.ndim == 3:  # each row sum, as on one trial's (b, K) targets
+            lin = np.add.reduce(lin.reshape(-1, lin.shape[-1]), axis=1).reshape(lin.shape[:2])
+        means = np.add.reduce(batch.consts + lin, axis=1) / batch.consts.size
+        return means + self.scale * self.prox.values(fs, batch.z)
 
     def logit_grad(self, f) -> np.ndarray:
         """Gradient in the batch logits at targets f, for models with a link."""

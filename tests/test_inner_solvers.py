@@ -5,10 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
+from targetopt import inner_solvers
 from targetopt.data import SyntheticSpec, generate_synthetic
 from targetopt.inner_solvers import (
     ARMIJO_C,
     BACKTRACK_FLOOR,
+    TRIAL_BLOCK,
     DivergenceError,
     InnerResult,
     armijo_backtracking,
@@ -284,23 +286,42 @@ class TestTargetSpaceArmijo:
     def test_accepted_trial_is_not_recomputed(self, monkeypatch):
         # After the start's value and gradient (two softmaxes: the gradient
         # pulls back through its own forward), a mirror solve takes one
-        # softmax per trial: a step reuses its accepted trial.
+        # softmax per block of trials, and a step reuses its accepted
+        # trial: no softmax runs between a block and the next gradient.
         _, ds, model, loss, theta_t, _ = make_problem(CASES[-1], 6, 3, 13, True)
         surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, "entropy-mirror")
-        calls = {"link": 0, "value": 0}
+        events, searches = [], []
 
-        def counting(name, fn):
+        def logging(name, fn):
             def wrapped(*args):
-                calls[name] += 1
+                events.append(name)
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(model, "link", counting("link", model.link))
-        monkeypatch.setattr(Surrogate, "target_value", counting("value", Surrogate.target_value))
+        def counting_backtrack(value_at, *args):
+            searches.append(0)
+
+            def counted(a):
+                searches[-1] += 1
+                return value_at(a)
+            return backtrack(counted, *args)
+
+        monkeypatch.setattr(model, "link", logging("link", model.link))
+        monkeypatch.setattr(Surrogate, "target_values", logging("block", Surrogate.target_values))
+        monkeypatch.setattr(Surrogate, "logit_grad", logging("grad", Surrogate.logit_grad))
+        monkeypatch.setattr(inner_solvers, "backtrack", counting_backtrack)
         res = armijo_backtracking(surr, theta_t, 8, alpha0=10.0)
-        trials = calls["value"] - 1  # the start's value is no trial
-        assert res.inner_steps > 1 and trials > res.inner_steps
-        assert calls["link"] == 2 + trials
+        blocks = sum(-(-trials // TRIAL_BLOCK) for trials in searches)
+        assert res.inner_steps == 8 and sum(searches) > 8 and blocks > 8
+        assert events.count("block") == blocks
+        assert events.count("link") == 2 + blocks
+        assert events[:2] == ["link", "link"]
+        # Each block is one link, then its values; each gradient follows a block.
+        for i, event in enumerate(events[2:], 2):
+            if event == "link":
+                assert events[i + 1] == "block"
+            elif event == "grad":
+                assert events[i - 1] == "block"
 
     @pytest.mark.parametrize("case", LINK_CASES)
     def test_non_finite_coefficient_raises(self, case):

@@ -13,7 +13,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import xlogy
 
 from targetopt import inner_solvers
-from targetopt.inner_solvers import _TargetLine, armijo_backtracking, backtrack
+from targetopt.inner_solvers import (
+    ARMIJO_C,
+    ARMIJO_SHRINK,
+    BACKTRACK_FLOOR,
+    TRIAL_BLOCK,
+    DivergenceError,
+    _TargetLine,
+    armijo_backtracking,
+    backtrack,
+)
 from targetopt.losses import (
     LogisticLoss,
     MulticlassKLLoss,
@@ -24,7 +33,7 @@ from targetopt.losses import (
 )
 from targetopt.models import LinearModel, SoftmaxLinearModel, row_product
 from targetopt.schedules import target_line_search
-from targetopt.surrogates import KLProximity, build_stochastic, freeze
+from targetopt.surrogates import KLProximity, Surrogate, build_stochastic, freeze
 
 K = 3
 TRIALS = (10.0, 1.0, 0.37, 1e-3)
@@ -100,10 +109,10 @@ class MatrixQuadratic:
 
 
 @st.composite
-def batches(draw, multiclass=None):
+def batches(draw, multiclass=None, classes=st.just(K)):
     """(rows, y, loss, model, theta, rng): dense or CSR rows with 1-D
     targets (linear model, squared or logistic loss) or (b, K) targets
-    (softmax-linear model, KL loss)."""
+    (softmax-linear model, KL loss), K drawn from `classes`."""
     b, d = draw(st.integers(1, 40)), draw(st.integers(1, 8))
     sparse = draw(st.booleans())
     if multiclass is None:
@@ -115,8 +124,9 @@ def batches(draw, multiclass=None):
     if sparse:
         X = sp.csr_matrix(X * (rng.random((b, d)) < 0.5))
     if multiclass:
-        y = smoothed_expert_rows(rng.integers(0, K, b), K, eps=0.1)
-        loss, model = MulticlassKLLoss(), SoftmaxLinearModel(K)
+        k = draw(classes)
+        y = smoothed_expert_rows(rng.integers(0, k, b), k, eps=0.1)
+        loss, model = MulticlassKLLoss(), SoftmaxLinearModel(k)
     elif draw(st.booleans()):
         y, loss, model = rng.normal(size=b), SquaredLoss(), LinearModel()
     else:
@@ -217,6 +227,115 @@ class TestSameFloats:
         assert got_slopes == slopes
         assert got.inner_steps == steps
         assert np.array_equal(got.theta, theta)
+
+
+# -- softmax trials a block at a time ------------------------------------
+
+
+def one_trial_armijo(surr, omega, m, alpha0):
+    """The softmax-line Armijo solve with one link and one `target_value`
+    per trial: (theta, inner_steps, stalled, last_alpha)."""
+    model, rows = surr.batch.model, surr.batch.rows
+    val, g = surr.value(omega), surr.grad(omega)
+    logits, steps, alpha = model.logits(omega, rows), 0, alpha0
+    for k in range(m):
+        if not np.isfinite(g).all():
+            raise DivergenceError(k)
+        gnorm2 = float(g @ g)
+        if gnorm2 == 0.0:
+            break
+        u = model.logits(g, rows)
+        alpha, val, stalled = backtrack(lambda a: surr.target_value(model.link(logits - a * u)),
+                                        val, gnorm2, alpha0, ARMIJO_SHRINK, ARMIJO_C)
+        if stalled:
+            return omega, steps, True, alpha
+        omega, logits, steps = omega - alpha * g, logits - alpha * u, steps + 1
+        g = row_product(rows, surr.logit_grad(model.link(logits)), transpose=True).ravel()
+    return omega, steps, False, alpha
+
+
+def assert_matches_one_trial_armijo(surr, omega, m, alpha0):
+    """Both solves end alike: the same result, or divergence at the same
+    step (a target that underflows to 0 has an infinite KL gradient)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            res = armijo_backtracking(surr, omega, m, alpha0)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as ref_err:
+                one_trial_armijo(surr, omega, m, alpha0)
+            assert ref_err.value.step == err.step
+            return None
+        theta, steps, stalled, alpha = one_trial_armijo(surr, omega, m, alpha0)
+    np.testing.assert_array_equal(res.theta, theta)
+    assert (res.inner_steps, res.stalled, res.last_alpha) == (steps, stalled, alpha)
+    return res
+
+
+class SecondSearchAscends(Surrogate):
+    """A surrogate whose gradient after the first step has the wrong sign:
+    every trial of the second search ascends, down to the backtrack floor."""
+
+    def logit_grad(self, f):
+        return -super().logit_grad(f)
+
+
+def softmax_surrogate(seed, b, d, k, variant, sparse=False):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(b, d))
+    y = smoothed_expert_rows(rng.integers(0, k, b), k, eps=0.1)
+    data = (sp.csr_matrix(X) if sparse else X, y, MulticlassKLLoss(), SoftmaxLinearModel(k),
+            rng.normal(size=d * k), rng)
+    return surrogate_of(data, variant, 0.5), data[4]
+
+
+class TestTrialBlocks:
+    """Off the quadratic path a target-line trial is evaluated with the next
+    TRIAL_BLOCK - 1 steps of its ladder in one pass; every value, and every
+    solve, must be the one-trial-at-a-time float."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batches(multiclass=True, classes=st.integers(2, 6)), VARIANTS_2D, ETAS,
+           st.floats(-3.0, 2.0))
+    def test_ladder_values_are_single_trial_values(self, data, variant, eta, log_alpha0):
+        X, _, _, model, theta, rng = data
+        surr = surrogate_of(data, variant, eta)
+        omega = theta + 0.1 * rng.normal(size=theta.shape)
+        line = _TargetLine(surr, omega)
+        g = surr.grad(omega)
+        value_at = line.values(g, surr.value(omega), float(g @ g))
+        L, u, a = line.logits, line.u, 10.0 ** log_alpha0
+        for _ in range(2 * TRIAL_BLOCK + 1):  # into a third block
+            assert value_at(a) == wrapper_target_value(surr, wrapper_softmax(L - a * u))
+            last, a = a, a * ARMIJO_SHRINK
+        # The last trial, as an accepted step (NaN where a target underflowed).
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = row_product(X, surr.logit_grad(wrapper_softmax(L - last * u)), transpose=True)
+            np.testing.assert_array_equal(line.step(last), want.ravel())
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(multiclass=True, classes=st.integers(2, 6)), VARIANTS_2D, ETAS,
+           st.floats(-3.0, 3.0), st.integers(1, 8))
+    def test_armijo_matches_one_trial_at_a_time(self, data, variant, eta, log_alpha0, m):
+        _, _, _, _, theta, rng = data
+        surr = surrogate_of(data, variant, eta)
+        omega = theta + 0.3 * rng.normal(size=theta.shape)
+        assert_matches_one_trial_armijo(surr, omega, m, 10.0 ** log_alpha0)
+
+    @pytest.mark.parametrize("variant", ["smoothness", "entropy-mirror"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_accepted_after_the_first_block(self, variant, sparse):
+        surr, theta = softmax_surrogate(3, 12, 4, 4, variant, sparse)
+        alpha0 = 1e3
+        res = assert_matches_one_trial_armijo(surr, theta, 4, alpha0)
+        assert res.inner_steps == 4
+        assert res.last_alpha < alpha0 * ARMIJO_SHRINK ** (TRIAL_BLOCK - 1)
+
+    @pytest.mark.parametrize("variant", ["smoothness", "entropy-mirror"])
+    def test_stall_at_the_backtrack_floor(self, variant):
+        surr, theta = softmax_surrogate(5, 9, 3, 3, variant)
+        surr = SecondSearchAscends(surr.batch, surr.prox)
+        res = assert_matches_one_trial_armijo(surr, theta, 4, 1.0)
+        assert res.stalled and res.inner_steps == 1 and res.last_alpha < BACKTRACK_FLOOR
 
 
 @pytest.mark.parametrize("rows_dtype", [np.float32, np.int32, np.float64])
