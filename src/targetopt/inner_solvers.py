@@ -9,6 +9,13 @@ not theta, on linear and softmax-linear models), and `exact_linear_solve`
 solves the quadratic surrogate of a linear model in closed form. A run's
 `InnerOptions` picks one of them and its budget.
 
+A solve's first value and gradient are taken at the theta it is handed:
+from the batch's own anchor array the surrogate reads the frozen targets
+z, so the oracle's forward pass is not paid again. A linear model under
+a squared proximity has a quadratic surrogate, whose Armijo trials are
+scalar arithmetic; `_quadratic_armijo` runs that solve as a loop over
+the batch logits with the two row products prepared once.
+
 Off the quadratic path a trial is a softmax and a value on a (b, K)
 array of logits, about fifteen numpy calls on a few dozen floats, so
 per-call overhead is most of its cost, and a search makes several trials.
@@ -19,13 +26,13 @@ has on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
-from .models import row_product
+from .models import row_products
 from .surrogates import SquaredProximity
 
 BACKTRACK_FLOOR = 1e-12
@@ -82,7 +89,7 @@ def gd_fixed(surrogate, omega0, m: int, alpha: float | None = None) -> InnerResu
         alpha = 1.0 / surrogate.smoothness_bound()
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    omega = np.asarray(omega0, dtype=np.float64).copy()
+    omega = np.asarray(omega0, dtype=np.float64)  # not a copy: from the anchor, grad reads z
     for k in range(m):
         g = surrogate.grad(omega)
         if not np.isfinite(g).all():
@@ -91,38 +98,39 @@ def gd_fixed(surrogate, omega0, m: int, alpha: float | None = None) -> InnerResu
     return InnerResult(theta=omega, inner_steps=m, last_alpha=alpha)
 
 
-class _TargetLine:
-    """The surrogate along -g for a model whose targets are link(R theta):
-    moving theta by -a g moves the batch logits L by -a R g, so no trial
-    touches the rows. Under a linear model's Euclidean proximity the value
-    is exactly val - a ||g||^2 + a^2 sum_i w_i (R g)_i^2 / 2b; otherwise a
-    trial is the surrogate's value at link(L - a R g).
+def _squared_norm(g, k: int) -> float:
+    """||g||^2 at inner step k. A non-finite entry makes it non-finite, so
+    the array is scanned for one only then; raises DivergenceError(k)."""
+    gnorm2 = float(g @ g) if g.ndim == 1 else float(np.add.reduce(g * g, axis=None))
+    if not math.isfinite(gnorm2) and not np.isfinite(g).all():
+        raise DivergenceError(k)
+    return gnorm2
 
-    Off that quadratic path a trial at a new step evaluates it and the
-    next TRIAL_BLOCK - 1 steps of `backtrack`'s ladder (each the previous
-    times ARMIJO_SHRINK, so the same floats as the search's) in one pass:
-    one link over the stacked (k, b, K) logits and one
-    `Surrogate.target_values`. A search that accepts early wastes the
-    rest of its block."""
+
+class _TargetLine:
+    """The surrogate along -g for a softmax-linear model, or a linear model
+    under the entropy proximity: its targets are link(R theta), so moving
+    theta by -a g moves the batch logits L by -a R g, and no trial touches
+    the rows. A trial is the surrogate's value at link(L - a R g).
+
+    A trial at a new step evaluates it and the next TRIAL_BLOCK - 1 steps
+    of `backtrack`'s ladder (each the previous times ARMIJO_SHRINK, so the
+    same floats as the search's) in one pass: one link over the stacked
+    (k, b, K) logits and one `Surrogate.target_values`. A search that
+    accepts early wastes the rest of its block. A linear model's logits
+    are its targets (the identity link), so from the batch's anchor they
+    start as z."""
 
     def __init__(self, surrogate, omega):
         self.surrogate, self.model = surrogate, surrogate.batch.model
-        self.rows, self.omega0 = surrogate.batch.rows, omega
-        linear = self.model.kind == "linear"
-        self.quadratic = linear and isinstance(surrogate.prox, SquaredProximity)
+        self.rows = surrogate.batch.rows
+        self.logits = (surrogate.targets(omega) if self.model.kind == "linear"
+                       else self.model.logits(omega, self.rows))
+        self.pull_back = row_products(self.rows)[1]
 
-    @cached_property
-    def logits(self) -> np.ndarray:
-        # Lazy: quadratic trials never read it, so a one-step solve skips it.
-        return self.model.logits(self.omega0, self.rows)
-
-    def values(self, g, val, gnorm2):
+    def values(self, g):
         """The value at omega - a g as a function of a."""
-        self.u = u = self.model.logits(g, self.rows)
-        if self.quadratic:
-            weights = self.surrogate.prox.weights
-            curv = float(np.add.reduce(weights * u * u, axis=None)) * self.surrogate.scale / 2
-            return lambda a: val - a * gnorm2 + a * a * curv
+        self.u = self.model.logits(g, self.rows)
         self.trials = {}
         return self._trial_value
 
@@ -145,17 +153,41 @@ class _TargetLine:
         self.block = steps, logits, f
 
     def step(self, a) -> np.ndarray:
-        """Take the accepted step in the logits; the gradient there. Off
-        the quadratic path the accepted trial's logits and targets are
-        kept from its block."""
-        if self.quadratic:  # the identity link: the targets are the logits
-            self.logits = f = self.logits - a * self.u
-        else:
-            steps, logits, f = self.block
-            i = steps.index(a)
-            self.logits, f = logits[i], f[i]
-        v = self.surrogate.logit_grad(f)
-        return row_product(self.rows, v, transpose=True).ravel()
+        """Take the accepted step in the logits; the gradient there. The
+        accepted trial's logits and targets are kept from its block."""
+        steps, logits, f = self.block
+        i = steps.index(a)
+        self.logits, f = logits[i], f[i]
+        return self.pull_back(self.surrogate.logit_grad(f)).ravel()
+
+
+def _quadratic_armijo(surrogate, omega0, m: int, alpha0: float) -> InnerResult:
+    """`armijo_backtracking` for a linear model under a squared proximity,
+    whose value along -g is exactly val - a ||g||^2 + a^2 curv with
+    curv = sum_i w_i (R g)_i^2 / 2b. The loop keeps the batch logits L
+    (the targets: the link is the identity) and, per step, forms u = R g,
+    moves L by -a u and pulls (coeffs + w (L - z)) / b back through R^T."""
+    batch, scale = surrogate.batch, surrogate.scale
+    weights, z, coeffs = surrogate.prox.weights, batch.z, batch.coeffs
+    times, pull_back = row_products(batch.rows)
+    val, g, L = surrogate.value(omega0), surrogate.grad(omega0), surrogate.targets(omega0)
+    omega, alpha, steps = omega0.copy(), alpha0, 0
+    for k in range(m):
+        gnorm2 = _squared_norm(g, k)
+        if gnorm2 == 0.0:
+            break
+        u = times(g)
+        curv = float(np.add.reduce(weights * u * u)) * scale / 2
+        alpha, trial_val, stalled = backtrack(lambda a: val - a * gnorm2 + a * a * curv,
+                                              val, gnorm2, alpha0, ARMIJO_SHRINK, ARMIJO_C)
+        if stalled:
+            return InnerResult(omega, steps, stalled=True, last_alpha=alpha)
+        omega, val = omega - alpha * g, trial_val
+        steps += 1
+        if steps < m:
+            L = L - alpha * u
+            g = pull_back((coeffs + weights * (L - z)) * scale)
+    return InnerResult(omega, steps, last_alpha=alpha)
 
 
 def armijo_backtracking(surrogate, omega0, m: int, alpha0: float = 1.0) -> InnerResult:
@@ -165,27 +197,27 @@ def armijo_backtracking(surrogate, omega0, m: int, alpha0: float = 1.0) -> Inner
     value(w - a g) <= value(w) - ARMIJO_C a ||g||^2;
     every step starts its search at alpha0, and the accepted trial's
     value is the next step's base value. Hitting the backtrack floor
-    returns the current point with `stalled` set. Linear and softmax-linear
-    models search on the batch logits (`_TargetLine`).
+    returns the current point with `stalled` set. The start is evaluated
+    at omega0 itself, so from the batch's anchor it reads the frozen z.
+    A linear model under a squared proximity runs `_quadratic_armijo`;
+    other link models search on the batch logits (`_TargetLine`).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
-    omega = np.asarray(omega0, dtype=np.float64).copy()
-    alpha = alpha0
-    val = surrogate.value(omega)
-    g = surrogate.grad(omega)
-    line = _TargetLine(surrogate, omega) if surrogate.batch.model.kind in LINK_MODELS else None
-    steps = 0
+    omega0 = np.asarray(omega0, dtype=np.float64)
+    kind = surrogate.batch.model.kind
+    if kind == "linear" and isinstance(surrogate.prox, SquaredProximity):
+        return _quadratic_armijo(surrogate, omega0, m, alpha0)
+    val, g = surrogate.value(omega0), surrogate.grad(omega0)
+    line = _TargetLine(surrogate, omega0) if kind in LINK_MODELS else None
+    omega, alpha, steps = omega0.copy(), alpha0, 0
     for k in range(m):
-        if not np.isfinite(g).all():
-            raise DivergenceError(k)
-        gnorm2 = float(g @ g.ravel()) if g.ndim == 1 else float(np.add.reduce(g * g, axis=None))
+        gnorm2 = _squared_norm(g, k)
         if gnorm2 == 0.0:
             break
-        value_at = (line.values(g, val, gnorm2) if line is not None
-                    else lambda a: surrogate.value(omega - a * g))
+        value_at = line.values(g) if line is not None else lambda a: surrogate.value(omega - a * g)
         alpha, trial_val, stalled = backtrack(value_at, val, gnorm2, alpha0, ARMIJO_SHRINK, ARMIJO_C)
         if stalled:
             return InnerResult(omega, steps, stalled=True, last_alpha=alpha)

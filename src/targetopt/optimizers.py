@@ -351,7 +351,7 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
             rec.inner_stalls += stalled
         else:
             eta_t = eta(t, grad=batch.coeffs)
-        res = cfg.inner.solve(build_stochastic(loss, batch, eta_t, cfg.variant), theta, t)
+        res = cfg.inner.solve(build_stochastic(loss, batch, eta_t, cfg.variant), batch.theta, t)
         rec.inner_steps += res.inner_steps
         rec.inner_stalls += res.stalled
 

@@ -99,6 +99,11 @@ class Batch:
     `rows` are the block's rows of X and `y` their labels, `z` their
     anchor targets f_i(theta), and `consts` / `coeffs` the frozen loss
     values l_i(z_i) and target gradients grad l_i(z_i).
+
+    The invariant is z = model.forward(theta, rows): `freeze` and
+    `build_analysis_q` compute z so, and `freeze` keeps its own read-only
+    copy of theta. A surrogate handed this very `theta` array takes its
+    targets from z instead of running the model.
     """
 
     model: object
@@ -112,10 +117,12 @@ class Batch:
 
 def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None) -> Batch:
     """Pay the oracle on `rows` at theta: one call per row, counted on
-    `counter`."""
+    `counter`. The batch's anchor is a read-only copy of theta, so it
+    cannot drift from z."""
     if rows.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = np.array(theta, dtype=np.float64)
+    theta.flags.writeable = False
     z = model.forward(theta, rows)
     consts = np.asarray(loss.values(z, y), dtype=np.float64)
     coeffs = np.asarray(loss.grads(z, y), dtype=np.float64)
@@ -135,8 +142,14 @@ class Surrogate:
     def scale(self) -> float:
         return 1.0 / len(self.batch.consts)
 
+    def targets(self, theta) -> np.ndarray:
+        """The batch rows' targets at theta: the frozen z at the batch's
+        own anchor array, the model's forward pass anywhere else."""
+        batch = self.batch
+        return batch.z if theta is batch.theta else batch.model.forward(theta, batch.rows)
+
     def value(self, theta) -> float:
-        return self.target_value(self.batch.model.forward(theta, self.batch.rows))
+        return self.target_value(self.targets(theta))
 
     def target_value(self, f) -> float:
         """The value at targets f of the batch rows."""
@@ -163,7 +176,7 @@ class Surrogate:
 
     def grad(self, theta) -> np.ndarray:
         batch = self.batch
-        f = batch.model.forward(theta, batch.rows)
+        f = self.targets(theta)
         coeffs = batch.coeffs + self.prox.grad(f, batch.z)
         return batch.model.param_grad(theta, batch.rows, coeffs, f) / len(batch.consts)
 

@@ -284,10 +284,10 @@ class TestTargetSpaceArmijo:
         assert res.inner_steps > 1 and counting.calls == built
 
     def test_accepted_trial_is_not_recomputed(self, monkeypatch):
-        # After the start's value and gradient (two softmaxes: the gradient
-        # pulls back through its own forward), a mirror solve takes one
-        # softmax per block of trials, and a step reuses its accepted
-        # trial: no softmax runs between a block and the next gradient.
+        # From the batch's anchor the start's value and gradient read the
+        # frozen targets z, so a mirror solve takes exactly one softmax per
+        # block of trials, and a step reuses its accepted trial: no softmax
+        # runs between a block and the next gradient.
         _, ds, model, loss, theta_t, _ = make_problem(CASES[-1], 6, 3, 13, True)
         surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, "entropy-mirror")
         events, searches = [], []
@@ -310,14 +310,13 @@ class TestTargetSpaceArmijo:
         monkeypatch.setattr(Surrogate, "target_values", logging("block", Surrogate.target_values))
         monkeypatch.setattr(Surrogate, "logit_grad", logging("grad", Surrogate.logit_grad))
         monkeypatch.setattr(inner_solvers, "backtrack", counting_backtrack)
-        res = armijo_backtracking(surr, theta_t, 8, alpha0=10.0)
+        res = armijo_backtracking(surr, surr.batch.theta, 8, alpha0=10.0)
         blocks = sum(-(-trials // TRIAL_BLOCK) for trials in searches)
         assert res.inner_steps == 8 and sum(searches) > 8 and blocks > 8
         assert events.count("block") == blocks
-        assert events.count("link") == 2 + blocks
-        assert events[:2] == ["link", "link"]
+        assert events.count("link") == blocks
         # Each block is one link, then its values; each gradient follows a block.
-        for i, event in enumerate(events[2:], 2):
+        for i, event in enumerate(events):
             if event == "link":
                 assert events[i + 1] == "block"
             elif event == "grad":
@@ -332,6 +331,32 @@ class TestTargetSpaceArmijo:
         bad = Surrogate(dataclasses.replace(surr.batch, coeffs=coeffs), surr.prox)
         with pytest.raises(DivergenceError):
             armijo_backtracking(bad, theta_t, 4)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_gradient_on_the_quadratic_path_raises_at_its_step(self, sparse):
+        # One row whose anchor logit is -1.5e308: the first step is accepted
+        # (its trials are closed-form and finite) and moves the logit by
+        # -5e307, past the largest float, so the second gradient is -inf.
+        rows, theta = np.array([[1e77]]), np.array([-1.5e231])
+        rows = sp.csr_matrix(rows) if sparse else rows
+        z = LinearModel().forward(theta, rows)
+        batch = Batch(LinearModel(), theta, rows, np.zeros(1), z, np.zeros(1), np.array([0.5]))
+        surr = Surrogate(batch, SquaredProximity(np.array([5e-309])))
+        for start in (theta, theta.copy()):
+            with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+                armijo_backtracking(surr, start, 4, alpha0=1e154)
+            assert err.value.step == 1
+
+    def test_finite_gradient_whose_squared_norm_overflows_does_not_raise(self):
+        # ||g||^2 is inf although every entry of g is finite: the scan finds
+        # nothing, so the search runs, and stalls because every trial is nan.
+        rows, theta = np.array([[1.0]]), np.zeros(1)
+        batch = Batch(LinearModel(), theta, rows, np.zeros(1), rows @ theta, np.zeros(1),
+                      np.array([1e200]))
+        surr = Surrogate(batch, SquaredProximity(np.ones(1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = armijo_backtracking(surr, theta, 3)
+        assert res.stalled and res.inner_steps == 0
 
 
 class TestExactSolve:

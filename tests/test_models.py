@@ -12,6 +12,7 @@ from targetopt.models import (
     SoftmaxLinearModel,
     lipschitz_estimate,
     row_product,
+    row_products,
     row_range,
     spectral_norm,
     take_rows,
@@ -23,10 +24,13 @@ def dense(X):
 
 
 def surrogate_grad(model, theta, X, idx, lin_coeffs, quad_weights, anchors):
-    """Gradient of mean_i [c_i f_i + (w_i/2)(f_i - z_i)^2] over `idx`."""
+    """Gradient of mean_i [c_i f_i + (w_i/2)(f_i - z_i)^2] over `idx`.
+
+    The anchors z are not forward(theta), so the batch gets its own anchor
+    array: a surrogate handed its batch's `theta` reads the targets from z."""
     idx = np.asarray(idx)
     batch = Batch(
-        model=model, theta=theta, rows=X[idx], y=None, z=anchors,
+        model=model, theta=np.array(theta), rows=X[idx], y=None, z=anchors,
         consts=np.zeros(len(idx)), coeffs=np.asarray(lin_coeffs),
     )
     surr = Surrogate(batch=batch, prox=SquaredProximity(np.asarray(quad_weights)))
@@ -264,20 +268,27 @@ class TestRowKernels:
         got = row_product(R, v, transpose=transpose)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(row_products(R)[transpose](v), want)
         dense_got = row_product(R.toarray(), v, transpose=transpose)
         np.testing.assert_allclose(dense_got, want, rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(row_products(R.toarray())[transpose](v), dense_got)
 
     def test_product_rejects_mismatched_operand(self):
-        R = csr_with_empty_row()
-        with pytest.raises(ValueError):
-            row_product(R, np.ones(6))
-        with pytest.raises(ValueError):
-            row_product(R, np.ones((4, 2)), transpose=True)
+        for R in (csr_with_empty_row(), csr_with_empty_row().toarray()):
+            times, pull_back = row_products(R)  # each call checks its operand
+            for product in (lambda v: row_product(R, v), times):
+                with pytest.raises(ValueError):
+                    product(np.ones(6))
+            for product in (lambda v: row_product(R, v, transpose=True), pull_back):
+                with pytest.raises(ValueError):
+                    product(np.ones((4, 2)))
 
     def test_other_sparse_formats_are_refused(self):
         C = csr_with_empty_row().tocsc()
         with pytest.raises(TypeError):
             row_product(C, np.ones(4))
+        with pytest.raises(TypeError):
+            row_products(C)
         with pytest.raises(TypeError):
             take_rows(C, np.array([0]))
 

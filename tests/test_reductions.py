@@ -22,6 +22,7 @@ from targetopt.inner_solvers import (
     _TargetLine,
     armijo_backtracking,
     backtrack,
+    gd_fixed,
 )
 from targetopt.losses import (
     LogisticLoss,
@@ -34,6 +35,8 @@ from targetopt.losses import (
 from targetopt.models import LinearModel, SoftmaxLinearModel, row_product
 from targetopt.schedules import target_line_search
 from targetopt.surrogates import KLProximity, Surrogate, build_stochastic, freeze
+
+from helpers import CASES, make_problem, stochastic
 
 K = 3
 TRIALS = (10.0, 1.0, 0.37, 1e-3)
@@ -145,6 +148,30 @@ VARIANTS_2D = st.sampled_from(["smoothness", "entropy-mirror"])
 ETAS = st.floats(1e-3, 10.0)
 
 
+def assert_quadratic_trials(surr, omega, m):
+    """Every trial of `armijo_backtracking`'s quadratic loop is the closed
+    form val - a ||g||^2 + a^2 sum(w u^2) / 2b, u = R g, with `==`; the
+    loop is replayed from `Surrogate.value` and `grad` at omega."""
+    searches = []
+
+    def recording_backtrack(value_at, base, slope, *args):
+        found = backtrack(value_at, base, slope, *args)
+        searches.append((base, slope, [value_at(a) for a in TRIALS], found[0]))
+        return found
+
+    with mock.patch.object(inner_solvers, "backtrack", recording_backtrack):
+        armijo_backtracking(surr, omega, m)
+    batch, rows, w, s = surr.batch, surr.batch.rows, surr.prox.weights, surr.scale
+    val, g, L = surr.value(omega), surr.grad(omega), batch.model.forward(omega, rows)
+    for base, slope, values, alpha in searches:
+        u = row_product(rows, g)
+        curv = float(np.sum(w * u * u)) * s / 2
+        assert (base, slope) == (val, float(g @ g))
+        assert values == [val - a * slope + a * a * curv for a in TRIALS]
+        val, L = val - alpha * slope + alpha * alpha * curv, L - alpha * u
+        g = row_product(rows, (batch.coeffs + w * (L - batch.z)) * s, transpose=True)
+
+
 class TestSameFloats:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 2000), st.integers(0, 2**32 - 1), st.booleans())
@@ -166,30 +193,23 @@ class TestSameFloats:
             assert surr.prox(f, surr.batch.z) == wrapper_prox(surr.prox, f, surr.batch.z)
 
     @settings(max_examples=60, deadline=None)
-    @given(batches(), ETAS)
+    @given(batches(classes=st.integers(2, 6)), ETAS)
     def test_target_line_trials(self, data, eta):
         X, _, _, model, theta, rng = data
         variant = "entropy-mirror" if model.kind == "softmax-linear" else "smoothness"
         surr = surrogate_of(data, variant, eta)
         omega = theta + 0.1 * rng.normal(size=theta.shape)
+        if model.kind == "linear":
+            assert_quadratic_trials(surr, omega, 3)
+            return
         line = _TargetLine(surr, omega)
-        g, val = surr.grad(omega), surr.value(omega)
-        gnorm2 = float(g.ravel() @ g.ravel())
-        value_at = line.values(g, val, gnorm2)
-        u = line.u
-        assert line.quadratic == (model.kind == "linear")
+        value_at = line.values(surr.grad(omega))
         for a in TRIALS:
-            if line.quadratic:
-                curv = float(np.sum(surr.prox.weights * u * u)) * surr.scale / 2
-                want = val - a * gnorm2 + a * a * curv
-            else:
-                want = wrapper_target_value(surr, wrapper_softmax(line.logits - a * u))
-            assert value_at(a) == want
-        if not line.quadratic:
-            f, coeffs = model.link(line.logits), surr.batch.coeffs
-            assert np.array_equal(f, wrapper_softmax(line.logits))
-            want = f * (coeffs - (f * coeffs).sum(axis=1, keepdims=True))
-            assert np.array_equal(model.link_vjp(f, coeffs), want)
+            assert value_at(a) == wrapper_target_value(surr, wrapper_softmax(line.logits - a * line.u))
+        f, coeffs = model.link(line.logits), surr.batch.coeffs
+        assert np.array_equal(f, wrapper_softmax(line.logits))
+        want = f * (coeffs - (f * coeffs).sum(axis=1, keepdims=True))
+        assert np.array_equal(model.link_vjp(f, coeffs), want)
 
     @settings(max_examples=60, deadline=None)
     @given(batches())
@@ -302,7 +322,7 @@ class TestTrialBlocks:
         omega = theta + 0.1 * rng.normal(size=theta.shape)
         line = _TargetLine(surr, omega)
         g = surr.grad(omega)
-        value_at = line.values(g, surr.value(omega), float(g @ g))
+        value_at = line.values(g)
         L, u, a = line.logits, line.u, 10.0 ** log_alpha0
         for _ in range(2 * TRIAL_BLOCK + 1):  # into a third block
             assert value_at(a) == wrapper_target_value(surr, wrapper_softmax(L - a * u))
@@ -336,6 +356,74 @@ class TestTrialBlocks:
         surr = SecondSearchAscends(surr.batch, surr.prox)
         res = assert_matches_one_trial_armijo(surr, theta, 4, 1.0)
         assert res.stalled and res.inner_steps == 1 and res.last_alpha < BACKTRACK_FLOOR
+
+
+# -- a solve from the batch's anchor reads z ------------------------------
+
+
+def assert_same_solve(solve, anchor):
+    """solve(anchor) and solve(anchor.copy()) end alike: the same result bit
+    for bit, or divergence at the same step."""
+    with np.errstate(all="ignore"):
+        try:
+            got = solve(anchor)
+        except DivergenceError as err:
+            with pytest.raises(DivergenceError) as ref_err:
+                solve(anchor.copy())
+            assert ref_err.value.step == err.step
+            return
+        want = solve(anchor.copy())
+    np.testing.assert_array_equal(got.theta, want.theta)
+    assert (got.inner_steps, got.stalled, got.last_alpha) == (
+        want.inner_steps, want.stalled, want.last_alpha)
+    return got
+
+
+class TestAnchorFromZ:
+    """A surrogate handed its batch's own anchor array takes the targets
+    from the frozen z (`Batch`'s invariant z = forward(theta, rows)) and
+    runs no model. A solve from the anchor must end bit for bit as the
+    same solve from a copy of it, which runs the model."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CASES), st.booleans(), st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.floats(-3.0, 1.0), st.floats(0.05, 2.0))
+    def test_solve_from_the_anchor_is_the_solve_from_a_copy(self, case, dense, seed, m,
+                                                           log_alpha, eta):
+        _, ds, model, loss, theta_t, rng = make_problem(case, 6, 3, seed, dense)
+        idx = rng.integers(0, 6, size=int(rng.integers(1, 9)))
+        surr = stochastic(loss, model, ds, theta_t, idx, eta, case[0])
+        for solver in (armijo_backtracking, gd_fixed):
+            assert_same_solve(lambda w: solver(surr, w, m, 10.0 ** log_alpha), surr.batch.theta)
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c[1] != "mlp"])
+    def test_link_model_solve_from_the_anchor_runs_no_forward_pass(self, case, monkeypatch):
+        _, ds, model, loss, theta_t, _ = make_problem(case, 5, 3, 11, False)
+        surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 4], 0.5, case[0])
+
+        def no_forward(*args):
+            raise AssertionError("the model ran at the anchor")
+
+        monkeypatch.setattr(model, "forward", no_forward)
+        assert armijo_backtracking(surr, surr.batch.theta, 8, alpha0=10.0).inner_steps > 1
+        assert gd_fixed(surr, surr.batch.theta, 1, alpha=0.1).inner_steps == 1
+
+    def test_linear_model_under_the_entropy_proximity(self):
+        # The target line's one linear case: its logits start as z.
+        rng = np.random.default_rng(4)
+        X, theta = rng.uniform(0.5, 1.5, size=(5, 3)), rng.uniform(0.5, 1.5, size=3)
+        batch = freeze(SquaredLoss(), LinearModel(), theta, X, rng.normal(size=5))
+        surr = build_stochastic(SquaredLoss(), batch, 0.5, "entropy-mirror")
+        res = assert_same_solve(lambda w: armijo_backtracking(surr, w, 6, 1.0), batch.theta)
+        assert res.inner_steps == 6
+
+    def test_the_anchor_is_a_read_only_copy(self):
+        theta = np.ones(2)
+        batch = freeze(SquaredLoss(), LinearModel(), theta, np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError):
+            batch.theta[0] = 2.0
+        theta[0] = 2.0  # the caller's array stays writeable and apart
+        np.testing.assert_array_equal(batch.theta, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("rows_dtype", [np.float32, np.int32, np.float64])
