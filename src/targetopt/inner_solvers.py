@@ -81,12 +81,17 @@ def gd_fixed(surrogate, omega0, m: int, alpha: float | None = None) -> InnerResu
     """m steps of fixed-step gradient descent on the surrogate.
 
     With alpha = 1/beta (the default, beta from `smoothness_bound`) the
-    surrogate value is non-increasing at every step.
+    surrogate value is non-increasing at every step. A zero beta means zero
+    rows, where the surrogate's gradient is exactly zero: the m steps stay
+    at the start.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if alpha is None:
-        alpha = 1.0 / surrogate.smoothness_bound()
+        beta = surrogate.smoothness_bound()
+        if beta == 0.0:
+            return InnerResult(theta=np.array(omega0, dtype=np.float64), inner_steps=m)
+        alpha = 1.0 / beta
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     omega = np.asarray(omega0, dtype=np.float64)  # not a copy: from the anchor, grad reads z

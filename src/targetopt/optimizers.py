@@ -343,9 +343,13 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     """Surrogate optimization (any variant / schedule / inner solver)."""
     eta0 = cfg.schedule.eta0
     eta = None if cfg.schedule.kind == "target-line-search" else cfg.schedule.steps(eta0, cfg.T)
+    # gd's default step reads the batch rows' spectral norm. A full batch's
+    # rows are X at every step, so its norm is computed once per run.
+    full_gd = cfg.batch_size == dataset.n and cfg.inner.solver == "gd" and cfg.inner.alpha is None
+    rows_norm = spectral_norm(dataset.X) if full_gd else None
 
     def step(t, theta, idx, rows, y_b):
-        batch = freeze(loss, model, theta, rows, y_b, rec.counter)
+        batch = freeze(loss, model, theta, rows, y_b, rec.counter, rows_norm)
         if eta is None:
             eta_t, stalled = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=eta0)
             rec.inner_stalls += stalled

@@ -98,7 +98,9 @@ class Batch:
 
     `rows` are the block's rows of X and `y` their labels, `z` their
     anchor targets f_i(theta), and `consts` / `coeffs` the frozen loss
-    values l_i(z_i) and target gradients grad l_i(z_i).
+    values l_i(z_i) and target gradients grad l_i(z_i). `rows_norm` is the
+    spectral norm of `rows` when the caller has it already (a full batch's
+    rows are X at every step), and None otherwise.
 
     The invariant is z = model.forward(theta, rows): `freeze` and
     `build_analysis_q` compute z so, and `freeze` keeps its own read-only
@@ -113,12 +115,14 @@ class Batch:
     z: np.ndarray
     consts: np.ndarray
     coeffs: np.ndarray
+    rows_norm: float | None = None
 
 
-def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None) -> Batch:
+def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None,
+           rows_norm: float | None = None) -> Batch:
     """Pay the oracle on `rows` at theta: one call per row, counted on
     `counter`. The batch's anchor is a read-only copy of theta, so it
-    cannot drift from z."""
+    cannot drift from z. `rows_norm`, if given, is `spectral_norm(rows)`."""
     if rows.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     theta = np.array(theta, dtype=np.float64)
@@ -128,7 +132,7 @@ def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None) ->
     coeffs = np.asarray(loss.grads(z, y), dtype=np.float64)
     if counter is not None:
         counter.add(rows.shape[0])
-    return Batch(model, theta, rows, y, z, consts, coeffs)
+    return Batch(model, theta, rows, y, z, consts, coeffs, rows_norm)
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,10 @@ class Surrogate:
     def smoothness_bound(self) -> float:
         """Upper bound on the surrogate's curvature."""
         w = self._quadratic_weights("smoothness bound")
-        return float(spectral_norm(self.batch.rows) ** 2 * np.max(w) * self.scale)
+        norm = self.batch.rows_norm
+        if norm is None:
+            norm = spectral_norm(self.batch.rows)
+        return float(norm ** 2 * np.max(w) * self.scale)
 
     def quadratic_parts(self):
         """(H, b) with gradient(theta) = H theta - b, for exact solves."""

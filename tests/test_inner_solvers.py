@@ -90,6 +90,15 @@ class TestGDFixed:
         split = gd_fixed(surr, first, 4, alpha=alpha).theta
         np.testing.assert_array_equal(whole, split)
 
+    def test_default_step_on_zero_rows_keeps_the_start(self):
+        # Zero rows: smoothness bound 0, surrogate gradient exactly 0.
+        ds = one_dim_ds(x=0.0)
+        surr = stochastic(SquaredLoss(), LinearModel(), ds, np.array([3.0]), [0], 0.5)
+        assert surr.smoothness_bound() == 0.0
+        res = gd_fixed(surr, np.array([3.0]), 4)
+        np.testing.assert_array_equal(res.theta, [3.0])
+        assert res.inner_steps == 4 and not res.stalled
+
     def test_rejects_bad_m(self):
         ds = one_dim_ds()
         surr = stochastic(SquaredLoss(), LinearModel(), ds, np.zeros(1), [0], 0.5)

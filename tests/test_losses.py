@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from targetopt.losses import (
     LogisticLoss,
@@ -34,6 +38,59 @@ class TestValues:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             loss_value(SquaredLoss(), [0.0, 1.0], [1.0])
+
+
+# Margins where the softplus changes regime: the ln 2 at zero, the point
+# past which e^-t is below an ulp of 1, exp's underflow to subnormals and to
+# zero, and the ends of the double range.
+EDGES = [v for m in (0.0, 1e-300, 36.0, 745.0, 1e4, 1e308) for v in (m, -m)]
+
+
+class TestLogisticKernel:
+    """The logistic values against np.logaddexp(0, -y z), the formula they
+    compute with numpy's vectorized exp and log1p instead of libm's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGES),
+                                        st.floats(allow_nan=False, allow_infinity=False),
+                                        st.floats(-746.0, -700.0)),  # subnormal values
+                              st.sampled_from([-1.0, 1.0])), min_size=1, max_size=64))
+    def test_matches_logaddexp_to_an_ulp(self, pairs):
+        z, y = np.array(pairs).T
+        expected = np.logaddexp(0.0, -y * z)
+        got = LogisticLoss().values(z, y)
+        np.testing.assert_array_equal(got == 0.0, expected == 0.0)
+        # Relative to the value where it is normal; a subnormal value has
+        # fewer bits, and there the two differ by at most its spacing.
+        subnormal = expected < np.finfo(np.float64).tiny
+        tol = 4.5e-16 * expected
+        tol[subnormal] = np.spacing(expected[subnormal])
+        assert np.all(np.abs(got - expected) <= tol), np.max(np.abs(got - expected) / tol)
+
+    def test_non_finite_margins(self):
+        got = LogisticLoss().values(np.array([np.nan, -np.inf, np.inf]), np.ones(3))
+        assert np.isnan(got[0]) and got[1] == np.inf and got[2] == 0.0
+
+    def test_no_warning_under_default_error_state(self):
+        z = np.array(EDGES + [np.nan, np.inf, -np.inf])
+        with warnings.catch_warnings(), np.errstate(divide="warn", over="warn",
+                                                    under="ignore", invalid="warn"):
+            warnings.simplefilter("error")
+            LogisticLoss().values(z, np.ones_like(z))
+
+    def test_mushrooms_scale_loss_moves_by_round_off(self):
+        # Sparse binary rows of mushrooms' size (8124 x 112, 21 features a
+        # row) with near-separable labels, at a point with wide margins.
+        rng = np.random.default_rng(0)
+        n, d, k = 8124, 112, 21
+        cols = np.argsort(rng.random((n, d)), axis=1)[:, :k]
+        X = sp.csr_matrix((np.ones(n * k), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, d))
+        w = rng.normal(size=d)
+        y = np.where(X @ w >= np.median(X @ w), 1.0, -1.0)
+        for theta in (np.zeros(d), w, 10.0 * w):
+            z = X @ theta
+            old = np.mean(np.logaddexp(0.0, -y * z))
+            assert abs(loss_value(LogisticLoss(), z, y) - old) <= 1e-15 * old
 
 
 class TestDerivatives:

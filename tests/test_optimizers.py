@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from targetopt.data import Dataset, SyntheticSpec, generate_synthetic
 from targetopt.diagnostics import least_squares_optimum
 from targetopt.losses import LogisticLoss, MulticlassKLLoss, SquaredLoss, loss_value
-from targetopt import optimizers
-from targetopt.models import LinearModel, SoftmaxLinearModel, take_rows
+from targetopt import optimizers, surrogates
+from targetopt.inner_solvers import gd_fixed
+from targetopt.models import LinearModel, SoftmaxLinearModel, spectral_norm, take_rows
 from targetopt.optimizers import (
     InnerOptions,
     Optimizer,
@@ -22,6 +23,7 @@ from targetopt.optimizers import (
     theoretical_parametric_step,
 )
 from targetopt.schedules import LS_ALPHA0
+from targetopt.surrogates import build_stochastic, freeze
 
 from helpers import make_problem
 
@@ -71,6 +73,40 @@ class TestSSO:
         trace = run(cfg, ds, model, loss)
         losses = trace.losses()
         assert np.all(np.diff(losses) <= 1e-12)
+
+    @pytest.mark.parametrize("batch_size, norms", [(None, 1), (3, 6)])
+    def test_spectral_norm_once_per_run_on_a_full_batch(self, monkeypatch, batch_size, norms):
+        # gd's default step 1/beta reads the batch rows' spectral norm: a
+        # full batch's once per run, smaller batches' once per build. The
+        # thetas are those of a loop that bounds every build afresh.
+        ds = ls_dataset(n=20, d=4, seed=3)
+        model, loss = LinearModel(), SquaredLoss()
+        cfg = RunConfig(optimizer="sso", T=6, batch_size=batch_size, record_theta=True,
+                        schedule=ScheduleOptions(eta0=0.5), inner=InnerOptions(solver="gd", m=4))
+        expected = [np.asarray(model.init_params(ds.d, np.random.default_rng(0)))]
+        batches = _batches(ds, batch_size or ds.n, np.random.default_rng(0), "replacement", cfg.T)
+        for _, rows, y_b in batches:
+            batch = freeze(loss, model, expected[-1], rows, y_b)
+            expected.append(gd_fixed(build_stochastic(loss, batch, 0.5), batch.theta, 4).theta)
+        calls = []
+        for module in (optimizers, surrogates):
+            monkeypatch.setattr(module, "spectral_norm",
+                                lambda X, f=spectral_norm: calls.append(X) or f(X))
+        trace = run(cfg, ds, model, loss)
+        assert len(calls) == norms
+        for got, want in zip(trace.thetas, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gd_default_step_on_a_zero_row(self):
+        # A label-only LibSVM line is a zero row: its surrogate's smoothness
+        # bound is 0 and its gradient exactly 0, so gd's m steps stay put.
+        X = sp.csr_matrix(np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]))
+        ds = Dataset(X=X, y=np.array([1.0, -1.0, 0.5]), task="regression")
+        cfg = RunConfig(optimizer="sso", T=30, batch_size=1, eval_every=1,
+                        schedule=ScheduleOptions(eta0=0.5), inner=InnerOptions(solver="gd", m=2))
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
+        assert [r.inner_steps for r in trace.rows] == [2 * t for t in range(31)]
+        assert np.isfinite(trace.losses()).all()
 
     def test_oracle_accounting_b_per_step(self):
         ds = ls_dataset(seed=4)
