@@ -97,8 +97,7 @@ def gd_fixed(surrogate, omega0, m: int, alpha: float | None = None) -> InnerResu
     omega = np.asarray(omega0, dtype=np.float64)  # not a copy: from the anchor, grad reads z
     for k in range(m):
         g = surrogate.grad(omega)
-        if not np.isfinite(g).all():
-            raise DivergenceError(k)
+        _squared_norm(g, k)  # the divergence check
         omega = omega - alpha * g
     return InnerResult(theta=omega, inner_steps=m, last_alpha=alpha)
 

@@ -4,6 +4,11 @@ Every loss here has the form mean_i l_i(z^i): the reported value is
 averaged over examples so per-coordinate smoothness constants are
 batch-size independent. Per-coordinate value / derivative / curvature
 are exposed for surrogate construction.
+
+The logistic sigmoid `expit` and `xlogy` are scipy's special functions of
+those names, as formulas on numpy's vectorized exp and log, which round
+off differently from libm's by at most an ulp. scipy's special-function
+module would cost every cold start about 70 ms and 5.6 MB for the two.
 """
 
 from __future__ import annotations
@@ -11,7 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
+
+# Just below ln of the largest double (709.7827...): exp up to it is finite.
+EXP_MAX = 709.78
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + e^-x), the formula of scipy's expit.
+
+    The exponent is capped at EXP_MAX, so exp cannot overflow: below -EXP_MAX
+    the result is at most 5.6e-309 where the exact value (and scipy's)
+    underflows to 0. NaN gives NaN.
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, EXP_MAX)))
+
+
+def xlogy(x, y):
+    """x log y and exactly 0 wherever x == 0 (y == 0 included), as scipy's
+    xlogy. For x != 0 and y <= 0 it is -inf or NaN with numpy's warning, as
+    np.log gives; unlike scipy's, x == 0 beside a NaN y gives 0."""
+    return x * np.log(np.where(x, y, 1.0))  # log 1 = 0 where x is 0
 
 
 @dataclass(frozen=True)
@@ -54,7 +78,11 @@ class LogisticLoss:
         return np.log1p(np.exp(-np.abs(s))) - np.minimum(s, 0.0)
 
     def grads(self, z, y):
-        return -y * expit(-y * np.asarray(z))
+        # -y expit(-s) at the margin s = y z, as -y / (1 + e^s) with expit's
+        # exponent cap; on numpy's vectorized exp it costs about 4 ns a margin
+        # against scipy expit's 12 ns of scalar libm calls.
+        s = y * np.asarray(z)
+        return -y / (1.0 + np.exp(np.minimum(s, EXP_MAX)))
 
     def curvs(self, z, y):
         p = expit(y * np.asarray(z))
@@ -79,6 +107,8 @@ class MulticlassKLLoss:
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         if np.any((y <= 0) & (z > 0)):
             raise ValueError("infinite loss: expert has zero mass where policy > 0")
+        # A target line search's trials leave the simplex: a negative entry
+        # makes its row NaN, which rejects the trial, without a warning.
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = xlogy(z, z) - xlogy(z, y)
         return terms.sum(axis=1)

@@ -35,9 +35,8 @@ from typing import Literal, get_args
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import xlogy
 
-from .losses import mean
+from .losses import mean, xlogy
 from .models import spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
@@ -199,7 +198,7 @@ class Surrogate:
         norm = self.batch.rows_norm
         if norm is None:
             norm = spectral_norm(self.batch.rows)
-        return float(norm ** 2 * np.max(w) * self.scale)
+        return float(norm ** 2 * np.maximum.reduce(w, axis=None) * self.scale)
 
     def quadratic_parts(self):
         """(H, b) with gradient(theta) = H theta - b, for exact solves."""

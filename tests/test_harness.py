@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
 from typing import get_args
 
@@ -648,6 +649,36 @@ class TestConfigParsing:
         assert run_experiment(cfg) == 0
         rows = read_csv(tmp_path / "out" / "mirror_s0.csv")
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
+
+
+# Runs in a fresh interpreter: the test process itself may have imported
+# scipy.special (the kernel tests use it as their oracle).
+NO_SPECIAL_SCRIPT = """
+import json, sys
+import targetopt, targetopt.cli
+from targetopt import harness
+for config in json.loads(sys.argv[1]):
+    assert harness.run_experiment(config) == 0
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+"""
+
+
+def test_no_run_imports_scipy_special(tmp_path):
+    # The logistic runs reach expit through grads (SGD, every freeze) and
+    # curvs (newton), the mirror run xlogy through both KL values.
+    logistic = small_config(tmp_path / "logistic", T=4)
+    logistic["loss"] = "logistic"
+    logistic["dataset"]["synthetic"]["kind"] = "logistic"
+    logistic["seeds"] = [0]
+    logistic["runs"].append({"id": "sso-newton", "optimizer": "sso", "T": 4, "batch_size": 4,
+                             "variant": "newton", "inner": {"solver": "armijo", "m": 2}})
+    kl = multiclass_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_SPECIAL_SCRIPT, json.dumps([logistic, kl])],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "logistic" / "sso-newton_s0.csv").exists()
+    assert (tmp_path / "out" / "mirror_s0.csv").exists()
 
 
 class TestVerifySuite:

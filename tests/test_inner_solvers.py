@@ -105,6 +105,31 @@ class TestGDFixed:
         with pytest.raises(ValueError):
             gd_fixed(surr, np.zeros(1), 0)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_gradient_raises_at_its_step(self, sparse):
+        # One row whose anchor logit is -1.5e308: the first step moves it by
+        # -5e307, past the largest float, so the second gradient is -inf.
+        rows, theta = np.array([[1e77]]), np.array([-1.5e231])
+        rows = sp.csr_matrix(rows) if sparse else rows
+        z = LinearModel().forward(theta, rows)
+        batch = Batch(LinearModel(), theta, rows, np.zeros(1), z, np.zeros(1), np.array([0.5]))
+        surr = Surrogate(batch, SquaredProximity(np.ones(1)))
+        for start in (theta, theta.copy()):
+            with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+                gd_fixed(surr, start, 4, alpha=1e154)
+            assert err.value.step == 1
+
+    def test_finite_gradient_whose_squared_norm_overflows_does_not_raise(self):
+        # ||g||^2 is inf although every entry of g is finite: no divergence.
+        rows, theta = np.array([[1.0]]), np.zeros(1)
+        batch = Batch(LinearModel(), theta, rows, np.zeros(1), rows @ theta, np.zeros(1),
+                      np.array([1e200]))
+        surr = Surrogate(batch, SquaredProximity(np.ones(1)))
+        with np.errstate(over="ignore"):
+            res = gd_fixed(surr, theta, 3, alpha=1e-200)
+        assert res.inner_steps == 3
+        np.testing.assert_array_equal(res.theta, [-3.0])
+
 
 class TestBacktrack:
     # value_at(a) = a^2 against the line base - a/2: with base 1, trials

@@ -3,17 +3,21 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from targetopt.losses import (
+    EXP_MAX,
     LogisticLoss,
     MulticlassKLLoss,
     SquaredLoss,
     check_simplex_rows,
+    expit,
     kl_to_expert,
     loss_value,
     make_loss,
     smoothed_expert_rows,
+    xlogy,
 )
 
 
@@ -91,6 +95,108 @@ class TestLogisticKernel:
             z = X @ theta
             old = np.mean(np.logaddexp(0.0, -y * z))
             assert abs(loss_value(LogisticLoss(), z, y) - old) <= 1e-15 * old
+
+
+TINY = np.finfo(np.float64).tiny
+
+
+def assert_matches_scipy(got, want, ulps):
+    """Where scipy's value is normal, within `ulps` of its spacing; where it
+    is subnormal or zero, within 1e-307; NaN and inf where scipy's are."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite & ~np.isnan(want)], want[~finite & ~np.isnan(want)])
+    got, want = got[finite], want[finite]
+    tol = np.where(np.abs(want) >= TINY, ulps * np.spacing(np.abs(want)), 1e-307)
+    assert np.all(np.abs(got - want) <= tol), np.max(np.abs(got - want) / tol)
+
+
+# The margins where expit's exponent cap acts (EXP_MAX), where scipy's value
+# underflows to a subnormal and to zero, the ends of the double range, inf.
+EXPIT_EDGES = [v for m in (0.0, EXP_MAX, 745.0, 1e308, np.inf) for v in (m, -m)]
+MARGINS = st.one_of(st.sampled_from(EXPIT_EDGES), st.floats(allow_nan=False),
+                    st.floats(-750.0, 40.0))
+LABELS = st.sampled_from([-1.0, 1.0])
+
+
+class TestSpecialKernels:
+    """expit and xlogy, scipy's formulas on numpy's vectorized exp and log,
+    against scipy.special as the oracle. Each kernel's exp or log differs
+    from libm's by at most an ulp, and the rest of the formula carries that
+    to 2 ulps of the result, or 4 for margins between -40 and -30, where
+    1 + e^-x rounds at a spacing of 2 (the worst of 5 million draws)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MARGINS, min_size=1, max_size=64))
+    def test_expit_matches_scipy(self, x):
+        x = np.array(x)
+        assert_matches_scipy(expit(x), scipy.special.expit(x), ulps=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(MARGINS, LABELS), min_size=1, max_size=64))
+    def test_grads_and_curvs_match_the_scipy_formulas(self, pairs):
+        z, y = np.array(pairs).T
+        loss = LogisticLoss()
+        assert_matches_scipy(loss.grads(z, y), -y * scipy.special.expit(-y * z), ulps=4)
+        # p (1 - p) near p = 1 is 1 - p, exact from p: it moves by p's error.
+        p = scipy.special.expit(y * z)
+        got, want = loss.curvs(z, y), p * (1.0 - p)
+        tol = np.where(want >= TINY, 6 * np.spacing(want) + 4 * np.spacing(p), 1e-307)
+        assert np.all(np.abs(got - want) <= tol)
+
+    @settings(max_examples=300, deadline=None)
+    # |x| <= 1e300 keeps x log y inside the double range (|log y| < 745).
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(-1e300, 1e300)),
+                              st.one_of(st.sampled_from([0.0, 1e-320, 1.0]),
+                                        st.floats(allow_nan=False, allow_infinity=False))),
+                    min_size=1, max_size=64))
+    def test_xlogy_matches_scipy(self, pairs):
+        x, y = np.array(pairs).T
+        with np.errstate(divide="ignore", invalid="ignore"):  # log of y <= 0
+            got = xlogy(x, y)
+        assert_matches_scipy(got, scipy.special.xlogy(x, y), ulps=2)
+
+    def test_expit_edges(self):
+        x = np.array(EXPIT_EDGES + [np.nan])
+        got = expit(x)
+        assert_matches_scipy(got, scipy.special.expit(x), ulps=0)
+        # The capped exponent: at most 5.6e-309 where scipy's value is 0.
+        assert np.all(got[x <= -EXP_MAX] <= 5.6e-309)
+        assert np.all(got[x >= EXP_MAX] == 1.0) and np.isnan(got[-1])
+
+    def test_xlogy_is_exactly_zero_where_x_is_zero(self):
+        y = np.array([0.0, -0.0, 1e-320, 0.5, 1.0, 1e308, np.inf, -1.0])
+        for x in (np.zeros_like(y), -np.zeros_like(y)):
+            got = xlogy(x, y)
+            assert np.all(got == 0.0)
+            np.testing.assert_array_equal(got, scipy.special.xlogy(x, y))
+
+    def test_xlogy_is_non_finite_where_scipy_is(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = xlogy(np.array([1.0, -1.0, 1.0]), np.array([0.0, 0.0, -1.0]))
+        np.testing.assert_array_equal(got, [-np.inf, np.inf, np.nan])
+
+    def test_no_warning_under_default_error_state(self):
+        margins = np.array(EXPIT_EDGES + [np.nan])
+        x = np.array([0.0, -0.0, 0.0, 0.0, 0.5, 1e-300])
+        y = np.array([0.0, 0.0, -1.0, np.inf, 0.25, 0.5])
+        with warnings.catch_warnings(), np.errstate(divide="warn", over="warn",
+                                                    under="ignore", invalid="warn"):
+            warnings.simplefilter("error")
+            expit(margins)
+            for label in (1.0, -1.0):
+                LogisticLoss().grads(margins, label)
+                LogisticLoss().curvs(margins, label)
+            xlogy(x, y)
+
+    def test_kl_values_off_the_simplex_are_nan_without_a_warning(self):
+        # A target line search's trial can leave the simplex; NaN rejects it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = MulticlassKLLoss().values(np.array([[1.2, -0.2], [0.5, 0.5]]),
+                                            np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert np.isnan(got[0]) and got[1] == 0.0
 
 
 class TestDerivatives:
