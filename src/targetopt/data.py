@@ -9,7 +9,9 @@ bytes: lines end at "\n", "\r\n" or a lone "\r", tokens are split on
 ASCII whitespace, an index is ASCII digits, and labels and values must
 be finite (the full grammar is in `parse_libsvm`). The parser works on
 one block of whole lines at a time, with numpy operations over the
-block's bytes and no Python loop over tokens. Synthetic
+block's bytes and no Python loop over tokens. scipy is imported only
+where a CSR matrix is built or read, so dense data never loads
+`scipy.sparse`. Synthetic
 generators cover least-squares / logistic instances with a controllable
 condition number, exactly interpolable instances, and the fixed
 two-quadratic instance used by the lower-bound diagnostics.
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Literal, get_args
+from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
-import scipy.sparse as sp
 
 from .schema import check
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Task = Literal["regression", "binary", "multiclass"]
 TASKS = get_args(Task)
@@ -83,14 +87,24 @@ class Dataset:
                 raise ValueError("class ids must lie in [0, n_classes)")
 
     def equal_to(self, other: "Dataset") -> bool:
+        """The same task, labels and entries in either storage; -0 equals
+        +0, and a NaN entry equals nothing."""
         return (
             self.task == other.task
             and self.X.shape == other.X.shape
             and self.n_classes == other.n_classes
             and self.label_map == other.label_map
             and np.array_equal(self.y, other.y)
-            and (sp.csr_matrix(self.X) != sp.csr_matrix(other.X)).nnz == 0
+            and _same_entries(self.X, other.X)
         )
+
+
+def _same_entries(A, B) -> bool:
+    if isinstance(A, np.ndarray) and isinstance(B, np.ndarray):
+        return np.array_equal(A, B)
+    import scipy.sparse as sp
+
+    return (sp.csr_matrix(A) != sp.csr_matrix(B)).nnz == 0
 
 
 @dataclass(frozen=True)
@@ -324,9 +338,15 @@ def parse_libsvm(
     n = len(y)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    X = sp.csr_matrix((values, indices, indptr), shape=(n, d))
-    if 0 < X.nnz == n * d:
-        X = X.toarray()
+    if 0 < len(values) == n * d:
+        # Each line stores indices 0..d-1 in order (they increase strictly
+        # and stay below d). Adding 0.0 reads a stored -0 as +0, as a CSR
+        # matrix's toarray, which sums into zeros, does.
+        X = values.reshape(n, d) + 0.0
+    else:
+        import scipy.sparse as sp
+
+        X = sp.csr_matrix((values, indices, indptr), shape=(n, d))
     n_classes = 0
     label_map: tuple = ()
 
@@ -362,6 +382,8 @@ def _fmt(x: float) -> str:
 
 def to_libsvm(ds: Dataset) -> str:
     """Serialize a Dataset back to LibSVM text (round-trips via parse)."""
+    import scipy.sparse as sp
+
     out = []
     X = sp.csr_matrix(ds.X)
     for i in range(ds.n):
@@ -382,6 +404,8 @@ def to_libsvm(ds: Dataset) -> str:
 def max_abs_scale(ds: Dataset) -> Dataset:
     """Column-wise max-abs scaling (opt-in; changes smoothness constants).
     Dense X stays dense."""
+    import scipy.sparse as sp
+
     X = sp.csc_matrix(ds.X, copy=True)
     for j in range(ds.d):
         lo, hi = X.indptr[j], X.indptr[j + 1]
@@ -390,7 +414,7 @@ def max_abs_scale(ds: Dataset) -> Dataset:
             if m > 0:
                 X.data[lo:hi] /= m
     return Dataset(
-        X=X.tocsr() if sp.issparse(ds.X) else X.toarray(),
+        X=X.toarray() if isinstance(ds.X, np.ndarray) else X.tocsr(),
         y=ds.y.copy(),
         task=ds.task,
         n_classes=ds.n_classes,

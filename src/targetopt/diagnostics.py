@@ -9,7 +9,6 @@ with them. They require a linear model.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
@@ -34,7 +33,7 @@ def _require_linear(model):
 
 def least_squares_optimum(dataset):
     """(theta*, z*) of the averaged squared loss by direct solve."""
-    X = dataset.X.toarray() if sp.issparse(dataset.X) else np.asarray(dataset.X)
+    X = dataset.X if isinstance(dataset.X, np.ndarray) else dataset.X.toarray()
     theta_star, *_ = np.linalg.lstsq(X, dataset.y, rcond=None)
     return theta_star, X @ theta_star
 

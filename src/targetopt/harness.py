@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import data as data_mod
@@ -240,7 +239,10 @@ def read_csv(path) -> list[dict]:
 def provenance(dataset) -> dict:
     """What produced an experiment's runs: the targetopt, numpy, scipy and
     Python versions, and for a file dataset its resolved path and sha256
-    (a synthetic dataset's spec is in the experiment record)."""
+    (a synthetic dataset's spec is in the experiment record). The top-level
+    scipy package gives its version without loading scipy.sparse."""
+    import scipy
+
     record = {"targetopt": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
               "python": "%d.%d.%d" % sys.version_info[:3]}
     if "sha256" in dataset.meta:

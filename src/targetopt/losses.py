@@ -103,15 +103,21 @@ class MulticlassKLLoss:
     mu: float = 0.0
 
     def values(self, z, y):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if np.any((y <= 0) & (z > 0)):
+        z, y = np.asarray(z, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        if z.ndim != 2:
+            z = np.atleast_2d(z)
+        if y.ndim != 2:
+            y = np.atleast_2d(y)
+        # The full check runs only if some expert entry is <= 0 (fmin skips NaN).
+        if np.fmin.reduce(y, axis=None, initial=1.0) <= 0 and ((y <= 0) & (z > 0)).any():
             raise ValueError("infinite loss: expert has zero mass where policy > 0")
-        # A target line search's trials leave the simplex: a negative entry
+        # xlogy(z, z) - xlogy(z, y) with its z != 0 mask formed once. A
+        # target line search's trials leave the simplex: a negative entry
         # makes its row NaN, which rejects the trial, without a warning.
+        held = z != 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = xlogy(z, z) - xlogy(z, y)
-        return terms.sum(axis=1)
+            terms = z * np.log(np.where(held, z, 1.0)) - z * np.log(np.where(held, y, 1.0))
+        return np.add.reduce(terms, axis=1)
 
     def grads(self, z, y):
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))

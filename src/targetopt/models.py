@@ -19,7 +19,9 @@ both as functions of v, for rows multiplied many times): dense rows use
 ndarray indexing and `@`, and CSR rows go straight to the compiled
 kernels that scipy's own `X[idx]` and `@` end in, on the matrix's own
 arrays, so the sums are scipy's bit for bit without its per-call matrix
-construction.
+construction. Storage is told apart by `isinstance(X, np.ndarray)`, and
+the kernels are looked up on the first CSR call: a CSR matrix exists by
+then, so scipy.sparse is loaded, and dense runs never import it.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools  # the kernels behind scipy's CSR X[idx] and @
 
+_sparsetools = None  # scipy.sparse._sparsetools, set by the first `_csr_kernels` call
 SPECTRAL_TOL = 1e-6
 SPECTRAL_MAX_ITER = 100000
 
@@ -44,14 +45,14 @@ def take_rows(X, idx):
     """
     if isinstance(X, np.ndarray):
         return X[idx]
-    _require_csr(X)
+    kernels = _csr_kernels(X)
     idx = np.asarray(idx, dtype=X.indptr.dtype).ravel()
     if idx.size and idx.min() < 0:
         raise IndexError("row indices must be non-negative")
     indptr = np.zeros(idx.size + 1, dtype=idx.dtype)
     np.cumsum(X.indptr[idx + 1] - X.indptr[idx], out=indptr[1:])  # IndexError past the last row
     indices, data = np.empty(indptr[-1], dtype=idx.dtype), np.empty(indptr[-1], dtype=X.dtype)
-    _sparsetools.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
+    kernels.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
     return _wrap_csr(X, data, indices, indptr)
 
 
@@ -62,7 +63,7 @@ def row_range(rows, start: int, stop: int):
     its result. The rebased indptr is as writeable as rows' own."""
     if isinstance(rows, np.ndarray):
         return rows[start:stop]
-    _require_csr(rows)
+    _csr_kernels(rows)
     ptr = rows.indptr[start:stop + 1]
     lo, hi = ptr[0], ptr[-1]
     indptr = ptr - lo
@@ -100,10 +101,9 @@ def row_products(rows):
 
 
 def _csr_operands(rows, transpose: bool):
-    _require_csr(rows)
+    k = _csr_kernels(rows)
     m, n = rows.shape[::-1] if transpose else rows.shape
-    kernels = ((_sparsetools.csc_matvec, _sparsetools.csc_matvecs) if transpose
-               else (_sparsetools.csr_matvec, _sparsetools.csr_matvecs))
+    kernels = (k.csc_matvec, k.csc_matvecs) if transpose else (k.csr_matvec, k.csr_matvecs)
     return m, n, rows.indptr, rows.indices, rows.data, kernels
 
 
@@ -121,9 +121,15 @@ def _csr_product(m, n, indptr, indices, data, kernels, v) -> np.ndarray:
     return out
 
 
-def _require_csr(X) -> None:
+def _csr_kernels(X):
+    """scipy's compiled sparse kernels, the ones behind its CSR X[idx] and
+    @, for CSR rows X; any other storage raises TypeError."""
+    global _sparsetools
     if X.format != "csr":
         raise TypeError(f"rows must be a dense ndarray or CSR, not {X.format!r}")
+    if _sparsetools is None:
+        from scipy.sparse import _sparsetools
+    return _sparsetools
 
 
 def spectral_norm(X) -> float:
@@ -138,7 +144,7 @@ def spectral_norm(X) -> float:
     if n == 0 or d == 0:
         return 0.0
     if min(n, d) == 1:  # one row or one column: its Euclidean norm
-        return float(np.linalg.norm(X.toarray() if sp.issparse(X) else X))
+        return float(np.linalg.norm(X if isinstance(X, np.ndarray) else X.toarray()))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -166,10 +172,9 @@ def spectral_norm(X) -> float:
 
 def row_norms2(X) -> np.ndarray:
     """Squared Euclidean norm of each row of a CSR or dense X."""
-    if sp.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
-    X = np.asarray(X)
-    return (X * X).sum(axis=1)
+    if isinstance(X, np.ndarray):
+        return (X * X).sum(axis=1)
+    return np.asarray(X.multiply(X).sum(axis=1)).ravel()
 
 
 class LinearModel:
@@ -312,7 +317,7 @@ class MLPModel:
 
     def param_jacobian(self, theta, rows) -> np.ndarray:
         """Dense Jacobian of the targets with respect to the parameters."""
-        rows = rows.toarray() if sp.issparse(rows) else np.asarray(rows)
+        rows = rows if isinstance(rows, np.ndarray) else rows.toarray()
         W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
         pre = rows @ W1 + b1
         a = np.maximum(pre, 0.0)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
-import scipy.sparse as sp
 
 from .losses import mean, xlogy
 from .models import spectral_norm
@@ -204,10 +203,10 @@ class Surrogate:
         """(H, b) with gradient(theta) = H theta - b, for exact solves."""
         w = self._quadratic_weights("closed-form structure")
         batch, R, s = self.batch, self.batch.rows, self.scale
-        if sp.issparse(R):
-            H = s * (R.T @ R.multiply(w[:, None]).tocsr()).toarray()
-        else:
+        if isinstance(R, np.ndarray):
             H = s * (R.T @ (w[:, None] * R))
+        else:
+            H = s * (R.T @ R.multiply(w[:, None]).tocsr()).toarray()
         b = s * np.asarray(R.T @ (w * batch.z)).ravel() - np.asarray(
             R.T @ batch.coeffs
         ).ravel() / len(batch.consts)

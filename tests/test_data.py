@@ -348,6 +348,52 @@ def libsvm_text(draw, labels=NUMBERS):
     return _join(lines, ends)
 
 
+@st.composite
+def fully_stored_rows(draw):
+    """(labels, rows of value tokens) with every row storing all d entries;
+    explicit zeros and -0 are common."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.one_of(NUMBERS, st.sampled_from(["0", "-0", "0.0", "-0.0"]))
+    labels = [draw(NUMBERS) for _ in range(n)]
+    return labels, [[draw(value) for _ in range(d)] for _ in range(n)]
+
+
+def _text(labels, rows):
+    return "".join(
+        " ".join([label] + [f"{j + 1}:{tok}" for j, tok in row]) + "\n"
+        for label, row in zip(labels, rows)
+    )
+
+
+class TestDenseParse:
+    """A text that stores all d entries on every line parses straight to an
+    ndarray, bit for bit the toarray of the CSR matrix of its entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fully_stored_rows(), override=st.booleans())
+    def test_matches_csr_toarray(self, case, override):
+        labels, rows = case
+        n, d = len(rows), len(rows[0])
+        X = parse_libsvm(_text(labels, [list(enumerate(r)) for r in rows]),
+                         d=d if override else None).X
+        values = np.array([float(tok) for row in rows for tok in row])
+        indptr = np.arange(0, n * d + 1, d)
+        want = sp.csr_matrix((values, np.tile(np.arange(d), n), indptr), shape=(n, d)).toarray()
+        assert type(X) is np.ndarray and X.dtype == want.dtype and X.flags.c_contiguous
+        np.testing.assert_array_equal(X.view(np.int64), want.view(np.int64))  # signbits too
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=fully_stored_rows(), data=st.data())
+    def test_missing_entry_is_csr(self, case, data):
+        labels, rows = case
+        n, d = len(rows), len(rows[0])
+        entries = [list(enumerate(r)) for r in rows]
+        i = data.draw(st.integers(0, n - 1))
+        del entries[i][data.draw(st.integers(0, d - 1))]
+        X = parse_libsvm(_text(labels, entries), d=d).X
+        assert sp.issparse(X) and X.format == "csr" and X.nnz == n * d - 1
+
+
 BAD_TOKENS = {
     "label": ["x", "1:1", "--1", "1e", ""],
     "feature": ["5", "1:2:3", "3:", ":3", "1:abc", "a:1", "1.5:1", "1::2"],

@@ -681,6 +681,33 @@ def test_no_run_imports_scipy_special(tmp_path):
     assert (tmp_path / "out" / "mirror_s0.csv").exists()
 
 
+NO_SPARSE_SCRIPT = """
+import json, sys
+import targetopt, targetopt.cli
+from targetopt import harness
+from targetopt.data import SyntheticSpec, generate_synthetic
+for config in json.loads(sys.argv[1]):
+    assert harness.run_experiment(config) == 0
+a, b = (generate_synthetic(SyntheticSpec("least-squares", n=6, d=3, seed=s)) for s in (1, 2))
+assert a.equal_to(a) and not a.equal_to(b)
+assert "scipy.sparse" not in sys.modules, "scipy.sparse was imported"
+"""
+
+
+def test_dense_runs_never_import_scipy_sparse(tmp_path):
+    # A synthetic least-squares experiment, and a softmax-kl experiment on a
+    # LibSVM file that stores every entry, hold no CSR matrix.
+    ls = small_config(tmp_path / "ls", T=4)
+    kl = multiclass_config(tmp_path)
+    assert isinstance(parse_libsvm((tmp_path / "mc.libsvm").read_text()).X, np.ndarray)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_SPARSE_SCRIPT, json.dumps([ls, kl])],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ls" / "sso-m3_s2.csv").exists()
+    assert (tmp_path / "out" / "mirror_s0.csv").exists()
+
+
 class TestVerifySuite:
     def test_all_checks_pass(self):
         results = verify_suite()

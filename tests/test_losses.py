@@ -245,6 +245,36 @@ class TestKL:
     def test_policy_zero_where_expert_zero_ok(self):
         assert np.isfinite(kl_to_expert([1.0, 0.0], [1.0, 0.0]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), K=st.integers(2, 6), n=st.integers(1, 5), one_row=st.booleans())
+    def test_values_match_the_xlogy_formula_bit_for_bit(self, data, K, n, one_row):
+        # Zeros, -0, NaN-making negatives and experts with zero entries.
+        shape = (K,) if one_row else (n, K)
+        size = int(np.prod(shape))
+        z_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(-1.0, 2.0))
+        y_entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+        z, y = (np.array(data.draw(st.lists(e, min_size=size, max_size=size))).reshape(shape)
+                for e in (z_entry, y_entry))
+
+        def formula(z, y):
+            z, y = np.atleast_2d(z), np.atleast_2d(y)
+            if np.any((y <= 0) & (z > 0)):
+                raise ValueError("infinite loss: expert has zero mass where policy > 0")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (xlogy(z, z) - xlogy(z, y)).sum(axis=1)
+
+        try:
+            want = formula(z, y)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                MulticlassKLLoss().values(z, y)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = MulticlassKLLoss().values(z, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestProperties:
     """Finite-difference, Lipschitz, and convexity sweeps."""
