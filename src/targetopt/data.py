@@ -381,11 +381,17 @@ def _fmt(x: float) -> str:
 
 
 def to_libsvm(ds: Dataset) -> str:
-    """Serialize a Dataset back to LibSVM text (round-trips via parse)."""
-    import scipy.sparse as sp
+    """Serialize a Dataset back to LibSVM text (round-trips via parse).
 
+    A row lists a dense X's nonzero entries (-0 is zero) in column order,
+    and a CSR X's stored entries in its own order."""
+    X = ds.X
+    if isinstance(X, np.ndarray):
+        rows, indices = np.nonzero(X)
+        data, indptr = X[rows, indices], np.searchsorted(rows, np.arange(ds.n + 1))
+    else:
+        indices, data, indptr = X.indices, X.data, X.indptr
     out = []
-    X = sp.csr_matrix(ds.X)
     for i in range(ds.n):
         if ds.task == "multiclass":
             label = _fmt(ds.label_map[int(ds.y[i])])
@@ -393,9 +399,9 @@ def to_libsvm(ds: Dataset) -> str:
             label = "+1" if ds.y[i] > 0 else "-1"
         else:
             label = _fmt(ds.y[i])
-        lo, hi = X.indptr[i], X.indptr[i + 1]
+        lo, hi = indptr[i], indptr[i + 1]
         feats = " ".join(
-            f"{X.indices[k] + 1}:{_fmt(X.data[k])}" for k in range(lo, hi)
+            f"{indices[k] + 1}:{_fmt(data[k])}" for k in range(lo, hi)
         )
         out.append(label + (" " + feats if feats else ""))
     return "\n".join(out) + ("\n" if out else "")

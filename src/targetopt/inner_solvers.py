@@ -11,17 +11,15 @@ solves the quadratic surrogate of a linear model in closed form. A run's
 
 A solve's first value and gradient are taken at the theta it is handed:
 from the batch's own anchor array the surrogate reads the frozen targets
-z, so the oracle's forward pass is not paid again. A linear model under
-a squared proximity has a quadratic surrogate, whose Armijo trials are
-scalar arithmetic; `_quadratic_armijo` runs that solve as a loop over
-the batch logits with the two row products prepared once.
-
-Off the quadratic path a trial is a softmax and a value on a (b, K)
-array of logits, about fifteen numpy calls on a few dozen floats, so
-per-call overhead is most of its cost, and a search makes several trials.
-`_TargetLine` therefore evaluates TRIAL_BLOCK consecutive steps of the
-search's ladder in one numpy pass; each trial's value is the float it
-has on its own.
+z, so the oracle's forward pass is not paid again. Every Armijo solve
+runs the same loop; the proximity and the frozen oracle values are read
+only through the surrogate's methods. Along `_TargetLine` a linear
+model's trials are scalar arithmetic. A softmax-linear trial is a
+softmax and a value on a (b, K) array of logits, about fifteen numpy
+calls on a few dozen floats, so per-call overhead is most of its cost,
+and a search makes several trials: the line evaluates TRIAL_BLOCK
+consecutive steps of the search's ladder in one numpy pass, and each
+trial's value is the float it has on its own.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import Literal
 import numpy as np
 
 from .models import row_products
-from .surrogates import SquaredProximity
 
 BACKTRACK_FLOOR = 1e-12
 # Armijo's shrink factor and sufficient-decrease factor.
@@ -112,28 +109,33 @@ def _squared_norm(g, k: int) -> float:
 
 
 class _TargetLine:
-    """The surrogate along -g for a softmax-linear model, or a linear model
-    under the entropy proximity: its targets are link(R theta), so moving
-    theta by -a g moves the batch logits L by -a R g, and no trial touches
-    the rows. A trial is the surrogate's value at link(L - a R g).
+    """The surrogate along -g for a link model: its targets are
+    link(R theta), so moving theta by -a g moves the batch logits L by
+    -a u, u = R g, and no trial touches the rows. An accepted step's
+    gradient is R^T logit_grad(link(L)).
 
-    A trial at a new step evaluates it and the next TRIAL_BLOCK - 1 steps
-    of `backtrack`'s ladder (each the previous times ARMIJO_SHRINK, so the
-    same floats as the search's) in one pass: one link over the stacked
-    (k, b, K) logits and one `Surrogate.target_values`. A search that
-    accepts early wastes the rest of its block. A linear model's logits
-    are its targets (the identity link), so from the batch's anchor they
-    start as z."""
+    A linear model's logits are its targets (from the batch's anchor, z),
+    and its value along the line is quadratic: a trial is the closed form
+    val - a ||g||^2 + a^2 curv. On a softmax-linear model a trial at a new
+    step evaluates it and the next TRIAL_BLOCK - 1 steps of `backtrack`'s
+    ladder (the same floats as the search's) in one pass: one link over
+    the stacked (k, b, K) logits and one `Surrogate.target_values`."""
 
     def __init__(self, surrogate, omega):
         self.surrogate, self.model = surrogate, surrogate.batch.model
         self.rows = surrogate.batch.rows
-        self.logits = (surrogate.targets(omega) if self.model.kind == "linear"
+        self.quadratic = self.model.kind == "linear"
+        self.logits = (surrogate.targets(omega) if self.quadratic
                        else self.model.logits(omega, self.rows))
-        self.pull_back = row_products(self.rows)[1]
+        self.times, self.pull_back = row_products(self.rows)
 
-    def values(self, g):
-        """The value at omega - a g as a function of a."""
+    def values(self, g, val, gnorm2):
+        """The value at omega - a g as a function of a, from the value val
+        and ||g||^2 at omega."""
+        if self.quadratic:
+            self.u = self.times(g)
+            curv = self.surrogate.line_curvature(self.u)
+            return lambda a: val - a * gnorm2 + a * a * curv
         self.u = self.model.logits(g, self.rows)
         self.trials = {}
         return self._trial_value
@@ -151,47 +153,21 @@ class _TargetLine:
             a *= ARMIJO_SHRINK
             steps.append(a)
         logits = self.logits - np.multiply.outer(steps, self.u)
-        # Row-wise, as on one trial's (b, K) logits; a linear link is the identity.
+        # Row-wise, as on one trial's (b, K) logits.
         f = self.model.link(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
         self.trials = dict(zip(steps, self.surrogate.target_values(f).tolist()))
         self.block = steps, logits, f
 
     def step(self, a) -> np.ndarray:
-        """Take the accepted step in the logits; the gradient there. The
-        accepted trial's logits and targets are kept from its block."""
-        steps, logits, f = self.block
-        i = steps.index(a)
-        self.logits, f = logits[i], f[i]
+        """Take the accepted step in the logits; the gradient there. A
+        softmax step keeps its trial's logits and targets from the block."""
+        if self.quadratic:
+            self.logits = f = self.logits - a * self.u
+        else:
+            steps, logits, f = self.block
+            i = steps.index(a)
+            self.logits, f = logits[i], f[i]
         return self.pull_back(self.surrogate.logit_grad(f)).ravel()
-
-
-def _quadratic_armijo(surrogate, omega0, m: int, alpha0: float) -> InnerResult:
-    """`armijo_backtracking` for a linear model under a squared proximity,
-    whose value along -g is exactly val - a ||g||^2 + a^2 curv with
-    curv = sum_i w_i (R g)_i^2 / 2b. The loop keeps the batch logits L
-    (the targets: the link is the identity) and, per step, forms u = R g,
-    moves L by -a u and pulls (coeffs + w (L - z)) / b back through R^T."""
-    batch, scale = surrogate.batch, surrogate.scale
-    weights, z, coeffs = surrogate.prox.weights, batch.z, batch.coeffs
-    times, pull_back = row_products(batch.rows)
-    val, g, L = surrogate.value(omega0), surrogate.grad(omega0), surrogate.targets(omega0)
-    omega, alpha, steps = omega0.copy(), alpha0, 0
-    for k in range(m):
-        gnorm2 = _squared_norm(g, k)
-        if gnorm2 == 0.0:
-            break
-        u = times(g)
-        curv = float(np.add.reduce(weights * u * u)) * scale / 2
-        alpha, trial_val, stalled = backtrack(lambda a: val - a * gnorm2 + a * a * curv,
-                                              val, gnorm2, alpha0, ARMIJO_SHRINK, ARMIJO_C)
-        if stalled:
-            return InnerResult(omega, steps, stalled=True, last_alpha=alpha)
-        omega, val = omega - alpha * g, trial_val
-        steps += 1
-        if steps < m:
-            L = L - alpha * u
-            g = pull_back((coeffs + weights * (L - z)) * scale)
-    return InnerResult(omega, steps, last_alpha=alpha)
 
 
 def armijo_backtracking(surrogate, omega0, m: int, alpha0: float = 1.0) -> InnerResult:
@@ -203,25 +179,23 @@ def armijo_backtracking(surrogate, omega0, m: int, alpha0: float = 1.0) -> Inner
     value is the next step's base value. Hitting the backtrack floor
     returns the current point with `stalled` set. The start is evaluated
     at omega0 itself, so from the batch's anchor it reads the frozen z.
-    A linear model under a squared proximity runs `_quadratic_armijo`;
-    other link models search on the batch logits (`_TargetLine`).
+    Link models search on the batch logits (`_TargetLine`); an MLP's
+    trials are `Surrogate.value` at each trial theta.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
     omega0 = np.asarray(omega0, dtype=np.float64)
-    kind = surrogate.batch.model.kind
-    if kind == "linear" and isinstance(surrogate.prox, SquaredProximity):
-        return _quadratic_armijo(surrogate, omega0, m, alpha0)
     val, g = surrogate.value(omega0), surrogate.grad(omega0)
-    line = _TargetLine(surrogate, omega0) if kind in LINK_MODELS else None
+    line = _TargetLine(surrogate, omega0) if surrogate.batch.model.kind in LINK_MODELS else None
     omega, alpha, steps = omega0.copy(), alpha0, 0
     for k in range(m):
         gnorm2 = _squared_norm(g, k)
         if gnorm2 == 0.0:
             break
-        value_at = line.values(g) if line is not None else lambda a: surrogate.value(omega - a * g)
+        value_at = (line.values(g, val, gnorm2) if line is not None
+                    else lambda a: surrogate.value(omega - a * g))
         alpha, trial_val, stalled = backtrack(value_at, val, gnorm2, alpha0, ARMIJO_SHRINK, ARMIJO_C)
         if stalled:
             return InnerResult(omega, steps, stalled=True, last_alpha=alpha)

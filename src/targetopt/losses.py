@@ -44,7 +44,6 @@ class SquaredLoss:
 
     kind: str = "squared"
     L: float = 1.0
-    mu: float = 1.0
 
     def values(self, z, y):
         return 0.5 * (np.asarray(z) - y) ** 2
@@ -66,7 +65,6 @@ class LogisticLoss:
 
     kind: str = "logistic"
     L: float = 0.25
-    mu: float = 0.0
 
     def values(self, z, y):
         # The softplus log(1 + e^-s) at the margin s = y z, as
@@ -100,7 +98,6 @@ class MulticlassKLLoss:
 
     kind: str = "multiclass-kl"
     L: float = 1.0
-    mu: float = 0.0
 
     def values(self, z, y):
         z, y = np.asarray(z, dtype=np.float64), np.asarray(y, dtype=np.float64)
@@ -168,15 +165,6 @@ def kl_to_expert(policy, expert) -> float:
     policy = np.asarray(policy, dtype=np.float64)
     expert = np.asarray(expert, dtype=np.float64)
     return float(MulticlassKLLoss().values(policy[None, :], expert[None, :])[0])
-
-
-def check_simplex_rows(z, tol: float = 1e-12) -> None:
-    """Validate that every row of z is a probability vector."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if np.any(z < 0):
-        raise ValueError("simplex rows must be nonnegative")
-    if np.any(np.abs(z.sum(axis=1) - 1.0) > tol):
-        raise ValueError(f"simplex rows must sum to 1 within {tol}")
 
 
 def smoothed_expert_rows(class_ids, n_classes: int, eps: float = 0.05) -> np.ndarray:

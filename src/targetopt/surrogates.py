@@ -11,7 +11,9 @@ plus a per-row Bregman proximity D_i:
 so SSO is projected (mirror) SGD in target space. D is either a weighted
 half squared distance w_i/2 ||f_i - z_i||^2 (w = 1/eta for "smoothness",
 the floored curvature over eta for "newton") or KL(f_i || z_i)/eta for
-"entropy-mirror" on row-stochastic targets. The value is exactly the
+"entropy-mirror" on a softmax-linear model's row-stochastic targets
+(elsewhere the KL term is no Bregman proximity of the targets, and the
+surrogate neither touches nor bounds the loss). The value is exactly the
 frozen batch loss at the anchor.
 
 `build_stochastic` attaches the proximity to a frozen batch,
@@ -23,9 +25,9 @@ diagnostics use it).
 Freezing consumes one oracle call per row; building, evaluating or
 minimizing a surrogate consumes none.
 
-Reductions go through `np.add.reduce` (and `losses.mean`): on a batch of
-a few rows numpy's `np.sum` / `np.mean` wrappers cost more than the sum
-itself, and the ufunc computes the same sum in the same order, bit for bit.
+Reductions go through `np.add.reduce`: on a batch of a few rows numpy's
+`np.sum` / `np.mean` wrappers cost more than the sum itself, and the ufunc
+computes the same sum in the same order, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .losses import mean, xlogy
+from .losses import xlogy
 from .models import spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
@@ -53,19 +55,20 @@ class OracleCounter:
         self.calls += int(k)
 
 
+def _trial_sums(terms, z):
+    """The sum of one trial's terms, or of each trial's in a stack of them."""
+    return np.add.reduce(terms.reshape(terms.shape[:terms.ndim - z.ndim] + (-1,)), axis=-1)
+
+
 @dataclass(frozen=True)
 class SquaredProximity:
     """sum_i w_i/2 ||f_i - z_i||^2, the Euclidean proximity."""
 
     weights: np.ndarray
 
-    def __call__(self, f, z) -> float:
-        return float(np.add.reduce(0.5 * self.weights * (f - z) ** 2, axis=None))
-
-    def values(self, fs, z) -> np.ndarray:
-        """The value at each of a stack of targets fs[j], as `__call__`."""
-        terms = 0.5 * self.weights * (fs - z) ** 2
-        return np.add.reduce(terms.reshape(len(fs), -1), axis=1)
+    def values(self, fs, z):
+        """The value at targets fs, or at each of a stack of them fs[j]."""
+        return _trial_sums(0.5 * self.weights * (fs - z) ** 2, z)
 
     def grad(self, f, z) -> np.ndarray:
         return self.weights * (f - z)
@@ -79,12 +82,9 @@ class KLProximity:
 
     eta: float
 
-    def __call__(self, f, z) -> float:
-        return float(np.add.reduce(xlogy(f, f / z), axis=None)) / self.eta
-
-    def values(self, fs, z) -> np.ndarray:
-        """The value at each of a stack of targets fs[j], as `__call__`."""
-        return np.add.reduce(xlogy(fs, fs / z).reshape(len(fs), -1), axis=1) / self.eta
+    def values(self, fs, z):
+        """The value at targets fs, or at each of a stack of them fs[j]."""
+        return _trial_sums(xlogy(fs, fs / z), z) / self.eta
 
     def grad(self, f, z) -> np.ndarray:
         return (np.log(f / z) + 1.0) / self.eta
@@ -135,7 +135,9 @@ def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None,
 
 @dataclass(frozen=True)
 class Surrogate:
-    """A frozen batch with a per-row proximity D; oracle-free."""
+    """A frozen batch with a per-row proximity D; oracle-free. The value is
+    written once, in `target_values`, at one trial's targets or a stack of
+    them; `value` and `target_value` are its one-trial case."""
 
     batch: Batch
     prox: SquaredProximity | KLProximity
@@ -154,21 +156,20 @@ class Surrogate:
         return self.target_value(self.targets(theta))
 
     def target_value(self, f) -> float:
-        """The value at targets f of the batch rows."""
-        batch = self.batch
-        prod = (f - batch.z) * batch.coeffs
-        lin = prod if prod.ndim == 1 else np.add.reduce(prod, axis=1)
-        return mean(batch.consts + lin) + self.scale * self.prox(f, batch.z)
+        """The value at targets f of the batch rows: `target_values` of one
+        trial."""
+        return float(self.target_values(f))
 
-    def target_values(self, fs) -> np.ndarray:
-        """`target_value` at each of a stack of targets fs[j], the same
-        floats: the elementwise operations are the same, and each sum runs
-        over one trial's contiguous row, in the order of the single sum."""
+    def target_values(self, fs):
+        """The value at targets fs of the batch rows, or at each of a stack
+        of them fs[j]. Each sum runs over one trial's contiguous row, so a
+        trial's value is the same float stacked or alone (one trial is not
+        stacked: on a small batch a broadcast costs more than the sums)."""
         batch = self.batch
         lin = (fs - batch.z) * batch.coeffs
-        if lin.ndim == 3:  # each row sum, as on one trial's (b, K) targets
-            lin = np.add.reduce(lin.reshape(-1, lin.shape[-1]), axis=1).reshape(lin.shape[:2])
-        means = np.add.reduce(batch.consts + lin, axis=1) / batch.consts.size
+        if batch.z.ndim == 2:  # each row's sum over its K targets
+            lin = np.add.reduce(lin, axis=-1)
+        means = np.add.reduce(batch.consts + lin, axis=-1) / batch.consts.size
         return means + self.scale * self.prox.values(fs, batch.z)
 
     def logit_grad(self, f) -> np.ndarray:
@@ -182,14 +183,17 @@ class Surrogate:
         coeffs = batch.coeffs + self.prox.grad(f, batch.z)
         return batch.model.param_grad(theta, batch.rows, coeffs, f) / len(batch.consts)
 
-    # -- structure for solvers (linear model, Euclidean proximity) ------
+    # -- structure for solvers (a linear model's proximity is squared) ----
 
     def _quadratic_weights(self, what: str) -> np.ndarray:
         if self.batch.model.kind != "linear":
             raise ValueError(f"{what} requires a linear model")
-        if not isinstance(self.prox, SquaredProximity):
-            raise ValueError(f"{what} requires a Euclidean (not entropy-mirror) surrogate")
         return self.prox.weights
+
+    def line_curvature(self, u) -> float:
+        """curv with value(theta - a g) = value(theta) - a ||g||^2 + a^2 curv
+        on a linear model, where u = R g moves the targets: sum_i w_i u_i^2 / 2b."""
+        return float(np.add.reduce(self.prox.weights * u * u)) * self.scale / 2
 
     def smoothness_bound(self) -> float:
         """Upper bound on the surrogate's curvature."""
@@ -226,6 +230,8 @@ def build_stochastic(loss, batch: Batch, eta: float, variant: str = "smoothness"
         raise ValueError(f"unknown surrogate variant {variant!r}")
     z = batch.z
     if variant == "entropy-mirror":
+        if batch.model.kind != "softmax-linear":
+            raise ValueError(f"entropy-mirror needs a softmax-linear model, not {batch.model.kind!r}")
         if np.any(z <= 0):
             raise ValueError("entropy-mirror surrogate requires strictly positive targets")
         return Surrogate(batch, KLProximity(eta))

@@ -685,18 +685,20 @@ NO_SPARSE_SCRIPT = """
 import json, sys
 import targetopt, targetopt.cli
 from targetopt import harness
-from targetopt.data import SyntheticSpec, generate_synthetic
+from targetopt.data import SyntheticSpec, generate_synthetic, to_libsvm
 for config in json.loads(sys.argv[1]):
     assert harness.run_experiment(config) == 0
 a, b = (generate_synthetic(SyntheticSpec("least-squares", n=6, d=3, seed=s)) for s in (1, 2))
 assert a.equal_to(a) and not a.equal_to(b)
+assert to_libsvm(a).count("\\n") == 6
 assert "scipy.sparse" not in sys.modules, "scipy.sparse was imported"
 """
 
 
 def test_dense_runs_never_import_scipy_sparse(tmp_path):
     # A synthetic least-squares experiment, and a softmax-kl experiment on a
-    # LibSVM file that stores every entry, hold no CSR matrix.
+    # LibSVM file that stores every entry, hold no CSR matrix; nor does
+    # writing dense data as LibSVM text, as `targetopt gen` does.
     ls = small_config(tmp_path / "ls", T=4)
     kl = multiclass_config(tmp_path)
     assert isinstance(parse_libsvm((tmp_path / "mc.libsvm").read_text()).X, np.ndarray)

@@ -215,7 +215,7 @@ def term_size(surrogate, theta) -> float:
     f = batch.model.forward(theta, batch.rows)
     lin = np.abs((f - batch.z) * batch.coeffs)
     return float(np.mean(np.abs(batch.consts)) + np.sum(lin) / len(batch.consts)
-                 + surrogate.scale * abs(surrogate.prox(f, batch.z)))
+                 + surrogate.scale * abs(surrogate.prox.values(f, batch.z)))
 
 
 def parameter_armijo(surrogate, omega0, m, alpha0, shrink=0.8, c=0.5):
@@ -321,7 +321,8 @@ class TestTargetSpaceArmijo:
         # From the batch's anchor the start's value and gradient read the
         # frozen targets z, so a mirror solve takes exactly one softmax per
         # block of trials, and a step reuses its accepted trial: no softmax
-        # runs between a block and the next gradient.
+        # runs between a block and the next gradient. The start's value is
+        # a one-trial block of its own, with no softmax.
         _, ds, model, loss, theta_t, _ = make_problem(CASES[-1], 6, 3, 13, True)
         surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, "entropy-mirror")
         events, searches = [], []
@@ -347,7 +348,7 @@ class TestTargetSpaceArmijo:
         res = armijo_backtracking(surr, surr.batch.theta, 8, alpha0=10.0)
         blocks = sum(-(-trials // TRIAL_BLOCK) for trials in searches)
         assert res.inner_steps == 8 and sum(searches) > 8 and blocks > 8
-        assert events.count("block") == blocks
+        assert events[0] == "block" and events.count("block") == blocks + 1
         assert events.count("link") == blocks
         # Each block is one link, then its values; each gradient follows a block.
         for i, event in enumerate(events):

@@ -150,9 +150,9 @@ ETAS = st.floats(1e-3, 10.0)
 
 
 def assert_quadratic_trials(surr, omega, m):
-    """Every trial of `armijo_backtracking`'s quadratic loop is the closed
+    """On a linear model every trial of `armijo_backtracking` is the closed
     form val - a ||g||^2 + a^2 sum(w u^2) / 2b, u = R g, with `==`; the
-    loop is replayed from `Surrogate.value` and `grad` at omega."""
+    solve is replayed from `Surrogate.value` and `grad` at omega."""
     searches = []
 
     def recording_backtrack(value_at, base, slope, *args):
@@ -191,7 +191,7 @@ class TestSameFloats:
         X, _, _, model, theta, rng = data
         for f in (surr.batch.z, model.forward(theta + rng.normal(size=theta.shape), X)):
             assert surr.target_value(f) == wrapper_target_value(surr, f)
-            assert surr.prox(f, surr.batch.z) == wrapper_prox(surr.prox, f, surr.batch.z)
+            assert surr.prox.values(f, surr.batch.z) == wrapper_prox(surr.prox, f, surr.batch.z)
 
     @settings(max_examples=60, deadline=None)
     @given(batches(classes=st.integers(2, 6)), ETAS)
@@ -203,8 +203,8 @@ class TestSameFloats:
         if model.kind == "linear":
             assert_quadratic_trials(surr, omega, 3)
             return
-        line = _TargetLine(surr, omega)
-        value_at = line.values(surr.grad(omega))
+        line, g = _TargetLine(surr, omega), surr.grad(omega)
+        value_at = line.values(g, surr.value(omega), float(g @ g))
         for a in TRIALS:
             assert value_at(a) == wrapper_target_value(surr, wrapper_softmax(line.logits - a * line.u))
         f, coeffs = model.link(line.logits), surr.batch.coeffs
@@ -310,7 +310,7 @@ def softmax_surrogate(seed, b, d, k, variant, sparse=False):
 
 
 class TestTrialBlocks:
-    """Off the quadratic path a target-line trial is evaluated with the next
+    """On a softmax-linear model a target-line trial is evaluated with the next
     TRIAL_BLOCK - 1 steps of its ladder in one pass; every value, and every
     solve, must be the one-trial-at-a-time float."""
 
@@ -323,7 +323,7 @@ class TestTrialBlocks:
         omega = theta + 0.1 * rng.normal(size=theta.shape)
         line = _TargetLine(surr, omega)
         g = surr.grad(omega)
-        value_at = line.values(g)
+        value_at = line.values(g, surr.value(omega), float(g @ g))
         L, u, a = line.logits, line.u, 10.0 ** log_alpha0
         for _ in range(2 * TRIAL_BLOCK + 1):  # into a third block
             assert value_at(a) == wrapper_target_value(surr, wrapper_softmax(L - a * u))
@@ -408,15 +408,6 @@ class TestAnchorFromZ:
         monkeypatch.setattr(model, "forward", no_forward)
         assert armijo_backtracking(surr, surr.batch.theta, 8, alpha0=10.0).inner_steps > 1
         assert gd_fixed(surr, surr.batch.theta, 1, alpha=0.1).inner_steps == 1
-
-    def test_linear_model_under_the_entropy_proximity(self):
-        # The target line's one linear case: its logits start as z.
-        rng = np.random.default_rng(4)
-        X, theta = rng.uniform(0.5, 1.5, size=(5, 3)), rng.uniform(0.5, 1.5, size=3)
-        batch = freeze(SquaredLoss(), LinearModel(), theta, X, rng.normal(size=5))
-        surr = build_stochastic(SquaredLoss(), batch, 0.5, "entropy-mirror")
-        res = assert_same_solve(lambda w: armijo_backtracking(surr, w, 6, 1.0), batch.theta)
-        assert res.inner_steps == 6
 
     def test_the_anchor_is_a_read_only_copy(self):
         theta = np.ones(2)

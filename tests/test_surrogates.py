@@ -11,12 +11,14 @@ from targetopt.losses import (
     loss_value,
     smoothed_expert_rows,
 )
-from targetopt.models import LinearModel, SoftmaxLinearModel
+from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
 from targetopt.optimizers import InnerOptions, RunConfig, ScheduleOptions, run
 from targetopt.surrogates import (
     KLProximity,
     OracleCounter,
     build_deterministic,
+    build_stochastic,
+    freeze,
 )
 
 from helpers import CASES, CountingLoss, analysis_q, make_problem, problems, stochastic
@@ -263,9 +265,21 @@ class TestMirror:
                 MulticlassKLLoss(), ZeroTarget(2), ds, np.zeros(2), [0], 1.0, "entropy-mirror"
             )
 
+    @pytest.mark.parametrize("model", [LinearModel(), MLPModel(4)], ids=["linear", "mlp"])
+    def test_entropy_needs_a_softmax_linear_model(self, model):
+        # Off softmax-linear the KL term is no Bregman proximity of the
+        # targets: the surrogate would neither touch nor bound the loss.
+        # Positive rows and weights give the linear model positive targets.
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0.5, 1.5, size=(5, 3))
+        theta = rng.uniform(0.5, 1.5, size=model.dim(3))
+        batch = freeze(SquaredLoss(), model, theta, X, rng.normal(size=5))
+        with pytest.raises(ValueError, match=f"softmax-linear model, not {model.kind!r}"):
+            build_stochastic(SquaredLoss(), batch, 0.5, "entropy-mirror")
+
     def test_projection_objective_zero_when_equal_normalized(self):
         row = np.array([0.3, 0.7])
-        assert KLProximity(1.0)(row, row) == pytest.approx(0.0, abs=1e-15)
+        assert KLProximity(1.0).values(row, row) == pytest.approx(0.0, abs=1e-15)
 
     def test_projection_objective_nonnegative_when_normalized(self):
         rng = np.random.default_rng(20)
@@ -273,7 +287,7 @@ class TestMirror:
             a = rng.dirichlet(np.ones(3))
             b = rng.dirichlet(np.ones(3)) + 1e-9
             b /= b.sum()
-            assert KLProximity(1.0)(a, b) >= -1e-12
+            assert KLProximity(1.0).values(a, b) >= -1e-12
 
     def test_mirror_surrogate_grad_finite_differences(self):
         rng = np.random.default_rng(21)
