@@ -2,25 +2,25 @@ r"""Dataset loading and synthetic problem generation.
 
 A dataset is a feature matrix with a label vector. The feature matrix is
 a dense ndarray when every entry is present (synthetic data, and LibSVM
-text that stores all n*d entries) and a CSR matrix otherwise. Parsing
-follows the LibSVM text format (`<label> <idx>:<val> ...` with
-1-based, strictly increasing feature indices per line) on the text's
-bytes: lines end at "\n", "\r\n" or a lone "\r", tokens are split on
-ASCII whitespace, an index is ASCII digits, and labels and values must
-be finite (the full grammar is in `parse_libsvm`). The parser works on
-one block of whole lines at a time, with numpy operations over the
-block's bytes and no Python loop over tokens. scipy is imported only
-where a CSR matrix is built or read, so dense data never loads
-`scipy.sparse`. Synthetic
-generators cover least-squares / logistic instances with a controllable
-condition number, exactly interpolable instances, and the fixed
-two-quadratic instance used by the lower-bound diagnostics.
+text that stores all n*d entries) and a CSR matrix otherwise; this module
+builds, serializes, compares and scales X, and it and `models` alone know
+its storage. Parsing follows the LibSVM format (`<label> <idx>:<val> ...`
+with 1-based, strictly increasing feature indices per line) on the text's
+bytes: lines end at "\n", "\r\n" or a lone "\r", tokens are split
+on ASCII whitespace, an index is ASCII digits, and labels and values must
+be finite (the full grammar is in `parse_libsvm`). The parser works on one
+block of whole lines at a time, with numpy operations over the block's
+bytes and no Python loop over tokens. scipy is imported only where a CSR
+matrix is built or read, so dense data never loads `scipy.sparse`.
+Synthetic generators cover least-squares / logistic instances with a
+controllable condition number, exactly interpolable instances, and the
+fixed two-quadratic instance used by the lower-bound diagnostics.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
@@ -409,24 +409,19 @@ def to_libsvm(ds: Dataset) -> str:
 
 def max_abs_scale(ds: Dataset) -> Dataset:
     """Column-wise max-abs scaling (opt-in; changes smoothness constants).
-    Dense X stays dense."""
-    import scipy.sparse as sp
+    X keeps its storage, and a dense -0 reads +0."""
+    X = ds.X
+    if isinstance(X, np.ndarray):
+        m = np.max(np.abs(X), axis=0, initial=0.0)
+        X = X / np.where(m == 0, 1.0, m) + 0.0
+    else:
+        import scipy.sparse as sp
 
-    X = sp.csc_matrix(ds.X, copy=True)
-    for j in range(ds.d):
-        lo, hi = X.indptr[j], X.indptr[j + 1]
-        if hi > lo:
-            m = np.max(np.abs(X.data[lo:hi]))
-            if m > 0:
-                X.data[lo:hi] /= m
-    return Dataset(
-        X=X.toarray() if isinstance(ds.X, np.ndarray) else X.tocsr(),
-        y=ds.y.copy(),
-        task=ds.task,
-        n_classes=ds.n_classes,
-        label_map=ds.label_map,
-        meta={**ds.meta, "scaled": True},
-    )
+        m = np.zeros(ds.d)
+        np.maximum.at(m, X.indices, np.abs(X.data))
+        data = X.data / np.where(m == 0, 1.0, m)[X.indices]
+        X = sp.csr_matrix((data, X.indices.copy(), X.indptr.copy()), shape=X.shape)
+    return replace(ds, X=X, y=ds.y.copy(), meta={**ds.meta, "scaled": True})
 
 
 def _conditioned_factors(rng: np.random.Generator, n: int, d: int, cond: float):

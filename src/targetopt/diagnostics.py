@@ -12,7 +12,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
-from .models import LinearModel, lipschitz_estimate, row_norms2
+from .models import LinearModel, dense, lipschitz_estimate, row_norms2, row_product, take_rows
 from .optimizers import RunConfig, run
 from .schedules import ScheduleOptions
 from .surrogates import build_analysis_q, build_deterministic, build_stochastic, freeze
@@ -33,9 +33,9 @@ def _require_linear(model):
 
 def least_squares_optimum(dataset):
     """(theta*, z*) of the averaged squared loss by direct solve."""
-    X = dataset.X if isinstance(dataset.X, np.ndarray) else dataset.X.toarray()
+    X = dense(dataset.X)
     theta_star, *_ = np.linalg.lstsq(X, dataset.y, rcond=None)
-    return theta_star, X @ theta_star
+    return theta_star, row_product(X, theta_star)
 
 
 def _eig_range(H, rel_tol: float = 1e-12):
@@ -64,7 +64,7 @@ def _singletons(loss, model, dataset, theta_t, eta_t):
     surrogates at theta_t, both from one oracle call on row i."""
     pairs = []
     for i in range(dataset.n):
-        batch = freeze(loss, model, theta_t, dataset.X[[i]], dataset.y[[i]])
+        batch = freeze(loss, model, theta_t, take_rows(dataset.X, [i]), dataset.y[[i]])
         q_i = build_analysis_q(loss, dataset, batch, [i], eta_t)
         pairs.append((build_stochastic(loss, batch, eta_t), q_i))
     return pairs
@@ -77,7 +77,7 @@ def projection_error(loss, model, dataset, theta_t, batch_idx, eta_t, theta_next
     at (theta_t, batch, eta_t). Exact solve, so linear models only.
     """
     _require_linear(model)
-    sampled = freeze(loss, model, theta_t, dataset.X[batch_idx], dataset.y[batch_idx])
+    sampled = freeze(loss, model, theta_t, take_rows(dataset.X, batch_idx), dataset.y[batch_idx])
     q = build_analysis_q(loss, dataset, sampled, batch_idx, eta_t)
     theta_bar = exact_linear_solve(q, origin=theta_t)
     z_next = model.forward(theta_next, dataset.X)

@@ -324,6 +324,8 @@ def run_experiment(config, out_dir=None, jobs: int = 1, global_seed=None) -> int
     pair; returns a process exit status. The output directory is `out_dir`,
     else the config's. A config, problem or run error raises before any
     pair runs or any file is written."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, not {jobs!r}")
     if not isinstance(config, dict):
         config = load_config(config)
     if global_seed is not None:

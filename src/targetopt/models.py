@@ -12,16 +12,16 @@ and these models expose `logits`, `link` and its vector-Jacobian product
 `link_vjp`. MLP gradients are hand-written reverse accumulation so they
 can be checked against finite differences without an autodiff dependency.
 
-Rows are a dense ndarray or a CSR matrix. `take_rows` gathers a batch,
-`row_range` views a contiguous run of a gathered block's rows, and
-`row_product` forms `rows @ v` and `rows.T @ v` (`row_products` gives
-both as functions of v, for rows multiplied many times): dense rows use
-ndarray indexing and `@`, and CSR rows go straight to the compiled
-kernels that scipy's own `X[idx]` and `@` end in, on the matrix's own
-arrays, so the sums are scipy's bit for bit without its per-call matrix
-construction. Storage is told apart by `isinstance(X, np.ndarray)`, and
-the kernels are looked up on the first CSR call: a CSR matrix exists by
-then, so scipy.sparse is loaded, and dense runs never import it.
+Rows are a dense ndarray or a CSR matrix, and only this module and `data`
+know which. `take_rows` gathers a batch, `row_range` views a run of a
+gathered block's rows, `row_entries` bounds a row's stored entries, `dense`
+gives rows as an ndarray, and `row_product` forms `rows @ v` and
+`rows.T @ v` (`row_products` gives both as functions of v). Dense rows use
+ndarray indexing and `@`; CSR rows go straight to the compiled kernels that
+scipy's own `X[idx]` and `@` end in, on the matrix's own arrays, so the sums
+are scipy's bit for bit. Storage is told apart by `isinstance(X,
+np.ndarray)`, and the kernels are looked up on the first CSR call, so dense
+runs never import scipy.sparse.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ SPECTRAL_MAX_ITER = 100000
 
 
 def take_rows(X, idx):
-    """X[idx] in X's storage: an ndarray, or a csr_matrix of the rows idx.
+    """X[idx] in X's storage, read-only: an ndarray, or a csr_matrix of the rows idx.
 
     A CSR gather casts idx to X's index dtype, as scipy's own fancy row
     indexing does, runs scipy's `csr_row_index` on X's arrays and wraps
@@ -44,7 +44,9 @@ def take_rows(X, idx):
     row is a row of X verbatim).
     """
     if isinstance(X, np.ndarray):
-        return X[idx]
+        rows = X[idx]
+        rows.flags.writeable = False
+        return rows
     kernels = _csr_kernels(X)
     idx = np.asarray(idx, dtype=X.indptr.dtype).ravel()
     if idx.size and idx.min() < 0:
@@ -53,6 +55,7 @@ def take_rows(X, idx):
     np.cumsum(X.indptr[idx + 1] - X.indptr[idx], out=indptr[1:])  # IndexError past the last row
     indices, data = np.empty(indptr[-1], dtype=idx.dtype), np.empty(indptr[-1], dtype=X.dtype)
     kernels.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
+    data.flags.writeable = indices.flags.writeable = indptr.flags.writeable = False
     return _wrap_csr(X, data, indices, indptr)
 
 
@@ -69,6 +72,16 @@ def row_range(rows, start: int, stop: int):
     indptr = ptr - lo
     indptr.flags.writeable = rows.indptr.flags.writeable
     return _wrap_csr(rows, rows.data[lo:hi], rows.indices[lo:hi], indptr)
+
+
+def row_entries(X) -> int:
+    """The most entries a row of X stores: d if X is dense."""
+    return X.shape[1] if isinstance(X, np.ndarray) else int(np.diff(X.indptr).max())
+
+
+def dense(X) -> np.ndarray:
+    """X as an ndarray: X itself if it is one, else its `toarray`."""
+    return X if isinstance(X, np.ndarray) else X.toarray()
 
 
 def _wrap_csr(X, data, indices, indptr):
@@ -144,7 +157,7 @@ def spectral_norm(X) -> float:
     if n == 0 or d == 0:
         return 0.0
     if min(n, d) == 1:  # one row or one column: its Euclidean norm
-        return float(np.linalg.norm(X if isinstance(X, np.ndarray) else X.toarray()))
+        return float(np.linalg.norm(dense(X)))
     rng = np.random.default_rng(0)
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -181,7 +194,6 @@ class LinearModel:
     """f_i(theta) = <X_i, theta>; scalar target per example."""
 
     kind = "linear"
-    arity = 1
 
     def init_params(self, d: int, rng=None) -> np.ndarray:
         return np.zeros(d)
@@ -260,7 +272,6 @@ class MLPModel:
     """
 
     kind = "mlp"
-    arity = 1
 
     def __init__(self, hidden: int, seed: int = 0):
         if hidden < 1:
@@ -317,7 +328,7 @@ class MLPModel:
 
     def param_jacobian(self, theta, rows) -> np.ndarray:
         """Dense Jacobian of the targets with respect to the parameters."""
-        rows = rows if isinstance(rows, np.ndarray) else rows.toarray()
+        rows = dense(rows)
         W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
         pre = rows @ W1 + b1
         a = np.maximum(pre, 0.0)

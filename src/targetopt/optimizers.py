@@ -22,7 +22,7 @@ import numpy as np
 from . import losses as losses_mod
 from .inner_solvers import UNREAD_INNER, InnerOptions, armijo_backtracking, backtrack
 from .inner_solvers import exact_linear_solve, gd_fixed  # perfbench's tracer test reads them here
-from .models import row_norms2, row_range, spectral_norm, take_rows
+from .models import row_entries, row_norms2, row_range, spectral_norm, take_rows
 from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, ScheduleOptions, theoretical_eta0
 from .schedules import target_line_search
 from .schema import check, reject_unread
@@ -177,9 +177,9 @@ def _batches(dataset, batch: int, rng, mode: str, T: int):
     and labels, not a copy, and takes nothing from `rng`.
 
     Smaller batches are drawn and gathered a block at a time: the indices
-    of up to BLOCK_ENTRIES stored entries' worth of batches (b times the
-    longest CSR row, or b*d dense), one `take_rows` for their rows and one
-    `y[idx]` for their labels. Each batch is a view of its block, which is
+    of up to BLOCK_ENTRIES stored entries' worth of batches (b times
+    `row_entries`), one `take_rows` for their rows and one `y[idx]` for
+    their labels. Each batch is a view of its block, which is
     read-only, so an update that writes into a batch fails instead of
     changing a later one. The batches are those of one draw per batch, bit
     for bit: numpy's Generator draws bounded integers one value at a time
@@ -192,8 +192,7 @@ def _batches(dataset, batch: int, rng, mode: str, T: int):
         for _ in range(T):
             yield np.arange(n), X, y
         return
-    row_entries = X.shape[1] if isinstance(X, np.ndarray) else int(np.diff(X.indptr).max())
-    per_block = max(1, BLOCK_ENTRIES // max(1, batch * row_entries))
+    per_block = max(1, BLOCK_ENTRIES // max(1, batch * row_entries(X)))
     order = np.empty(0, dtype=int)  # the rest of the drawn permutations
     for start in range(0, T, per_block):
         size = min(per_block, T - start) * batch
@@ -204,9 +203,7 @@ def _batches(dataset, batch: int, rng, mode: str, T: int):
                 order = np.concatenate([order, rng.permutation(n)])
             idx, order = order[:size], order[size:]
         rows, labels = take_rows(X, idx), y[idx]
-        stored = (rows,) if isinstance(rows, np.ndarray) else (rows.data, rows.indices, rows.indptr)
-        for a in (idx, labels, *stored):
-            a.flags.writeable = False
+        idx.flags.writeable = labels.flags.writeable = False
         for lo in range(0, size, batch):
             yield idx[lo:lo + batch], row_range(rows, lo, lo + batch), labels[lo:lo + batch]
 

@@ -38,7 +38,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .losses import xlogy
-from .models import spectral_norm
+from .models import dense, row_products, spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
 Variant = Literal["smoothness", "newton", "entropy-mirror"]
@@ -206,15 +206,10 @@ class Surrogate:
     def quadratic_parts(self):
         """(H, b) with gradient(theta) = H theta - b, for exact solves."""
         w = self._quadratic_weights("closed-form structure")
-        batch, R, s = self.batch, self.batch.rows, self.scale
-        if isinstance(R, np.ndarray):
-            H = s * (R.T @ (w[:, None] * R))
-        else:
-            H = s * (R.T @ R.multiply(w[:, None]).tocsr()).toarray()
-        b = s * np.asarray(R.T @ (w * batch.z)).ravel() - np.asarray(
-            R.T @ batch.coeffs
-        ).ravel() / len(batch.consts)
-        return np.asarray(H), b
+        batch, s, pull_back = self.batch, self.scale, row_products(self.batch.rows)[1]
+        H = s * pull_back(w[:, None] * dense(batch.rows))
+        b = s * pull_back(w * batch.z) - pull_back(batch.coeffs) / len(batch.consts)
+        return H, b
 
 
 def build_stochastic(loss, batch: Batch, eta: float, variant: str = "smoothness") -> Surrogate:

@@ -222,6 +222,33 @@ def test_max_abs_scale_accepts_dense(storage):
     assert got.meta["scaled"]
 
 
+def csc_round_trip_scale(X):
+    """Max-abs scaling through a CSC copy of X, column by column."""
+    C = sp.csc_matrix(X, copy=True)
+    for j in range(C.shape[1]):
+        lo, hi = C.indptr[j], C.indptr[j + 1]
+        if hi > lo and (m := np.max(np.abs(C.data[lo:hi]))) > 0:
+            C.data[lo:hi] /= m
+    return C.toarray() if isinstance(X, np.ndarray) else C.tocsr()
+
+
+def test_max_abs_scale_matches_the_csc_round_trip(storage):
+    # Stored -0 and +0 entries, an all-zero column (3) and an empty row; a
+    # dense -0 reads +0, and a CSR one stays stored.
+    ds = parse_libsvm("1 1:4 2:-0 3:-8 4:0\n-2 2:0.25 4:-0\n0.5\n3 1:-0 2:1 3:3\n")
+    ds = storage(ds)
+    if isinstance(ds.X, np.ndarray):
+        ds.X[0, 1] = ds.X[3, 0] = -0.0
+    got, want = max_abs_scale(ds).X, csc_round_trip_scale(ds.X)
+    assert type(got) is type(want)
+    arrays = (lambda X: [X]) if isinstance(got, np.ndarray) else (
+        lambda X: [X.data, X.indices, X.indptr])
+    for a, ref in zip(arrays(got), arrays(want)):
+        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+    zeros = got[got == 0] if isinstance(got, np.ndarray) else got.data[got.data == 0]
+    assert np.signbit(zeros).sum() == (0 if isinstance(got, np.ndarray) else 3)
+
+
 def test_to_libsvm_accepts_dense(storage):
     ds = parse_libsvm(TEXT)
     text = to_libsvm(storage(ds))

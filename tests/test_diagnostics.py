@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from targetopt.data import Dataset, SyntheticSpec, generate_synthetic
+from targetopt.data import Dataset, SyntheticSpec, generate_synthetic, max_abs_scale
 from targetopt.diagnostics import (
     DegenerateCurvature,
     UnsupportedDiagnostic,
@@ -18,6 +18,7 @@ from targetopt.diagnostics import (
 )
 from targetopt.losses import SquaredLoss
 from targetopt.models import LinearModel, MLPModel
+from targetopt.optimizers import InnerOptions, RunConfig, ScheduleOptions, run
 
 
 def counterexample():
@@ -261,3 +262,38 @@ class TestBound:
             lhs = expected_projection_error_sq(ds, loss, model, theta_t, 0.5, m)
             rhs = projection_error_bound(ds, loss, model, theta_t, 0.5, m, z_star)
             assert lhs <= rhs + 1e-8
+
+
+SPARSE_OPERATORS = ("__matmul__", "__rmatmul__", "multiply", "__getitem__", "tocsc")
+
+
+def test_csr_rows_reach_scipy_only_as_container_and_kernels(monkeypatch):
+    # Every gather and product of CSR rows runs in models on scipy's compiled
+    # kernels; with scipy's sparse operators patched to raise, an exact SSO
+    # run with both diagnostics and max-abs scaling still give their floats.
+    # The run's step is given, so row_norms2, the one operator left, is
+    # not needed.
+    rng = np.random.default_rng(6)
+    A = np.where(rng.random((9, 4)) < 0.5, rng.normal(size=(9, 4)), 0.0)
+    A[:, 0] = rng.normal(size=9)  # zeta2 needs curvature in every singleton
+    ds = Dataset(X=sp.csr_matrix(A), y=rng.normal(size=9), task="regression")
+    cfg = RunConfig(optimizer="sso", T=4, batch_size=3, schedule=ScheduleOptions(eta0=0.5),
+                    inner=InnerOptions(solver="exact"), diagnostics=("eps", "zeta2"))
+    want_rows = run(cfg, ds, LinearModel(), SquaredLoss()).rows
+    want_X = max_abs_scale(ds).X
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy sparse operator was called")
+
+    for cls in type(ds.X).__mro__:
+        for name in SPARSE_OPERATORS:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, refuse)
+    with pytest.raises(AssertionError):
+        ds.X @ np.ones(4)
+    rows = run(cfg, ds, LinearModel(), SquaredLoss()).rows
+    assert [(r.loss, r.eps, r.zeta2) for r in rows] == [(r.loss, r.eps, r.zeta2) for r in want_rows]
+    assert all(np.isfinite(r.eps) and np.isfinite(r.zeta2) for r in rows[1:])
+    got_X = max_abs_scale(ds).X
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got_X, name), getattr(want_X, name))

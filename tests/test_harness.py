@@ -696,17 +696,21 @@ assert "scipy.sparse" not in sys.modules, "scipy.sparse was imported"
 
 
 def test_dense_runs_never_import_scipy_sparse(tmp_path):
-    # A synthetic least-squares experiment, and a softmax-kl experiment on a
-    # LibSVM file that stores every entry, hold no CSR matrix; nor does
-    # writing dense data as LibSVM text, as `targetopt gen` does.
+    # A synthetic least-squares experiment, the same with max-abs scaling,
+    # and a softmax-kl experiment on a LibSVM file that stores every entry,
+    # hold no CSR matrix; nor does writing dense data as LibSVM text, as
+    # `targetopt gen` does.
     ls = small_config(tmp_path / "ls", T=4)
+    scaled = small_config(tmp_path / "scaled", T=4)
+    scaled["dataset"]["normalize"] = True
     kl = multiclass_config(tmp_path)
     assert isinstance(parse_libsvm((tmp_path / "mc.libsvm").read_text()).X, np.ndarray)
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-c", NO_SPARSE_SCRIPT, json.dumps([ls, kl])],
+    proc = subprocess.run([sys.executable, "-c", NO_SPARSE_SCRIPT, json.dumps([ls, scaled, kl])],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "ls" / "sso-m3_s2.csv").exists()
+    assert (tmp_path / "scaled" / "sso-m3_s2.csv").exists()
     assert (tmp_path / "out" / "mirror_s0.csv").exists()
 
 
@@ -757,8 +761,12 @@ class TestCLI:
          "error: config list.json must be a JSON object, not list\n"),
         (["--preset", "interpolation", "--dim", "3"],
          "error: a synthetic dataset does not read 'd'; leave it out\n"),
+        (["--preset", "interpolation", "--jobs", "0"],
+         "error: jobs must be an integer >= 1, not 0\n"),
+        (["--preset", "interpolation", "--jobs", "-4"],
+         "error: jobs must be an integer >= 1, not -4\n"),
     ], ids=["unknown-preset", "missing-config", "malformed-config", "list-config",
-            "list-config-with-data", "synthetic-preset-with-dim"])
+            "list-config-with-data", "synthetic-preset-with-dim", "no-jobs", "negative-jobs"])
     def test_bad_config_source_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                  argv, message):
         monkeypatch.chdir(tmp_path)

@@ -14,8 +14,11 @@ from targetopt.losses import (
 from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
 from targetopt.optimizers import InnerOptions, RunConfig, ScheduleOptions, run
 from targetopt.surrogates import (
+    Batch,
     KLProximity,
     OracleCounter,
+    SquaredProximity,
+    Surrogate,
     build_deterministic,
     build_stochastic,
     freeze,
@@ -422,3 +425,48 @@ class TestRepresentationProperties:
         sgd = RunConfig(optimizer="sgd", schedule=ScheduleOptions(eta0=a), **common)
         np.testing.assert_array_equal(run(sso, ds, model, loss).losses(),
                                       run(sgd, ds, model, loss).losses())
+
+
+def scipy_quadratic_parts(R, w, z, coeffs):
+    """(H, b) by scipy's sparse operators, or ndarray @ for dense R."""
+    s = 1.0 / len(z)
+    if isinstance(R, np.ndarray):
+        H = s * (R.T @ (w[:, None] * R))
+    else:
+        H = s * (R.T @ R.multiply(w[:, None]).tocsr()).toarray()
+    return H, s * (R.T @ (w * z)) - (R.T @ coeffs) / len(z)
+
+
+def csr_with_signed_zeros(rng, n=7, d=5):
+    """A CSR matrix storing explicit +0 and -0 entries, whose row 2 stores
+    no entry and whose row 4 stores only zeros."""
+    A = np.where(rng.random((n, d)) < 0.5, rng.normal(size=(n, d)), 0.0)
+    stored = A != 0
+    stored[0, :2] = stored[4, 1:4] = stored[5, -1] = True
+    A[0, :2], A[4, 1:4], A[5, -1] = [0.0, -0.0], [-0.0, 0.0, -0.0], -0.0
+    stored[2] = False
+    rows, cols = np.nonzero(stored)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sp.csr_matrix((A[rows, cols], cols, indptr), shape=(n, d))
+
+
+class TestQuadraticParts:
+    """quadratic_parts forms H and b with the models products, which give
+    scipy's sparse operator formula bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_bit_for_bit_against_scipy(self, seed, storage):
+        rng = np.random.default_rng(seed)
+        R = csr_with_signed_zeros(rng)
+        assert R.nnz > np.count_nonzero(R.data) and np.signbit(R.data).any()
+        if storage == "dense":
+            R = R.toarray()
+        n, d = R.shape
+        w, z, coeffs = rng.random(n) + 0.1, rng.normal(size=n), rng.normal(size=n)
+        batch = Batch(LinearModel(), np.zeros(d), R, None, z, np.zeros(n), coeffs)
+        H, b = Surrogate(batch, SquaredProximity(w)).quadratic_parts()
+        want_H, want_b = scipy_quadratic_parts(R, w, z, coeffs)
+        for got, want in ((H, want_H), (b, want_b)):
+            assert type(got) is np.ndarray and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
