@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
-from .schema import check
+from .schema import check, reject_unread
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -112,8 +112,8 @@ class SyntheticSpec:
     """Parameters for `generate_synthetic`.
 
     `cond` targets the condition number of X^T X; `noise` is the label
-    noise scale. The counterexample kind ignores everything except its
-    fixed two-example instance.
+    noise scale. The counterexample kind is one fixed two-example instance
+    and rejects any other setting that is not at its default.
     """
 
     kind: SyntheticKind
@@ -129,8 +129,10 @@ class SyntheticSpec:
             raise ValueError("condition-number target must be >= 1")
         if self.noise < 0.0:
             raise ValueError("noise scale must be >= 0")
-        if self.kind == "counterexample-quadratics" and (self.n, self.d) != (2, 1):
-            raise ValueError("counterexample-quadratics fixes n=2, d=1")
+        if self.kind == "counterexample-quadratics":
+            if (self.n, self.d) != (2, 1):
+                raise ValueError("counterexample-quadratics fixes n=2, d=1")
+            reject_unread(self, f"synthetic kind {self.kind!r}", ("cond", "noise", "seed"))
         if self.kind == "interpolating" and self.noise != 0.0:
             raise ValueError("interpolating instances require noise = 0")
         if self.n < 1 or self.d < 1:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
-from .models import LinearModel, dense, lipschitz_estimate, row_norms2, row_product, take_rows
+from .models import LinearModel, dense, lipschitz_estimate, row_product, take_rows, zero_rows
 from .optimizers import RunConfig, run
 from .schedules import ScheduleOptions
 from .surrogates import build_analysis_q, build_deterministic, build_stochastic, freeze
@@ -70,16 +70,17 @@ def _singletons(loss, model, dataset, theta_t, eta_t):
     return pairs
 
 
-def projection_error(loss, model, dataset, theta_t, batch_idx, eta_t, theta_next) -> float:
+def projection_error(loss, dataset, sampled, batch_idx, eta_t, theta_next) -> float:
     """Distance between realized targets and the analysis-surrogate targets.
 
     ||f(theta_next) - f(argmin q)|| where q is the analysis surrogate built
-    at (theta_t, batch, eta_t). Exact solve, so linear models only.
+    from `sampled`, the step's frozen batch (the rows `batch_idx` at its
+    anchor theta_t), at eta_t. Exact solve, so linear models only.
     """
+    model = sampled.model
     _require_linear(model)
-    sampled = freeze(loss, model, theta_t, take_rows(dataset.X, batch_idx), dataset.y[batch_idx])
     q = build_analysis_q(loss, dataset, sampled, batch_idx, eta_t)
-    theta_bar = exact_linear_solve(q, origin=theta_t)
+    theta_bar = exact_linear_solve(q, origin=sampled.theta)
     z_next = model.forward(theta_next, dataset.X)
     z_bar = model.forward(theta_bar, dataset.X)
     return float(np.linalg.norm(z_next - z_bar))
@@ -112,10 +113,9 @@ def sigma2_z(dataset, loss) -> float:
     else:
         best_avg = _convex_min_value(dataset, loss)
     per_example = np.zeros(n)
-    zero_rows = row_norms2(dataset.X) == 0
-    if np.any(zero_rows):
-        z0 = np.zeros(int(zero_rows.sum()))
-        per_example[zero_rows] = np.asarray(loss.values(z0, dataset.y[zero_rows]))
+    zero = zero_rows(dataset.X)
+    if zero.size:
+        per_example[zero] = np.asarray(loss.values(np.zeros(zero.size), dataset.y[zero]))
     # Nonzero rows can realize any coordinate value, so the per-example
     # optimum is the scalar infimum (0 for squared and logistic).
     return best_avg - float(np.mean(per_example))

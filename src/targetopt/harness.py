@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ class DatasetSpec:
 
 @dataclass
 class LossSpec:
-    kind: str
+    kind: losses_mod.LossKind
     smoothness: float | None = None  # overrides the per-coordinate constant
 
     def __post_init__(self):
@@ -75,18 +76,18 @@ class LossSpec:
 
 @dataclass
 class ModelSpec:
-    """`hidden` and `seed` set the MLP, `n_classes` the softmax-linear model
-    (None: the dataset's)."""
+    """`hidden` sets the MLP's width, `n_classes` the softmax-linear model's
+    classes (None: the dataset's); a kind reads only the settings its
+    class's constructor takes. Initial parameters come from each run's seed."""
 
-    kind: str = "linear"
+    kind: models_mod.ModelKind = "linear"
     hidden: int = 16
     n_classes: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        unread = {"mlp": ("n_classes",), "softmax-linear": ("hidden", "seed")}
-        schema.reject_unread(self, f"model {self.kind!r}",
-                             unread.get(self.kind, ("hidden", "n_classes", "seed")))
+        schema.check(self)  # a kind that has no class, also in a spec built in code
+        reads = signature(models_mod.MODELS[self.kind]).parameters
+        schema.reject_unread(self, f"model {self.kind!r}", {"hidden", "n_classes"} - set(reads))
 
 
 @dataclass
@@ -96,10 +97,10 @@ class Experiment:
     entry by `read_run`."""
 
     dataset: dict
-    loss: LossSpec | str
+    loss: LossSpec | losses_mod.LossKind
     runs: list[dict]
     name: str = ""
-    model: ModelSpec | str = "linear"
+    model: ModelSpec | models_mod.ModelKind = "linear"
     expert_smoothing: float = 0.05  # of multiclass-kl's expert rows
     global_seed: int = 0
     seeds: list[int] = field(default_factory=lambda: [0])
@@ -121,11 +122,13 @@ class Experiment:
 @dataclass
 class RunSpec(RunConfig):
     """A "runs" entry: RunConfig's settings, with "id" for `run_id` (default:
-    the optimizer), "epochs" in place of "T" (T = epochs * ceil(n / batch))
-    and no seed: each pair derives its own."""
+    the optimizer), "epochs" in place of "T" (T = epochs * ceil(n / batch)),
+    no seed (each pair derives its own) and no `record_theta` (no pair
+    writes the parameters)."""
 
     run_id: str = field(default="", init=False)
     seed: int = field(default=0, init=False)
+    record_theta: bool = field(default=False, init=False)
     T: int | None = None  # None: from "epochs", or RunConfig's default
     id: str | None = None
     epochs: int | None = None
@@ -168,7 +171,7 @@ def load_problem(exp: Experiment):
     dataset = load_dataset(exp.dataset)
     m = exp.model
     n_classes = dataset.n_classes if m.n_classes is None else m.n_classes
-    model = models_mod.make_model(m.kind, hidden=m.hidden, n_classes=n_classes, seed=m.seed)
+    model = models_mod.make_model(m.kind, hidden=m.hidden, n_classes=n_classes)
     if loss.kind == "multiclass-kl":
         if dataset.task != "multiclass":
             raise ValueError(f"loss 'multiclass-kl' needs a multiclass task, not {dataset.task!r}")

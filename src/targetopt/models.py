@@ -8,15 +8,17 @@ so no gradient runs the model again; `lipschitz_estimate` bounds the
 map's constant.
 The optimizers' outer loop hands out a batch's rows, X itself for a full
 batch. Linear and softmax-linear targets are link(rows @ W), W = theta,
-and these models expose `logits`, `link` and its vector-Jacobian product
-`link_vjp`. MLP gradients are hand-written reverse accumulation so they
-can be checked against finite differences without an autodiff dependency.
+and these models expose `logits` and the link's vector-Jacobian product
+`link_vjp` (softmax-linear also its `link`). MLP gradients are
+hand-written reverse accumulation so they can be checked against finite
+differences without an autodiff dependency.
 
 Rows are a dense ndarray or a CSR matrix, and only this module and `data`
 know which. `take_rows` gathers a batch, `row_range` views a run of a
-gathered block's rows, `row_entries` bounds a row's stored entries, `dense`
-gives rows as an ndarray, and `row_product` forms `rows @ v` and
-`rows.T @ v` (`row_products` gives both as functions of v). Dense rows use
+gathered block's rows, `row_entries` bounds a row's stored entries and
+`zero_rows` finds the empty rows, `dense` gives rows as an ndarray, and
+`row_product` forms `rows @ v` and `rows.T @ v` (`row_products` gives both
+as functions of v). Dense rows use
 ndarray indexing and `@`; CSR rows go straight to the compiled kernels that
 scipy's own `X[idx]` and `@` end in, on the matrix's own arrays, so the sums
 are scipy's bit for bit. Storage is told apart by `isinstance(X,
@@ -27,6 +29,8 @@ runs never import scipy.sparse.
 from __future__ import annotations
 
 from functools import partial
+from inspect import signature
+from typing import Literal
 
 import numpy as np
 
@@ -77,6 +81,14 @@ def row_range(rows, start: int, stop: int):
 def row_entries(X) -> int:
     """The most entries a row of X stores: d if X is dense."""
     return X.shape[1] if isinstance(X, np.ndarray) else int(np.diff(X.indptr).max())
+
+
+def zero_rows(X) -> np.ndarray:
+    """The indices of the rows of X that hold no nonzero entry."""
+    if isinstance(X, np.ndarray):
+        return np.flatnonzero(~X.any(axis=1))
+    held = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))[X.data != 0]
+    return np.setdiff1d(np.arange(X.shape[0]), held)
 
 
 def dense(X) -> np.ndarray:
@@ -195,7 +207,7 @@ class LinearModel:
 
     kind = "linear"
 
-    def init_params(self, d: int, rng=None) -> np.ndarray:
+    def init_params(self, d: int, rng) -> np.ndarray:
         return np.zeros(d)
 
     def dim(self, d: int) -> int:
@@ -205,9 +217,6 @@ class LinearModel:
         return row_product(rows, theta)
 
     forward = logits  # the identity link
-
-    def link(self, logits) -> np.ndarray:
-        return logits
 
     def link_vjp(self, f, coeffs) -> np.ndarray:
         return coeffs
@@ -227,17 +236,14 @@ class SoftmaxLinearModel:
             raise ValueError("softmax model needs at least 2 classes")
         self.arity = n_classes
 
-    def init_params(self, d: int, rng=None) -> np.ndarray:
+    def init_params(self, d: int, rng) -> np.ndarray:
         return np.zeros(d * self.arity)
 
     def dim(self, d: int) -> int:
         return d * self.arity
 
-    def _weights(self, theta, d):
-        return np.asarray(theta).reshape(d, self.arity)
-
     def logits(self, theta, rows) -> np.ndarray:
-        return row_product(rows, self._weights(theta, rows.shape[1]))
+        return row_product(rows, np.asarray(theta).reshape(rows.shape[1], self.arity))
 
     def link(self, logits) -> np.ndarray:
         # Each row's max as elementwise maxima of the columns: the floats of
@@ -267,34 +273,25 @@ class SoftmaxLinearModel:
 class MLPModel:
     """Two-layer ReLU network with a scalar output per example.
 
-    Parameters are flattened [W1 (d x h), b1 (h), w2 (h), b2 (1)] with
-    seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization.
+    Parameters are flattened [W1 (d x h), b1 (h), w2 (h), b2 (1)], each
+    drawn uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from the generator that
+    `init_params` is given.
     """
 
     kind = "mlp"
 
-    def __init__(self, hidden: int, seed: int = 0):
+    def __init__(self, hidden: int):
         if hidden < 1:
             raise ValueError("hidden width must be >= 1")
         self.hidden = hidden
-        self.seed = seed
 
     def dim(self, d: int) -> int:
         return d * self.hidden + self.hidden + self.hidden + 1
 
-    def init_params(self, d: int, rng=None) -> np.ndarray:
-        rng = rng if rng is not None else np.random.default_rng(self.seed)
-        h = self.hidden
-        b1 = 1.0 / np.sqrt(d)
-        b2 = 1.0 / np.sqrt(h)
-        return np.concatenate(
-            [
-                rng.uniform(-b1, b1, size=d * h),
-                rng.uniform(-b1, b1, size=h),
-                rng.uniform(-b2, b2, size=h),
-                rng.uniform(-b2, b2, size=1),
-            ]
-        )
+    def init_params(self, d: int, rng) -> np.ndarray:
+        h, b1, b2 = self.hidden, 1.0 / np.sqrt(d), 1.0 / np.sqrt(self.hidden)
+        return np.concatenate([rng.uniform(-b1, b1, size=d * h + h),
+                               rng.uniform(-b2, b2, size=h + 1)])
 
     def _unpack(self, theta, d):
         h = self.hidden
@@ -341,23 +338,26 @@ class MLPModel:
         )
 
 
-def make_model(kind: str, hidden: int = 16, n_classes: int = 0, seed: int = 0):
-    if kind == "linear":
-        return LinearModel()
-    if kind == "softmax-linear":
-        return SoftmaxLinearModel(n_classes)
-    if kind == "mlp":
-        return MLPModel(hidden=hidden, seed=seed)
-    raise ValueError(f"unknown model kind {kind!r}")
+MODELS = {cls.kind: cls for cls in (LinearModel, SoftmaxLinearModel, MLPModel)}
+ModelKind = Literal[tuple(MODELS)]  # the kinds above, for config checks
+
+
+def make_model(kind: str, hidden: int = 16, n_classes: int = 0):
+    """The model of `kind`, given the settings its constructor takes:
+    `hidden`, the MLP's width, and `n_classes`, softmax-linear's classes."""
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    settings = {"hidden": hidden, "n_classes": n_classes}
+    return MODELS[kind](**{name: settings[name] for name in signature(MODELS[kind]).parameters})
 
 
 def lipschitz_estimate(model, X, theta=None) -> float:
     """Lipschitz constant of the target map: the spectral norm of X for link
     models (exact for linear, a bound for softmax-linear, softmax being
-    1-Lipschitz); for the MLP that of the parameter Jacobian at `theta`
-    (seeded initialization by default), which bounds nearby slopes only."""
+    1-Lipschitz); for the MLP that of the parameter Jacobian at `theta`,
+    which it needs and which bounds nearby slopes only."""
     if model.kind != "mlp":
         return spectral_norm(X)
     if theta is None:
-        theta = model.init_params(X.shape[1])
+        raise ValueError("the MLP's Lipschitz estimate needs theta")
     return spectral_norm(model.param_jacobian(theta, X))

@@ -22,7 +22,7 @@ import numpy as np
 from . import losses as losses_mod
 from .inner_solvers import UNREAD_INNER, InnerOptions, armijo_backtracking, backtrack
 from .inner_solvers import exact_linear_solve, gd_fixed  # perfbench's tracer test reads them here
-from .models import row_entries, row_norms2, row_range, spectral_norm, take_rows
+from .models import row_entries, row_norms2, row_range, spectral_norm, take_rows, zero_rows
 from .schedules import KINDS, LS_ALPHA0, LS_C, LS_SHRINK, ScheduleOptions, theoretical_eta0
 from .schedules import target_line_search
 from .schema import check, reject_unread
@@ -129,6 +129,11 @@ class RunConfig:
         ]:
             if bad:
                 raise ValueError(problem)
+        if "zeta2" in self.diagnostics:  # each row's singleton surrogate is flat on a zero row
+            zero = zero_rows(dataset.X)
+            if zero.size:
+                raise ValueError(f"diagnostic 'zeta2' needs nonzero rows, and row {zero[0]} "
+                                 "(from 0) of the data is all zero")
         b = n if self.batch_size is None else self.batch_size
         cfg = replace(self, batch_size=b)
         if self.optimizer == "svrg" and self.svrg_snapshot_freq is None:
@@ -326,14 +331,8 @@ def _drive(cfg: RunConfig, dataset, model, loss, make_step) -> RunTrace:
         rec.snap(theta)
         if rec.due(t):
             rec.record(t, theta, eta_t, **row_fields)
-    return RunTrace(
-        run_id=cfg.run_id or cfg.optimizer,
-        seed=cfg.seed,
-        config=asdict(cfg),
-        rows=rec.rows,
-        thetas=rec.thetas,
-        inner_stalls=rec.inner_stalls,
-    )
+    return RunTrace(run_id=cfg.run_id or cfg.optimizer, seed=cfg.seed, config=asdict(cfg),
+                    rows=rec.rows, thetas=rec.thetas, inner_stalls=rec.inner_stalls)
 
 
 def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
@@ -361,9 +360,8 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
             from . import diagnostics as diag
 
             if "eps" in cfg.diagnostics:
-                row_fields["eps"] = diag.projection_error(
-                    loss, model, dataset, theta, idx, eta_t, res.theta
-                )
+                row_fields["eps"] = diag.projection_error(loss, dataset, batch, idx, eta_t,
+                                                          res.theta)
             if "zeta2" in cfg.diagnostics:
                 row_fields["zeta2"] = diag.zeta2(dataset, loss, model, theta, eta_t)
         return res.theta, eta_t, row_fields

@@ -238,13 +238,10 @@ def build_stochastic(loss, batch: Batch, eta: float, variant: str = "smoothness"
     return Surrogate(batch, SquaredProximity(weights if z.ndim == 1 else weights[:, None]))
 
 
-def build_deterministic(
-    loss, model, dataset, theta_t, eta: float, counter: OracleCounter | None = None
-) -> Surrogate:
-    """Full-batch surrogate (one full oracle call). Upper-bounds the loss
-    for eta <= 1/L, L the per-coordinate smoothness constant."""
-    batch = freeze(loss, model, theta_t, dataset.X, dataset.y, counter)
-    return build_stochastic(loss, batch, eta)
+def build_deterministic(loss, model, dataset, theta_t, eta: float) -> Surrogate:
+    """Full-batch surrogate (one full oracle call, not counted). Upper-bounds
+    the loss for eta <= 1/L, L the per-coordinate smoothness constant."""
+    return build_stochastic(loss, freeze(loss, model, theta_t, dataset.X, dataset.y), eta)
 
 
 def build_analysis_q(loss, dataset, sampled: Batch, batch_idx, eta: float) -> Surrogate:

@@ -80,7 +80,7 @@ def make_problem(case, n, d, seed, dense, eye=False):
     ds = Dataset(X=X if dense else sp.csr_matrix(X), y=y, task=task, n_classes=K)
     model = {
         "linear": LinearModel(),
-        "mlp": MLPModel(hidden=3, seed=seed % 7),
+        "mlp": MLPModel(hidden=3),
         "softmax": SoftmaxLinearModel(K),
     }[model_kind]
     theta_t = 0.5 * rng.normal(size=model.dim(d))

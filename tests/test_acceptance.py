@@ -359,8 +359,9 @@ def test_10_gradient_hygiene():
         ds_r = generate_synthetic(
             SyntheticSpec("least-squares", n=10, d=3, cond=3.0, noise=0.4, seed=12)
         )
-        mlp = MLPModel(hidden=4, seed=12)
-        surr = stochastic(SquaredLoss(), mlp, ds_r, mlp.init_params(3), [0, 4, 9], 0.7)
+        mlp = MLPModel(hidden=4)
+        theta_r = mlp.init_params(3, np.random.default_rng(12))
+        surr = stochastic(SquaredLoss(), mlp, ds_r, theta_r, [0, 4, 9], 0.7)
         check(surr.value, surr.grad, dim=mlp.dim(3), scale=0.5)
 
         # Mirror projection objective through a softmax-linear model.

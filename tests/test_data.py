@@ -155,6 +155,12 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="fixes n=2"):
             SyntheticSpec("counterexample-quadratics", n=3, d=1).validate()
 
+    @pytest.mark.parametrize("key, value", [("cond", 50.0), ("noise", 0.1), ("seed", 3)])
+    def test_counterexample_rejects_settings_it_does_not_read(self, key, value):
+        # The instance is fixed: no cond, noise or seed changes it.
+        with pytest.raises(ValueError, match=f"does not read '{key}'; leave it out"):
+            SyntheticSpec("counterexample-quadratics", **{key: value}).validate()
+
     def test_interpolating_zero_residual(self):
         ds = generate_synthetic(SyntheticSpec("interpolating", n=40, d=7, seed=5))
         theta, *_ = np.linalg.lstsq(np.asarray(ds.X), ds.y, rcond=None)

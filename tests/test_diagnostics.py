@@ -16,7 +16,7 @@ from targetopt.diagnostics import (
     sigma2_z,
     zeta2,
 )
-from targetopt.losses import SquaredLoss
+from targetopt.losses import LogisticLoss, SquaredLoss, expit
 from targetopt.models import LinearModel, MLPModel
 from targetopt.optimizers import InnerOptions, RunConfig, ScheduleOptions, run
 
@@ -42,18 +42,19 @@ class TestProjectionError:
         eta = 0.5
         surr = stochastic(loss, model, ds, theta_t, [0], eta)
         theta_next = exact_linear_solve(surr, origin=theta_t)
-        eps = projection_error(loss, model, ds, theta_t, [0], eta, theta_next)
+        eps = projection_error(loss, ds, surr.batch, [0], eta, theta_next)
         assert eps <= 1e-10
 
     def test_no_inner_steps_gives_distance_to_analysis_targets(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=8, d=3, cond=4, noise=0.5, seed=1))
         model, loss = LinearModel(), SquaredLoss()
-        from helpers import analysis_q
+        from helpers import analysis_q, stochastic
         from targetopt.inner_solvers import exact_linear_solve
 
         theta_t = np.random.default_rng(2).normal(size=3)
         eta = 0.3
-        eps = projection_error(loss, model, ds, theta_t, [4], eta, theta_t)
+        sampled = stochastic(loss, model, ds, theta_t, [4], eta).batch
+        eps = projection_error(loss, ds, sampled, [4], eta, theta_t)
         q = analysis_q(loss, model, ds, theta_t, [4], eta)
         theta_bar = exact_linear_solve(q, origin=theta_t)
         z_t = model.forward(theta_t, ds.X)
@@ -72,9 +73,14 @@ class TestProjectionError:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_mlp_unsupported(self):
+        from helpers import stochastic
+
         ds = generate_synthetic(SyntheticSpec("least-squares", n=5, d=2, seed=5))
+        model = MLPModel(hidden=3)
+        theta = np.zeros(model.dim(2))
+        sampled = stochastic(SquaredLoss(), model, ds, theta, [0], 0.5).batch
         with pytest.raises(UnsupportedDiagnostic):
-            projection_error(SquaredLoss(), MLPModel(hidden=3), ds, np.zeros(2), [0], 0.5, np.zeros(2))
+            projection_error(SquaredLoss(), ds, sampled, [0], 0.5, theta)
 
 
 class TestNoise:
@@ -110,6 +116,22 @@ class TestSigmaZ:
         # averaged loss at its minimizer theta*=0 is 5/16; each individual
         # loss attains 0, so sigma_z^2 = 5/16.
         assert sigma2_z(counterexample(), SquaredLoss()) == pytest.approx(5 / 16, abs=1e-12)
+
+    def test_logistic_minimum_by_newton(self):
+        # A non-squared loss takes the averaged loss's minimum from a long
+        # full-batch GD run; a zero row's own minimum is its loss at 0, log 2.
+        ds = generate_synthetic(SyntheticSpec("logistic", n=20, d=3, cond=2.0, noise=2.0, seed=4))
+        X, y = ds.X.copy(), ds.y
+        X[0] = 0.0
+        theta = np.zeros(3)
+        for _ in range(30):
+            p = expit(-y * (X @ theta))
+            grad = -(X.T @ (y * p)) / 20
+            hess = (X.T * (p * (1 - p))) @ X / 20
+            theta -= np.linalg.solve(hess, grad)
+        best = float(np.mean(LogisticLoss().values(X @ theta, y)))
+        got = sigma2_z(Dataset(X=X, y=y, task="binary"), LogisticLoss())
+        assert got == pytest.approx(best - np.log(2) / 20, rel=1e-10)
 
     def test_dense_X_matches_csr(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=12, d=3, noise=0.5, seed=8))
@@ -170,6 +192,16 @@ class TestZeta2:
         ds = Dataset(X=sp.csr_matrix(np.zeros((2, 2))), y=np.array([1.0, 2.0]), task="regression")
         with pytest.raises(DegenerateCurvature):
             zeta2(ds, SquaredLoss(), LinearModel(), np.zeros(2), 0.5)
+
+    def test_run_on_a_zero_row_is_refused_before_any_step(self):
+        ds = Dataset(X=sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 2.0]])),
+                     y=np.array([1.0, 2.0, 0.5]), task="regression")
+        cfg = RunConfig(optimizer="sso", T=2, batch_size=1, schedule=ScheduleOptions(eta0=0.5),
+                        inner=InnerOptions(solver="exact"), diagnostics=("zeta2",))
+        with pytest.raises(ValueError, match=r"row 1 \(from 0\) of the data is all zero"):
+            run(cfg, ds, LinearModel(), SquaredLoss())
+        cfg.diagnostics = ("eps",)  # eps reads no singleton
+        assert np.isfinite(run(cfg, ds, LinearModel(), SquaredLoss()).rows[-1].eps)
 
     def test_freezes_each_singleton_once(self):
         # The full batch once (n rows) and each singleton once (n rows).

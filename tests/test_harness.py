@@ -330,8 +330,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key, value, message", [
         ("dataset", {"path": "broken.libsvm", "task": "binary"}, "line 1: bad label token 'not'"),
-        ("loss", "hinge", "unknown loss kind 'hinge'"),
-        ("model", "tree", "unknown model kind 'tree'"),
+        ("loss", "hinge", "loss must be an object or one of 'squared', 'logistic', "
+                          "'multiclass-kl', not 'hinge'"),
+        ("model", "tree", "model must be an object or one of 'linear', 'softmax-linear', 'mlp', "
+                          "not 'tree'"),
         ("dataset", {"synthetic": {"kind": "least-squares", "nn": 5}},
          "unknown key(s) ['nn'] in dataset.synthetic"),
         ("loss", "multiclass-kl", "loss 'multiclass-kl' needs a multiclass task, not 'regression'"),
@@ -339,8 +341,10 @@ class TestRunExperiment:
          "unknown key(s) ['normalise'] in dataset"),
         ("loss", {"kind": "squared", "smothness": 2.0}, "unknown key(s) ['smothness'] in loss"),
         ("model", {"kind": "mlp", "hiden": 5}, "unknown key(s) ['hiden'] in model"),
-        ("loss", 3, "loss must be an object or a string, not 3"),
-        ("model", [], "model must be an object or a string, not []"),
+        ("loss", 3, "loss must be an object or one of 'squared', 'logistic', 'multiclass-kl', "
+                    "not 3"),
+        ("model", [], "model must be an object or one of 'linear', 'softmax-linear', 'mlp', "
+                      "not []"),
         ("dataset", "data.libsvm", "dataset must be an object, not 'data.libsvm'"),
         ("dataset", {"synthetic": 3}, "dataset.synthetic must be an object or null, not 3"),
         # A problem setting that the dataset, loss or model never reads.
@@ -354,7 +358,7 @@ class TestRunExperiment:
          "dataset needs exactly one of 'path' and 'synthetic'"),
         ("expert_smoothing", 0.1, "loss 'squared' does not read 'expert_smoothing'; leave it out"),
         ("model", {"kind": "linear", "hidden": 5}, "model 'linear' does not read 'hidden'"),
-        ("model", {"kind": "softmax-linear", "seed": 2}, "model 'softmax-linear' does not read 'seed'"),
+        ("model", {"kind": "softmax-linear", "seed": 2}, "unknown key(s) ['seed'] in model"),
         ("model", {"kind": "mlp", "n_classes": 3}, "model 'mlp' does not read 'n_classes'"),
     ], ids=["malformed-data", "unknown-loss", "unknown-model", "synthetic-key", "kl-on-regression",
             "dataset-key", "loss-key", "model-key", "loss-number", "model-list", "dataset-name",
@@ -633,7 +637,7 @@ class TestConfigParsing:
 
     def test_mlp_model_through_config(self, tmp_path):
         cfg = small_config(tmp_path / "out", T=4)
-        cfg["model"] = {"kind": "mlp", "hidden": 5, "seed": 3}
+        cfg["model"] = {"kind": "mlp", "hidden": 5}
         cfg["seeds"] = [0]
         cfg["runs"] = [{"id": "sso-mlp", "optimizer": "sso", "T": 4, "batch_size": None,
                         "eval_every": 1, "schedule": {"kind": "constant", "eta0": 1.0},
@@ -876,6 +880,15 @@ class TestCLI:
          "nonzero max row norm of X, and it is 0; set schedule.eta0"),
         ("zero-run", "batch_size", 3, "run 'sgd': the default step 1/(2 L_theta) needs a "
          "nonzero spectral norm of X, and it is 0; set schedule.eta0"),
+        # A key that would change nothing, or a kind with a typo.
+        ("config", "model", {"kind": "mpl", "hidden": 8},
+         "model.kind must be one of 'linear', 'softmax-linear', 'mlp', not 'mpl'"),
+        ("config", "loss", {"kind": "logistc"},
+         "loss.kind must be one of 'squared', 'logistic', 'multiclass-kl', not 'logistc'"),
+        ("config", "model", {"kind": "mlp", "seed": 3}, "unknown key(s) ['seed'] in model"),
+        ("run", "record_theta", True, "run 'sso-m3': unknown key(s) ['record_theta'] in runs[1]"),
+        ("dataset", "synthetic", {"kind": "counterexample-quadratics", "cond": 50},
+         "synthetic kind 'counterexample-quadratics' does not read 'cond'; leave it out"),
     ], ids=["tau-text", "eval-every-text", "inner-alpha-text", "exp-beta-text",
             "diagnostics-number", "diagnostics-name", "synthetic-n-text", "synthetic-seed-fraction",
             "mlp-hidden-text", "no-loss", "no-dataset", "loss-without-kind", "id-number",
@@ -885,7 +898,8 @@ class TestCLI:
             "expert-smoothing-two", "mlp-gd-without-alpha", "linear-mirror-gd-without-alpha",
             "softmax-exact", "softmax-gd-without-alpha", "linear-mirror", "newton-kl",
             "softmax-diagnostics", "kl-linear", "softmax-squared", "zero-rows-batch",
-            "zero-rows-full"])
+            "zero-rows-full", "model-kind-typo", "loss-kind-typo", "mlp-seed", "record-theta",
+            "counterexample-cond"])
     def test_config_probe_is_one_error_line(self, tmp_path, capsys, where, key, value, path):
         if where == "zero-run":
             cfg = zero_rows_config(tmp_path)
@@ -946,6 +960,56 @@ class TestCLI:
         cli._add_gen(sub)
         kind = next(a for a in sub.choices["gen"]._actions if a.dest == "kind")
         assert tuple(kind.choices) == get_args(SyntheticKind)
+
+    def test_zeta2_on_a_zero_row_is_one_error_line(self, tmp_path, capsys):
+        # A label-only line is a zero row, whose singleton surrogate has no
+        # curvature for zeta2; the run is refused before any pair runs.
+        data = tmp_path / "zero-row.libsvm"
+        data.write_text("1 1:0.5 2:1\n-1 1:1\n0.5\n2 2:-1\n")
+        cfg = {"dataset": {"path": str(data)}, "loss": "squared", "out_dir": str(tmp_path / "out"),
+               "runs": [{"id": "sso", "optimizer": "sso", "T": 3, "batch_size": 2,
+                         "inner": {"solver": "exact"}, "diagnostics": ["zeta2"]}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: run 'sso': diagnostic 'zeta2' needs nonzero rows, and "
+                                "row 2 (from 0) of the data is all zero\n")
+        assert "FAILED" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model", ["mpl", {"kind": "mpl"}], ids=["shorthand", "object"])
+    def test_unknown_model_kind_is_named_before_the_data_loads(self, tmp_path, capsys, model):
+        cfg = small_config(tmp_path / "out")
+        cfg["dataset"] = {"path": str(tmp_path / "missing.libsvm")}
+        cfg["model"] = model
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "one of 'linear', 'softmax-linear', 'mlp', not 'mpl'" in err
+        assert "missing.libsvm" not in err and err.count("\n") == 1
+
+    def test_seed_flag_overrides_the_global_seed(self, tmp_path):
+        # `run --seed 5` runs as the config with "global_seed": 5 does, and
+        # the sidecar records the seed it ran at.
+        cfg = small_config(tmp_path / "config-seed")
+        cfg["global_seed"] = 5
+        assert run_experiment(cfg) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(tmp_path / "unused")))
+        assert cli.main(["run", "--config", str(cfg_path), "--seed", "5",
+                         "--out", str(tmp_path / "flag-seed")]) == 0
+        assert not (tmp_path / "unused").exists()
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "seed0")]) == 0
+        for name in ("sgd_s1.csv", "sso-m3_s2.csv", "summary.csv"):
+            text = {out: (tmp_path / out / name).read_text()
+                    for out in ("flag-seed", "config-seed", "seed0")}
+            if name != "summary.csv":
+                text = {out: strip_wall(t) for out, t in text.items()}
+            assert text["flag-seed"] == text["config-seed"] != text["seed0"]
+        sidecar = json.loads((tmp_path / "flag-seed" / "sgd_s0.json").read_text())
+        assert sidecar["experiment"]["global_seed"] == 5
 
     def test_misspelt_problem_key_is_one_error_line(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "out")

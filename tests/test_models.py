@@ -111,9 +111,9 @@ class TestMLP:
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        model = MLPModel(hidden=5, seed=4)
+        model = MLPModel(hidden=5)
         X = dense(rng.normal(size=(7, 3)))
-        theta = model.init_params(3)
+        theta = model.init_params(3, np.random.default_rng(4))
         idx = np.arange(7)
         c = rng.normal(size=7)
         w = rng.uniform(0.2, 1.5, size=7)
@@ -134,8 +134,8 @@ class TestMLP:
         assert np.max(np.abs(g - fd) / denom) <= 1e-5
 
     def test_seeded_init_is_deterministic(self):
-        a = MLPModel(hidden=8, seed=9).init_params(5)
-        b = MLPModel(hidden=8, seed=9).init_params(5)
+        a = MLPModel(hidden=8).init_params(5, np.random.default_rng(9))
+        b = MLPModel(hidden=8).init_params(5, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
 
@@ -178,7 +178,7 @@ class TestRowContract:
     def test_sliced_rows_match_all_rows(self, kind, storage, idx, seed):
         rng = np.random.default_rng(seed)
         model = {"linear": LinearModel(), "softmax": SoftmaxLinearModel(3),
-                 "mlp": MLPModel(hidden=4, seed=seed)}[kind]
+                 "mlp": MLPModel(hidden=4)}[kind]
         X = rng.normal(size=(8, 3))
         X = dense(X) if storage == "csr" else X
         idx = np.array(idx + idx[:1])  # at least one repeated index
@@ -340,9 +340,9 @@ class TestLipschitz:
 
     def test_mlp_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        model = MLPModel(hidden=4, seed=11)
+        model = MLPModel(hidden=4)
         X = dense(rng.normal(size=(8, 3)))
-        theta = model.init_params(3)
+        theta = model.init_params(3, np.random.default_rng(11))
         jac = model.param_jacobian(theta, X)
         h = 1e-6
         fd = np.empty_like(jac)
@@ -357,17 +357,17 @@ class TestLipschitz:
 
     def test_mlp_lipschitz_matches_jacobian_svd(self):
         rng = np.random.default_rng(12)
-        model = MLPModel(hidden=5, seed=12)
+        model = MLPModel(hidden=5)
         X = dense(rng.normal(size=(10, 4)))
-        theta = model.init_params(4)
+        theta = model.init_params(4, np.random.default_rng(12))
         sigma = np.linalg.svd(model.param_jacobian(theta, X), compute_uv=False)[0]
         assert lipschitz_estimate(model, X, theta) == pytest.approx(sigma, rel=1e-6)
 
     def test_mlp_local_slopes_within_bound(self):
         rng = np.random.default_rng(13)
-        model = MLPModel(hidden=5, seed=13)
+        model = MLPModel(hidden=5)
         X = dense(rng.normal(size=(10, 4)))
-        theta = model.init_params(4)
+        theta = model.init_params(4, np.random.default_rng(13))
         bound = lipschitz_estimate(model, X, theta)
         f0 = model.forward(theta, X)
         for _ in range(25):

@@ -182,7 +182,7 @@ class TestSSO:
         from targetopt.models import MLPModel
 
         ds = ls_dataset(n=25, d=4, cond=3, noise=0.3, seed=30)
-        model = MLPModel(hidden=6, seed=30)
+        model = MLPModel(hidden=6)
         cfg = RunConfig(optimizer="sso", T=25, batch_size=None,
                         schedule=ScheduleOptions(eta0=1.0),
                         inner=InnerOptions(solver="armijo", m=5), seed=0, eval_every=1)
@@ -371,6 +371,18 @@ class TestParametricBaselines:
         z = X @ theta1
         np.testing.assert_allclose(trace.final_loss(), loss_value(loss, z, y), atol=1e-14)
         assert abs(theta1[0] - 1.0) == pytest.approx(ratio**T, abs=1e-12)
+
+    def test_sls_zero_gradient_takes_no_step(self):
+        # At a zero batch gradient SLS keeps theta and reports eta0 without
+        # a search, still paying the batch's oracle calls.
+        ds = Dataset(X=sp.csr_matrix(np.eye(3)), y=np.zeros(3), task="regression")
+        cfg = RunConfig(optimizer="sls", T=4, batch_size=2, seed=0, eval_every=1,
+                        record_theta=True)
+        trace = run(cfg, ds, LinearModel(), SquaredLoss())
+        assert [r.eta for r in trace.rows[1:]] == [LS_ALPHA0] * cfg.T
+        assert [r.oracle_calls for r in trace.rows] == [0, 2, 4, 6, 8]
+        assert all(np.array_equal(theta, np.zeros(3)) for theta in trace.thetas)
+        assert trace.inner_stalls == 0
 
     def test_adam_zero_gradient_stationary(self):
         X = sp.csr_matrix(np.eye(2))
