@@ -43,8 +43,8 @@ def _add_report(sub):
 def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a synthetic LibSVM file")
     p.add_argument("--kind", default="least-squares", choices=get_args(data_mod.SyntheticKind))
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--d", type=int, default=10)
+    p.add_argument("--n", type=int, help="rows (default 100; counterexample-quadratics fixes 2)")
+    p.add_argument("--d", type=int, help="columns (default 10; counterexample-quadratics fixes 1)")
     p.add_argument("--cond", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -77,9 +77,11 @@ def main(argv=None) -> int:
     # escapes `gen` a bad spec or an unwritable --out.
     try:
         if args.verb == "gen":
+            size = {k: v for k, v in (("n", args.n), ("d", args.d)) if v is not None}
+            if args.kind != "counterexample-quadratics":  # its instance fixes n and d
+                size = {"n": 100, "d": 10, **size}
             spec = data_mod.SyntheticSpec(
-                kind=args.kind, n=args.n, d=args.d, cond=args.cond,
-                noise=args.noise, seed=args.seed,
+                kind=args.kind, cond=args.cond, noise=args.noise, seed=args.seed, **size
             )
             ds = data_mod.generate_synthetic(spec)
             Path(args.out).write_text(data_mod.to_libsvm(ds))

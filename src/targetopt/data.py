@@ -2,16 +2,15 @@ r"""Dataset loading and synthetic problem generation.
 
 A dataset is a feature matrix with a label vector. The feature matrix is
 a dense ndarray when every entry is present (synthetic data, and LibSVM
-text that stores all n*d entries) and a CSR matrix otherwise; this module
-builds, serializes, compares and scales X, and it and `models` alone know
-its storage. Parsing follows the LibSVM format (`<label> <idx>:<val> ...`
+text that stores all n*d entries) and a `models.CSR` matrix otherwise; this
+module builds, serializes, compares and scales X, and it and `models` alone
+know its storage. Parsing follows the LibSVM format (`<label> <idx>:<val> ...`
 with 1-based, strictly increasing feature indices per line) on the text's
 bytes: lines end at "\n", "\r\n" or a lone "\r", tokens are split
 on ASCII whitespace, an index is ASCII digits, and labels and values must
 be finite (the full grammar is in `parse_libsvm`). The parser works on one
 block of whole lines at a time, with numpy operations over the block's
-bytes and no Python loop over tokens. scipy is imported only where a CSR
-matrix is built or read, so dense data never loads `scipy.sparse`.
+bytes and no Python loop over tokens. No path here imports scipy.sparse.
 Synthetic generators cover least-squares / logistic instances with a
 controllable condition number, exactly interpolable instances, and the
 fixed two-quadratic instance used by the lower-bound diagnostics.
@@ -21,14 +20,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Literal, get_args
+from typing import Literal, get_args
 
 import numpy as np
 
+from .models import CSR
 from .schema import check, reject_unread
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 Task = Literal["regression", "binary", "multiclass"]
 TASKS = get_args(Task)
@@ -47,7 +44,7 @@ class ParseError(ValueError):
 class Dataset:
     """Feature matrix with labels.
 
-    `X` is an n-by-d dense ndarray when every entry is present and a CSR
+    `X` is an n-by-d dense ndarray when every entry is present and a `CSR`
     matrix otherwise (see `parse_libsvm` and `generate_synthetic`).
     `y` holds the labels the loss sees: floats for regression, values in
     {-1, +1} for binary classification, and contiguous class ids 0..K-1
@@ -58,7 +55,7 @@ class Dataset:
     across concurrent runs.
     """
 
-    X: sp.csr_matrix | np.ndarray
+    X: CSR | np.ndarray
     y: np.ndarray
     task: Task
     n_classes: int = 0
@@ -95,16 +92,19 @@ class Dataset:
             and self.n_classes == other.n_classes
             and self.label_map == other.label_map
             and np.array_equal(self.y, other.y)
-            and _same_entries(self.X, other.X)
+            and all(map(np.array_equal, _nonzeros(self.X), _nonzeros(other.X)))
         )
 
 
-def _same_entries(A, B) -> bool:
-    if isinstance(A, np.ndarray) and isinstance(B, np.ndarray):
-        return np.array_equal(A, B)
-    import scipy.sparse as sp
-
-    return (sp.csr_matrix(A) != sp.csr_matrix(B)).nnz == 0
+def _nonzeros(X):
+    """(rows, columns, values) of X's nonzero entries in row-major order
+    (a CSR X's rows list their columns in increasing order, as parsed ones do)."""
+    if isinstance(X, np.ndarray):
+        rows, cols = np.nonzero(X)
+        return rows, cols, X[rows, cols]
+    keep = X.data != 0
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    return rows[keep], X.indices[keep], X.data[keep]
 
 
 @dataclass(frozen=True)
@@ -123,20 +123,23 @@ class SyntheticSpec:
     noise: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
-        check(self)
+    def validate(self, path: str = "") -> None:
+        check(self, path)
+        at, where = (f"{path}.", f"{path}: ") if path else ("", "")
+        for name in ("n", "d"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{at}{name} must be positive, not {getattr(self, name)!r}")
         if self.cond < 1.0:
-            raise ValueError("condition-number target must be >= 1")
+            raise ValueError(f"{at}cond must be >= 1, not {self.cond!r}")
         if self.noise < 0.0:
-            raise ValueError("noise scale must be >= 0")
+            raise ValueError(f"{at}noise must be >= 0, not {self.noise!r}")
         if self.kind == "counterexample-quadratics":
             if (self.n, self.d) != (2, 1):
-                raise ValueError("counterexample-quadratics fixes n=2, d=1")
-            reject_unread(self, f"synthetic kind {self.kind!r}", ("cond", "noise", "seed"))
+                raise ValueError(f"{where}counterexample-quadratics fixes n=2, d=1, "
+                                 f"not n={self.n}, d={self.d}")
+            reject_unread(self, f"{where}synthetic kind {self.kind!r}", ("cond", "noise", "seed"))
         if self.kind == "interpolating" and self.noise != 0.0:
-            raise ValueError("interpolating instances require noise = 0")
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive")
+            raise ValueError(f"{where}interpolating instances require noise = 0")
 
 
 # Blocks bound the parser's temporary arrays, a few dozen bytes per input
@@ -346,9 +349,11 @@ def parse_libsvm(
         # matrix's toarray, which sums into zeros, does.
         X = values.reshape(n, d) + 0.0
     else:
-        import scipy.sparse as sp
-
-        X = sp.csr_matrix((values, indices, indptr), shape=(n, d))
+        # Index arrays of int32 where every index fits, as scipy's constructor makes them.
+        index = np.int32 if max(n, d, len(values)) <= np.iinfo(np.int32).max else np.int64
+        X = CSR(values, indices.astype(index), indptr.astype(index), (n, d))
+        if len(X.indptr) != n + 1 or X.indptr[0] != 0 or not X.nnz == len(X.indices) == len(X.data):
+            raise ValueError("the CSR arrays do not describe the parsed rows")
     n_classes = 0
     label_map: tuple = ()
 
@@ -417,12 +422,10 @@ def max_abs_scale(ds: Dataset) -> Dataset:
         m = np.max(np.abs(X), axis=0, initial=0.0)
         X = X / np.where(m == 0, 1.0, m) + 0.0
     else:
-        import scipy.sparse as sp
-
         m = np.zeros(ds.d)
         np.maximum.at(m, X.indices, np.abs(X.data))
         data = X.data / np.where(m == 0, 1.0, m)[X.indices]
-        X = sp.csr_matrix((data, X.indices.copy(), X.indptr.copy()), shape=X.shape)
+        X = CSR(data, X.indices.copy(), X.indptr.copy(), X.shape)
     return replace(ds, X=X, y=ds.y.copy(), meta={**ds.meta, "scaled": True})
 
 

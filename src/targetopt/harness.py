@@ -62,6 +62,7 @@ class DatasetSpec:
             raise ValueError("dataset needs exactly one of 'path' and 'synthetic'")
         if self.synthetic is not None:
             schema.reject_unread(self, "a synthetic dataset", ("task", "d", "remap_binary"))
+            self.synthetic.validate("dataset.synthetic")
 
 
 @dataclass

@@ -13,22 +13,27 @@ and these models expose `logits` and the link's vector-Jacobian product
 hand-written reverse accumulation so they can be checked against finite
 differences without an autodiff dependency.
 
-Rows are a dense ndarray or a CSR matrix, and only this module and `data`
+Rows are a dense ndarray or a `CSR` matrix, and only this module and `data`
 know which. `take_rows` gathers a batch, `row_range` views a run of a
 gathered block's rows, `row_entries` bounds a row's stored entries and
 `zero_rows` finds the empty rows, `dense` gives rows as an ndarray, and
 `row_product` forms `rows @ v` and `rows.T @ v` (`row_products` gives both
 as functions of v). Dense rows use
 ndarray indexing and `@`; CSR rows go straight to the compiled kernels that
-scipy's own `X[idx]` and `@` end in, on the matrix's own arrays, so the sums
-are scipy's bit for bit. Storage is told apart by `isinstance(X,
-np.ndarray)`, and the kernels are looked up on the first CSR call, so dense
-runs never import scipy.sparse.
+scipy's own `X[idx]`, `@` and `toarray` end in, on the matrix's own arrays,
+so the sums are scipy's bit for bit. Storage is told apart by
+`isinstance(X, np.ndarray)`, and no run imports scipy.sparse itself. CSR
+rows are read only through their arrays and shape, so a scipy
+`csr_matrix` takes the same path as a `CSR`.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from functools import partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from inspect import signature
 from typing import Literal
 
@@ -39,13 +44,32 @@ SPECTRAL_TOL = 1e-6
 SPECTRAL_MAX_ITER = 100000
 
 
+class CSR:
+    """The one sparse matrix type this package builds: row i stores
+    `data[indptr[i]:indptr[i+1]]` in the columns `indices[indptr[i]:indptr[i+1]]`."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+    format = "csr"
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def toarray(self) -> np.ndarray:
+        """X as an ndarray by scipy's `csr_todense`, which adds entries into zeros (-0 reads +0)."""
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        _csr_kernels(self).csr_todense(*self.shape, self.indptr, self.indices, self.data, out)
+        return out
+
+
 def take_rows(X, idx):
-    """X[idx] in X's storage, read-only: an ndarray, or a csr_matrix of the rows idx.
+    """X[idx] in X's storage, read-only: an ndarray, or a `CSR` of the rows idx.
 
     A CSR gather casts idx to X's index dtype, as scipy's own fancy row
-    indexing does, runs scipy's `csr_row_index` on X's arrays and wraps
-    the result without re-running the constructor's format checks (each
-    row is a row of X verbatim).
+    indexing does, and runs scipy's `csr_row_index` on X's arrays.
     """
     if isinstance(X, np.ndarray):
         rows = X[idx]
@@ -57,17 +81,17 @@ def take_rows(X, idx):
         raise IndexError("row indices must be non-negative")
     indptr = np.zeros(idx.size + 1, dtype=idx.dtype)
     np.cumsum(X.indptr[idx + 1] - X.indptr[idx], out=indptr[1:])  # IndexError past the last row
-    indices, data = np.empty(indptr[-1], dtype=idx.dtype), np.empty(indptr[-1], dtype=X.dtype)
+    indices, data = np.empty(indptr[-1], dtype=idx.dtype), np.empty(indptr[-1], dtype=X.data.dtype)
     kernels.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
     data.flags.writeable = indices.flags.writeable = indptr.flags.writeable = False
-    return _wrap_csr(X, data, indices, indptr)
+    return CSR(data, indices, indptr, (idx.size, X.shape[1]))
 
 
 def row_range(rows, start: int, stop: int):
     """rows[start:stop] for 0 <= start <= stop <= rows.shape[0], sharing
-    rows' storage: an ndarray slice, or a csr_matrix over slices of the
-    CSR arrays with its indptr rebased to 0, wrapped as `take_rows` wraps
-    its result. The rebased indptr is as writeable as rows' own."""
+    rows' storage: an ndarray slice, or a `CSR` over slices of the CSR
+    arrays with its indptr rebased to 0. The rebased indptr is as writeable
+    as rows' own."""
     if isinstance(rows, np.ndarray):
         return rows[start:stop]
     _csr_kernels(rows)
@@ -75,7 +99,7 @@ def row_range(rows, start: int, stop: int):
     lo, hi = ptr[0], ptr[-1]
     indptr = ptr - lo
     indptr.flags.writeable = rows.indptr.flags.writeable
-    return _wrap_csr(rows, rows.data[lo:hi], rows.indices[lo:hi], indptr)
+    return CSR(rows.data[lo:hi], rows.indices[lo:hi], indptr, (stop - start, rows.shape[1]))
 
 
 def row_entries(X) -> int:
@@ -94,15 +118,6 @@ def zero_rows(X) -> np.ndarray:
 def dense(X) -> np.ndarray:
     """X as an ndarray: X itself if it is one, else its `toarray`."""
     return X if isinstance(X, np.ndarray) else X.toarray()
-
-
-def _wrap_csr(X, data, indices, indptr):
-    """A csr_matrix of X's type and width over the given arrays, without
-    the constructor's format checks: each row is a row of X verbatim."""
-    rows = type(X).__new__(type(X))
-    rows.data, rows.indices, rows.indptr = data, indices, indptr
-    rows._shape, rows.maxprint = (indptr.size - 1, X.shape[1]), X.maxprint
-    return rows
 
 
 def row_product(rows, v, transpose: bool = False) -> np.ndarray:
@@ -147,13 +162,24 @@ def _csr_product(m, n, indptr, indices, data, kernels, v) -> np.ndarray:
 
 
 def _csr_kernels(X):
-    """scipy's compiled sparse kernels, the ones behind its CSR X[idx] and
-    @, for CSR rows X; any other storage raises TypeError."""
+    """scipy's compiled sparse kernels, the ones behind its CSR X[idx], @
+    and toarray, for CSR rows X; any other storage raises TypeError. The
+    first call loads their module from its file, running neither scipy's
+    nor scipy.sparse's `__init__`, and drops the sys.modules entry loading
+    makes, so that a later `import scipy.sparse` loads it as its own."""
     global _sparsetools
     if X.format != "csr":
         raise TypeError(f"rows must be a dense ndarray or CSR, not {X.format!r}")
     if _sparsetools is None:
-        from scipy.sparse import _sparsetools
+        name = "scipy.sparse._sparsetools"
+        held = name in sys.modules
+        where = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "sparse")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if not held:
+            sys.modules.pop(name, None)
+        _sparsetools = module
     return _sparsetools
 
 
@@ -196,10 +222,18 @@ def spectral_norm(X) -> float:
 
 
 def row_norms2(X) -> np.ndarray:
-    """Squared Euclidean norm of each row of a CSR or dense X."""
+    """Squared Euclidean norm of each row of a CSR or dense X. For CSR, the
+    floats of scipy's `X.multiply(X).sum(axis=1)`: its `csr_elmul_csr`,
+    which keeps the nonzero products, and one `reduceat` over the rows."""
     if isinstance(X, np.ndarray):
         return (X * X).sum(axis=1)
-    return np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    indptr = np.empty_like(X.indptr)  # X times X has at most X's entries
+    indices, data = np.empty_like(X.indices[:X.nnz]), np.empty_like(X.data[:X.nnz])
+    _csr_kernels(X).csr_elmul_csr(*X.shape, *(X.indptr, X.indices, X.data) * 2, indptr, indices, data)
+    kept = np.flatnonzero(np.diff(indptr))
+    out = np.zeros(X.shape[0], dtype=data.dtype)
+    out[kept] = np.add.reduceat(data[:indptr[-1]], indptr[kept])
+    return out
 
 
 class LinearModel:

@@ -13,8 +13,14 @@ from targetopt.losses import (
     SquaredLoss,
     smoothed_expert_rows,
 )
-from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
+from targetopt.models import CSR, LinearModel, MLPModel, SoftmaxLinearModel
 from targetopt.surrogates import build_analysis_q, build_stochastic, freeze
+
+
+def scipy_csr(X):
+    """A scipy csr_matrix over the arrays of the `CSR` X, for comparisons
+    with scipy's own sparse operators."""
+    return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
 def stochastic(loss, model, ds, theta_t, idx, eta, variant="smoothness", counter=None):
@@ -159,8 +165,7 @@ def reference_parse_libsvm(text, task="regression", d=None, allow_binary_remap=F
         raise ValueError(f"d override {d} smaller than max feature index {max_index}")
     n = len(labels)
     X = sp.csr_matrix((np.asarray(values, dtype=np.float64), indices, indptr), shape=(n, d))
-    if 0 < X.nnz == n * d:
-        X = X.toarray()
+    X = X.toarray() if 0 < X.nnz == n * d else CSR(X.data, X.indices, X.indptr, X.shape)
     y = np.asarray(labels, dtype=np.float64)
     n_classes, label_map = 0, ()
     if task == "binary" and n:

@@ -1,4 +1,5 @@
 import io
+import pickle
 from typing import get_args
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_parse_libsvm
-from targetopt import data
+from helpers import reference_parse_libsvm, scipy_csr
+from targetopt import data, models
 from targetopt.data import (
     Dataset,
     ParseError,
@@ -24,8 +25,7 @@ class TestParse:
     def test_single_binary_line(self):
         ds = parse_libsvm("+1 1:0.5 3:2\n", task="binary")
         assert ds.n == 1 and ds.d == 3
-        row = ds.X.getrow(0)
-        assert list(zip(row.indices + 1, row.data)) == [(1, 0.5), (3, 2.0)]
+        assert list(zip(ds.X.indices + 1, ds.X.data)) == [(1, 0.5), (3, 2.0)]
         assert ds.y.tolist() == [1.0]
 
     def test_empty_input(self):
@@ -220,22 +220,60 @@ def test_equal_to_accepts_dense(storage):
     assert not storage(ds).equal_to(other) and not other.equal_to(ds)
 
 
+def _scipy_same_entries(A, B) -> bool:
+    """The comparison through scipy.sparse: no entry of A != B."""
+    to_scipy = lambda X: sp.csr_matrix(X) if isinstance(X, np.ndarray) else scipy_csr(X)
+    return (to_scipy(A) != to_scipy(B)).nnz == 0
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_equal_to_matches_the_scipy_comparison(seed):
+    # Stored +0 and -0 equal a missing entry, and NaN equals nothing.
+    rng = np.random.default_rng(seed)
+    values = lambda: rng.choice([0.0, -0.0, 1.0, -2.5, np.nan], size=(4, 3), p=[0.3, 0.2, 0.2, 0.2, 0.1])
+    A = values()
+    B = np.where(rng.random(A.shape) < 0.9, A, values())
+
+    def csr(M):
+        rows, cols = np.nonzero((M != 0) | (rng.random(M.shape) < 0.5))  # some zeros stored
+        return models.CSR(M[rows, cols], cols, np.searchsorted(rows, np.arange(5)), M.shape)
+
+    for X in (A, csr(A)):
+        for Y in (B, csr(B)):
+            got = Dataset(X=X, y=np.zeros(4), task="regression").equal_to(
+                Dataset(X=Y, y=np.zeros(4), task="regression"))
+            assert got == _scipy_same_entries(X, Y)
+
+
+def test_csr_dataset_pickles():
+    ds = parse_libsvm(TEXT)
+    again = pickle.loads(pickle.dumps(ds))
+    assert type(again.X) is models.CSR and again.X.shape == ds.X.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(again.X, name), getattr(ds.X, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert again.equal_to(ds)
+
+
 def test_max_abs_scale_accepts_dense(storage):
     ds = parse_libsvm(TEXT)
     got, want = max_abs_scale(storage(ds)), max_abs_scale(ds)
-    assert sp.issparse(got.X) == sp.issparse(storage(ds).X)
-    np.testing.assert_array_equal(sp.csr_matrix(got.X).toarray(), want.X.toarray())
+    assert type(got.X) is type(storage(ds).X)
+    np.testing.assert_array_equal(models.dense(got.X), want.X.toarray())
     assert got.meta["scaled"]
 
 
 def csc_round_trip_scale(X):
     """Max-abs scaling through a CSC copy of X, column by column."""
-    C = sp.csc_matrix(X, copy=True)
+    C = sp.csc_matrix(X if isinstance(X, np.ndarray) else scipy_csr(X), copy=True)
     for j in range(C.shape[1]):
         lo, hi = C.indptr[j], C.indptr[j + 1]
         if hi > lo and (m := np.max(np.abs(C.data[lo:hi]))) > 0:
             C.data[lo:hi] /= m
-    return C.toarray() if isinstance(X, np.ndarray) else C.tocsr()
+    if isinstance(X, np.ndarray):
+        return C.toarray()
+    R = C.tocsr()
+    return models.CSR(R.data, R.indices, R.indptr, R.shape)
 
 
 def test_max_abs_scale_matches_the_csc_round_trip(storage):
@@ -282,7 +320,7 @@ class TestStorage:
     ], ids=["missing-entry", "d-override", "empty"])
     def test_partly_stored_text_is_csr(self, text, d):
         X = parse_libsvm(text, d=d).X
-        assert sp.issparse(X) and X.format == "csr"
+        assert type(X) is models.CSR
 
     def test_dense_round_trip(self):
         ds = generate_synthetic(SyntheticSpec("logistic", n=8, d=3, noise=0.1, seed=4))
@@ -294,7 +332,7 @@ class TestStorage:
 def _assert_same_parse(got, want):
     """The same X arrays and dtypes, storage, labels and label map."""
     assert type(got.X) is type(want.X) and got.X.shape == want.X.shape
-    if sp.issparse(want.X):
+    if type(want.X) is models.CSR:
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got.X, name), getattr(want.X, name)
             assert a.dtype == b.dtype, name
@@ -424,7 +462,7 @@ class TestDenseParse:
         i = data.draw(st.integers(0, n - 1))
         del entries[i][data.draw(st.integers(0, d - 1))]
         X = parse_libsvm(_text(labels, entries), d=d).X
-        assert sp.issparse(X) and X.format == "csr" and X.nnz == n * d - 1
+        assert type(X) is models.CSR and X.nnz == n * d - 1
 
 
 BAD_TOKENS = {

@@ -17,7 +17,7 @@ from targetopt.diagnostics import (
     zeta2,
 )
 from targetopt.losses import LogisticLoss, SquaredLoss, expit
-from targetopt.models import LinearModel, MLPModel
+from targetopt.models import LinearModel, MLPModel, row_norms2
 from targetopt.optimizers import InnerOptions, RunConfig, ScheduleOptions, run
 
 
@@ -301,10 +301,9 @@ SPARSE_OPERATORS = ("__matmul__", "__rmatmul__", "multiply", "__getitem__", "toc
 
 def test_csr_rows_reach_scipy_only_as_container_and_kernels(monkeypatch):
     # Every gather and product of CSR rows runs in models on scipy's compiled
-    # kernels; with scipy's sparse operators patched to raise, an exact SSO
-    # run with both diagnostics and max-abs scaling still give their floats.
-    # The run's step is given, so row_norms2, the one operator left, is
-    # not needed.
+    # kernels, also for a scipy csr_matrix that a library caller hands in;
+    # with scipy's sparse operators patched to raise, an exact SSO run with
+    # both diagnostics, max-abs scaling and row_norms2 still give their floats.
     rng = np.random.default_rng(6)
     A = np.where(rng.random((9, 4)) < 0.5, rng.normal(size=(9, 4)), 0.0)
     A[:, 0] = rng.normal(size=9)  # zeta2 needs curvature in every singleton
@@ -313,6 +312,7 @@ def test_csr_rows_reach_scipy_only_as_container_and_kernels(monkeypatch):
                     inner=InnerOptions(solver="exact"), diagnostics=("eps", "zeta2"))
     want_rows = run(cfg, ds, LinearModel(), SquaredLoss()).rows
     want_X = max_abs_scale(ds).X
+    want_norms = row_norms2(ds.X)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a scipy sparse operator was called")
@@ -329,3 +329,4 @@ def test_csr_rows_reach_scipy_only_as_container_and_kernels(monkeypatch):
     got_X = max_abs_scale(ds).X
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(got_X, name), getattr(want_X, name))
+    np.testing.assert_array_equal(row_norms2(ds.X), want_norms)

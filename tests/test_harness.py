@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from targetopt import cli
-from targetopt.data import SyntheticKind, SyntheticSpec, generate_synthetic, parse_libsvm
+from targetopt.data import SyntheticKind, SyntheticSpec, generate_synthetic, parse_libsvm, to_libsvm
 from targetopt.harness import (
     cost_report,
     derive_seed,
@@ -718,6 +718,49 @@ def test_dense_runs_never_import_scipy_sparse(tmp_path):
     assert (tmp_path / "out" / "mirror_s0.csv").exists()
 
 
+CSR_SCRIPT = """
+import json, sys
+import numpy as np
+from targetopt import harness, models
+from targetopt.data import parse_libsvm
+path, configs = sys.argv[1], json.loads(sys.argv[2])
+X = parse_libsvm(open(path).read()).X
+assert type(X) is models.CSR and X.nnz < X.shape[0] * X.shape[1]
+for config in configs:
+    assert harness.run_experiment(config) == 0
+assert "scipy.sparse" not in sys.modules, "scipy.sparse was imported"
+import scipy.sparse as sp
+S = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+v = np.arange(X.shape[1], dtype=float)
+assert np.array_equal(S @ v, models.row_product(X, v))
+assert np.array_equal(S.toarray(), X.toarray())
+assert sp._sparsetools.csr_matvec is models._sparsetools.csr_matvec
+"""
+
+
+def test_csr_runs_never_import_scipy_sparse(tmp_path):
+    # A file that leaves entries out holds a models.CSR. SGD at its default
+    # step reads row_norms2, an Armijo SSO run gathers and multiplies rows,
+    # and an exact run forms its normal equations; once with max-abs
+    # scaling. scipy.sparse still imports and works afterwards.
+    data = tmp_path / "csr.libsvm"
+    data.write_text("1 1:0.5 3:1\n-1 2:1\n0.5\n2 1:-1 2:0.25 3:2\n-0.5 3:-1\n1.5 1:2\n")
+    runs = [{"id": "sgd", "optimizer": "sgd", "T": 6, "batch_size": 2},
+            {"id": "armijo", "optimizer": "sso", "T": 6, "batch_size": 2,
+             "inner": {"solver": "armijo", "m": 3}},
+            {"id": "exact", "optimizer": "sso", "T": 6, "batch_size": 3,
+             "inner": {"solver": "exact"}}]
+    configs = [{"dataset": {"path": str(data), "normalize": scaled}, "loss": "squared",
+                "runs": runs, "out_dir": str(tmp_path / f"out-{scaled}")} for scaled in (False, True)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", CSR_SCRIPT, str(data), json.dumps(configs)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for scaled in (False, True):
+        for run_id in ("sgd", "armijo", "exact"):
+            assert (tmp_path / f"out-{scaled}" / f"{run_id}_s0.csv").exists()
+
+
 class TestVerifySuite:
     def test_all_checks_pass(self):
         results = verify_suite()
@@ -734,6 +777,45 @@ class TestCLI:
         assert status == 0
         ds = parse_libsvm(out.read_text(), task="regression")
         assert ds.n == 12 and ds.d == 3
+
+    def test_gen_writes_the_counterexample_without_size_flags(self, tmp_path, capsys):
+        # The verb's --n 100 --d 10 defaults are for the kinds that read a
+        # size; the counterexample instance fixes n = 2, d = 1.
+        out = tmp_path / "cx.libsvm"
+        assert cli.main(["gen", "--kind", "counterexample-quadratics", "--out", str(out)]) == 0
+        assert out.read_text() == to_libsvm(generate_synthetic(SyntheticSpec("counterexample-quadratics")))
+        for flags in (["--n", "3"], ["--d", "2"]):
+            bad = tmp_path / "bad.libsvm"
+            capsys.readouterr()
+            assert cli.main(["gen", "--kind", "counterexample-quadratics", *flags, "--out", str(bad)]) == 2
+            assert "counterexample-quadratics fixes n=2, d=1" in capsys.readouterr().err
+            assert not bad.exists()
+        assert cli.main(["gen", "--kind", "counterexample-quadratics", "--n", "2", "--d", "1",
+                         "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("synthetic, message", [
+        ({"kind": "least-squares", "n": 0}, "dataset.synthetic.n must be positive, not 0"),
+        ({"kind": "least-squares", "d": -2}, "dataset.synthetic.d must be positive, not -2"),
+        ({"kind": "least-squares", "cond": 0.5}, "dataset.synthetic.cond must be >= 1, not 0.5"),
+        ({"kind": "logistic", "noise": -1.0}, "dataset.synthetic.noise must be >= 0, not -1.0"),
+        ({"kind": "counterexample-quadratics", "n": 3},
+         "dataset.synthetic: counterexample-quadratics fixes n=2, d=1, not n=3, d=1"),
+        ({"kind": "counterexample-quadratics", "cond": 50},
+         "dataset.synthetic: synthetic kind 'counterexample-quadratics' does not read 'cond'; "
+         "leave it out"),
+        ({"kind": "interpolating", "noise": 0.5},
+         "dataset.synthetic: interpolating instances require noise = 0"),
+        ({"kind": "least-squares", "n": 2.5}, "dataset.synthetic.n must be an integer, not 2.5"),
+    ], ids=["n-zero", "d-negative", "cond-below-one", "noise-negative", "counterexample-size",
+            "counterexample-cond", "interpolating-noise", "n-fraction"])
+    def test_synthetic_errors_name_their_path(self, tmp_path, capsys, synthetic, message):
+        cfg = small_config(tmp_path / "out")
+        cfg["dataset"] = {"synthetic": synthetic}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_and_report(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -943,7 +1025,7 @@ class TestCLI:
         assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
-        (["--n", "0"], "error: n and d must be positive\n"),
+        (["--n", "0"], "error: n must be positive, not 0\n"),
         (["--kind", "interpolating", "--noise", "0.5"],
          "error: interpolating instances require noise = 0\n"),
         (["--out", "missing/ds.libsvm"],

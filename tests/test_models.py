@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from helpers import scipy_csr
 from targetopt import models
 from targetopt.data import SyntheticSpec, generate_synthetic
 from targetopt.surrogates import Batch, SquaredProximity, Surrogate
@@ -222,8 +223,8 @@ class TestRowKernels:
         X = csr_with_empty_row()
         idx = np.asarray(idx, dtype=dtype)
         rows, want = take_rows(X, idx), X[idx]
-        assert type(rows) is type(want) and rows.shape == want.shape
-        rows.check_format(full_check=True)
+        assert type(rows) is models.CSR and rows.shape == want.shape
+        scipy_csr(rows).check_format(full_check=True)
         np.testing.assert_array_equal(rows.indptr, want.indptr)
         np.testing.assert_array_equal(rows.indices, want.indices)
         np.testing.assert_array_equal(rows.data, want.data)
@@ -239,13 +240,13 @@ class TestRowKernels:
         X = csr_with_empty_row()
         X.data.flags.writeable = X.indices.flags.writeable = X.indptr.flags.writeable = False
         rows, want = row_range(X, start, stop), X[start:stop]
-        assert type(rows) is type(want) and rows.shape == want.shape
+        assert type(rows) is models.CSR and rows.shape == want.shape
         for got, ref in ((rows.indptr, want.indptr), (rows.indices, want.indices),
                          (rows.data, want.data)):
             np.testing.assert_array_equal(got, ref)
             assert got.dtype == ref.dtype and not got.flags.writeable
         assert np.shares_memory(rows.data, X.data) or rows.nnz == 0
-        rows.check_format(full_check=True)  # may swap in writeable copies, so checked last
+        scipy_csr(rows).check_format(full_check=True)
         D = X.toarray()
         assert np.shares_memory(row_range(D, start, stop), D) or start == stop
         np.testing.assert_array_equal(row_range(D, start, stop), D[start:stop])
@@ -264,7 +265,7 @@ class TestRowKernels:
         rng = np.random.default_rng(len(idx))
         n = R.shape[0] if transpose else R.shape[1]
         v = rng.normal(size=n if K is None else (n, K))
-        want = R.T @ v if transpose else R @ v
+        want = scipy_csr(R).T @ v if transpose else scipy_csr(R) @ v
         got = row_product(R, v, transpose=transpose)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
@@ -291,6 +292,74 @@ class TestRowKernels:
             row_products(C)
         with pytest.raises(TypeError):
             take_rows(C, np.array([0]))
+
+
+def random_canonical_csr(seed, n=9, d=7):
+    """A scipy csr_matrix with sorted columns and no duplicates, holding
+    stored +0 and -0, empty rows, and magnitudes near 1e-200 (whose squares
+    underflow to 0) and 1e200 (whose squares overflow)."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, d)) * 10.0 ** rng.choice([-200, -100, 0, 100, 200], size=(n, d))
+    A[rng.random((n, d)) < 0.15] = 0.0
+    A[rng.random((n, d)) < 0.1] = -0.0
+    stored = rng.random((n, d)) < 0.5
+    stored[rng.random(n) < 0.25] = False  # empty rows
+    rows, cols = np.nonzero(stored)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    S = sp.csr_matrix((A[rows, cols], cols.astype(np.int32), indptr), shape=(n, d))
+    assert S.has_canonical_format and S.nnz == stored.sum()
+    return S
+
+
+def own(S):
+    """A models.CSR over the arrays of the scipy matrix S."""
+    return models.CSR(S.data, S.indices, S.indptr, S.shape)
+
+
+class TestOwnContainer:
+    """models.CSR and row_norms2 run scipy's kernels on the four arrays, so
+    they give scipy's toarray and multiply(...).sum(axis=1) bit for bit,
+    and a scipy csr_matrix takes the same path as a models.CSR."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_toarray_and_row_norms2_match_scipy(self, seed):
+        S = random_canonical_csr(seed)
+        X = own(S)
+        assert X.nnz == S.nnz and X.shape == S.shape
+        got, want = X.toarray(), S.toarray()
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))  # signbits too
+        want = np.asarray(S.multiply(S).sum(axis=1)).ravel()
+        for norms in (models.row_norms2(X), models.row_norms2(S)):
+            assert norms.dtype == want.dtype
+            np.testing.assert_array_equal(norms.view(np.int64), want.view(np.int64))
+
+    def test_row_norms2_of_repeated_and_unsorted_columns(self):
+        # scipy's multiply sums a row's repeated columns before it squares.
+        S = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 0.5, -0.5, 4.0]), np.array([2, 0, 2, 1, 1, 0]),
+                           np.array([0, 3, 5, 5, 6])), shape=(4, 3))
+        assert not S.has_canonical_format
+        want = np.asarray(S.copy().multiply(S.copy()).sum(axis=1)).ravel()
+        np.testing.assert_array_equal(models.row_norms2(own(S)), want)
+        assert want.tolist() == [20.0, 0.0, 0.0, 16.0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scipy_matrix_takes_the_same_path(self, seed):
+        S = random_canonical_csr(seed, n=30, d=12)
+        S.data = np.clip(S.data, -1e3, 1e3)  # finite products, so == compares every float
+        X = own(S)
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, 30, size=17)
+        rows, ref_rows = take_rows(S, idx), take_rows(X, idx)
+        assert type(rows) is models.CSR
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(rows, name), getattr(ref_rows, name))
+        for transpose, size in ((False, 12), (True, 30)):
+            for v in (rng.normal(size=size), rng.normal(size=(size, 3))):
+                np.testing.assert_array_equal(row_product(S, v, transpose), row_product(X, v, transpose))
+        np.testing.assert_array_equal(models.row_norms2(S), models.row_norms2(X))
+        assert spectral_norm(S) == spectral_norm(X)
+        np.testing.assert_array_equal(models.dense(S), models.dense(X))
 
 
 class TestLipschitz:
