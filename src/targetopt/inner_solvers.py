@@ -15,11 +15,12 @@ z, so the oracle's forward pass is not paid again. Every Armijo solve
 runs the same loop; the proximity and the frozen oracle values are read
 only through the surrogate's methods. Along `_TargetLine` a linear
 model's trials are scalar arithmetic. A softmax-linear trial is a
-softmax and a value on a (b, K) array of logits, about fifteen numpy
-calls on a few dozen floats, so per-call overhead is most of its cost,
-and a search makes several trials: the line evaluates TRIAL_BLOCK
-consecutive steps of the search's ladder in one numpy pass, and each
-trial's value is the float it has on its own.
+softmax and a value on a (b, K) array of logits (under the KL proximity
+one divergence to the mirror step), under twenty numpy calls on a few
+dozen floats, so per-call overhead is most of its cost, and a search makes
+several trials: the line evaluates TRIAL_BLOCK consecutive steps of the
+search's ladder in one numpy pass, and each trial's value is the float
+it has on its own.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ ARMIJO_SHRINK = 0.8
 ARMIJO_C = 0.5
 LINK_MODELS = ("linear", "softmax-linear")
 # Trials of a softmax line evaluated per numpy pass. A search makes about 6.5
-# trials on softmax-kl-mirror; of 4, 6, 8 and 12 there, 8 and 12 measured
-# fastest, and 8 wastes less on a search that accepts early.
+# trials on softmax-kl-mirror, where two 6 s runs gave 9.0k/9.2k inner steps/s
+# at 4, 10.6k/10.4k at 6, 11.6k/11.3k at 8 and 11.2k/11.3k at 12.
 TRIAL_BLOCK = 8
 Solver = Literal["gd", "armijo", "exact"]
 MRule = Literal["constant", "log"]
@@ -118,8 +119,8 @@ class _TargetLine:
     and its value along the line is quadratic: a trial is the closed form
     val - a ||g||^2 + a^2 curv. On a softmax-linear model a trial at a new
     step evaluates it and the next TRIAL_BLOCK - 1 steps of `backtrack`'s
-    ladder (the same floats as the search's) in one pass: one link over
-    the stacked (k, b, K) logits and one `Surrogate.target_values`."""
+    ladder (the same floats as the search's) in one pass: one
+    `Surrogate.link_values` over the stacked (k, b, K) logits."""
 
     def __init__(self, surrogate, omega):
         self.surrogate, self.model = surrogate, surrogate.batch.model
@@ -153,9 +154,8 @@ class _TargetLine:
             a *= ARMIJO_SHRINK
             steps.append(a)
         logits = self.logits - np.multiply.outer(steps, self.u)
-        # Row-wise, as on one trial's (b, K) logits.
-        f = self.model.link(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
-        self.trials = dict(zip(steps, self.surrogate.target_values(f).tolist()))
+        f, values = self.surrogate.link_values(logits)
+        self.trials = dict(zip(steps, values.tolist()))
         self.block = steps, logits, f
 
     def step(self, a) -> np.ndarray:

@@ -88,6 +88,12 @@ class LogisticLoss:
         return p * (1.0 - p)
 
 
+def _float_rows(a) -> np.ndarray:
+    """a as a 2-D float64 array; np.atleast_2d's call only where it is not."""
+    a = np.asarray(a, dtype=np.float64)
+    return a if a.ndim == 2 else np.atleast_2d(a)
+
+
 @dataclass(frozen=True)
 class MulticlassKLLoss:
     """Row-wise KL(policy || expert) over probability rows.
@@ -101,11 +107,7 @@ class MulticlassKLLoss:
     L: float = 1.0
 
     def values(self, z, y):
-        z, y = np.asarray(z, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        if z.ndim != 2:
-            z = np.atleast_2d(z)
-        if y.ndim != 2:
-            y = np.atleast_2d(y)
+        z, y = _float_rows(z), _float_rows(y)
         # The full check runs only if some expert entry is <= 0 (fmin skips NaN).
         if np.fmin.reduce(y, axis=None, initial=1.0) <= 0 and ((y <= 0) & (z > 0)).any():
             raise ValueError("infinite loss: expert has zero mass where policy > 0")
@@ -118,8 +120,7 @@ class MulticlassKLLoss:
         return np.add.reduce(terms, axis=1)
 
     def grads(self, z, y):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        z, y = _float_rows(z), _float_rows(y)
         return np.log(z / y) + 1.0
 
     def curvs(self, z, y):

@@ -279,19 +279,24 @@ class SoftmaxLinearModel:
     def logits(self, theta, rows) -> np.ndarray:
         return row_product(rows, np.asarray(theta).reshape(rows.shape[1], self.arity))
 
-    def link(self, logits) -> np.ndarray:
+    def link(self, logits, log: bool = False):
+        """The softmax of each row of logits (or of a stack of them); with
+        `log` also its log, the shifted logits minus each row sum's log."""
         # Each row's max as elementwise maxima of the columns: the floats of
-        # np.maximum.reduce over axis 1 (a max does not round), several
+        # np.maximum.reduce over the last axis (a max does not round), several
         # times faster on a trial block's rows and no slower on a batch's.
-        top = logits[:, 0]
-        for j in range(1, logits.shape[1]):
-            top = np.maximum(top, logits[:, j])
-        e = np.exp(logits - top[:, None])
-        return e / np.add.reduce(e, axis=1, keepdims=True)
+        top = logits[..., 0]
+        for j in range(1, logits.shape[-1]):
+            top = np.maximum(top, logits[..., j])
+        shifted = logits - top[..., None]
+        e = np.exp(shifted)
+        sums = np.add.reduce(e, axis=-1, keepdims=True)
+        return (e / sums, shifted - np.log(sums)) if log else e / sums
 
     def link_vjp(self, f, coeffs) -> np.ndarray:
         """The softmax Jacobian at targets f applied to each coefficient row."""
-        coeffs = np.atleast_2d(coeffs)
+        if coeffs.ndim != 2:
+            coeffs = np.atleast_2d(coeffs)
         return f * (coeffs - np.add.reduce(f * coeffs, axis=1, keepdims=True))
 
     def forward(self, theta, rows) -> np.ndarray:

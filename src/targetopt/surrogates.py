@@ -33,11 +33,12 @@ computes the same sum in the same order, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, get_args
 
 import numpy as np
 
-from .losses import xlogy
+from .losses import mean, xlogy
 from .models import dense, row_products, spectral_norm
 
 NEWTON_CURVATURE_FLOOR = 1e-8
@@ -136,8 +137,8 @@ def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None,
 @dataclass(frozen=True)
 class Surrogate:
     """A frozen batch with a per-row proximity D; oracle-free. The value is
-    written once, in `target_values`, at one trial's targets or a stack of
-    them; `value` and `target_value` are its one-trial case."""
+    written in `target_values` at one trial's targets or a stack of them (`value`
+    and `target_value` are its one-trial case), and for KL line trials in `link_values`."""
 
     batch: Batch
     prox: SquaredProximity | KLProximity
@@ -171,6 +172,29 @@ class Surrogate:
             lin = np.add.reduce(lin, axis=-1)
         means = np.add.reduce(batch.consts + lin, axis=-1) / batch.consts.size
         return means + self.scale * self.prox.values(fs, batch.z)
+
+    def link_values(self, logits):
+        """(f, values): targets f = link(L) at a stack of trials' batch logits
+        L and each trial's value, summed over its own contiguous row. Under
+        the KL proximity that is const + sum f (log f - log p) / (eta b), p
+        the mirror step z exp(-eta g) / Z: `target_values` up to round-off."""
+        if not isinstance(self.prox, KLProximity):
+            f = self.batch.model.link(logits)
+            return f, self.target_values(f)
+        f, log_f = self.batch.model.link(logits, log=True)
+        log_p, const, eta_b = self._mirror_step
+        return f, const + _trial_sums(f * (log_f - log_p), log_p) / eta_b
+
+    @cached_property
+    def _mirror_step(self):
+        """(log p, const, eta b): log p = log z - eta g - log Z per row (a
+        max-shifted logsumexp), const = mean_i(c_i - <g_i, z_i> - log Z_i / eta)."""
+        batch, eta = self.batch, self.prox.eta
+        q = np.log(batch.z) - eta * batch.coeffs
+        top = np.maximum.reduce(q, axis=1, keepdims=True)
+        log_Z = top + np.log(np.add.reduce(np.exp(q - top), axis=1, keepdims=True))
+        const = mean(batch.consts - np.add.reduce(batch.coeffs * batch.z, axis=1) - log_Z[:, 0] / eta)
+        return q - log_Z, const, eta * batch.consts.size
 
     def logit_grad(self, f) -> np.ndarray:
         """Gradient in the batch logits at targets f, for models with a link."""

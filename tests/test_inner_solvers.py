@@ -319,18 +319,19 @@ class TestTargetSpaceArmijo:
 
     def test_accepted_trial_is_not_recomputed(self, monkeypatch):
         # From the batch's anchor the start's value and gradient read the
-        # frozen targets z, so a mirror solve takes exactly one softmax per
-        # block of trials, and a step reuses its accepted trial: no softmax
-        # runs between a block and the next gradient. The start's value is
-        # a one-trial block of its own, with no softmax.
+        # frozen targets z: the start's value is the one `target_values`
+        # call, with no softmax. A mirror solve then takes exactly one
+        # softmax per block of trials, inside the block, and a step reuses
+        # its accepted trial: no softmax runs between a block and the next
+        # gradient.
         _, ds, model, loss, theta_t, _ = make_problem(CASES[-1], 6, 3, 13, True)
         surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, "entropy-mirror")
         events, searches = [], []
 
         def logging(name, fn):
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 events.append(name)
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapped
 
         def counting_backtrack(value_at, *args):
@@ -342,20 +343,21 @@ class TestTargetSpaceArmijo:
             return backtrack(counted, *args)
 
         monkeypatch.setattr(model, "link", logging("link", model.link))
-        monkeypatch.setattr(Surrogate, "target_values", logging("block", Surrogate.target_values))
+        monkeypatch.setattr(Surrogate, "target_values", logging("value", Surrogate.target_values))
+        monkeypatch.setattr(Surrogate, "link_values", logging("block", Surrogate.link_values))
         monkeypatch.setattr(Surrogate, "logit_grad", logging("grad", Surrogate.logit_grad))
         monkeypatch.setattr(inner_solvers, "backtrack", counting_backtrack)
         res = armijo_backtracking(surr, surr.batch.theta, 8, alpha0=10.0)
         blocks = sum(-(-trials // TRIAL_BLOCK) for trials in searches)
         assert res.inner_steps == 8 and sum(searches) > 8 and blocks > 8
-        assert events[0] == "block" and events.count("block") == blocks + 1
-        assert events.count("link") == blocks
-        # Each block is one link, then its values; each gradient follows a block.
+        assert events[0] == "value" and events.count("value") == 1
+        assert events.count("block") == events.count("link") == blocks
+        # Each block is one link; each gradient follows a block's link.
         for i, event in enumerate(events):
             if event == "link":
-                assert events[i + 1] == "block"
-            elif event == "grad":
                 assert events[i - 1] == "block"
+            elif event == "grad":
+                assert events[i - 2:i] == ["block", "link"]
 
     @pytest.mark.parametrize("case", LINK_CASES)
     def test_non_finite_coefficient_raises(self, case):

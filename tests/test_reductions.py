@@ -1,7 +1,9 @@
 """The hot paths reduce through `np.add.reduce` and `losses.mean` instead of
 numpy's `np.sum` / `np.mean` wrappers. These tests hold each rewritten path
 to the wrapper formula it replaced with `==`, not a tolerance: the sums run
-in the same order, so every value is the same float."""
+in the same order, so every value is the same float. The mirror line's
+trials are held so to a one-trial wrapper of their projection form, and
+to the anchored value within a round-off bound (TestProjectionForm)."""
 
 from types import SimpleNamespace
 from unittest import mock
@@ -62,6 +64,34 @@ def wrapper_target_value(surr, f):
 def wrapper_softmax(logits):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def wrapper_mirror_value(surr, logits):
+    """One trial's value at batch logits under the KL proximity, in the
+    projection form const + sum f (log f - log p) / (eta b)."""
+    batch, eta = surr.batch, surr.prox.eta
+    q = np.log(batch.z) - eta * batch.coeffs
+    top = q.max(axis=1, keepdims=True)
+    log_Z = top + np.log(np.exp(q - top).sum(axis=1, keepdims=True))
+    const = np.mean(batch.consts - (batch.coeffs * batch.z).sum(axis=1) - log_Z[:, 0] / eta)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=1, keepdims=True)
+    terms = e / sums * (shifted - np.log(sums) - (q - log_Z))
+    return float(const + np.sum(terms) / (eta * len(batch.consts)))
+
+
+def wrapper_trial_value(surr, logits):
+    """One softmax-line trial's value at batch logits: the projection form
+    under the KL proximity, `target_value` at their softmax otherwise."""
+    if isinstance(surr.prox, KLProximity):
+        return wrapper_mirror_value(surr, logits)
+    return wrapper_target_value(surr, wrapper_softmax(logits))
+
+
+def anchored_trial_value(surr, logits):
+    """One trial's value as `Surrogate.target_value` at the link of its logits."""
+    return surr.target_value(surr.batch.model.link(logits))
 
 
 def wrapper_target_line_search(loss, z, y, g, alpha0=10.0, shrink=0.5, c=0.5):
@@ -206,7 +236,7 @@ class TestSameFloats:
         line, g = _TargetLine(surr, omega), surr.grad(omega)
         value_at = line.values(g, surr.value(omega), float(g @ g))
         for a in TRIALS:
-            assert value_at(a) == wrapper_target_value(surr, wrapper_softmax(line.logits - a * line.u))
+            assert value_at(a) == wrapper_trial_value(surr, line.logits - a * line.u)
         f, coeffs = model.link(line.logits), surr.batch.coeffs
         assert np.array_equal(f, wrapper_softmax(line.logits))
         want = f * (coeffs - (f * coeffs).sum(axis=1, keepdims=True))
@@ -253,9 +283,9 @@ class TestSameFloats:
 # -- softmax trials a block at a time ------------------------------------
 
 
-def one_trial_armijo(surr, omega, m, alpha0):
-    """The softmax-line Armijo solve with one link and one `target_value`
-    per trial: (theta, inner_steps, stalled, last_alpha)."""
+def one_trial_armijo(surr, omega, m, alpha0, trial_value=wrapper_trial_value):
+    """The softmax-line Armijo solve with one trial_value(surr, logits) per
+    trial: (theta, inner_steps, stalled, last_alpha)."""
     model, rows = surr.batch.model, surr.batch.rows
     val, g = surr.value(omega), surr.grad(omega)
     logits, steps, alpha = model.logits(omega, rows), 0, alpha0
@@ -266,7 +296,7 @@ def one_trial_armijo(surr, omega, m, alpha0):
         if gnorm2 == 0.0:
             break
         u = model.logits(g, rows)
-        alpha, val, stalled = backtrack(lambda a: surr.target_value(model.link(logits - a * u)),
+        alpha, val, stalled = backtrack(lambda a: trial_value(surr, logits - a * u),
                                         val, gnorm2, alpha0, ARMIJO_SHRINK, ARMIJO_C)
         if stalled:
             return omega, steps, True, alpha
@@ -275,7 +305,7 @@ def one_trial_armijo(surr, omega, m, alpha0):
     return omega, steps, False, alpha
 
 
-def assert_matches_one_trial_armijo(surr, omega, m, alpha0):
+def assert_matches_one_trial_armijo(surr, omega, m, alpha0, trial_value=wrapper_trial_value):
     """Both solves end alike: the same result, or divergence at the same
     step (a target that underflows to 0 has an infinite KL gradient)."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,10 +313,10 @@ def assert_matches_one_trial_armijo(surr, omega, m, alpha0):
             res = armijo_backtracking(surr, omega, m, alpha0)
         except DivergenceError as err:
             with pytest.raises(DivergenceError) as ref_err:
-                one_trial_armijo(surr, omega, m, alpha0)
+                one_trial_armijo(surr, omega, m, alpha0, trial_value)
             assert ref_err.value.step == err.step
             return None
-        theta, steps, stalled, alpha = one_trial_armijo(surr, omega, m, alpha0)
+        theta, steps, stalled, alpha = one_trial_armijo(surr, omega, m, alpha0, trial_value)
     np.testing.assert_array_equal(res.theta, theta)
     assert (res.inner_steps, res.stalled, res.last_alpha) == (steps, stalled, alpha)
     return res
@@ -300,13 +330,13 @@ class SecondSearchAscends(Surrogate):
         return -super().logit_grad(f)
 
 
-def softmax_surrogate(seed, b, d, k, variant, sparse=False):
+def softmax_surrogate(seed, b, d, k, variant, sparse=False, eta=0.5):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(b, d))
     y = smoothed_expert_rows(rng.integers(0, k, b), k, eps=0.1)
     data = (sp.csr_matrix(X) if sparse else X, y, MulticlassKLLoss(), SoftmaxLinearModel(k),
             rng.normal(size=d * k), rng)
-    return surrogate_of(data, variant, 0.5), data[4]
+    return surrogate_of(data, variant, eta), data[4]
 
 
 class TestTrialBlocks:
@@ -326,7 +356,7 @@ class TestTrialBlocks:
         value_at = line.values(g, surr.value(omega), float(g @ g))
         L, u, a = line.logits, line.u, 10.0 ** log_alpha0
         for _ in range(2 * TRIAL_BLOCK + 1):  # into a third block
-            assert value_at(a) == wrapper_target_value(surr, wrapper_softmax(L - a * u))
+            assert value_at(a) == wrapper_trial_value(surr, L - a * u)
             last, a = a, a * ARMIJO_SHRINK
         # The last trial, as an accepted step (NaN where a target underflowed).
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -357,6 +387,51 @@ class TestTrialBlocks:
         surr = SecondSearchAscends(surr.batch, surr.prox)
         res = assert_matches_one_trial_armijo(surr, theta, 4, 1.0)
         assert res.stalled and res.inner_steps == 1 and res.last_alpha < BACKTRACK_FLOOR
+
+
+# -- mirror trials in the projection form ---------------------------------
+
+
+def mirror_form_error_bound(surr, f):
+    """A bound on |projection form - `target_values`| at one trial's
+    targets f: (n + 4) eps times the summed magnitude of every term that
+    either form adds, n = b K the terms of its longest sum."""
+    batch, eta, (b, k) = surr.batch, surr.prox.eta, f.shape
+    z, g = batch.z, batch.coeffs
+    q = np.log(z) - eta * g
+    log_Z = np.logaddexp.reduce(q, axis=1, keepdims=True)
+    logs = np.abs(xlogy(f, f)) + f * (np.abs(np.log(z)) + eta * np.abs(g) + np.abs(log_Z) + np.log(k) + 1)
+    magnitude = (np.mean(np.abs(batch.consts)) + np.sum(np.abs(g) * (f + z)) / b
+                 + np.sum(logs + np.abs(xlogy(f, f / z))) / (eta * b))
+    return (f.size + 4) * np.finfo(float).eps * magnitude
+
+
+class TestProjectionForm:
+    """Under the KL proximity a softmax line's trials take the projection
+    form: one divergence to the mirror step per trial."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(batches(multiclass=True, classes=st.integers(2, 6)), st.floats(1e-4, 10.0),
+           st.floats(-3.0, 1.0))
+    def test_matches_the_anchored_value(self, data, eta, log_alpha0):
+        X, _, _, model, theta, rng = data
+        surr = surrogate_of(data, "entropy-mirror", eta)
+        omega = theta + 0.1 * rng.normal(size=theta.shape)
+        L, u = model.logits(omega, X), model.logits(surr.grad(omega), X)
+        steps = 10.0 ** log_alpha0 * ARMIJO_SHRINK ** np.arange(TRIAL_BLOCK)
+        f, values = surr.link_values(L - np.multiply.outer(steps, u))
+        for f_j, value in zip(f, values):
+            want = surr.target_values(f_j)
+            assert np.isfinite(value) and np.isfinite(want)
+            assert abs(value - want) <= mirror_form_error_bound(surr, f_j)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.1, 1e-3, 1e-5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solve_is_the_anchored_one(self, eta, seed):
+        # b = 15, K = 3 and m = 8, as on the benchmark's mirror workload.
+        surr, theta = softmax_surrogate(seed, 15, 4, 3, "entropy-mirror", eta=eta)
+        res = assert_matches_one_trial_armijo(surr, theta, 8, 1.0, anchored_trial_value)
+        assert res.inner_steps == 8 and not res.stalled
 
 
 # -- a solve from the batch's anchor reads z ------------------------------
