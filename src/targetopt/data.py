@@ -3,7 +3,7 @@ r"""Dataset loading and synthetic problem generation.
 A dataset is a feature matrix with a label vector. The feature matrix is
 a dense ndarray when every entry is present (synthetic data, and LibSVM
 text that stores all n*d entries) and a `models.CSR` matrix otherwise; this
-module builds, serializes, compares and scales X, and it and `models` alone
+module builds, serializes and scales X, and it and `models` alone
 know its storage. Parsing follows the LibSVM format (`<label> <idx>:<val> ...`
 with 1-based, strictly increasing feature indices per line) on the text's
 bytes: lines end at "\n", "\r\n" or a lone "\r", tokens are split
@@ -52,7 +52,11 @@ class Dataset:
     id in first-appearance order). A multiclass-kl problem replaces the
     ids by their (n, K) smoothed expert rows (`harness.load_problem`).
     Instances are treated as immutable once built and are safe to share
-    across concurrent runs.
+    across concurrent runs. Their one mutable state is `starts`, the start
+    rows' (loss, grad_norm) by (model, loss, start theta bytes): the runs
+    of an experiment in one process evaluate each distinct start once
+    (`optimizers._Recorder.record`). A copy by `dataclasses.replace`
+    starts with none.
     """
 
     X: CSR | np.ndarray
@@ -61,6 +65,7 @@ class Dataset:
     n_classes: int = 0
     label_map: tuple = ()
     meta: dict = field(default_factory=dict)
+    starts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -82,29 +87,6 @@ class Dataset:
                 raise ValueError("multiclass dataset needs n_classes >= 1")
             if self.n and (self.y.min() < 0 or self.y.max() >= self.n_classes):
                 raise ValueError("class ids must lie in [0, n_classes)")
-
-    def equal_to(self, other: "Dataset") -> bool:
-        """The same task, labels and entries in either storage; -0 equals
-        +0, and a NaN entry equals nothing."""
-        return (
-            self.task == other.task
-            and self.X.shape == other.X.shape
-            and self.n_classes == other.n_classes
-            and self.label_map == other.label_map
-            and np.array_equal(self.y, other.y)
-            and all(map(np.array_equal, _nonzeros(self.X), _nonzeros(other.X)))
-        )
-
-
-def _nonzeros(X):
-    """(rows, columns, values) of X's nonzero entries in row-major order
-    (a CSR X's rows list their columns in increasing order, as parsed ones do)."""
-    if isinstance(X, np.ndarray):
-        rows, cols = np.nonzero(X)
-        return rows, cols, X[rows, cols]
-    keep = X.data != 0
-    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-    return rows[keep], X.indices[keep], X.data[keep]
 
 
 @dataclass(frozen=True)

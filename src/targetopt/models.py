@@ -80,7 +80,7 @@ def take_rows(X, idx):
     if idx.size and idx.min() < 0:
         raise IndexError("row indices must be non-negative")
     indptr = np.zeros(idx.size + 1, dtype=idx.dtype)
-    np.cumsum(X.indptr[idx + 1] - X.indptr[idx], out=indptr[1:])  # IndexError past the last row
+    np.cumsum(np.diff(X.indptr).take(idx), out=indptr[1:])  # IndexError past the last row
     indices, data = np.empty(indptr[-1], dtype=idx.dtype), np.empty(indptr[-1], dtype=X.data.dtype)
     kernels.csr_row_index(idx.size, idx, X.indptr, X.indices, X.data, indices, data)
     data.flags.writeable = indices.flags.writeable = indptr.flags.writeable = False

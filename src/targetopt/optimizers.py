@@ -172,9 +172,6 @@ class RunTrace:
     def final_loss(self) -> float:
         return self.rows[-1].loss
 
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.rows])
-
 
 def _batches(dataset, batch: int, rng, mode: str, T: int):
     """The run's T batches (idx, rows, labels), drawn uniformly with
@@ -269,7 +266,18 @@ def base_step(cfg: RunConfig, dataset, loss) -> float:
 
 
 class _Recorder:
-    """Collects trace rows and owns the oracle / inner-step counters."""
+    """Collects trace rows and owns the oracle / inner-step counters.
+
+    A row's loss and gradient norm are evaluated on all of X. The start row
+    (t = 0) is evaluated once per problem and start theta in a process: the
+    first run from it stores the two floats in `dataset.starts`, inside its
+    own timed window, and every later run reads them. Linear and
+    softmax-linear models start at 0 whatever the seed, so the pairs of an
+    in-process experiment share one evaluation. Each MLP seed draws its own
+    start, and a pool worker (`--jobs` above 1) unpickles its own copy of
+    the problem for each pair, so those evaluate their start once per pair.
+    A non-finite start raises in every run and is not stored.
+    """
 
     def __init__(self, cfg: RunConfig, loss, model, dataset):
         self.cfg = cfg
@@ -286,20 +294,30 @@ class _Recorder:
             self.thetas.append(np.array(theta, copy=True))
 
     def record(self, t: int, theta, eta_t: float, eps=None, zeta2=None) -> None:
-        z = self.model.forward(theta, self.dataset.X)  # one forward serves the loss and the gradient
-        loss_val = full_loss(self.loss, self.dataset, z)
-        if not np.isfinite(loss_val):
-            raise RuntimeError(f"non-finite loss at outer iteration {t}")
+        starts = self.dataset.starts
+        key = (self.model, self.loss, theta.tobytes()) if t == 0 else None
+        if key in starts:
+            wall_ms = (time.perf_counter() - self.t0) * 1e3
+            loss_val, grad_norm = starts[key]
+        else:
+            z = self.model.forward(theta, self.dataset.X)  # serves the loss and the gradient
+            loss_val = full_loss(self.loss, self.dataset, z)
+            if not np.isfinite(loss_val):
+                raise RuntimeError(f"non-finite loss at outer iteration {t}")
+            wall_ms = (time.perf_counter() - self.t0) * 1e3
+            grad_norm = full_grad_norm(self.loss, self.model, self.dataset, theta, z)
+            if key is not None:
+                starts[key] = loss_val, grad_norm
         self.rows.append(
             TraceRow(
                 outer_t=t,
                 oracle_calls=self.counter.calls,
                 inner_steps=self.inner_steps,
                 sim_cost=self.counter.calls * self.cfg.tau + self.inner_steps,
-                wall_ms=(time.perf_counter() - self.t0) * 1e3,
+                wall_ms=wall_ms,
                 eta=eta_t,
                 loss=loss_val,
-                grad_norm=full_grad_norm(self.loss, self.model, self.dataset, theta, z),
+                grad_norm=grad_norm,
                 eps=eps,
                 zeta2=zeta2,
             )

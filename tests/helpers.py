@@ -23,6 +23,35 @@ def scipy_csr(X):
     return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
+def datasets_equal(a, b) -> bool:
+    """The same task, labels and entries in either storage; -0 equals +0,
+    and a NaN entry equals nothing."""
+    return (
+        a.task == b.task
+        and a.X.shape == b.X.shape
+        and a.n_classes == b.n_classes
+        and a.label_map == b.label_map
+        and np.array_equal(a.y, b.y)
+        and all(map(np.array_equal, _nonzeros(a.X), _nonzeros(b.X)))
+    )
+
+
+def _nonzeros(X):
+    """(rows, columns, values) of X's nonzero entries in row-major order
+    (a CSR X's rows list their columns in increasing order, as parsed ones do)."""
+    if isinstance(X, np.ndarray):
+        rows, cols = np.nonzero(X)
+        return rows, cols, X[rows, cols]
+    keep = X.data != 0
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    return rows[keep], X.indices[keep], X.data[keep]
+
+
+def trace_losses(trace) -> np.ndarray:
+    """The loss column of a run trace."""
+    return np.array([r.loss for r in trace.rows])
+
+
 def stochastic(loss, model, ds, theta_t, idx, eta, variant="smoothness", counter=None):
     """The stochastic surrogate on the rows `idx` of `ds`, frozen at theta_t."""
     idx = np.asarray(idx, dtype=int)

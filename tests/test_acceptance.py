@@ -43,7 +43,7 @@ from targetopt.optimizers import (
 )
 from targetopt.surrogates import build_deterministic
 
-from helpers import analysis_q, stochastic
+from helpers import analysis_q, stochastic, trace_losses
 
 
 @contextlib.contextmanager
@@ -144,7 +144,7 @@ def test_04_majorization_and_descent():
                         schedule=ScheduleOptions(eta0=1.0 / loss.L),
                         inner=InnerOptions(solver="gd", m=5), seed=0, eval_every=1)
         trace = run(cfg, ds, model, loss)
-        diffs = np.diff(trace.losses())
+        diffs = np.diff(trace_losses(trace))
         assert np.all(diffs <= 1e-12), f"max increase {diffs.max()}"
 
 

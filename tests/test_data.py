@@ -1,5 +1,6 @@
 import io
 import pickle
+from dataclasses import replace
 from typing import get_args
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_parse_libsvm, scipy_csr
+from helpers import datasets_equal, reference_parse_libsvm, scipy_csr
 from targetopt import data, models
 from targetopt.data import (
     Dataset,
@@ -113,7 +114,7 @@ class TestRoundTrip:
         text = "+1 1:0.5 3:2\n-1 2:1.25\n"
         ds = parse_libsvm(text, task="binary")
         again = parse_libsvm(to_libsvm(ds), task="binary")
-        assert ds.equal_to(again)
+        assert datasets_equal(ds, again)
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -142,7 +143,7 @@ class TestRoundTrip:
         text = "\n".join(rows) + ("\n" if rows else "")
         ds = parse_libsvm(text, task="regression", d=d)
         again = parse_libsvm(to_libsvm(ds), task="regression", d=d)
-        assert ds.equal_to(again)
+        assert datasets_equal(ds, again)
 
 
 class TestSynthetic:
@@ -175,7 +176,7 @@ class TestSynthetic:
     def test_determinism(self):
         spec = SyntheticSpec("least-squares", n=20, d=5, cond=10, noise=0.5, seed=11)
         a, b = generate_synthetic(spec), generate_synthetic(spec)
-        assert a.equal_to(b)
+        assert datasets_equal(a, b)
 
     def test_condition_number_target(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=50, d=8, cond=100, seed=2))
@@ -216,8 +217,8 @@ TEXT = "1.5 1:4 3:-8\n-2 2:0.25\n0.5\n3 1:2 2:1 3:1\n"
 def test_equal_to_accepts_dense(storage):
     ds = parse_libsvm(TEXT)
     same, other = storage(parse_libsvm(TEXT)), storage(parse_libsvm(TEXT.replace("4", "5")))
-    assert storage(ds).equal_to(same) and same.equal_to(ds)
-    assert not storage(ds).equal_to(other) and not other.equal_to(ds)
+    assert datasets_equal(storage(ds), same) and datasets_equal(same, ds)
+    assert not datasets_equal(storage(ds), other) and not datasets_equal(other, ds)
 
 
 def _scipy_same_entries(A, B) -> bool:
@@ -240,8 +241,8 @@ def test_equal_to_matches_the_scipy_comparison(seed):
 
     for X in (A, csr(A)):
         for Y in (B, csr(B)):
-            got = Dataset(X=X, y=np.zeros(4), task="regression").equal_to(
-                Dataset(X=Y, y=np.zeros(4), task="regression"))
+            got = datasets_equal(Dataset(X=X, y=np.zeros(4), task="regression"),
+                                 Dataset(X=Y, y=np.zeros(4), task="regression"))
             assert got == _scipy_same_entries(X, Y)
 
 
@@ -252,7 +253,7 @@ def test_csr_dataset_pickles():
     for name in ("data", "indices", "indptr"):
         a, b = getattr(again.X, name), getattr(ds.X, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert again.equal_to(ds)
+    assert datasets_equal(again, ds)
 
 
 def test_max_abs_scale_accepts_dense(storage):
@@ -276,6 +277,16 @@ def csc_round_trip_scale(X):
     return models.CSR(R.data, R.indices, R.indptr, R.shape)
 
 
+def test_copies_start_with_no_stored_start_rows(storage):
+    # The start rows a run stores belong to the dataset object they ran on.
+    ds = storage(parse_libsvm(TEXT))
+    ds.starts["key"] = (1.0, 2.0)
+    for copy in (replace(ds), replace(ds, y=ds.y + 1.0), max_abs_scale(ds)):
+        assert copy.starts == {} and copy.starts is not ds.starts
+    assert ds.starts == {"key": (1.0, 2.0)}
+    assert replace(ds) == ds and "starts" not in repr(ds)
+
+
 def test_max_abs_scale_matches_the_csc_round_trip(storage):
     # Stored -0 and +0 entries, an all-zero column (3) and an empty row; a
     # dense -0 reads +0, and a CSR one stays stored.
@@ -297,7 +308,7 @@ def test_to_libsvm_accepts_dense(storage):
     ds = parse_libsvm(TEXT)
     text = to_libsvm(storage(ds))
     assert text == to_libsvm(ds)
-    assert parse_libsvm(text, d=ds.d).equal_to(ds)
+    assert datasets_equal(parse_libsvm(text, d=ds.d), ds)
 
 
 class TestStorage:
@@ -326,7 +337,7 @@ class TestStorage:
         ds = generate_synthetic(SyntheticSpec("logistic", n=8, d=3, noise=0.1, seed=4))
         again = parse_libsvm(to_libsvm(ds), task="binary")
         assert isinstance(again.X, np.ndarray)
-        assert ds.equal_to(again) and again.equal_to(ds)
+        assert datasets_equal(ds, again) and datasets_equal(again, ds)
 
 
 def _assert_same_parse(got, want):

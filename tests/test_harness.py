@@ -10,7 +10,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
-from targetopt import cli
+from targetopt import cli, optimizers
 from targetopt.data import SyntheticKind, SyntheticSpec, generate_synthetic, parse_libsvm, to_libsvm
 from targetopt.harness import (
     cost_report,
@@ -453,6 +453,96 @@ class TestRunExperiment:
         assert all(float(r["zeta2"]) >= -1e-10 for r in rows[1:])
 
 
+def shared_start_config(tmp_path, kind):
+    """Two runs x two seeds on a small problem of the given kind: "csr" and
+    "dense" linear least squares, "softmax" (softmax-linear under
+    multiclass-kl) and "mlp"."""
+    if kind == "softmax":
+        cfg = multiclass_config(tmp_path)
+        cfg["runs"].append({"id": "sgd", "optimizer": "sgd", "T": 8, "batch_size": 3,
+                            "schedule": {"eta0": 0.2}})
+        cfg["seeds"] = [0, 1]
+        return cfg
+    cfg = small_config(tmp_path / "out")
+    cfg["seeds"] = [0, 1]
+    if kind == "csr":
+        data_file = tmp_path / "csr.libsvm"
+        data_file.write_text("1 1:0.5 3:1\n-1 2:1\n0.5 1:-1 2:0.25\n2 3:-0.5\n0.25\n-0.5 1:2 3:1\n")
+        assert type(parse_libsvm(data_file.read_text()).X) is not np.ndarray
+        cfg["dataset"] = {"path": str(data_file)}
+    elif kind == "mlp":
+        cfg["model"] = {"kind": "mlp", "hidden": 4}
+        cfg["runs"][1]["inner"]["alpha"] = 0.05
+    return cfg
+
+
+def count_start_evaluations(monkeypatch) -> list:
+    """The outer t of every `full_loss` and `full_grad_norm` call from here
+    on, as ("loss" or "grad_norm", t) pairs."""
+    calls, now = [], [None]
+    record = optimizers._Recorder.record
+
+    def spy_record(self, t, *args, **kwargs):
+        now[0] = t
+        return record(self, t, *args, **kwargs)
+
+    def spy(name, fn):
+        return lambda *args: calls.append((name, now[0])) or fn(*args)
+
+    monkeypatch.setattr(optimizers._Recorder, "record", spy_record)
+    monkeypatch.setattr(optimizers, "full_loss", spy("loss", optimizers.full_loss))
+    monkeypatch.setattr(optimizers, "full_grad_norm", spy("grad_norm", optimizers.full_grad_norm))
+    return calls
+
+
+class TestSharedStart:
+    """The pairs of an in-process experiment evaluate each distinct start
+    row once and write what a pool worker, which evaluates its own, writes."""
+
+    @pytest.mark.parametrize("kind", ["csr", "dense", "softmax", "mlp"])
+    def test_pool_and_in_process_write_the_same_files(self, tmp_path, kind):
+        cfg = shared_start_config(tmp_path, kind)
+        serial, pool = tmp_path / "serial", tmp_path / "pool"
+        assert run_experiment(cfg, out_dir=str(serial), jobs=1) == 0
+        assert run_experiment(cfg, out_dir=str(pool), jobs=2) == 0
+        names = sorted(p.name for p in serial.iterdir())
+        assert names == sorted(p.name for p in pool.iterdir())
+        assert len(names) == 2 * 2 * 2 + 1
+        for name in names:
+            a, b = (serial / name).read_text(), (pool / name).read_text()
+            if name.endswith(".csv") and name != "summary.csv":
+                a, b = strip_wall(a), strip_wall(b)
+            assert a == b, name
+
+    @pytest.mark.parametrize("model, evaluations", [("linear", 1), ("mlp", 9)])
+    def test_one_evaluation_per_distinct_start(self, tmp_path, monkeypatch, model, evaluations):
+        # Linear runs all start at 0; each MLP pair draws its own start.
+        cfg = small_config(tmp_path / "out", T=4)
+        cfg["model"] = {"kind": model, "hidden": 4} if model == "mlp" else model
+        cfg["runs"] = [{"id": opt, "optimizer": opt, "T": 4, "batch_size": 4,
+                        "schedule": {"eta0": 0.05}} for opt in ("sgd", "adam", "adagrad")]
+        calls = count_start_evaluations(monkeypatch)
+        assert run_experiment(cfg) == 0
+        assert calls.count(("loss", 0)) == calls.count(("grad_norm", 0)) == evaluations
+        assert calls.count(("grad_norm", 4)) == 9
+        starts = {read_csv(path)[0]["loss"] for path in (tmp_path / "out").glob("*_s*.csv")}
+        assert len(starts) == evaluations
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_non_finite_start_fails_every_pair(self, tmp_path, capsys):
+        data_file = tmp_path / "huge.libsvm"
+        data_file.write_text("1e200 1:1\n1 2:1\n-1 1:0.5 2:1\n0.5 1:2\n2 2:-1\n")
+        cfg = small_config(tmp_path / "out")
+        cfg["dataset"] = {"path": str(data_file)}
+        cfg["seeds"] = [0, 1]
+        assert run_experiment(cfg) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAILED")]
+        assert len(failed) == 4
+        assert all(line.endswith("RuntimeError('non-finite loss at outer iteration 0')")
+                   for line in failed)
+
+
 class TestCostReport:
     def make_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -692,8 +782,7 @@ from targetopt import harness
 from targetopt.data import SyntheticSpec, generate_synthetic, to_libsvm
 for config in json.loads(sys.argv[1]):
     assert harness.run_experiment(config) == 0
-a, b = (generate_synthetic(SyntheticSpec("least-squares", n=6, d=3, seed=s)) for s in (1, 2))
-assert a.equal_to(a) and not a.equal_to(b)
+a = generate_synthetic(SyntheticSpec("least-squares", n=6, d=3, seed=1))
 assert to_libsvm(a).count("\\n") == 6
 assert "scipy.sparse" not in sys.modules, "scipy.sparse was imported"
 """

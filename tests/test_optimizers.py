@@ -1,3 +1,4 @@
+from dataclasses import replace
 from typing import get_args
 
 import numpy as np
@@ -25,7 +26,7 @@ from targetopt.optimizers import (
 from targetopt.schedules import LS_ALPHA0
 from targetopt.surrogates import build_stochastic, freeze
 
-from helpers import make_problem
+from helpers import make_problem, trace_losses
 
 OPTIMIZERS = get_args(Optimizer)
 SAMPLING_MODES = get_args(Sampling)
@@ -52,7 +53,7 @@ class TestSSO:
             RunConfig(optimizer="sgd", schedule=ScheduleOptions(eta0=alpha), **common),
             ds, model, loss,
         )
-        np.testing.assert_array_equal(sso.losses(), sgd.losses())
+        np.testing.assert_array_equal(trace_losses(sso), trace_losses(sgd))
 
     def test_full_batch_exact_solve_one_step(self):
         ds = ls_dataset(n=40, d=8, cond=50, seed=2)
@@ -71,7 +72,7 @@ class TestSSO:
                         schedule=ScheduleOptions(eta0=1.0 / loss.L),
                         inner=InnerOptions(solver="gd", m=3), seed=0, eval_every=1)
         trace = run(cfg, ds, model, loss)
-        losses = trace.losses()
+        losses = trace_losses(trace)
         assert np.all(np.diff(losses) <= 1e-12)
 
     @pytest.mark.parametrize("batch_size, norms", [(None, 1), (3, 6)])
@@ -106,7 +107,7 @@ class TestSSO:
                         schedule=ScheduleOptions(eta0=0.5), inner=InnerOptions(solver="gd", m=2))
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
         assert [r.inner_steps for r in trace.rows] == [2 * t for t in range(31)]
-        assert np.isfinite(trace.losses()).all()
+        assert np.isfinite(trace_losses(trace)).all()
 
     def test_oracle_accounting_b_per_step(self):
         ds = ls_dataset(seed=4)
@@ -126,7 +127,7 @@ class TestSSO:
                                 inner=InnerOptions(solver="armijo", m=5), seed=9, eval_every=1)
         a = run(cfg(), ds, LinearModel(), SquaredLoss())
         b = run(cfg(), ds, LinearModel(), SquaredLoss())
-        np.testing.assert_array_equal(a.losses(), b.losses())
+        np.testing.assert_array_equal(trace_losses(a), trace_losses(b))
         assert [r.oracle_calls for r in a.rows] == [r.oracle_calls for r in b.rows]
 
     def test_epoch_shuffling_covers_dataset(self):
@@ -187,7 +188,7 @@ class TestSSO:
                         schedule=ScheduleOptions(eta0=1.0),
                         inner=InnerOptions(solver="armijo", m=5), seed=0, eval_every=1)
         trace = run(cfg, ds, model, SquaredLoss())
-        losses = trace.losses()
+        losses = trace_losses(trace)
         assert np.all(np.diff(losses) <= 1e-12)
         assert losses[-1] < losses[0]
 
@@ -337,7 +338,7 @@ class TestParametricBaselines:
         ds = Dataset(X=X, y=np.zeros(3), task="regression")
         cfg = RunConfig(optimizer="sgd", T=10, batch_size=None, seed=0, eval_every=1)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
-        assert np.all(trace.losses() == 0.0)
+        assert np.all(trace_losses(trace) == 0.0)
 
     def test_sgd_oracle_calls(self):
         ds = ls_dataset(seed=12)
@@ -389,7 +390,7 @@ class TestParametricBaselines:
         ds = Dataset(X=X, y=np.zeros(2), task="regression")
         cfg = RunConfig(optimizer="adam", T=15, batch_size=None, seed=0, eval_every=1)
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
-        assert np.all(trace.losses() == 0.0)
+        assert np.all(trace_losses(trace) == 0.0)
 
     def test_adam_reaches_optimum(self):
         ds = ls_dataset(n=40, d=5, seed=13)
@@ -571,7 +572,7 @@ class TestEveryOptimizer:
                                 inner=inner, seed=1, eval_every=1)
         a = run(cfg(), csr, LinearModel(), loss)
         b = run(cfg(), ds, LinearModel(), loss)
-        np.testing.assert_allclose(b.losses(), a.losses(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace_losses(b), trace_losses(a), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
     def test_schedule_eta0_is_the_base_step(self, optimizer):
@@ -617,7 +618,7 @@ class TestEveryOptimizer:
                         schedule=ScheduleOptions(kind="adagrad-norm", eta0=0.5),
                         inner=InnerOptions(solver=solver))
         trace = run(cfg, ds, LinearModel(), SquaredLoss())
-        assert np.all(trace.losses() == 0.0)
+        assert np.all(trace_losses(trace) == 0.0)
         assert [r.eta for r in trace.rows[1:]] == [0.5] * cfg.T
 
 
@@ -688,3 +689,59 @@ class TestOneOraclePerBatch:
         run(cfg, ds, model, SquaredLoss())
         assert model.forward_rows and model.grad_rows
         assert all(rows is ds.X for rows in model.forward_rows + model.grad_rows)
+
+
+class ShiftedModel(LinearModel):
+    """A linear model whose targets are shifted by 1: the same start theta
+    and gradient as `LinearModel`, another loss."""
+
+    def forward(self, theta, rows):
+        return super().forward(theta, rows) + 1.0
+
+
+class TestSharedStart:
+    """Runs on one dataset share a start row only with the same model object,
+    loss and start theta."""
+
+    @staticmethod
+    def fresh_start(ds, model, loss):
+        theta = np.zeros(model.dim(ds.d))
+        z = model.forward(theta, ds.X)
+        fresh = replace(ds)
+        return full_loss(loss, fresh, z), optimizers.full_grad_norm(loss, model, fresh, theta, z)
+
+    @pytest.mark.parametrize("change", ["loss", "model"])
+    def test_no_start_is_shared_across_losses_or_models(self, change):
+        ds = ls_dataset(n=20, d=4, seed=30, kind="logistic")
+        problems = ([(LinearModel(), SquaredLoss()), (LinearModel(), LogisticLoss())]
+                    if change == "loss" else
+                    [(LinearModel(), SquaredLoss()), (ShiftedModel(), SquaredLoss())])
+        cfg = RunConfig(optimizer="sgd", T=3, batch_size=5, schedule=ScheduleOptions(eta0=0.1))
+        starts = []
+        for model, loss in problems:
+            row = run(cfg, ds, model, loss).rows[0]
+            assert (row.loss, row.grad_norm) == self.fresh_start(ds, model, loss)
+            starts.append(row.loss)
+        assert starts[0] != starts[1]
+        assert len(ds.starts) == 2
+
+    def test_a_second_run_reads_the_stored_start(self):
+        ds, model, loss = ls_dataset(n=20, d=4, seed=31), LinearModel(), SquaredLoss()
+        cfg = RunConfig(optimizer="sgd", T=3, batch_size=5, schedule=ScheduleOptions(eta0=0.1))
+        first = run(cfg, ds, model, loss)
+        (key, stored), = ds.starts.items()
+        assert key == (model, loss, np.zeros(ds.d).tobytes())
+        assert stored == (first.rows[0].loss, first.rows[0].grad_norm)
+        ds.starts[key] = (7.0, 8.0)  # a hit reads the stored floats back
+        row = run(replace(cfg, seed=1), ds, model, loss).rows[0]
+        assert (row.loss, row.grad_norm) == (7.0, 8.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_non_finite_start_raises_in_every_run_and_is_not_stored(self):
+        ds = ls_dataset(n=10, d=3, seed=32)
+        ds = replace(ds, y=np.where(np.arange(ds.n) == 0, 1e200, ds.y))
+        cfg = RunConfig(optimizer="sgd", T=3, batch_size=2, schedule=ScheduleOptions(eta0=0.1))
+        for seed in (0, 1):
+            with pytest.raises(RuntimeError, match="^non-finite loss at outer iteration 0$"):
+                run(replace(cfg, seed=seed), ds, LinearModel(), SquaredLoss())
+            assert ds.starts == {}

@@ -24,7 +24,9 @@ from targetopt.surrogates import (
     freeze,
 )
 
-from helpers import CASES, CountingLoss, analysis_q, make_problem, problems, stochastic
+from helpers import (
+    CASES, CountingLoss, analysis_q, make_problem, problems, stochastic, trace_losses,
+)
 
 
 def make_ls(n=12, d=4, seed=0, noise=0.5):
@@ -423,8 +425,8 @@ class TestRepresentationProperties:
                         schedule=ScheduleOptions(eta0=data.draw(st.floats(0.05, 2.0))),
                         inner=InnerOptions(solver="gd", m=1, alpha=a), **common)
         sgd = RunConfig(optimizer="sgd", schedule=ScheduleOptions(eta0=a), **common)
-        np.testing.assert_array_equal(run(sso, ds, model, loss).losses(),
-                                      run(sgd, ds, model, loss).losses())
+        np.testing.assert_array_equal(trace_losses(run(sso, ds, model, loss)),
+                                      trace_losses(run(sgd, ds, model, loss)))
 
 
 def scipy_quadratic_parts(R, w, z, coeffs):
