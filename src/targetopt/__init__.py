@@ -10,9 +10,7 @@ from .data import Dataset, SyntheticSpec, generate_synthetic, parse_libsvm, to_l
 from .losses import (
     LogisticLoss, MulticlassKLLoss, SquaredLoss, kl_to_expert, loss_value, make_loss,
 )
-from .models import (
-    LinearModel, MLPModel, SoftmaxLinearModel, lipschitz_estimate, make_model, spectral_norm,
-)
+from .models import LinearModel, MLPModel, SoftmaxLinearModel, make_model, spectral_norm
 from .surrogates import (
     Batch, OracleCounter, Surrogate, build_analysis_q, build_deterministic, build_stochastic,
     freeze,

@@ -365,7 +365,8 @@ def parse_libsvm(
     return ds
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """x to 17 significant digits, which read back as the same double."""
     return format(float(x), ".17g")
 
 
@@ -383,14 +384,14 @@ def to_libsvm(ds: Dataset) -> str:
     out = []
     for i in range(ds.n):
         if ds.task == "multiclass":
-            label = _fmt(ds.label_map[int(ds.y[i])])
+            label = fmt_float(ds.label_map[int(ds.y[i])])
         elif ds.task == "binary":
             label = "+1" if ds.y[i] > 0 else "-1"
         else:
-            label = _fmt(ds.y[i])
+            label = fmt_float(ds.y[i])
         lo, hi = indptr[i], indptr[i + 1]
         feats = " ".join(
-            f"{indices[k] + 1}:{_fmt(data[k])}" for k in range(lo, hi)
+            f"{indices[k] + 1}:{fmt_float(data[k])}" for k in range(lo, hi)
         )
         out.append(label + (" " + feats if feats else ""))
     return "\n".join(out) + ("\n" if out else "")

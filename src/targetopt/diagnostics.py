@@ -12,7 +12,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from .inner_solvers import exact_linear_solve, gd_fixed
-from .models import LinearModel, dense, lipschitz_estimate, row_product, take_rows, zero_rows
+from .models import LinearModel, dense, row_product, row_range, spectral_norm, zero_rows
 from .optimizers import RunConfig, run
 from .schedules import ScheduleOptions
 from .surrogates import build_analysis_q, build_deterministic, build_stochastic, freeze
@@ -64,7 +64,7 @@ def _singletons(loss, model, dataset, theta_t, eta_t):
     surrogates at theta_t, both from one oracle call on row i."""
     pairs = []
     for i in range(dataset.n):
-        batch = freeze(loss, model, theta_t, take_rows(dataset.X, [i]), dataset.y[[i]])
+        batch = freeze(loss, model, theta_t, row_range(dataset.X, i, i + 1), dataset.y[i:i + 1])
         q_i = build_analysis_q(loss, dataset, batch, [i], eta_t)
         pairs.append((build_stochastic(loss, batch, eta_t), q_i))
     return pairs
@@ -187,7 +187,7 @@ def projection_error_bound(dataset, loss, model, theta_t, eta_t, m: int, z_star)
     L_f^2 zeta^2 + (4 L_f^2 / mu_g) exp(-m / kappa_g) [l(z_t) - l(z*) + sigma_z^2].
     """
     _require_linear(model)
-    L_f = lipschitz_estimate(model, dataset.X)
+    L_f = spectral_norm(dataset.X)  # the linear target map's Lipschitz constant
     singletons = _singletons(loss, model, dataset, theta_t, eta_t)
     curvatures = _curvatures(singletons)
     mu_g, L_g, _, _ = curvatures

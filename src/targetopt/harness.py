@@ -34,6 +34,7 @@ from . import data as data_mod
 from . import losses as losses_mod
 from . import models as models_mod
 from . import schema
+from .data import fmt_float
 from .optimizers import (
     DIAGNOSTICS, RUNNERS, InnerOptions, RunConfig, RunTrace, ScheduleOptions, TraceRow,
 )
@@ -77,18 +78,18 @@ class LossSpec:
 
 @dataclass
 class ModelSpec:
-    """`hidden` sets the MLP's width, `n_classes` the softmax-linear model's
-    classes (None: the dataset's); a kind reads only the settings its
-    class's constructor takes. Initial parameters come from each run's seed."""
+    """`hidden` sets the MLP's width; a kind reads it only if its class's
+    constructor takes it. A softmax-linear model has the dataset's classes,
+    the only count its targets can match. Initial parameters come from each
+    run's seed."""
 
     kind: models_mod.ModelKind = "linear"
     hidden: int = 16
-    n_classes: int | None = None
 
     def __post_init__(self):
         schema.check(self)  # a kind that has no class, also in a spec built in code
         reads = signature(models_mod.MODELS[self.kind]).parameters
-        schema.reject_unread(self, f"model {self.kind!r}", {"hidden", "n_classes"} - set(reads))
+        schema.reject_unread(self, f"model {self.kind!r}", {"hidden"} - set(reads))
 
 
 @dataclass
@@ -170,9 +171,8 @@ def load_problem(exp: Experiment):
     rows, so `y` is the label array the loss sees everywhere."""
     loss = losses_mod.make_loss(exp.loss.kind, exp.loss.smoothness)
     dataset = load_dataset(exp.dataset)
-    m = exp.model
-    n_classes = dataset.n_classes if m.n_classes is None else m.n_classes
-    model = models_mod.make_model(m.kind, hidden=m.hidden, n_classes=n_classes)
+    model = models_mod.make_model(exp.model.kind, hidden=exp.model.hidden,
+                                  n_classes=dataset.n_classes)
     if loss.kind == "multiclass-kl":
         if dataset.task != "multiclass":
             raise ValueError(f"loss 'multiclass-kl' needs a multiclass task, not {dataset.task!r}")
@@ -210,16 +210,12 @@ def make_run_config(spec: RunSpec, problem) -> RunConfig:
         raise ValueError(f"run {cfg.run_id!r}: {e}") from None
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def trace_to_csv(trace: RunTrace, with_diag: bool) -> str:
     """`run_id`, `seed`, then TraceRow's fields in order (the DIAGNOSTICS
     ones only `with_diag`): ints as written, floats to 17 significant
     digits, None as an empty cell."""
     fields = [f for f in dataclasses.fields(TraceRow) if with_diag or f.name not in DIAGNOSTICS]
-    fmts = [(f.name, str if f.type == "int" else _fmt_float) for f in fields]
+    fmts = [(f.name, str if f.type == "int" else fmt_float) for f in fields]
     lines = [",".join(["run_id", "seed", *(f.name for f in fields)])]
     for r in trace.rows:
         vals = [trace.run_id, str(trace.seed)]
@@ -301,7 +297,7 @@ def write_summary(out_dir, csv_paths) -> str:
         # One quantile per call: a call for both partitions each row around
         # all four neighbours and can order a 0.0 and a -0.0 differently.
         stats = zip(ts, table.mean(axis=1), *(np.percentile(table, q, axis=1) for q in (25, 75)))
-        lines += [f"{run_id},{t},{_fmt_float(mean)},{_fmt_float(q25)},{_fmt_float(q75)}"
+        lines += [f"{run_id},{t},{fmt_float(mean)},{fmt_float(q25)},{fmt_float(q75)}"
                   for t, mean, q25, q75 in stats]
     text = "\n".join(lines) + "\n"
     (out / "summary.csv").write_text(text)
@@ -394,7 +390,7 @@ def cost_report(csv_paths, tau: float, thresholds) -> list[dict]:
 def format_cost_table(report) -> str:
     lines = [f"{'run_id':<24}{'seed':>6}{'threshold':>14}{'sim_cost':>16}"]
     for row in report:
-        cost = "unreached" if row["cost"] is None else _fmt_float(row["cost"])
+        cost = "unreached" if row["cost"] is None else fmt_float(row["cost"])
         lines.append(f"{row['run_id']:<24}{row['seed']:>6}{row['threshold']:>14.3g}{cost:>16}")
     return "\n".join(lines)
 

@@ -4,8 +4,8 @@ A model maps the rows it is given: `forward(theta, rows)` returns one
 target per row, `param_grad(theta, rows, coeffs, f)` the gradient of a
 coefficient-weighted sum of them (the only primitive surrogate
 minimization needs) given the caller's targets f = forward(theta, rows),
-so no gradient runs the model again; `lipschitz_estimate` bounds the
-map's constant.
+so no gradient runs the model again. `spectral_norm(X)` is the linear
+target map's Lipschitz constant.
 The optimizers' outer loop hands out a batch's rows, X itself for a full
 batch. Linear and softmax-linear targets are link(rows @ W), W = theta,
 and these models expose `logits` and the link's vector-Jacobian product
@@ -362,20 +362,6 @@ class MLPModel:
         g_b1 = back.sum(axis=0)
         return np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
 
-    def param_jacobian(self, theta, rows) -> np.ndarray:
-        """Dense Jacobian of the targets with respect to the parameters."""
-        rows = dense(rows)
-        W1, b1, w2, b2 = self._unpack(theta, rows.shape[1])
-        pre = rows @ W1 + b1
-        a = np.maximum(pre, 0.0)
-        mask = (pre > 0).astype(np.float64)
-        back = mask * w2[None, :]  # d f_i / d pre_ik
-        m, d = rows.shape
-        jac_W1 = rows[:, :, None] * back[:, None, :]  # (m, d, h)
-        return np.concatenate(
-            [jac_W1.reshape(m, d * self.hidden), back, a, np.ones((m, 1))], axis=1
-        )
-
 
 MODELS = {cls.kind: cls for cls in (LinearModel, SoftmaxLinearModel, MLPModel)}
 ModelKind = Literal[tuple(MODELS)]  # the kinds above, for config checks
@@ -389,14 +375,3 @@ def make_model(kind: str, hidden: int = 16, n_classes: int = 0):
     settings = {"hidden": hidden, "n_classes": n_classes}
     return MODELS[kind](**{name: settings[name] for name in signature(MODELS[kind]).parameters})
 
-
-def lipschitz_estimate(model, X, theta=None) -> float:
-    """Lipschitz constant of the target map: the spectral norm of X for link
-    models (exact for linear, a bound for softmax-linear, softmax being
-    1-Lipschitz); for the MLP that of the parameter Jacobian at `theta`,
-    which it needs and which bounds nearby slopes only."""
-    if model.kind != "mlp":
-        return spectral_norm(X)
-    if theta is None:
-        raise ValueError("the MLP's Lipschitz estimate needs theta")
-    return spectral_norm(model.param_jacobian(theta, X))

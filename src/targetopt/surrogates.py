@@ -138,7 +138,7 @@ def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None,
 class Surrogate:
     """A frozen batch with a per-row proximity D; oracle-free. The value is
     written in `target_values` at one trial's targets or a stack of them (`value`
-    and `target_value` are its one-trial case), and for KL line trials in `link_values`."""
+    is its one-trial case), and for KL line trials in `link_values`."""
 
     batch: Batch
     prox: SquaredProximity | KLProximity
@@ -154,12 +154,7 @@ class Surrogate:
         return batch.z if theta is batch.theta else batch.model.forward(theta, batch.rows)
 
     def value(self, theta) -> float:
-        return self.target_value(self.targets(theta))
-
-    def target_value(self, f) -> float:
-        """The value at targets f of the batch rows: `target_values` of one
-        trial."""
-        return float(self.target_values(f))
+        return float(self.target_values(self.targets(theta)))
 
     def target_values(self, fs):
         """The value at targets fs of the batch rows, or at each of a stack

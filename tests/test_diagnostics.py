@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from targetopt import diagnostics, models
 from targetopt.data import Dataset, SyntheticSpec, generate_synthetic, max_abs_scale
 from targetopt.diagnostics import (
     DegenerateCurvature,
@@ -19,6 +20,7 @@ from targetopt.diagnostics import (
 from targetopt.losses import LogisticLoss, SquaredLoss, expit
 from targetopt.models import LinearModel, MLPModel, row_norms2
 from targetopt.optimizers import InnerOptions, RunConfig, ScheduleOptions, run
+from targetopt.surrogates import build_analysis_q, build_stochastic, freeze
 
 
 def counterexample():
@@ -215,6 +217,40 @@ class TestZeta2:
         ds = interpolating(n=10, d=3, seed=4)
         zeta2(ds, RowCountingLoss(), LinearModel(), np.ones(3), 0.5)
         assert RowCountingLoss.rows == 20
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_singletons_are_row_views(self, monkeypatch, storage):
+        # Each singleton reads its row as a view of X, with no gather: no
+        # take_rows call, and the floats of freezing a gathered copy.
+        ds = generate_synthetic(SyntheticSpec("least-squares", n=30, d=4, noise=0.2, seed=3))
+        if storage == "csr":
+            ds = Dataset(X=sp.csr_matrix(ds.X), y=ds.y, task=ds.task)
+        loss, model, theta = SquaredLoss(), LinearModel(), np.full(4, 0.3)
+
+        def gathered(loss, model, dataset, theta_t, eta_t):
+            pairs = []
+            for i in range(dataset.n):
+                batch = freeze(loss, model, theta_t, models.take_rows(dataset.X, [i]), dataset.y[[i]])
+                pairs.append((build_stochastic(loss, batch, eta_t),
+                              build_analysis_q(loss, dataset, batch, [i], eta_t)))
+            return pairs
+
+        with monkeypatch.context() as patched:
+            patched.setattr(diagnostics, "_singletons", gathered)
+            want = (zeta2(ds, loss, model, theta, 0.5),
+                    expected_projection_error_sq(ds, loss, model, theta, 0.5, 3))
+        calls, take_rows = [], models.take_rows
+
+        def counting(X, idx):
+            calls.append(idx)
+            return take_rows(X, idx)
+
+        monkeypatch.setattr(models, "take_rows", counting)
+        monkeypatch.setattr(diagnostics, "take_rows", counting, raising=False)
+        got = (zeta2(ds, loss, model, theta, 0.5),
+               expected_projection_error_sq(ds, loss, model, theta, 0.5, 3))
+        assert calls == []
+        assert got == want
 
 
 class TestCounterexample:

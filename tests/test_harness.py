@@ -359,7 +359,7 @@ class TestRunExperiment:
         ("expert_smoothing", 0.1, "loss 'squared' does not read 'expert_smoothing'; leave it out"),
         ("model", {"kind": "linear", "hidden": 5}, "model 'linear' does not read 'hidden'"),
         ("model", {"kind": "softmax-linear", "seed": 2}, "unknown key(s) ['seed'] in model"),
-        ("model", {"kind": "mlp", "n_classes": 3}, "model 'mlp' does not read 'n_classes'"),
+        ("model", {"kind": "mlp", "n_classes": 3}, "unknown key(s) ['n_classes'] in model"),
     ], ids=["malformed-data", "unknown-loss", "unknown-model", "synthetic-key", "kl-on-regression",
             "dataset-key", "loss-key", "model-key", "loss-number", "model-list", "dataset-name",
             "synthetic-number", "synthetic-ignores-task", "synthetic-ignores-d",
@@ -743,6 +743,24 @@ class TestConfigParsing:
         assert run_experiment(cfg) == 0
         rows = read_csv(tmp_path / "out" / "mirror_s0.csv")
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
+
+    def test_softmax_model_has_the_datasets_classes(self, tmp_path, monkeypatch):
+        from targetopt import harness
+
+        problems = []
+        load = harness.load_problem
+
+        def keeping_load(exp):
+            problems.append(load(exp))
+            return problems[-1]
+
+        monkeypatch.setattr(harness, "load_problem", keeping_load)
+        assert run_experiment(multiclass_config(tmp_path)) == 0
+        [(dataset, model, _)] = problems
+        assert (model.kind, model.arity, dataset.n_classes) == ("softmax-linear", 3, 3)
+        assert dataset.y.shape == (8, 3)  # the expert rows the loss sees
+        sidecar = json.loads((tmp_path / "out" / "mirror_s0.json").read_text())
+        assert sidecar["experiment"]["model"] == {"kind": "softmax-linear", "hidden": 16}
 
 
 # Runs in a fresh interpreter: the test process itself may have imported
@@ -1181,6 +1199,19 @@ class TestCLI:
             assert text["flag-seed"] == text["config-seed"] != text["seed0"]
         sidecar = json.loads((tmp_path / "flag-seed" / "sgd_s0.json").read_text())
         assert sidecar["experiment"]["global_seed"] == 5
+
+    def test_model_class_count_is_an_unknown_key(self, tmp_path, capsys):
+        # A softmax-linear model has the data's classes: a count set in the
+        # config is refused before the data loads or any file is written.
+        cfg = multiclass_config(tmp_path)
+        cfg["model"] = {"kind": "softmax-linear", "n_classes": 4}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown key(s) ['n_classes'] in model\n"
+        assert "FAILED" not in captured.out
+        assert not (tmp_path / "out").exists()
 
     def test_misspelt_problem_key_is_one_error_line(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "out")

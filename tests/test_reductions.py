@@ -83,15 +83,15 @@ def wrapper_mirror_value(surr, logits):
 
 def wrapper_trial_value(surr, logits):
     """One softmax-line trial's value at batch logits: the projection form
-    under the KL proximity, `target_value` at their softmax otherwise."""
+    under the KL proximity, the target value at their softmax otherwise."""
     if isinstance(surr.prox, KLProximity):
         return wrapper_mirror_value(surr, logits)
     return wrapper_target_value(surr, wrapper_softmax(logits))
 
 
 def anchored_trial_value(surr, logits):
-    """One trial's value as `Surrogate.target_value` at the link of its logits."""
-    return surr.target_value(surr.batch.model.link(logits))
+    """One trial's value as `Surrogate.target_values` at the link of its logits."""
+    return float(surr.target_values(surr.batch.model.link(logits)))
 
 
 def wrapper_target_line_search(loss, z, y, g, alpha0=10.0, shrink=0.5, c=0.5):
@@ -220,7 +220,7 @@ class TestSameFloats:
         surr = surrogate_of(data, variant, eta)
         X, _, _, model, theta, rng = data
         for f in (surr.batch.z, model.forward(theta + rng.normal(size=theta.shape), X)):
-            assert surr.target_value(f) == wrapper_target_value(surr, f)
+            assert float(surr.target_values(f)) == wrapper_target_value(surr, f)
             assert surr.prox.values(f, surr.batch.z) == wrapper_prox(surr.prox, f, surr.batch.z)
 
     @settings(max_examples=60, deadline=None)
