@@ -9,9 +9,10 @@ not theta, on linear and softmax-linear models), and `exact_linear_solve`
 solves the quadratic surrogate of a linear model in closed form. A run's
 `InnerOptions` picks one of them and its budget.
 
-A solve's first value and gradient are taken at the theta it is handed:
-from the batch's own anchor array the surrogate reads the frozen targets
-z, so the oracle's forward pass is not paid again. Every Armijo solve
+A solve's first value and gradient are taken at the theta it is handed.
+From the batch's own anchor array the value is the frozen batch loss,
+read from the batch's `consts`, and the gradient reads the frozen targets
+z, so neither the forward pass nor the loss is paid again. Every Armijo solve
 runs the same loop; the proximity and the frozen oracle values are read
 only through the surrogate's methods. Along `_TargetLine` a linear
 model's trials are scalar arithmetic. A softmax-linear trial is a
@@ -178,7 +179,8 @@ def armijo_backtracking(surrogate, omega0, m: int, alpha0: float = 1.0) -> Inner
     every step starts its search at alpha0, and the accepted trial's
     value is the next step's base value. Hitting the backtrack floor
     returns the current point with `stalled` set. The start is evaluated
-    at omega0 itself, so from the batch's anchor it reads the frozen z.
+    at omega0 itself, so from the batch's anchor its value is the frozen
+    batch loss and its gradient reads the frozen z.
     Link models search on the batch logits (`_TargetLine`); an MLP's
     trials are `Surrogate.value` at each trial theta.
     """

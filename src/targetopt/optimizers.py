@@ -365,7 +365,7 @@ def _sso_step(cfg: RunConfig, dataset, model, loss, rec: _Recorder):
     def step(t, theta, idx, rows, y_b):
         batch = freeze(loss, model, theta, rows, y_b, rec.counter, rows_norm)
         if eta is None:
-            eta_t, stalled = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=eta0)
+            eta_t, stalled = target_line_search(loss, batch, alpha0=eta0)
             rec.inner_stalls += stalled
         else:
             eta_t = eta(t, grad=batch.coeffs)

@@ -83,19 +83,21 @@ class ScheduleOptions:
         return eta
 
 
-def target_line_search(loss, z_batch, y_batch, grad_batch, alpha0: float = LS_ALPHA0):
-    """Backtracking Armijo search directly in the target space.
+def target_line_search(loss, batch, alpha0: float = LS_ALPHA0):
+    """Backtracking Armijo search directly in the target space of a
+    frozen `Batch`.
 
     Finds the largest eta in {alpha0 * LS_SHRINK^k} with
-    mean_i l_i(z_i - eta g_i) <= mean_i l_i(z_i) - LS_C eta mean_i g_i^2.
-    Returns (eta, stalled); a zero gradient returns alpha0 untouched.
+    mean_i l_i(z_i - eta g_i) <= mean_i l_i(z_i) - LS_C eta mean_i g_i^2,
+    z the batch's targets and g its target gradients. The base value
+    mean_i l_i(z_i) is the frozen batch loss, read from `consts`, so the
+    loss is evaluated only at the trials. Returns (eta, stalled); a zero
+    gradient returns alpha0 untouched.
     """
-    z = np.asarray(z_batch, dtype=np.float64)
-    g = np.asarray(grad_batch, dtype=np.float64)
+    z, g, y = batch.z, batch.coeffs, batch.y
     gnorm2 = mean(g * g)
     if gnorm2 == 0.0:
         return alpha0, False
-    base = mean(loss.values(z, y_batch))
-    step, _, stalled = backtrack(lambda a: mean(loss.values(z - a * g, y_batch)),
-                                 base, gnorm2, alpha0, LS_SHRINK, LS_C)
+    step, _, stalled = backtrack(lambda a: mean(loss.values(z - a * g, y)),
+                                 mean(batch.consts), gnorm2, alpha0, LS_SHRINK, LS_C)
     return step, stalled

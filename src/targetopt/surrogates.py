@@ -138,7 +138,8 @@ def freeze(loss, model, theta, rows, y, counter: OracleCounter | None = None,
 class Surrogate:
     """A frozen batch with a per-row proximity D; oracle-free. The value is
     written in `target_values` at one trial's targets or a stack of them (`value`
-    is its one-trial case), and for KL line trials in `link_values`."""
+    is its one-trial case, and the frozen batch loss at the batch's anchor
+    array), and for KL line trials in `link_values`."""
 
     batch: Batch
     prox: SquaredProximity | KLProximity
@@ -154,6 +155,12 @@ class Surrogate:
         return batch.z if theta is batch.theta else batch.model.forward(theta, batch.rows)
 
     def value(self, theta) -> float:
+        """The value at theta. At the batch's own anchor array it is the
+        frozen batch loss mean_i c_i, read from `consts`: there the linear
+        term is (z - z) g = +-0 and both proximities are exactly 0."""
+        batch = self.batch
+        if theta is batch.theta:
+            return mean(batch.consts)
         return float(self.target_values(self.targets(theta)))
 
     def target_values(self, fs):

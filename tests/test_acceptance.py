@@ -152,13 +152,12 @@ def test_05_counterexample_lower_bound():
     with criterion(5, "two-quadratic instance keeps its expectation bias"):
         start = time.perf_counter()
         T, trials = 200, 100000
+        theta1s = np.array([0.1, 1.0, 5.0])
         for kind in ("constant", "sqrt-decay", "exponential"):
             alphas = counterexample_alphas(kind, T)
             for c in (0.1, 0.5, 1.0):
-                for theta1 in (0.1, 1.0, 5.0):
-                    mc, closed, se = counterexample_check(
-                        c, alphas, T, theta1, trials=trials, seed=11
-                    )
+                results = counterexample_check(c, alphas, T, theta1s, trials=trials, seed=11)
+                for theta1, mc, closed, se in zip(theta1s, *results):
                     bound = min(theta1, 0.375) - 1e-9
                     assert closed >= bound, (kind, c, theta1, closed)
                     assert mc >= bound - 3 * se, (kind, c, theta1, mc)

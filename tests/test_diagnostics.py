@@ -253,6 +253,23 @@ class TestZeta2:
         assert got == want
 
 
+def reference_counterexample(c, alphas, T, theta1, trials, seed):
+    """One start's Monte Carlo run with fresh arrays and np.where at each
+    step: the floats `counterexample_check` must give."""
+    expected = theta1
+    for t in range(T - 1):
+        ca = c * alphas[t]
+        expected = (1.0 - ca) * expected + 0.375 * ca
+    rng = np.random.default_rng(seed)
+    theta = np.full(trials, float(theta1))
+    for t in range(T - 1):
+        ca = c * alphas[t]
+        pick_first = rng.random(trials) < 0.5
+        theta = np.where(pick_first, theta - ca * (theta - 1.0), (1.0 - ca) * theta - 0.25 * ca)
+    se = float(theta.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return float(theta.mean()), float(expected), se
+
+
 class TestCounterexample:
     def test_constant_unit_step_hits_fixed_point(self):
         alphas = counterexample_alphas("constant", 50)
@@ -307,6 +324,22 @@ class TestCounterexample:
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
             counterexample_check(0.0, np.ones(10), 5, 1.0, 10)
+
+    @pytest.mark.parametrize("kind", ["constant", "sqrt-decay", "exponential"])
+    @pytest.mark.parametrize("T,trials", [(1, 5), (2, 1), (40, 2), (60, 3001)])
+    def test_starts_as_rows_match_scalar_calls(self, kind, T, trials):
+        alphas = counterexample_alphas(kind, max(T, 2))
+        theta1s = np.array([0.1, 0.375, 1.0, 5.0, -2.0])
+        for c in (0.1, 0.5, 1.0):
+            rows = counterexample_check(c, alphas, T, theta1s, trials=trials, seed=11)
+            assert all(isinstance(r, np.ndarray) and r.shape == (5,) for r in rows)
+            for i, theta1 in enumerate(theta1s):
+                scalar = counterexample_check(c, alphas, T, float(theta1), trials=trials, seed=11)
+                want = reference_counterexample(c, alphas, T, float(theta1), trials, seed=11)
+                assert all(type(v) is float for v in scalar)
+                got = tuple(float(r[i]) for r in rows)
+                assert [v.hex() for v in got] == [v.hex() for v in scalar] == [
+                    v.hex() for v in want], (c, theta1)
 
 
 class TestBound:

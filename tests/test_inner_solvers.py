@@ -317,13 +317,32 @@ class TestTargetSpaceArmijo:
         res = armijo_backtracking(surr, theta_t, 8, alpha0=10.0)
         assert res.inner_steps > 1 and counting.calls == built
 
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("case", [c for c in LINK_CASES if c[1] == "linear"])
+    def test_m1_linear_solve_reads_its_start_value_from_the_batch(self, monkeypatch, case, dense):
+        # One step from the batch's anchor: the base value is one
+        # `Surrogate.value` call at the anchor array, which reads the frozen
+        # batch loss, and the line's trials are closed-form, so nothing
+        # evaluates `target_values`.
+        _, ds, model, loss, theta_t, _ = make_problem(case, 6, 3, 17, dense)
+        surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, case[0])
+        value, target_values = Surrogate.value, Surrogate.target_values
+        at_anchor, evaluated = [], []
+        monkeypatch.setattr(Surrogate, "value", lambda self, theta: (
+            at_anchor.append(theta is self.batch.theta) or value(self, theta)))
+        monkeypatch.setattr(Surrogate, "target_values", lambda self, fs: (
+            evaluated.append(fs) or target_values(self, fs)))
+        res = armijo_backtracking(surr, surr.batch.theta, 1, alpha0=10.0)
+        assert res.inner_steps == 1 and not res.stalled
+        assert at_anchor == [True] and evaluated == []
+
     def test_accepted_trial_is_not_recomputed(self, monkeypatch):
-        # From the batch's anchor the start's value and gradient read the
-        # frozen targets z: the start's value is the one `target_values`
-        # call, with no softmax. A mirror solve then takes exactly one
-        # softmax per block of trials, inside the block, and a step reuses
-        # its accepted trial: no softmax runs between a block and the next
-        # gradient.
+        # From the batch's anchor the start's value is the frozen batch
+        # loss and its gradient reads the frozen targets z: no
+        # `target_values` call and no softmax there. A mirror solve then
+        # takes exactly one softmax per block of trials, inside the block,
+        # and a step reuses its accepted trial: no softmax runs between a
+        # block and the next gradient.
         _, ds, model, loss, theta_t, _ = make_problem(CASES[-1], 6, 3, 13, True)
         surr = stochastic(loss, model, ds, theta_t, [0, 2, 2, 5], 0.5, "entropy-mirror")
         events, searches = [], []
@@ -350,7 +369,7 @@ class TestTargetSpaceArmijo:
         res = armijo_backtracking(surr, surr.batch.theta, 8, alpha0=10.0)
         blocks = sum(-(-trials // TRIAL_BLOCK) for trials in searches)
         assert res.inner_steps == 8 and sum(searches) > 8 and blocks > 8
-        assert events[0] == "value" and events.count("value") == 1
+        assert events[0] == "block" and "value" not in events
         assert events.count("block") == events.count("link") == blocks
         # Each block is one link; each gradient follows a block's link.
         for i, event in enumerate(events):

@@ -19,7 +19,7 @@ from targetopt.models import (
 )
 
 
-def dense(X):
+def csr(X):
     return sp.csr_matrix(np.asarray(X, dtype=np.float64))
 
 
@@ -40,18 +40,18 @@ def surrogate_grad(model, theta, X, idx, lin_coeffs, quad_weights, anchors):
 class TestLinearForward:
     def test_dot_product(self):
         model = LinearModel()
-        X = dense([[1.0, 2.0]])
+        X = csr([[1.0, 2.0]])
         assert model.forward(np.array([3.0, 4.0]), X[[0]])[0] == 11.0
 
     def test_zero_params(self):
         model = LinearModel()
-        X = dense(np.random.default_rng(0).normal(size=(5, 3)))
+        X = csr(np.random.default_rng(0).normal(size=(5, 3)))
         np.testing.assert_array_equal(model.forward(np.zeros(3), X), 0.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
         model = LinearModel()
-        X = dense(rng.normal(size=(10, 4)))
+        X = csr(rng.normal(size=(10, 4)))
         t1, t2 = rng.normal(size=4), rng.normal(size=4)
         a, b = 0.3, -1.7
         lhs = model.forward(a * t1 + b * t2, X)
@@ -62,7 +62,7 @@ class TestLinearForward:
 class TestSurrogateGrad:
     def test_anchored_minimum_is_zero(self):
         model = LinearModel()
-        X = dense([[1.0, -2.0], [0.5, 3.0]])
+        X = csr([[1.0, -2.0], [0.5, 3.0]])
         theta = np.array([0.7, -0.3])
         anchors = model.forward(theta, X[[0, 1]])
         g = surrogate_grad(
@@ -73,7 +73,7 @@ class TestSurrogateGrad:
     def test_one_dim_closed_form(self):
         # c=-2, w=2, theta = anchor = 0 on X=[1]: gradient is c * x = -2.
         model = LinearModel()
-        X = dense([[1.0]])
+        X = csr([[1.0]])
         g = surrogate_grad(
             model, np.zeros(1), X, [0], np.array([-2.0]), np.array([2.0]), np.zeros(1)
         )
@@ -82,7 +82,7 @@ class TestSurrogateGrad:
     def test_matches_finite_differences_linear(self):
         rng = np.random.default_rng(2)
         model = LinearModel()
-        X = dense(rng.normal(size=(6, 4)))
+        X = csr(rng.normal(size=(6, 4)))
         theta = rng.normal(size=4)
         c = rng.normal(size=6)
         w = rng.uniform(0.5, 2.0, size=6)
@@ -105,14 +105,14 @@ class TestSurrogateGrad:
 class TestMLP:
     def test_zero_weights_give_zero_output(self):
         model = MLPModel(hidden=4)
-        X = dense(np.random.default_rng(3).normal(size=(5, 3)))
+        X = csr(np.random.default_rng(3).normal(size=(5, 3)))
         theta = np.zeros(model.dim(3))
         np.testing.assert_array_equal(model.forward(theta, X), 0.0)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         model = MLPModel(hidden=5)
-        X = dense(rng.normal(size=(7, 3)))
+        X = csr(rng.normal(size=(7, 3)))
         theta = model.init_params(3, np.random.default_rng(4))
         idx = np.arange(7)
         c = rng.normal(size=7)
@@ -143,7 +143,7 @@ class TestSoftmaxLinear:
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(5)
         model = SoftmaxLinearModel(3)
-        X = dense(rng.normal(size=(6, 4)))
+        X = csr(rng.normal(size=(6, 4)))
         p = model.forward(rng.normal(size=model.dim(4)), X)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p > 0)
@@ -151,7 +151,7 @@ class TestSoftmaxLinear:
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         model = SoftmaxLinearModel(3)
-        X = dense(rng.normal(size=(4, 2)))
+        X = csr(rng.normal(size=(4, 2)))
         theta = rng.normal(size=model.dim(2))
         idx = np.arange(4)
         coeffs = rng.normal(size=(4, 3))
@@ -180,7 +180,7 @@ class TestRowContract:
         model = {"linear": LinearModel(), "softmax": SoftmaxLinearModel(3),
                  "mlp": MLPModel(hidden=4)}[kind]
         X = rng.normal(size=(8, 3))
-        X = dense(X) if storage == "csr" else X
+        X = csr(X) if storage == "csr" else X
         idx = np.array(idx + idx[:1])  # at least one repeated index
         theta = rng.normal(size=model.dim(3))
         np.testing.assert_allclose(
@@ -369,7 +369,7 @@ class TestLipschitz:
         # and two columns spectral_norm runs the power iteration.
         X = np.random.default_rng(sum(shape)).normal(size=shape)
         padded = np.pad(X, ((0, 1), (0, 1)))
-        store = dense if storage == "csr" else np.asarray
+        store = csr if storage == "csr" else np.asarray
         got = spectral_norm(store(X))
         assert got == np.linalg.norm(X)
         np.testing.assert_allclose(got, spectral_norm(store(padded)), rtol=1e-12)
@@ -380,7 +380,7 @@ class TestLipschitz:
         # @ in its place the result must be the same float.
         rng = np.random.default_rng(12)
         X = np.where(rng.random((125, 100)) < 0.2, rng.normal(size=(125, 100)), 0.0)
-        X = dense(X) if storage == "csr" else X
+        X = csr(X) if storage == "csr" else X
         v = rng.normal(size=100)
         np.testing.assert_array_equal(row_product(X, row_product(X, v), transpose=True), X.T @ (X @ v))
         got = spectral_norm(X)
@@ -390,16 +390,16 @@ class TestLipschitz:
         assert got == spectral_norm(X)
 
     def test_identity(self):
-        assert spectral_norm(dense(np.eye(2))) == pytest.approx(1.0)
+        assert spectral_norm(csr(np.eye(2))) == pytest.approx(1.0)
 
     def test_one_by_one(self):
-        assert spectral_norm(dense([[2.0]])) == pytest.approx(2.0)
+        assert spectral_norm(csr([[2.0]])) == pytest.approx(2.0)
 
     def test_random_matches_svd(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(50, 10))
         sigma = np.linalg.svd(X, compute_uv=False)[0]
-        assert spectral_norm(dense(X)) == pytest.approx(sigma, rel=1e-6)
+        assert spectral_norm(csr(X)) == pytest.approx(sigma, rel=1e-6)
 
     def test_synthetic_matches_svd(self):
         ds = generate_synthetic(SyntheticSpec("least-squares", n=30, d=6, cond=50, seed=0))

@@ -255,7 +255,7 @@ class TestSameFloats:
         X, y, loss, model, theta, _ = data
         batch = freeze(loss, model, theta, X, y)
         with np.errstate(invalid="ignore"):  # KL trials can leave the simplex
-            got = target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=alpha0)
+            got = target_line_search(loss, batch, alpha0=alpha0)
             want = wrapper_target_line_search(loss, batch.z, batch.y, batch.coeffs, alpha0=alpha0)
         assert got == want
 

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from targetopt.losses import LogisticLoss, SquaredLoss
+from targetopt.models import LinearModel
 from targetopt.schedules import (
+    LS_SHRINK,
     ScheduleOptions,
     target_line_search,
     theoretical_eta0,
 )
+from targetopt.surrogates import freeze
 
 
 def steps(kind, eta0, T=None, beta=1.0):
     return ScheduleOptions(kind, beta=beta).steps(eta0, T)
+
+
+def frozen(loss, z, y):
+    """The batch frozen at targets z: a linear model on identity rows."""
+    return freeze(loss, LinearModel(), z, np.eye(len(z)), y)
 
 
 class TestClosedFormSchedules:
@@ -84,15 +92,14 @@ class TestTargetLineSearch:
         loss = SquaredLoss()
         z = np.array([3.0])
         y = np.array([1.0])
-        g = loss.grads(z, y)
-        step, stalled = target_line_search(loss, z, y, g, alpha0=10.0)
+        step, stalled = target_line_search(loss, frozen(loss, z, y), alpha0=10.0)
         assert not stalled
         assert step == pytest.approx(0.625)
 
     def test_zero_gradient_returns_alpha0(self):
         loss = SquaredLoss()
         z = np.array([1.0, 2.0])
-        step, stalled = target_line_search(loss, z, z.copy(), np.zeros(2), alpha0=7.0)
+        step, stalled = target_line_search(loss, frozen(loss, z, z.copy()), alpha0=7.0)
         assert step == 7.0 and not stalled
 
     def test_accepted_step_satisfies_condition(self):
@@ -102,7 +109,7 @@ class TestTargetLineSearch:
             z = rng.normal(scale=2.0, size=6)
             y = np.where(rng.random(6) < 0.5, 1.0, -1.0)
             g = loss.grads(z, y)
-            step, stalled = target_line_search(loss, z, y, g, alpha0=5.0)
+            step, stalled = target_line_search(loss, frozen(loss, z, y), alpha0=5.0)
             assert not stalled
             lhs = np.mean(loss.values(z - step * g, y))
             rhs = np.mean(loss.values(z, y)) - 0.5 * step * np.mean(g * g)
@@ -115,6 +122,27 @@ class TestTargetLineSearch:
         for b in (1, 3, 10):
             z = np.full(b, 2.0)
             y = np.zeros(b)
-            g = loss.grads(z, y)
-            step, _ = target_line_search(loss, z, y, g, alpha0=10.0)
+            step, _ = target_line_search(loss, frozen(loss, z, y), alpha0=10.0)
             assert step == pytest.approx(0.625)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_loss_is_evaluated_only_at_the_trials(self, seed):
+        # The base value is the frozen batch loss: the search evaluates the
+        # loss once per trial step, never at the batch's own targets.
+        rng = np.random.default_rng(seed)
+        loss = LogisticLoss()
+        z = rng.normal(scale=2.0, size=5)
+        batch = frozen(loss, z, np.where(rng.random(5) < 0.5, 1.0, -1.0))
+        seen = []
+
+        class Recording:
+            def values(self, f, y):
+                seen.append(f)
+                return loss.values(f, y)
+
+        step, stalled = target_line_search(Recording(), batch, alpha0=10.0)
+        trials, a = 1, 10.0
+        while a > step:
+            a, trials = a * LS_SHRINK, trials + 1
+        assert not stalled and len(seen) == trials > 1
+        assert not any(np.array_equal(f, batch.z) for f in seen)

@@ -9,6 +9,7 @@ from targetopt.losses import (
     MulticlassKLLoss,
     SquaredLoss,
     loss_value,
+    mean,
     smoothed_expert_rows,
 )
 from targetopt.models import LinearModel, MLPModel, SoftmaxLinearModel
@@ -349,6 +350,18 @@ class TestRepresentationProperties:
         (variant, ds, model, loss, theta_t, _), idx, eta = problem
         surr = stochastic(loss, model, ds, theta_t, idx, eta, variant)
         assert surr.value(theta_t) == batch_loss(loss, model, ds, theta_t, idx)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problems(), st.floats(1e-4, 10.0))
+    def test_value_at_the_anchor_array_is_the_frozen_batch_loss(self, problem, eta):
+        # At z the linear term is (z - z) g = +-0, and consts + +-0 = consts;
+        # both proximities are exactly 0 there. So reading mean_i c_i gives
+        # the float that evaluating the value at z gives, sign of zero included.
+        (variant, ds, model, loss, theta_t, _), idx, _ = problem
+        surr = stochastic(loss, model, ds, theta_t, idx, eta, variant)
+        batch = surr.batch
+        want = float(surr.target_values(batch.z)).hex()
+        assert surr.value(batch.theta).hex() == want == mean(batch.consts).hex()
 
     @PROPERTY
     @given(problems())
